@@ -14,8 +14,8 @@
                --units=N,N,... synthesized compile units (writes
                BENCH_parallel.json v2; -jN bytes and solutions must
                match -j1, solve speedup gated at the largest unit
-               count on multi-core hosts; --inject-divergence proves
-               the solution gate fires)
+               count on multi-core hosts, informational under --quick;
+               --inject-divergence proves the solution gate fires)
      solver    solver micro-bench: sparse/dense/cyclic workloads x every
                solver and Pretrans.config cell, hybrid lval-sets vs the
                sorted-array baseline (writes BENCH_solver.json; any
@@ -660,8 +660,9 @@ let bechamel () =
    whole-pool spawn cost per call and could only report the loss.  Now
    domains are spawned once (Pool.shared) and the gate asserts solve
    speedup_vs_j1 > 1.0 at the LARGEST unit count, where there is enough
-   work to amortize chunking — hard on multi-core hosts, informational
-   on a 1-core box where j>=2 resolves to 1 domain. *)
+   work to amortize chunking — hard on multi-core hosts in the full run,
+   informational under --quick (whose few small units cannot amortize
+   the pool) and on a 1-core box where j>=2 resolves to 1 domain. *)
 let parallel () =
   hr ();
   let units_list =
@@ -818,7 +819,7 @@ let parallel () =
       "parallel: FAIL — a -jN run diverged from -j1 (bytes or solution)@.";
     exit 1
   end;
-  if host_cores > 1 then begin
+  if host_cores > 1 && not !quick then begin
     if !best_solve_speedup_at_largest <= 1.0 then begin
       Fmt.epr
         "parallel: FAIL — solve speedup_vs_j1 %.2fx <= 1.0 at the largest \
@@ -829,9 +830,10 @@ let parallel () =
   end
   else
     Fmt.pr
-      "parallel: 1-core host, solve speedup (%.2fx at %d units) is \
-       informational only@."
+      "parallel: solve speedup %.2fx at %d units is informational only \
+       (%s)@."
       !best_solve_speedup_at_largest largest
+      (if !quick then "--quick" else "1-core host")
 
 (* ------------------------------------------------------------------ *)
 (* Solver micro-bench: hybrid lval-sets + allocation-free reachability *)
@@ -1425,14 +1427,7 @@ let chaos () =
   in
   (* -- gate: corrupt snapshot is rejected, answer still correct ----- *)
   let bad = tmp "bad.snap" in
-  let bytes_of f =
-    let ic = open_in_bin f in
-    let n = in_channel_length ic in
-    let b = really_input_string ic n in
-    close_in ic;
-    b
-  in
-  let b = Bytes.of_string (bytes_of snap) in
+  let b = Bytes.of_string (Binio.read_file snap) in
   let mid = Bytes.length b / 2 in
   Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0xff));
   let oc = open_out_bin bad in

@@ -261,11 +261,8 @@ let compile_cmd =
                      | None -> false
                      | Some h -> (
                          match
-                           let ic = open_in_bin src in
-                           let n = in_channel_length ic in
-                           let s = really_input_string ic n in
-                           close_in ic;
-                           Compilep.tu_hash ~options ~file:src s
+                           Compilep.tu_hash ~options ~file:src
+                             (Binio.read_file src)
                          with
                          | h' -> String.equal h h'
                          | exception _ -> false)))
@@ -905,9 +902,7 @@ let faults_cmd =
   let run db n seed obs =
     with_obs obs (fun () ->
         handle_errors (fun () ->
-            let ic = open_in_bin db in
-            let data = really_input_string ic (in_channel_length ic) in
-            close_in ic;
+            let data = Binio.read_file db in
             (* the unmutated file must be sound before we corrupt it *)
             let baseline =
               (Andersen.solve ~demand:false (Objfile.view_of_string data))

@@ -109,3 +109,11 @@ let rbytes r =
   s
 
 let at_end r = r.pos >= r.limit
+
+(* ------------------------------------------------------------------ *)
+(* Files                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let read_file path =
+  In_channel.with_open_bin path (fun ic ->
+      really_input_string ic (in_channel_length ic))

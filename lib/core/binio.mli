@@ -51,3 +51,9 @@ val rbytes : reader -> string
 val rcount : ?min_size:int -> reader -> int
 
 val at_end : reader -> bool
+
+(** {1 Files} *)
+
+(** The whole contents of a file, closing the channel on every path.
+    Raises [Sys_error] on I/O failure. *)
+val read_file : string -> string

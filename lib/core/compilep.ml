@@ -223,11 +223,7 @@ let compile_string ?(options = default_options) ~file source : Objfile.db =
 
 (** Compile a C file from disk into a database. *)
 let compile_file ?(options = default_options) path : Objfile.db =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let source = really_input_string ic len in
-  close_in ic;
-  compile_string ~options ~file:path source
+  compile_string ~options ~file:path (Binio.read_file path)
 
 (** Compile and serialize to an object file on disk (like [cc -c]). *)
 let compile_to ?(options = default_options) ~output path =

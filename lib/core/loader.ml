@@ -181,27 +181,20 @@ let publish_stats ?reg (s : stats) =
     header (magic, table bounds, table checksum) is validated on the
     calling domain first; section payload checksums — the dominant cost
     on a large linked database — then run as one pool task per section,
-    and the view is built with [~verify:false] since every section has
-    already been checked.  A corrupt section raises {!Binio.Corrupt}
-    exactly as the sequential path does; the pool cancels the remaining
-    in-flight checksums via the batch token. *)
+    and the view is built from the same opened container, which
+    remembers that every section has been checked.  A corrupt section
+    raises {!Binio.Corrupt} exactly as the sequential path does; the
+    pool cancels the remaining in-flight checksums via the batch token. *)
 let view_par ~pool (data : string) : Objfile.view =
-  let entries = Objfile.section_table data in
-  ignore
-    (Cla_par.Pool.map pool (fun e -> Objfile.verify_section data e) entries);
-  Objfile.view_of_string ~verify:false data
+  let s = Sectioned.of_string Objfile.format data in
+  ignore (Cla_par.Pool.map pool (Sectioned.verify s) (Sectioned.entries s));
+  Objfile.view_of_sections s
 
 (** Like {!Objfile.load_result}, but verifying section checksums across
     [pool]. *)
 let load_file_par ~pool path : (Objfile.view, Diag.t) result =
   Diag.capture ~file:path ~phase:Diag.Load (fun () ->
-      let ic = open_in_bin path in
-      let data =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      view_par ~pool data)
+      view_par ~pool (Binio.read_file path))
 
 (* ------------------------------------------------------------------ *)
 (* Cached file loads (the watch / incremental path)                     *)

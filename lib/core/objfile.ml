@@ -1,15 +1,11 @@
 (** The CLA object file: an indexed database of primitive assignments
     (Section 4, Figure 4 of the paper).
 
-    Layout (all little-endian, varint = LEB128):
+    The file is a {!Sectioned} container — magic "CLA2", no version
+    word, CRC32 on the table and on every section — holding (all
+    little-endian, varint = LEB128):
 
     {v
-    magic "CLA2"  (version byte is the 4th magic character)
-    u32 section_count
-    section table: (u8 id, u32 offset, u32 size, u32 crc32) per section
-    u32 table_crc32: checksum of section_count + table
-                     (CLA1 files carry neither crc field; checks skipped)
-    sections:
       STRTAB   common strings (Figure 4's "string section")
       VARS     one record per object: name, kind, linkage, type, decl loc
       GLOBALS  linking information: (var, canonical key) for extern objects
@@ -22,8 +18,10 @@
       INDIRECT per indirect call site: the pointer, arity, arg/ret vars
       TARGETS  name -> object index, sorted, for the dependence analysis
       META     provenance and Table 2 statistics
+      CONSTS   integer constants assigned directly to objects
       OPENWORLD (optional) blob var, undefined functions, escaping
                externs — present iff linked with --open-world
+      TUHASH   (optional) content hash of a compiled unit's TU + flags
     v}
 
     The same format serves as both "object file" (per translation unit) and
@@ -32,16 +30,8 @@
 
 open Cla_ir
 
-(* Format versions.  CLA2 adds a per-section CRC32 to every section-table
-   entry; CLA1 files (written before checksums existed) are still read,
-   with verification skipped. *)
-let magic_v1 = "CLA1"
-let magic = "CLA2"
-let current_version = 2
-
-(* Section-table entry sizes: (u8 id, u32 off, u32 size) in CLA1, plus a
-   u32 crc in CLA2. *)
-let entry_size = function 1 -> 9 | _ -> 13
+let format =
+  { Sectioned.magic = "CLA2"; version = None; what = "CLA object file" }
 
 (* Section ids *)
 let sec_strtab = 0
@@ -194,12 +184,8 @@ let write_block_prim w st p =
   | None -> ());
   write_loc w st p.ploc
 
-(** Serialize a database to object-file bytes.  [version] defaults to
-    the current CLA2 format; [~version:1] writes the legacy checksum-free
-    CLA1 layout (kept for compatibility tests and downgrade paths). *)
-let write ?(version = current_version) (db : db) : string =
-  if version <> 1 && version <> 2 then
-    invalid_arg (Fmt.str "Objfile.write: unsupported version %d" version);
+(** Serialize a database to object-file bytes. *)
+let write (db : db) : string =
   let st = Strtab.create () in
   (* Pre-intern everything so the string table can be emitted first;
      sections are built into their own buffers. *)
@@ -350,51 +336,7 @@ let write ?(version = current_version) (db : db) : string =
     @ (match b_openworld with Some b -> [ (sec_openworld, b) ] | None -> [])
     @ match b_tuhash with Some b -> [ (sec_tuhash, b) ] | None -> []
   in
-  let header = Binio.writer () in
-  Buffer.add_string header (if version = 1 then magic_v1 else magic);
-  Binio.u32 header (List.length sections);
-  let table_pos = Binio.wpos header in
-  let esize = entry_size version in
-  List.iter
-    (fun (id, _) ->
-      Binio.u8 header id;
-      Binio.u32 header 0;
-      Binio.u32 header 0;
-      if version >= 2 then Binio.u32 header 0)
-    sections;
-  (* v2: checksum over the table itself (count + entries), so corruption
-     of the header — a flipped section count or id — cannot silently
-     drop or retarget sections. *)
-  if version >= 2 then Binio.u32 header 0;
-  let out = Buffer.create (1 lsl 16) in
-  Buffer.add_buffer out header;
-  let offsets =
-    List.map
-      (fun (id, b) ->
-        let off = Buffer.length out in
-        Buffer.add_buffer out b;
-        (id, off, Buffer.length b))
-      sections
-  in
-  let bytes = Buffer.to_bytes out in
-  let data = Bytes.unsafe_to_string bytes in
-  List.iteri
-    (fun i (_, off, size) ->
-      let entry = table_pos + (i * esize) in
-      Binio.patch_u32 bytes ~pos:(entry + 1) off;
-      Binio.patch_u32 bytes ~pos:(entry + 5) size;
-      if version >= 2 then
-        (* [data] aliases [bytes], already carrying the section payloads;
-           only the table itself is still being patched. *)
-        Binio.patch_u32 bytes ~pos:(entry + 9)
-          (Crc32.sub data ~pos:off ~len:size))
-    offsets;
-  if version >= 2 then begin
-    let table_end = table_pos + (List.length sections * esize) in
-    Binio.patch_u32 bytes ~pos:table_end
-      (Crc32.sub data ~pos:4 ~len:(table_end - 4))
-  end;
-  data
+  Sectioned.write format sections
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
@@ -407,7 +349,6 @@ let write ?(version = current_version) (db : db) : string =
     load-and-throw-away strategies of Section 6 possible. *)
 type view = {
   data : string;
-  rversion : int;  (** format version the file was written with (1 or 2) *)
   strings : string array;
   rvars : varinfo array;
   rkeys : (int * string) list;
@@ -464,113 +405,17 @@ let decode_pkind = function
   | 4 -> Pload
   | n -> raise (Binio.Corrupt (Fmt.str "bad prim kind %d" n))
 
-type section_entry = {
-  sec_id : int;
-  sec_off : int;
-  sec_size : int;
-  sec_crc : int option;  (** [None] for checksum-free CLA1 files *)
-}
+(** Decode the eager sections of an opened container.
 
-(* Parse and fully validate the header: magic, section table bounds
-   (entries inside the file, past the header, non-overlapping), and —
-   for CLA2 — the table's own checksum.  Shared by [view_of_string] and
-   [section_table] so the parallel verifier walks exactly the same
-   validated table as the sequential loader. *)
-let parse_header (data : string) =
-  let len = String.length data in
-  let version =
-    if len < 8 then raise (Binio.Corrupt "not a CLA object file (too short)")
-    else if String.sub data 0 4 = magic then 2
-    else if String.sub data 0 4 = magic_v1 then 1
-    else raise (Binio.Corrupt "not a CLA object file (bad magic)")
-  in
-  let r = Binio.reader ~pos:4 data in
-  let esize = entry_size version in
-  let nsec = Binio.rcount ~min_size:esize r in
-  let table_end = 8 + (nsec * esize) in
-  (* v2 appends a u32 checksum of the table after the entries *)
-  let header_end = if version >= 2 then table_end + 4 else table_end in
-  let sections = Hashtbl.create 16 in
-  let entries = ref [] in
-  for _ = 1 to nsec do
-    let id = Binio.ru8 r in
-    let off = Binio.ru32 r in
-    let size = Binio.ru32 r in
-    let crc = if version >= 2 then Some (Binio.ru32 r) else None in
-    if Hashtbl.mem sections id then
-      raise (Binio.Corrupt (Fmt.str "duplicate section %d" id));
-    if off < header_end || off + size > len then
-      raise
-        (Binio.Corrupt
-           (Fmt.str "section %d out of range (%d+%d of %d)" id off size len));
-    Hashtbl.replace sections id (off, size, crc);
-    entries := { sec_id = id; sec_off = off; sec_size = size; sec_crc = crc }
-               :: !entries
-  done;
-  (* the table checksum covers the count and every entry: a flipped
-     section count, id, offset or size is caught here even when the
-     mutated table would otherwise parse cleanly *)
-  if version >= 2 && Binio.ru32 r <> Crc32.sub data ~pos:4 ~len:(table_end - 4)
-  then raise (Binio.Corrupt "section table checksum mismatch");
-  (* sections may be laid out in any order but must not overlap *)
-  let sorted =
-    List.sort (fun a b -> compare a.sec_off b.sec_off) !entries
-  in
-  ignore
-    (List.fold_left
-       (fun prev_end e ->
-         if e.sec_off < prev_end then
-           raise (Binio.Corrupt (Fmt.str "section %d overlaps" e.sec_id));
-         e.sec_off + e.sec_size)
-       header_end sorted);
-  (version, sections, List.rev !entries)
-
-let section_table data =
-  let _, _, entries = parse_header data in
-  entries
-
-(** Checksum one section against its table entry (no-op for CLA1
-    entries, which carry no checksum).  Raises {!Binio.Corrupt} on
-    mismatch.  Pure over immutable bytes, so entries of the same file
-    may be verified from concurrent domains. *)
-let verify_section data e =
-  match e.sec_crc with
-  | None -> ()
-  | Some crc ->
-      if Crc32.sub data ~pos:e.sec_off ~len:e.sec_size <> crc then
-        raise
-          (Binio.Corrupt (Fmt.str "section %d checksum mismatch" e.sec_id))
-
-(** Parse the header and eager sections of object-file bytes.
-
-    Defensive by design: the section table is bounds-checked (entries
-    must lie inside the file, past the header, and must not overlap),
-    every record count is checked against the bytes that remain, and —
-    for CLA2 files — each section's CRC32 is verified the first time it
-    is opened.  Any violation raises {!Binio.Corrupt}; no input may
-    produce [Invalid_argument], out-of-bounds access, or an attempted
-    huge allocation.
-
-    [~verify:false] skips the per-section checksums — for callers that
-    have already verified them, e.g. {!Loader.view_par}, which fans the
-    CRC sweep out across a domain pool before parsing. *)
-let view_of_string ?(verify = true) (data : string) : view =
-  let version, sections, _ = parse_header data in
-  let verified = Array.make 256 false in
-  let sec id =
-    match Hashtbl.find_opt sections id with
-    | Some (off, size, crc) ->
-        (if verify && not verified.(id) then begin
-           (match crc with
-           | Some crc when Crc32.sub data ~pos:off ~len:size <> crc ->
-               raise
-                 (Binio.Corrupt (Fmt.str "section %d checksum mismatch" id))
-           | _ -> ());
-           verified.(id) <- true
-         end);
-        Binio.reader ~pos:off ~limit:(off + size) data
-    | None -> raise (Binio.Corrupt (Fmt.str "missing section %d" id))
-  in
+    Defensive by design: {!Sectioned} has validated the header and
+    checks each section's CRC32 the first time it is opened; here every
+    record count is checked against the bytes that remain and every
+    decoded index is range checked.  Any violation raises
+    {!Binio.Corrupt}; no input may produce [Invalid_argument],
+    out-of-bounds access, or an attempted huge allocation. *)
+let view_of_sections (s : Sectioned.t) : view =
+  let data = Sectioned.data s in
+  let sec = Sectioned.section s in
   let strings = Strtab.read (sec sec_strtab) in
   let r = sec sec_vars in
   let nvars = Binio.rcount ~min_size:8 r in
@@ -673,10 +518,9 @@ let view_of_string ?(verify = true) (data : string) : view =
         (name, var))
   in
   let rconsts =
-    match Hashtbl.find_opt sections sec_consts with
+    match Sectioned.find s sec_consts with
     | None -> [] (* object files written before the section existed *)
-    | Some _ ->
-        let r = sec sec_consts in
+    | Some r ->
         let n = Binio.rcount ~min_size:3 r in
         List.init n (fun _ ->
             let var = check_var "const" (Binio.rvarint r) in
@@ -684,10 +528,9 @@ let view_of_string ?(verify = true) (data : string) : view =
             (var, v))
   in
   let ropenworld =
-    match Hashtbl.find_opt sections sec_openworld with
+    match Sectioned.find s sec_openworld with
     | None -> None (* closed-world file *)
-    | Some _ ->
-        let r = sec sec_openworld in
+    | Some r ->
         let owblob = check_var "open-world blob" (Binio.rvarint r) in
         let nundef = Binio.rcount ~min_size:1 r in
         let owundef =
@@ -701,11 +544,9 @@ let view_of_string ?(verify = true) (data : string) : view =
         Some { owblob; owundef; owescape }
   in
   let rtuhash =
-    match Hashtbl.find_opt sections sec_tuhash with
+    match Sectioned.find s sec_tuhash with
     | None -> None (* linked databases and pre-incremental objects *)
-    | Some _ ->
-        let r = sec sec_tuhash in
-        Some (str strings (Binio.rvarint r))
+    | Some r -> Some (str strings (Binio.rvarint r))
   in
   let r = sec sec_meta in
   let nfiles = Binio.rcount r in
@@ -719,7 +560,6 @@ let view_of_string ?(verify = true) (data : string) : view =
   let n_load = Binio.rvarint r in
   {
     data;
-    rversion = version;
     strings;
     rvars;
     rkeys;
@@ -740,6 +580,8 @@ let view_of_string ?(verify = true) (data : string) : view =
         mcounts = { Prim.n_copy; n_addr; n_store; n_deref2; n_load };
       };
   }
+
+let view_of_string data = view_of_sections (Sectioned.of_string format data)
 
 (** Decode the dynamic block of [src]: the primitive assignments in which
     [src] is the source.  Each call re-reads from the underlying bytes —
@@ -801,12 +643,7 @@ let save path (db : db) =
   output_string oc data;
   close_out oc
 
-let load path : view =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let data = really_input_string ic len in
-  close_in ic;
-  view_of_string data
+let load path : view = view_of_string (Binio.read_file path)
 
 (** Like {!load}, but surfacing corruption and I/O failures as a
     structured {!Diag.t} naming the offending file. *)

@@ -3,8 +3,9 @@
 
     One format serves as both "object file" (per translation unit) and
     "executable" (after linking), exactly as in the paper.  The layout is
-    COFF/ELF-like — a section table followed by sections — so that new
-    sections can be added without rewriting existing analyses:
+    COFF/ELF-like — a {!Sectioned} container, a checksummed section
+    table followed by sections — so that new sections can be added
+    without rewriting existing analyses:
 
     - {b STRTAB}: interned common strings;
     - {b VARS}: one record per object (name, kind, linkage, type, owner
@@ -113,14 +114,11 @@ type db = {
 (* ------------------------------------------------------------------ *)
 (** {1 Serialization} *)
 
-(** The format version {!write} emits by default (2, magic ["CLA2"]). *)
-val current_version : int
+(** The container format: magic ["CLA2"], no version word. *)
+val format : Sectioned.format
 
-(** Serialize a database to object-file bytes.  The default CLA2 format
-    carries a per-section CRC32 in the section table; [~version:1]
-    writes the legacy checksum-free CLA1 layout (compatibility tests,
-    downgrade paths).  Raises [Invalid_argument] on any other version. *)
-val write : ?version:int -> db -> string
+(** Serialize a database to object-file bytes. *)
+val write : db -> string
 
 (** A view over serialized bytes.  Everything cheap is decoded eagerly;
     the DYNAMIC blocks — the bulk of the file — decode on demand via
@@ -128,7 +126,6 @@ val write : ?version:int -> db -> string
     load-and-throw-away strategies of Section 6. *)
 type view = {
   data : string;
-  rversion : int;  (** format version the file was written with (1 or 2) *)
   strings : string array;
   rvars : varinfo array;
   rkeys : (int * string) list;
@@ -146,38 +143,18 @@ type view = {
   rmeta : meta;
 }
 
-(** One validated section-table entry, as returned by {!section_table}. *)
-type section_entry = {
-  sec_id : int;
-  sec_off : int;
-  sec_size : int;
-  sec_crc : int option;  (** [None] for checksum-free CLA1 files *)
-}
-
-(** Parse and validate the section table alone (magic, bounds,
-    non-overlap, table checksum) without decoding any section.  Raises
-    {!Binio.Corrupt} on a malformed header.  Feed the entries to
-    {!verify_section} — possibly from several domains at once — to
-    checksum the payloads. *)
-val section_table : string -> section_entry list
-
-(** Checksum one section's bytes against its table entry; no-op for
-    CLA1 entries.  Raises {!Binio.Corrupt} on mismatch.  Pure over
-    immutable bytes: safe to call concurrently from worker domains. *)
-val verify_section : string -> section_entry -> unit
-
 (** Parse the header and eager sections.  Raises {!Binio.Corrupt} on a
-    malformed file — and only {!Binio.Corrupt}: the section table is
-    bounds-checked (in-range, non-overlapping entries), CLA2 checksums
-    are verified at section open, record counts are validated against
-    the bytes available, and every decoded object/string index is range
-    checked, so hostile bytes cannot surface as [Invalid_argument],
-    out-of-bounds access, or a huge allocation.
+    malformed file — and only {!Binio.Corrupt}: {!Sectioned} validates
+    the table and checks each section's CRC32 at first open, record
+    counts are validated against the bytes available, and every decoded
+    object/string index is range checked, so hostile bytes cannot
+    surface as [Invalid_argument], out-of-bounds access, or a huge
+    allocation. *)
+val view_of_string : string -> view
 
-    [~verify:false] skips the per-section checksums, for callers that
-    have already run them — e.g. {!Loader.view_par}, which fans the CRC
-    sweep out across a domain pool before parsing. *)
-val view_of_string : ?verify:bool -> string -> view
+(** Like {!view_of_string} over an already opened container — e.g. one
+    whose section CRCs {!Loader.view_par} has verified across a pool. *)
+val view_of_sections : Sectioned.t -> view
 
 (** Decode the dynamic block of an object: the assignments in which it is
     the source.  Re-reads the underlying bytes on every call — callers are

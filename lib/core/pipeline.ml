@@ -105,13 +105,6 @@ let compile_obj ~options (file, src) : string =
       bytes
   end
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let source = really_input_string ic len in
-  close_in ic;
-  source
-
 (** Compile each (name, source) pair and link the results, all in memory.
     [jobs > 1] compiles translation units across a domain pool; the
     linked database is byte-identical to a sequential run.  Units whose
@@ -130,7 +123,7 @@ let compile_link_files ?(options = Compilep.default_options) ?(jobs = 1)
     ?undefined paths : Objfile.view =
   let objs =
     compile_units ~jobs
-      (fun path -> compile_obj ~options (path, read_file path))
+      (fun path -> compile_obj ~options (path, Binio.read_file path))
       paths
   in
   let views = List.map Objfile.view_of_string objs in

@@ -11,9 +11,9 @@
     built: identical sets are pointer-equal again, and every reader
     (shard) answers from the one shared, immutable arena.
 
-    The format is CLA2's, in miniature: magic, version, a section table
-    of (id, offset, size, CRC32) entries, a table checksum, then the
-    sections.  A snapshot is also {e bound} to the database bytes it was
+    The file is a {!Sectioned} container — the same armored layout as
+    CLA2 objects, with a version word after the magic ["CSN1"].  A
+    snapshot is also {e bound} to the database bytes it was
     solved from (length + CRC32 of the whole [.cla] file), so a snapshot
     can never be replayed against a different or edited database.  Any
     violation — bad magic, unknown version, table or section checksum
@@ -22,8 +22,11 @@
     [Load]-phase {!Diag.t} ([load.corrupt]), and callers fall back to a
     live solve.  Never a wrong answer. *)
 
-let magic = "CSN1"
 let current_version = 1
+
+let format =
+  { Sectioned.magic = "CSN1"; version = Some current_version;
+    what = "CLA snapshot" }
 
 (* Section ids.  BINDING first so a mismatched database is reported as
    such, not as downstream garbage. *)
@@ -31,20 +34,6 @@ let sec_binding = 0
 let sec_prov = 1
 let sec_sets = 2
 let sec_varsets = 3
-
-let entry_size = 13 (* u8 id + u32 off + u32 size + u32 crc *)
-
-let write_str w s =
-  Binio.varint w (String.length s);
-  Buffer.add_string w s
-
-let read_str r =
-  let n = Binio.rvarint r in
-  if r.Binio.pos + n > r.Binio.limit then
-    raise (Binio.Corrupt "string past end of section");
-  let s = String.sub r.Binio.data r.Binio.pos n in
-  r.Binio.pos <- r.Binio.pos + n;
-  s
 
 (* ------------------------------------------------------------------ *)
 (* Freezing                                                            *)
@@ -98,8 +87,8 @@ let freeze ~(view : Objfile.view) (o : Pipeline.ladder_outcome) : string =
   Binio.u32 b_bind (Crc32.string view.Objfile.data);
   (* PROV: which rung answered, and its soundness statement *)
   let b_prov = Binio.writer () in
-  write_str b_prov (Pipeline.algorithm_name o.Pipeline.lo_algorithm);
-  write_str b_prov o.Pipeline.lo_note;
+  Binio.bytes_ b_prov (Pipeline.algorithm_name o.Pipeline.lo_algorithm);
+  Binio.bytes_ b_prov o.Pipeline.lo_note;
   Binio.u32 b_prov n_vars;
   (* SETS: each distinct set once, elements delta-encoded (ascending) *)
   let b_sets = Binio.writer () in
@@ -126,98 +115,16 @@ let freeze ~(view : Objfile.view) (o : Pipeline.ladder_outcome) : string =
       (sec_varsets, b_vs);
     ]
   in
-  let header = Binio.writer () in
-  Buffer.add_string header magic;
-  Binio.u32 header current_version;
-  Binio.u32 header (List.length sections);
-  let table_pos = Binio.wpos header in
-  List.iter
-    (fun _ ->
-      Binio.u8 header 0;
-      Binio.u32 header 0;
-      Binio.u32 header 0;
-      Binio.u32 header 0)
-    sections;
-  Binio.u32 header 0 (* table CRC, patched below *);
-  let out = Buffer.create (1 lsl 12) in
-  Buffer.add_buffer out header;
-  let offsets =
-    List.map
-      (fun (id, b) ->
-        let off = Buffer.length out in
-        Buffer.add_buffer out b;
-        (id, off, Buffer.length b))
-      sections
-  in
-  let bytes = Buffer.to_bytes out in
-  let data = Bytes.unsafe_to_string bytes in
-  List.iteri
-    (fun i (id, off, size) ->
-      let entry = table_pos + (i * entry_size) in
-      Bytes.set bytes entry (Char.chr id);
-      Binio.patch_u32 bytes ~pos:(entry + 1) off;
-      Binio.patch_u32 bytes ~pos:(entry + 5) size;
-      Binio.patch_u32 bytes ~pos:(entry + 9)
-        (Crc32.sub data ~pos:off ~len:size))
-    offsets;
-  let table_end = table_pos + (List.length sections * entry_size) in
-  (* covers version + count + entries: a flipped version or id is caught
-     by the checksum even when it would otherwise parse *)
-  Binio.patch_u32 bytes ~pos:table_end (Crc32.sub data ~pos:4 ~len:(table_end - 4));
-  data
+  Sectioned.write format sections
 
 (* ------------------------------------------------------------------ *)
 (* Thawing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let parse_header (data : string) =
-  let len = String.length data in
-  if len < 12 then raise (Binio.Corrupt "not a CLA snapshot (too short)");
-  if String.sub data 0 4 <> magic then
-    raise (Binio.Corrupt "not a CLA snapshot (bad magic)");
-  let r = Binio.reader ~pos:4 data in
-  let version = Binio.ru32 r in
-  if version <> current_version then
-    raise
-      (Binio.Corrupt
-         (Fmt.str "unsupported snapshot version %d (this build reads %d)"
-            version current_version));
-  let nsec = Binio.rcount ~min_size:entry_size r in
-  let table_pos = 12 in
-  let table_end = table_pos + (nsec * entry_size) in
-  let header_end = table_end + 4 in
-  let sections = Hashtbl.create 8 in
-  for _ = 1 to nsec do
-    let id = Binio.ru8 r in
-    let off = Binio.ru32 r in
-    let size = Binio.ru32 r in
-    let crc = Binio.ru32 r in
-    if Hashtbl.mem sections id then
-      raise (Binio.Corrupt (Fmt.str "duplicate snapshot section %d" id));
-    if off < header_end || off + size > len then
-      raise
-        (Binio.Corrupt
-           (Fmt.str "snapshot section %d out of range (%d+%d of %d)" id off
-              size len));
-    Hashtbl.replace sections id (off, size, crc)
-  done;
-  if Binio.ru32 r <> Crc32.sub data ~pos:4 ~len:(table_end - 4) then
-    raise (Binio.Corrupt "snapshot table checksum mismatch");
-  sections
-
-let open_section data sections id name =
-  match Hashtbl.find_opt sections id with
-  | None -> raise (Binio.Corrupt (Fmt.str "snapshot %s section missing" name))
-  | Some (off, size, crc) ->
-      if Crc32.sub data ~pos:off ~len:size <> crc then
-        raise
-          (Binio.Corrupt (Fmt.str "snapshot %s section checksum mismatch" name));
-      Binio.reader ~pos:off ~limit:(off + size) data
-
 let thaw ~(view : Objfile.view) (data : string) : Pipeline.ladder_outcome =
-  let sections = parse_header data in
+  let s = Sectioned.of_string format data in
   (* binding: right database? *)
-  let r = open_section data sections sec_binding "binding" in
+  let r = Sectioned.section s sec_binding in
   let db_len = Binio.ru32 r in
   let db_crc = Binio.ru32 r in
   if
@@ -228,9 +135,9 @@ let thaw ~(view : Objfile.view) (data : string) : Pipeline.ladder_outcome =
       (Binio.Corrupt
          "snapshot was solved from a different database (binding mismatch)");
   (* provenance *)
-  let r = open_section data sections sec_prov "provenance" in
-  let rung = read_str r in
-  let note = read_str r in
+  let r = Sectioned.section s sec_prov in
+  let rung = Binio.rbytes r in
+  let note = Binio.rbytes r in
   let n_vars = Binio.ru32 r in
   let algorithm =
     match Pipeline.algorithm_of_string rung with
@@ -240,7 +147,7 @@ let thaw ~(view : Objfile.view) (data : string) : Pipeline.ladder_outcome =
   let nv_view = Objfile.n_vars view in
   (* distinct sets, re-interned through a fresh pool so identical sets
      are physically shared again *)
-  let r = open_section data sections sec_sets "sets" in
+  let r = Sectioned.section s sec_sets in
   let n_sets = Binio.rcount ~min_size:2 r in
   let pool = Lvalset.create_pool () in
   let sets = Array.make (n_sets + 1) Lvalset.empty in
@@ -271,7 +178,7 @@ let thaw ~(view : Objfile.view) (data : string) : Pipeline.ladder_outcome =
     sets.(i) <- Lvalset.share pool elems
   done;
   (* per-variable set indices *)
-  let r = open_section data sections sec_varsets "varsets" in
+  let r = Sectioned.section s sec_varsets in
   let n = Binio.rcount r in
   if n <> n_vars then
     raise
@@ -308,11 +215,7 @@ let save path ~view outcome =
   close_out oc
 
 let load path ~view : Pipeline.ladder_outcome =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let data = really_input_string ic len in
-  close_in ic;
-  thaw ~view data
+  thaw ~view (Binio.read_file path)
 
 let load_result path ~view : (Pipeline.ladder_outcome, Diag.t) result =
   Diag.capture ~file:path ~phase:Diag.Load (fun () -> load path ~view)

@@ -4,9 +4,9 @@
     immutable arena: each {e distinct} points-to set is stored once
     (sorted, delta-encoded — the hash-consed {!Lvalset} pool means a
     whole solution is usually a few hundred distinct sets), plus one
-    set index per variable.  The format follows the CLA2 object file:
-    magic ["CSN1"], a version word, a section table with per-section
-    CRC32s and a table checksum.  The snapshot is bound to the exact
+    set index per variable.  The file is a {!Sectioned} container, like
+    a CLA2 object: magic ["CSN1"], a version word, a checksummed section
+    table and per-section CRC32s.  The snapshot is bound to the exact
     database bytes it was solved from (length + CRC32), so it can never
     answer for a different or edited database.
 
@@ -17,10 +17,10 @@
     outcome is byte-for-byte the one frozen: same sets, same provenance,
     [lo_degraded = false], no timeouts. *)
 
-val magic : string
-(** ["CSN1"]. *)
-
 val current_version : int
+
+(** The container format: magic ["CSN1"], version word {!current_version}. *)
+val format : Sectioned.format
 
 (** Freeze an outcome into snapshot bytes.  Raises [Invalid_argument] on
     a degraded outcome — persisting one would serve its reduced

@@ -950,12 +950,6 @@ let scan_watch_dir dir =
     names;
   List.rev !acc
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Split a scan into compile inputs ([.c], read now — the TU-hash probe
    needs the text anyway) and pre-compiled units ([.clo], loaded through
    the revalidating {!Loader.load_file_cached}).  A file that fails to
@@ -966,7 +960,7 @@ let watch_inputs sg =
   List.iter
     (fun (path, _, _) ->
       if Filename.check_suffix path ".c" then
-        match read_file path with
+        match Binio.read_file path with
         | s -> sources := (path, s) :: !sources
         | exception Sys_error m ->
             Printf.eprintf "cla serve: watch: %s\n%!" m

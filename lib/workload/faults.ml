@@ -1,6 +1,6 @@
-(** Fault injection for CLA object files.
+(** Fault injection for CLA object files and snapshots.
 
-    Robustness harness: mutate serialized database bytes in ways that
+    Robustness harness: mutate serialized {!Sectioned} bytes in ways that
     model real-world corruption — truncated downloads, flipped bits,
     reordered section tables — and check that the reader upholds its
     contract: every mutated file either loads and analyzes to the
@@ -24,24 +24,12 @@ let describe = function
   | Byte_flip (off, mask) -> Fmt.str "flip byte %d with 0x%02x" off mask
   | Table_swap (i, j) -> Fmt.str "swap section-table entries %d and %d" i j
 
-(* The section-table geometry of serialized bytes, or None if the file is
-   too mangled to locate a table (mutations then fall back to byte
-   flips). *)
-let table_geometry data =
-  if String.length data < 8 then None
-  else
-    let esize =
-      if String.sub data 0 4 = "CLA2" then Some 13
-      else if String.sub data 0 4 = "CLA1" then Some 9
-      else None
-    in
-    match esize with
-    | None -> None
-    | Some esize ->
-        let b i = Char.code data.[i] in
-        let nsec = b 4 lor (b 5 lsl 8) lor (b 6 lsl 16) lor (b 7 lsl 24) in
-        if nsec < 2 || 8 + (nsec * esize) > String.length data then None
-        else Some (nsec, esize)
+(* The container format of serialized bytes, or None if they are too
+   mangled to locate a section table (table mutations are then no-ops). *)
+let format_of data =
+  List.find_opt
+    (fun f -> Sectioned.table f data <> None)
+    [ Objfile.format; Snapshot.format ]
 
 let apply data = function
   | Truncate n -> String.sub data 0 (min n (String.length data))
@@ -53,33 +41,29 @@ let apply data = function
         Bytes.unsafe_to_string b
       end
   | Table_swap (i, j) -> (
-      match table_geometry data with
-      | None -> data
-      | Some (nsec, esize) ->
+      match Option.bind (format_of data) (fun f -> Sectioned.table f data) with
+      | Some (pos, nsec) when nsec >= 2 ->
+          let esize = Sectioned.entry_size in
           let i = i mod nsec and j = j mod nsec in
           let b = Bytes.of_string data in
-          let oi = 8 + (i * esize) and oj = 8 + (j * esize) in
+          let oi = pos + (i * esize) and oj = pos + (j * esize) in
           Bytes.blit_string data oj b oi esize;
           Bytes.blit_string data oi b oj esize;
-          Bytes.unsafe_to_string b)
+          Bytes.unsafe_to_string b
+      | _ -> data)
 
-(* CLA2's table checksum deliberately rejects reordered tables, so a
-   Table_swap on current-format bytes must re-seal the header to test
-   what it is meant to test: that the *reader* is order-independent.
-   [reseal] recomputes the table crc32; on CLA1 (or unrecognizable)
-   bytes it is the identity. *)
+(* The table checksum deliberately rejects reordered tables, so a
+   Table_swap must re-seal the header to test what it is meant to test:
+   that the *reader* is order-independent.  Identity on unrecognizable
+   bytes. *)
 let reseal data =
-  match table_geometry data with
-  | Some (nsec, 13) when String.length data >= 8 + (nsec * 13) + 4 ->
-      let table_end = 8 + (nsec * 13) in
-      let crc = Crc32.sub data ~pos:4 ~len:(table_end - 4) in
-      let b = Bytes.of_string data in
-      Bytes.set_uint8 b table_end (crc land 0xff);
-      Bytes.set_uint8 b (table_end + 1) ((crc lsr 8) land 0xff);
-      Bytes.set_uint8 b (table_end + 2) ((crc lsr 16) land 0xff);
-      Bytes.set_uint8 b (table_end + 3) ((crc lsr 24) land 0xff);
-      Bytes.unsafe_to_string b
-  | _ -> data
+  match format_of data with Some f -> Sectioned.reseal f data | None -> data
+
+(* The bytes a mutation produces, resealed after a table swap. *)
+let mutate data m =
+  match m with
+  | Table_swap _ -> reseal (apply data m)
+  | _ -> apply data m
 
 let random rng data =
   let len = String.length data in
@@ -113,12 +97,7 @@ let check_bytes mutated =
   | exception Diag.Fail d -> Rejected (Diag.to_string d)
 
 let check data m =
-  let mutated =
-    match m with
-    | Table_swap _ -> reseal (apply data m)
-    | _ -> apply data m
-  in
-  try check_bytes mutated
+  try check_bytes (mutate data m)
   with e -> raise (Invariant_violation (m, e))
 
 type stats = {

@@ -1,10 +1,11 @@
-(** Fault injection for CLA object files.
+(** Fault injection for CLA object files and snapshots.
 
-    Mutates serialized database bytes the way real corruption does —
-    truncation, bit flips, reordered section tables — and checks the
-    reader's contract: every mutant either loads and analyzes to the
-    identical solution, or is rejected with a structured
-    [Binio.Corrupt] / [Diag.Fail].  Deterministic via {!Rng}. *)
+    Mutates serialized {!Cla_core.Sectioned} bytes (CLA2 or CSN1) the
+    way real corruption does — truncation, bit flips, reordered section
+    tables — and checks the object-file reader's contract: every mutant
+    either loads and analyzes to the identical solution, or is rejected
+    with a structured [Binio.Corrupt] / [Diag.Fail].  Deterministic via
+    {!Rng}. *)
 
 open Cla_core
 
@@ -20,10 +21,15 @@ val describe : mutation -> string
     unlocatable section tables make the mutation a no-op. *)
 val apply : string -> mutation -> string
 
-(** Recompute a CLA2 file's section-table checksum (identity on CLA1 or
-    unrecognizable bytes).  {!check} reseals after {!Table_swap} so the
-    swap tests reader order-independence, not just the checksum. *)
+(** Recompute the section-table checksum of CLA2 or CSN1 bytes
+    (identity on unrecognizable bytes).  {!mutate} reseals after
+    {!Table_swap} so the swap tests reader order-independence, not just
+    the checksum. *)
 val reseal : string -> string
+
+(** {!apply}, then {!reseal} after a {!Table_swap}: the bytes {!check}
+    feeds the reader. *)
+val mutate : string -> mutation -> string
 
 (** Draw a random mutation sized to the given bytes. *)
 val random : Rng.t -> string -> mutation

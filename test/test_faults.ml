@@ -1,6 +1,7 @@
 (* Fault-injection tests: the object-file reader's totality contract.
 
-   Every mutation of a serialized database — truncation at any byte,
+   Every mutation of a serialized database (or, where noted, of a
+   solution snapshot in the same container) — truncation at any byte,
    single-byte flips, section-table reordering — must either load and
    analyze to the identical solution or be rejected with a structured
    [Binio.Corrupt] / [Diag.Fail].  Anything else (Invalid_argument,
@@ -43,14 +44,45 @@ let check_invariant ~baseline data m =
         Alcotest.failf "%s accepted with a different solution"
           (Faults.describe m)
 
+(* Both formats the section container carries, each with the check a
+   mutant must pass: rejected as corrupt ([Error]), or accepted with the
+   original answer ([Ok true]).  The snapshot is of [small_db]'s own
+   solution and must thaw to an equal outcome. *)
+let container_inputs () =
+  let data = small_db () in
+  let baseline = solve_bytes data in
+  let view = Objfile.view_of_string data in
+  let o = Pipeline.points_to_ladder view in
+  let snap = Snapshot.freeze ~view o in
+  let check_object m =
+    match Faults.check data m with
+    | Faults.Rejected msg -> Error msg
+    | Faults.Accepted sol -> Ok (Solution.equal baseline sol)
+  in
+  let check_snapshot m =
+    match Snapshot.thaw ~view (Faults.mutate snap m) with
+    | exception Binio.Corrupt msg -> Error msg
+    | o' ->
+        Ok
+          (Solution.equal o.Pipeline.lo_solution o'.Pipeline.lo_solution
+          && o.Pipeline.lo_algorithm = o'.Pipeline.lo_algorithm
+          && String.equal o.Pipeline.lo_note o'.Pipeline.lo_note)
+  in
+  [ ("object", data, check_object); ("snapshot", snap, check_snapshot) ]
+
 (* --- truncation totality: every prefix of the file ------------------- *)
 
 let test_truncate_every_offset () =
-  let data = small_db () in
-  let baseline = solve_bytes data in
-  for n = 0 to String.length data - 1 do
-    check_invariant ~baseline data (Faults.Truncate n)
-  done
+  List.iter
+    (fun (name, data, check) ->
+      for n = 0 to String.length data - 1 do
+        match check (Faults.Truncate n) with
+        | Error _ | Ok true -> ()
+        | Ok false ->
+            Alcotest.failf "%s: truncation to %d accepted with a different \
+                            answer" name n
+      done)
+    (container_inputs ())
 
 (* --- single-byte flips at sampled offsets ---------------------------- *)
 
@@ -98,37 +130,27 @@ let test_sweep_generated () =
 (* --- table swaps must be order-independent, not rejected ------------- *)
 
 let test_table_swap_accepted () =
-  let data = small_db () in
-  let baseline = solve_bytes data in
-  let accepted = ref 0 in
-  for i = 0 to 9 do
-    for j = 0 to 9 do
-      match Faults.check data (Faults.Table_swap (i, j)) with
-      | Faults.Accepted sol ->
-          incr accepted;
-          Alcotest.(check bool)
-            (Fmt.str "swap %d %d: identical solution" i j)
-            true
-            (Solution.equal baseline sol)
-      | Faults.Rejected msg ->
-          Alcotest.failf "reader rejected reordered table (%d,%d): %s" i j msg
-    done
-  done;
-  Alcotest.(check int) "all swaps accepted" 100 !accepted
-
-(* --- CLA1 compatibility ---------------------------------------------- *)
-
-let test_cla1_loads_same_solution () =
-  let db = Compilep.compile_string ~file:"t.c" source in
-  let v2 = Objfile.write db in
-  let v1 = Objfile.write ~version:1 db in
-  Alcotest.(check bool) "formats differ on disk" false (String.equal v1 v2);
-  let view1 = Objfile.view_of_string v1 in
-  Alcotest.(check int) "reader reports version 1" 1 view1.Objfile.rversion;
-  let view2 = Objfile.view_of_string v2 in
-  Alcotest.(check int) "reader reports version 2" 2 view2.Objfile.rversion;
-  Alcotest.(check bool) "identical solutions" true
-    (Solution.equal (solve_bytes v1) (solve_bytes v2))
+  List.iter
+    (fun (name, data, check) ->
+      Alcotest.(check bool)
+        (name ^ ": a swap reorders the table") false
+        (String.equal data (Faults.mutate data (Faults.Table_swap (0, 1))));
+      let accepted = ref 0 in
+      for i = 0 to 9 do
+        for j = 0 to 9 do
+          match check (Faults.Table_swap (i, j)) with
+          | Ok same ->
+              incr accepted;
+              Alcotest.(check bool)
+                (Fmt.str "%s swap %d %d: identical answer" name i j)
+                true same
+          | Error msg ->
+              Alcotest.failf "%s reader rejected reordered table (%d,%d): %s"
+                name i j msg
+        done
+      done;
+      Alcotest.(check int) (name ^ ": all swaps accepted") 100 !accepted)
+    (container_inputs ())
 
 (* --- corrupt files surface as structured diagnostics ------------------ *)
 
@@ -230,8 +252,6 @@ let () =
         ] );
       ( "compat",
         [
-          Alcotest.test_case "CLA1 loads, same solution" `Quick
-            test_cla1_loads_same_solution;
           Alcotest.test_case "load_result diagnostics" `Quick
             test_load_result_diag;
         ] );

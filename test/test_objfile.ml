@@ -171,6 +171,42 @@ let qcheck_double_serialize =
       let db = Cla_workload.Genir.generate (Int64.of_int seed) in
       String.equal (Objfile.write db) (Objfile.write db))
 
+(* ---------------- pinned format bytes ---------------- *)
+
+(* Every encode change must keep objects, databases and snapshots
+   byte-identical; these digests pin all three for a fixed program. *)
+let pin_sources =
+  [
+    ( "a.c",
+      "int x, y, *p, **pp;\n\
+       int (*fp)(int *);\n\
+       int f(int *a) { p = a; return *a; }\n\
+       void g(void) { p = &x; pp = &p; *pp = &y; fp = f; fp(&y); }\n" );
+    ( "b.c",
+      "extern int *p;\n\
+       int z, *q;\n\
+       struct s { int *fld; } sv;\n\
+       void h(void) { q = p; sv.fld = &z; q = sv.fld; }\n" );
+  ]
+
+let test_format_bytes_pinned () =
+  let objs =
+    List.map
+      (fun (file, src) -> Objfile.write (Compilep.compile_string ~file src))
+      pin_sources
+  in
+  let db, _ = Linkp.link_views (List.map Objfile.view_of_string objs) in
+  let linked = Objfile.write db in
+  let view = Objfile.view_of_string linked in
+  let snap = Snapshot.freeze ~view (Pipeline.points_to_ladder view) in
+  let digest s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string)
+    "unit object" "47a3acd815307ccb6b67a15ffccd93d3" (digest (List.hd objs));
+  Alcotest.(check string)
+    "linked database" "ed7815179716b82b6604cb772d8acf23" (digest linked);
+  Alcotest.(check string)
+    "snapshot" "206332042b0f677bb20d51988921aa71" (digest snap)
+
 let () =
   Alcotest.run "objfile"
     [
@@ -188,6 +224,8 @@ let () =
           Alcotest.test_case "blocks re-readable" `Quick test_block_rereadable;
           Alcotest.test_case "target lookup" `Quick test_find_targets;
           Alcotest.test_case "corruption" `Quick test_corrupt_detection;
+          Alcotest.test_case "format bytes pinned" `Quick
+            test_format_bytes_pinned;
         ] );
       ( "binio",
         [

@@ -155,11 +155,11 @@ let test_parallel_verify_catches_corruption () =
   (* flip one byte in the middle of a checksummed section's payload *)
   let e =
     List.find
-      (fun e -> e.Objfile.sec_size > 0 && e.Objfile.sec_crc <> None)
-      (Objfile.section_table bytes)
+      (fun e -> e.Sectioned.size > 0)
+      (Sectioned.entries (Sectioned.of_string Objfile.format bytes))
   in
   let b = Bytes.of_string bytes in
-  let pos = e.Objfile.sec_off + (e.Objfile.sec_size / 2) in
+  let pos = e.Sectioned.off + (e.Sectioned.size / 2) in
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
   let corrupt = Bytes.to_string b in
   Pool.with_pool ~jobs:4 (fun pool ->
