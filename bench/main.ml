@@ -47,7 +47,9 @@
                gate; additions must resume the solver; the compile
                cache must score 1 miss / n-1 hits per one-TU edit; and
                the incremental-vs-scratch speedup at the stream's tail
-               must beat 1.0.  Writes BENCH_incremental.json (schema
+               must beat 1.0 (a wall-time check: gated on the full run,
+               informational under --quick).  Writes
+               BENCH_incremental.json (schema
                cla.bench.incremental/v1); --inject-stale checks each
                step against the previous step's solution and must make
                the gate exit 1.
@@ -1804,17 +1806,21 @@ let incremental () =
     and sc = List.fold_left (fun a (_, s) -> a +. s) 0. tail in
     if inc > 0. then sc /. inc else 0.
   in
+  (* a wall-time check: gated on the full run only, printed under
+     --quick, where the answer gates above carry the test *)
   let speedup_ok = tail_speedup > 1.0 in
   Fmt.pr "tail speedup (last %d step(s)): %.1fx (> 1.0) %s@."
     (List.length tail) tail_speedup
-    (if speedup_ok then "ok" else "FAIL");
+    (if !quick then "(informational under --quick)"
+     else if speedup_ok then "ok"
+     else "FAIL");
   let gates =
     [
       ("solutions_equal", !all_equal);
       ("cache_discipline", !cache_ok);
       ("additions_resumed", !adds_resumed);
-      ("tail_speedup_gt_1", speedup_ok);
     ]
+    @ if !quick then [] else [ ("tail_speedup_gt_1", speedup_ok) ]
   in
   Json.write_file "BENCH_incremental.json"
     (Json.Obj

@@ -1078,10 +1078,11 @@ let serve_cmd =
             "Serve a directory of .c / .clo files instead of a linked \
              database: compile-link-analyze it once, then keep the served \
              solution in sync with edits — only changed units recompile \
-             (TU content hash), the linker patches a delta, the solver \
-             resumes from its surviving state, and the fresh solution is \
-             swapped in atomically.  The $(b,reanalyze) protocol op \
-             forces a rescan on demand.")
+             (a digest of the source and of each header it includes), \
+             the linker patches a delta, the solver resumes from its \
+             surviving state, and the fresh solution is swapped in \
+             atomically.  The $(b,reanalyze) protocol op forces a rescan \
+             on demand.")
   in
   let watch_poll =
     Arg.(

@@ -124,6 +124,12 @@ type macro =
 
 type source = Disk of string list (* include dirs *) | Virtual of (string * string) list
 
+(* One [#include] resolution: what was asked for and the digest of what
+   it resolved to ([None]: nothing, a tolerated missing <system> header). *)
+type lookup = { name : string; from_dir : string; digest : Digest.t option }
+
+type manifest = lookup list
+
 type t = {
   defines : (string, macro) Hashtbl.t;
   mutable sources : source list;  (* search order *)
@@ -132,6 +138,7 @@ type t = {
   mutable out_file : string;  (* current marker state *)
   mutable out_line : int;
   mutable max_depth : int;
+  mutable lookups : lookup list;  (* the run's manifest, reversed *)
 }
 
 let create ?(include_dirs = []) ?(virtual_fs = []) ?(defines = []) () =
@@ -144,6 +151,7 @@ let create ?(include_dirs = []) ?(virtual_fs = []) ?(defines = []) () =
       out_file = "";
       out_line = 0;
       max_depth = 200;
+      lookups = [];
     }
   in
   Hashtbl.replace t.defines "__CLA__" (Obj [ Num "1" ]);
@@ -501,16 +509,19 @@ let read_source t name ~from_dir =
     in
     List.find_map
       (fun path ->
-        if Sys.file_exists path && not (Sys.is_directory path) then (
-          let ic = open_in_bin path in
-          let len = in_channel_length ic in
-          let s = really_input_string ic len in
-          close_in ic;
-          Some s)
+        if Sys.file_exists path && not (Sys.is_directory path) then
+          Some (In_channel.with_open_bin path In_channel.input_all)
         else None)
       candidates
   in
   match try_virtual () with Some s -> Some s | None -> try_disk ()
+
+(* [read_source], noting the lookup in the run's manifest. *)
+let lookup_source t name ~from_dir =
+  let r = read_source t name ~from_dir in
+  t.lookups <-
+    { name; from_dir; digest = Option.map Digest.string r } :: t.lookups;
+  r
 
 let emit_marker t file line =
   if t.out_file <> file || t.out_line <> line then begin
@@ -686,7 +697,7 @@ and directive t ~file ~line conds active text =
         | _ -> error file line "#include: expected \"file\" or <file>"
       in
       let from_dir = if local then Filename.dirname file else "" in
-      match read_source t target ~from_dir with
+      match lookup_source t target ~from_dir with
       | Some content ->
           if List.mem target t.included then
             error file line "#include cycle through %s" target;
@@ -709,16 +720,28 @@ and directive t ~file ~line conds active text =
 (* ------------------------------------------------------------------ *)
 
 (** Preprocess [content] as if it were file [file]; returns text with line
-    markers, ready for {!Clexer}. *)
-let preprocess_string ?include_dirs ?virtual_fs ?defines ~file content =
+    markers, ready for {!Clexer}, and the run's include lookups in the
+    order it made them. *)
+let preprocess_recorded ?include_dirs ?virtual_fs ?defines ~file content =
   let t = create ?include_dirs ?virtual_fs ?defines () in
   process_string t ~file content;
-  Buffer.contents t.out
+  (Buffer.contents t.out, List.rev t.lookups)
+
+let preprocess_string ?include_dirs ?virtual_fs ?defines ~file content =
+  fst (preprocess_recorded ?include_dirs ?virtual_fs ?defines ~file content)
+
+(** Replay a manifest's lookups, in order, against the current search
+    path: true iff every one resolves to the same bytes (or to nothing)
+    again. *)
+let manifest_holds ?include_dirs ?virtual_fs (m : manifest) =
+  let t = create ?include_dirs ?virtual_fs () in
+  List.for_all
+    (fun l ->
+      Option.equal Digest.equal l.digest
+        (Option.map Digest.string (read_source t l.name ~from_dir:l.from_dir)))
+    m
 
 (** Preprocess a file from disk. *)
 let preprocess_file ?include_dirs ?virtual_fs ?defines path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let content = really_input_string ic len in
-  close_in ic;
+  let content = In_channel.with_open_bin path In_channel.input_all in
   preprocess_string ?include_dirs ?virtual_fs ?defines ~file:path content

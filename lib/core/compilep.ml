@@ -149,10 +149,11 @@ let db_of_prog ?(source_lines = 0) ?(preproc_lines = 0) (p : Prog.t) : Objfile.d
   }
 
 (* Canonical rendering of the compile options that shape the produced
-   database, for the TU content hash.  [virtual_fs] is omitted — its
-   effect is fully captured by the preprocessed text; [drop_bodies] is a
-   function and cannot be rendered, so callers that use it must bypass
-   the compile cache (the incremental driver never sets it). *)
+   database, for the TU content hash and the direct key.  [virtual_fs]
+   is omitted — its effect is captured by the preprocessed text (and by
+   the include manifest's digests); [drop_bodies] is a function and
+   cannot be rendered, so callers that use it must bypass the compile
+   cache. *)
 let render_options (o : options) =
   let b = Buffer.create 64 in
   Buffer.add_string b
@@ -191,12 +192,27 @@ let tu_hash ?(options = default_options) ~file source : string =
   in
   hash_of_preprocessed ~options preprocessed
 
-(** Compile C source text into a database.  Recorded as a ["compile"]
-    span (labelled with the file) and published as [compile.*] metrics. *)
-let compile_string ?(options = default_options) ~file source : Objfile.db =
+(** The direct-mode key: a digest of the options, the file name and the
+    raw source bytes — no preprocessing.  With a {!Cpp.manifest} that
+    still holds, it identifies the unit as well as {!tu_hash} does. *)
+let direct_key ?(options = default_options) ~file source : string =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00" [ render_options options; file; source ]))
+
+(** Replay an include manifest under [options]' search path. *)
+let manifest_holds ?(options = default_options) manifest =
+  Cpp.manifest_holds ~include_dirs:options.include_dirs
+    ~virtual_fs:options.virtual_fs manifest
+
+(** Compile C source text into a database, with the preprocessor's
+    include manifest.  Recorded as a ["compile"] span (labelled with the
+    file) and published as [compile.*] metrics. *)
+let compile_recorded ?(options = default_options) ~file source :
+    Objfile.db * Cpp.manifest =
   Cla_obs.Obs.with_span "compile" ~label:file (fun () ->
-      let preprocessed =
-        Cpp.preprocess_string ~include_dirs:options.include_dirs
+      let preprocessed, manifest =
+        Cpp.preprocess_recorded ~include_dirs:options.include_dirs
           ~virtual_fs:options.virtual_fs ~defines:options.defines ~file source
       in
       let tuhash = hash_of_preprocessed ~options preprocessed in
@@ -219,7 +235,10 @@ let compile_string ?(options = default_options) ~file source : Objfile.db =
         "compile.source_lines";
       Cla_obs.Metrics.incr ~by:db.Objfile.meta.Objfile.mpreproc_lines
         "compile.preproc_lines";
-      db)
+      (db, manifest))
+
+let compile_string ?options ~file source : Objfile.db =
+  fst (compile_recorded ?options ~file source)
 
 (** Compile a C file from disk into a database. *)
 let compile_file ?(options = default_options) path : Objfile.db =

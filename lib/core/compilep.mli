@@ -25,14 +25,36 @@ val db_of_prog :
 (** Content-hash a translation unit without parsing it: preprocessed
     source plus a canonical rendering of the options (mode, defines,
     include dirs).  Equals the [Objfile.tuhash] that {!compile_string}
-    records for the same input — the cheap probe the incremental
-    pipeline uses to skip unchanged units.  Note [drop_bodies] is not
-    part of the hash (it is a function); callers using it must not rely
-    on hash equality. *)
+    records for the same input; {!Pipeline}'s object cache and
+    [cla compile] probe with it.  It costs a preprocessor run — the
+    incremental driver probes with {!direct_key} and {!manifest_holds}
+    instead.  Note [drop_bodies] is not part of the hash (it is a
+    function); callers using it must not rely on hash equality. *)
 val tu_hash : ?options:options -> file:string -> string -> string
 
-(** Compile C source text into a database.  The produced database
-    carries [tuhash = Some (tu_hash ...)]. *)
+(** The direct-mode key: a digest of the rendered options, the file name
+    and the raw source bytes, computed without preprocessing.  Two
+    inputs with equal keys whose recorded {!Cla_cfront.Cpp.manifest}
+    still holds preprocess to the same text, so they have the same
+    {!tu_hash}.  [drop_bodies] is not part of it, as for {!tu_hash}. *)
+val direct_key : ?options:options -> file:string -> string -> string
+
+(** Replay a manifest recorded by {!compile_recorded} against
+    [options]' include dirs and virtual filesystem
+    ({!Cla_cfront.Cpp.manifest_holds}): one read and digest per lookup,
+    no preprocessing. *)
+val manifest_holds : ?options:options -> Cla_cfront.Cpp.manifest -> bool
+
+(** Compile C source text into a database, returning the preprocessor's
+    include manifest beside it.  The produced database carries
+    [tuhash = Some (tu_hash ...)]. *)
+val compile_recorded :
+  ?options:options ->
+  file:string ->
+  string ->
+  Objfile.db * Cla_cfront.Cpp.manifest
+
+(** {!compile_recorded} without the manifest. *)
 val compile_string : ?options:options -> file:string -> string -> Objfile.db
 
 (** Compile a C file from disk. *)

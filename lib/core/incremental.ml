@@ -6,9 +6,14 @@
     ({!Andersen.t}) — and threads an edited source set through all
     three:
 
-    - unchanged units are detected by {!Compilep.tu_hash} (one
-      preprocessor run, no parse) and reused, counted in
-      [compile.cache.hits]/[compile.cache.misses];
+    - unchanged units are detected in direct mode — the
+      {!Compilep.direct_key} of the raw source plus a replay of the
+      unit's include manifest ({!Compilep.manifest_holds}), one digest
+      per source and per include, no preprocessor run — and reused,
+      counted in [compile.cache.hits]/[compile.cache.misses]; a miss
+      compiles once, recording the new manifest;
+    - an update in which no unit missed and the unit set is unchanged
+      returns early: no relink, no solve;
     - the delta linker patches the linked view in place of a full
       re-merge when it can ({!Linkp.relink});
     - a pure-add constraint delta is absorbed by {!Andersen.resume} —
@@ -24,12 +29,19 @@
 
 let now = Cla_resilience.Deadline.now_s
 
+(* A compiled unit as the cache holds it. *)
+type entry = {
+  key : string;  (* Compilep.direct_key of the source it was built from *)
+  manifest : Cla_cfront.Cpp.manifest;  (* that build's include lookups *)
+  uview : Objfile.view;
+}
+
 type t = {
   options : Compilep.options;
   pool : Cla_par.Pool.t option;
-  units : (string, string * Objfile.view) Hashtbl.t;
-      (* file -> (tuhash, compiled unit view) *)
+  units : (string, entry) Hashtbl.t;  (* file -> entry *)
   lstate : Linkp.state;
+  mutable linked : (string * Objfile.view) list;  (* last linked unit set *)
   mutable solver : Andersen.t;
   mutable result : Andersen.result;
 }
@@ -38,6 +50,7 @@ type stats = {
   sources : int;
   cache_hits : int;
   cache_misses : int;
+  relinked : bool;
   resumed : bool;
   delta_pure : bool;
   delta_added : int;
@@ -47,20 +60,32 @@ type stats = {
   wall_solve_s : float;
 }
 
-(* [drop_bodies] is a function and cannot be content-hashed
-   (see {!Compilep.tu_hash}); a non-default one disables unit reuse the
+(* [drop_bodies] is a function and cannot be part of the key (see
+   {!Compilep.direct_key}); a non-default one disables unit reuse the
    same way {!Pipeline}'s object cache bypasses itself. *)
 let cacheable options =
   options.Compilep.drop_bodies == Compilep.default_options.Compilep.drop_bodies
 
 let compile_unit ~options file src =
-  let db = Compilep.compile_string ~options ~file src in
-  let hash =
-    match db.Objfile.tuhash with
-    | Some h -> h
-    | None -> (* compile_string always records one *) assert false
-  in
-  (hash, Objfile.view_of_string (Objfile.write db))
+  let db, manifest = Compilep.compile_recorded ~options ~file src in
+  {
+    key = Compilep.direct_key ~options ~file src;
+    manifest;
+    uview = Objfile.view_of_string (Objfile.write db);
+  }
+
+(* The unit set is the one last linked: same names in the same order,
+   each view the same or carrying the same TU hash — exactly the units
+   {!Linkp.relink} would skip. *)
+let same_units a b =
+  List.equal
+    (fun (f, (v : Objfile.view)) (f', (v' : Objfile.view)) ->
+      String.equal f f'
+      && (v == v'
+         || Option.is_some v.Objfile.rtuhash
+            && Option.equal String.equal v.Objfile.rtuhash
+                 v'.Objfile.rtuhash))
+    a b
 
 let solution t = t.result.Andersen.solution
 let result t = t.result
@@ -73,22 +98,24 @@ let create ?(options = Compilep.default_options) ?pool ?(units = []) sources =
     List.map
       (fun (file, src) ->
         Cla_obs.Metrics.incr "compile.cache.misses";
-        let h, uview = compile_unit ~options file src in
-        Hashtbl.replace tbl file (h, uview);
-        (file, uview))
+        let e = compile_unit ~options file src in
+        Hashtbl.replace tbl file e;
+        (file, e.uview))
       sources
   in
   let t1 = now () in
-  let lstate, delta = Linkp.state_create (compiled @ units) in
+  let linked = compiled @ units in
+  let lstate, delta = Linkp.state_create linked in
   let lview = Linkp.state_view lstate in
   let t2 = now () in
   let solver, result = Andersen.solve_state ?pool lview in
   let t3 = now () in
-  ( { options; pool; units = tbl; lstate; solver; result },
+  ( { options; pool; units = tbl; lstate; linked; solver; result },
     {
       sources = List.length sources + List.length units;
       cache_hits = 0;
       cache_misses = List.length sources;
+      relinked = true;
       resumed = false;
       delta_pure = Linkp.delta_is_pure_add delta;
       delta_added = Linkp.delta_size_added delta;
@@ -97,6 +124,29 @@ let create ?(options = Compilep.default_options) ?pool ?(units = []) sources =
       wall_link_s = t2 -. t1;
       wall_solve_s = t3 -. t2;
     } )
+
+(* Relink [linked] and bring the solution up to date: resume on the
+   delta, or re-solve from scratch when the resume declines.  Returns
+   the delta, whether it resumed, and the link and solve walls. *)
+let relink_and_solve t linked =
+  let t0 = now () in
+  let delta = Linkp.relink t.lstate linked in
+  t.linked <- linked;
+  let lview = Linkp.state_view t.lstate in
+  let t1 = now () in
+  let resumed, result =
+    match Andersen.resume ?pool:t.pool t.solver ~view:lview ~delta with
+    | Some r -> (true, r)
+    | None ->
+        (* resume declined (removal, full relink, ...) and bumped
+           [pretrans.delta.fallbacks]; re-solve from scratch over the
+           relinked view *)
+        let solver, r = Andersen.solve_state ?pool:t.pool lview in
+        t.solver <- solver;
+        (false, r)
+  in
+  t.result <- result;
+  (delta, resumed, t1 -. t0, now () -. t1)
 
 let update t ?(units = []) sources =
   Cla_obs.Obs.with_span "incremental.update" @@ fun () ->
@@ -110,10 +160,11 @@ let update t ?(units = []) sources =
           if not (cacheable t.options) then None
           else
             match Hashtbl.find_opt t.units file with
-            | Some (h, uview)
-              when String.equal h
-                     (Compilep.tu_hash ~options:t.options ~file src) ->
-                Some uview
+            | Some e
+              when String.equal e.key
+                     (Compilep.direct_key ~options:t.options ~file src)
+                   && Compilep.manifest_holds ~options:t.options e.manifest ->
+                Some e.uview
             | _ -> None
         in
         match reuse with
@@ -124,9 +175,9 @@ let update t ?(units = []) sources =
         | None ->
             incr misses;
             Cla_obs.Metrics.incr "compile.cache.misses";
-            let h, uview = compile_unit ~options:t.options file src in
-            Hashtbl.replace t.units file (h, uview);
-            (file, uview))
+            let e = compile_unit ~options:t.options file src in
+            Hashtbl.replace t.units file e;
+            (file, e.uview))
       sources
   in
   (* forget cache entries for files no longer in the source set *)
@@ -138,43 +189,47 @@ let update t ?(units = []) sources =
       t.units []
   in
   List.iter (Hashtbl.remove t.units) stale;
-  let t1 = now () in
-  let delta = Linkp.relink t.lstate (compiled @ units) in
-  let lview = Linkp.state_view t.lstate in
-  let t2 = now () in
-  let resumed, result =
-    match Andersen.resume ?pool:t.pool t.solver ~view:lview ~delta with
-    | Some r -> (true, r)
-    | None ->
-        (* resume declined (removal, full relink, ...) and bumped
-           [pretrans.delta.fallbacks]; re-solve from scratch over the
-           relinked view *)
-        let solver, r = Andersen.solve_state ?pool:t.pool lview in
-        t.solver <- solver;
-        (false, r)
+  let linked = compiled @ units in
+  let unchanged =
+    {
+      sources = List.length linked;
+      cache_hits = !hits;
+      cache_misses = !misses;
+      relinked = false;
+      resumed = false;
+      delta_pure = true;
+      delta_added = 0;
+      delta_removed = 0;
+      wall_compile_s = now () -. t0;
+      wall_link_s = 0.;
+      wall_solve_s = 0.;
+    }
   in
-  t.result <- result;
-  let t3 = now () in
-  {
-    sources = List.length sources + List.length units;
-    cache_hits = !hits;
-    cache_misses = !misses;
-    resumed;
-    delta_pure =
-      Linkp.delta_is_pure_add delta && not delta.Linkp.d_full_relink;
-    delta_added = Linkp.delta_size_added delta;
-    delta_removed = Linkp.delta_size_removed delta;
-    wall_compile_s = t1 -. t0;
-    wall_link_s = t2 -. t1;
-    wall_solve_s = t3 -. t2;
-  }
+  if !misses = 0 && same_units linked t.linked then unchanged
+  else
+    let delta, resumed, wall_link_s, wall_solve_s =
+      relink_and_solve t linked
+    in
+    {
+      unchanged with
+      relinked = true;
+      resumed;
+      delta_pure =
+        Linkp.delta_is_pure_add delta && not delta.Linkp.d_full_relink;
+      delta_added = Linkp.delta_size_added delta;
+      delta_removed = Linkp.delta_size_removed delta;
+      wall_link_s;
+      wall_solve_s;
+    }
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "%d sources (%d cached, %d compiled), delta %s+%d/-%d, %s solve, \
+    "%d sources (%d cached, %d compiled), delta %s+%d/-%d, %s, \
      compile %.3fs link %.3fs solve %.3fs"
     s.sources s.cache_hits s.cache_misses
     (if s.delta_pure then "pure-add " else "")
     s.delta_added s.delta_removed
-    (if s.resumed then "resumed" else "scratch")
+    (if not s.relinked then "unchanged"
+     else if s.resumed then "resumed solve"
+     else "scratch solve")
     s.wall_compile_s s.wall_link_s s.wall_solve_s

@@ -3,14 +3,19 @@
 
     {!create} compiles, links and solves a source set from scratch while
     keeping the three pieces of reusable state: the per-unit compile
-    cache (TU content hash -> unit view, probed by {!Compilep.tu_hash}),
-    the delta linker ({!Linkp.state}) and the solver's iteration state
-    ({!Andersen.t}).  Each {!update} then skips unchanged units
-    ([compile.cache.hits]), patches the linked view
-    ({!Linkp.relink}) and — on a pure-add constraint delta — resumes
-    the solver ({!Andersen.resume}) instead of re-solving.  Any delta
-    the resume cannot handle soundly falls back to a from-scratch solve
-    behind [pretrans.delta.fallbacks].
+    cache, the delta linker ({!Linkp.state}) and the solver's iteration
+    state ({!Andersen.t}).  The compile cache is keyed in direct mode:
+    per file, the {!Compilep.direct_key} of the raw source and the
+    include manifest its last compile recorded.  Each {!update} probes
+    a unit by digesting its source and replaying the manifest's lookups
+    ({!Compilep.manifest_holds}) — no preprocessor run — and skips it on
+    a match ([compile.cache.hits]); a miss compiles it once.  It then
+    patches the linked view ({!Linkp.relink}) and — on a pure-add
+    constraint delta — resumes the solver ({!Andersen.resume}) instead
+    of re-solving.  Any delta the resume cannot handle soundly falls
+    back to a from-scratch solve behind [pretrans.delta.fallbacks].  An
+    update in which nothing missed and the unit set is unchanged
+    returns early, before the relink.
 
     Soundness invariant: after every {!update}, {!solution} is
     {!Solution.equal} to a from-scratch solve of the same sources —
@@ -22,8 +27,11 @@ type t
     incremental path being taken. *)
 type stats = {
   sources : int;  (** units in the set *)
-  cache_hits : int;  (** units reused via TU-hash probe *)
+  cache_hits : int;  (** units reused via the direct-mode probe *)
   cache_misses : int;  (** units recompiled *)
+  relinked : bool;
+      (** [false] when nothing changed: the update returned before the
+          relink, and the solution is the one already held *)
   resumed : bool;  (** solver resumed (vs from-scratch fallback) *)
   delta_pure : bool;  (** link delta was pure-add with stable ids *)
   delta_added : int;  (** added constraints across sections *)
@@ -52,7 +60,9 @@ val create :
 (** Re-sync to an edited source set.  Files absent from [sources] (and
     [units]) are unlinked (a removal — the solver falls back to
     scratch); new files are compiled and linked in; everything else is
-    probed by content hash.  [units] follow {!create}'s contract. *)
+    probed in direct mode.  [units] follow {!create}'s contract; one
+    counts as unchanged when it is the same view as last time or
+    carries the same TU hash. *)
 val update : t -> ?units:(string * Objfile.view) list -> (string * string) list -> stats
 
 (** The current points-to solution, indexed by the current linked

@@ -277,7 +277,8 @@ let write (db : db) : string =
            match db.vars.(i).vkind with
            | Var.Temp | Var.Arg _ | Var.Ret -> false
            | _ -> true)
-    |> List.sort compare
+    |> List.sort (fun (a, i) (b, j) ->
+           match String.compare a b with 0 -> Int.compare i j | c -> c)
   in
   Binio.u32 b_targets (List.length targets);
   List.iter

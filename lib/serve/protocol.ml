@@ -150,8 +150,8 @@ let ok_alias ~id ?telemetry ~rung ~degraded ~var ~var2 ~aliased () =
 
 let ok_ping ~id = resp id "ok" 200 [ ("op", Json.Str "ping") ]
 
-(* [changed = 0] means the rescan found the directory byte-stable (by
-   stat) and left the solution alone. *)
+(* [changed = 0] means the rescan found every unit unchanged and left
+   the solution alone. *)
 let ok_reanalyze ~id ~epoch ~changed ~sources ~cache_hits ~cache_misses
     ~resumed ~wall_ms () =
   resp id "ok" 200

@@ -63,7 +63,8 @@ val ok_ping : id:Json.t -> string
 val ok_sleep : id:Json.t -> ms:int -> string
 
 (** The reanalyze answer: the post-rescan [epoch] (swaps since boot),
-    how many watched files changed ([0] = no-op, nothing swapped), and
+    how many watched files changed (or, when no stat moved, how many
+    units recompiled; [0] = no-op, nothing swapped), and
     the incremental-update accounting for the swap. *)
 val ok_reanalyze :
   id:Json.t ->

@@ -192,7 +192,7 @@ type shard = {
 }
 
 (* Watch-mode state: the persistent incremental pipeline over the
-   watched directory plus the last stat signature of its [.c]/[.clo]
+   watched directory plus the last stat signature of its [.c]/[.clo]/[.h]
    files.  [wa_m] serializes rescans (the poll thread and concurrent
    [reanalyze] requests); everything below it is protected by it. *)
 type watcher = {
@@ -933,13 +933,16 @@ let install_outcome t (outcome : Pipeline.ladder_outcome) =
   end;
   refreeze t outcome
 
+(* The stat signature of the watched files: sources, objects and the
+   headers sources may include, so the poll loop sees a header edit. *)
 let scan_watch_dir dir =
   let names = try Sys.readdir dir with Sys_error _ -> [||] in
   Array.sort compare names;
   let acc = ref [] in
   Array.iter
     (fun name ->
-      if Filename.check_suffix name ".c" || Filename.check_suffix name ".clo"
+      if
+        List.exists (Filename.check_suffix name) [ ".c"; ".clo"; ".h" ]
       then
         let path = Filename.concat dir name in
         match Unix.stat path with
@@ -950,11 +953,12 @@ let scan_watch_dir dir =
     names;
   List.rev !acc
 
-(* Split a scan into compile inputs ([.c], read now — the TU-hash probe
-   needs the text anyway) and pre-compiled units ([.clo], loaded through
-   the revalidating {!Loader.load_file_cached}).  A file that fails to
-   read or load is reported and left out of this round — the server
-   keeps answering from the last consistent solution. *)
+(* Split a scan into compile inputs ([.c], read now — the direct-mode
+   probe digests the text) and pre-compiled units ([.clo], loaded through
+   the revalidating {!Loader.load_file_cached}); headers reach the
+   pipeline only through [#include].  A file that fails to read or load
+   is reported and left out of this round — the server keeps answering
+   from the last consistent solution. *)
 let watch_inputs sg =
   let sources = ref [] and units = ref [] in
   List.iter
@@ -964,7 +968,7 @@ let watch_inputs sg =
         | s -> sources := (path, s) :: !sources
         | exception Sys_error m ->
             Printf.eprintf "cla serve: watch: %s\n%!" m
-      else
+      else if Filename.check_suffix path ".clo" then
         match Loader.load_file_cached path with
         | Ok v -> units := (path, v) :: !units
         | Error d ->
@@ -989,10 +993,14 @@ let watch_boot dir =
   }
 
 (* One rescan: stat the directory and, when the signature moved (or
-   [force]), rebuild the inputs, run the incremental update and swap the
-   served solution.  Any failure (a source unparsable mid-edit, an
-   unreadable object) leaves the previous solution serving and is
-   reported — stale-but-consistent beats down. *)
+   [force]), rebuild the inputs and run the incremental update; when it
+   found a change, swap the served solution.  [force] catches what the
+   stat signature cannot see — a header outside the directory — at one
+   digest per unit and per include.  The reported change count is the
+   files whose stat moved or, when none did, the units that recompiled.
+   Any failure (a source unparsable mid-edit, an unreadable object)
+   leaves the previous solution serving and is reported —
+   stale-but-consistent beats down. *)
 let watch_rescan t w ~force =
   Mutex.lock w.wa_m;
   Fun.protect ~finally:(fun () -> Mutex.unlock w.wa_m) @@ fun () ->
@@ -1019,8 +1027,14 @@ let watch_rescan t w ~force =
         failwith (w.wa_dir ^ ": no .c or .clo files left to serve");
       Incremental.update w.wa_inc ~units sources
     with
+    | st when not st.Incremental.relinked ->
+        w.wa_sig <- sg;
+        `Unchanged
     | st ->
         w.wa_sig <- sg;
+        let changed =
+          if changed > 0 then changed else max 1 st.Incremental.cache_misses
+        in
         install_outcome t
           (Pipeline.outcome_of_solution Pipeline.Pretransitive
              (Incremental.solution w.wa_inc));
@@ -1134,7 +1148,7 @@ let run_admitted t (req : Protocol.request) qc ~start_ns ~deadline ~cancel =
             "reanalyze: this server is not watching a directory (start it \
              with --watch DIR)"
       | Some w -> (
-          match watch_rescan t w ~force:false with
+          match watch_rescan t w ~force:true with
           | `Unchanged ->
               bump t (fun s -> s.s_ok <- s.s_ok + 1);
               Protocol.ok_reanalyze ~id ~epoch:(Atomic.get t.epoch) ~changed:0

@@ -63,13 +63,15 @@ type config = {
   watch_dir : string option;
       (** serve a directory of [.c] / [.clo] files instead of a fixed
           linked database ({!run_watch} sets this): a poll thread stats
-          the directory every [watch_poll_ms]; on change it recompiles
-          only the edited units (TU content hash —
-          [compile.cache.hits]), delta-links, delta-solves
-          ({!Cla_core.Incremental}) and atomically swaps the served
-          solution.  The [reanalyze] protocol op forces the same rescan
-          on demand.  A broken edit (unparsable source) keeps the last
-          consistent solution serving. *)
+          the directory's [.c] / [.clo] / [.h] files every
+          [watch_poll_ms]; on change it recompiles only the edited units
+          (direct-mode probe — [compile.cache.hits]), delta-links,
+          delta-solves ({!Cla_core.Incremental}) and atomically swaps the
+          served solution.  The [reanalyze] protocol op always rescans,
+          stat signature or not, so it also sees an edited header
+          outside the directory; a rescan that finds nothing changed
+          swaps nothing.  A broken edit (unparsable source) keeps the
+          last consistent solution serving. *)
   watch_poll_ms : int;  (** watch-mode poll period *)
   save_snapshot : string option;
       (** rewrite this snapshot sidecar after every non-degraded swap

@@ -122,6 +122,35 @@ let test_missing_system_include_tolerated () =
   (* <stdio.h> is absent in the sealed container: it expands to nothing *)
   check str "missing system header" "int x;" (pp "#include <stdio.h>\nint x;\n")
 
+(* The recorded manifest lists each lookup in order — nested includes
+   and the missing <system> header included — and replays to true
+   against the same virtual filesystem, false once any lookup would
+   resolve differently. *)
+let test_manifest_virtual () =
+  let vfs = [ ("a.h", "#include \"b.h\"\nint a;\n"); ("b.h", "int b;\n") ] in
+  let src = "#include \"a.h\"\n#include <sys.h>\nint x;\n" in
+  let out, m = Cpp.preprocess_recorded ~virtual_fs:vfs ~file:"t.c" src in
+  check str "same output as preprocess_string"
+    (Cpp.preprocess_string ~virtual_fs:vfs ~file:"t.c" src)
+    out;
+  check
+    Alcotest.(list string)
+    "lookups in order" [ "a.h"; "b.h"; "sys.h" ]
+    (List.map (fun l -> l.Cpp.name) m);
+  check
+    Alcotest.(list bool)
+    "resolved" [ true; true; false ]
+    (List.map (fun l -> Option.is_some l.Cpp.digest) m);
+  check bool "replays against the same fs" true
+    (Cpp.manifest_holds ~virtual_fs:vfs m);
+  check bool "nested header edited" false
+    (Cpp.manifest_holds
+       ~virtual_fs:[ List.hd vfs; ("b.h", "int b2;\n") ]
+       m);
+  check bool "missing header appears" false
+    (Cpp.manifest_holds ~virtual_fs:(vfs @ [ ("sys.h", "") ]) m);
+  check bool "header gone" false (Cpp.manifest_holds ~virtual_fs:[] m)
+
 let test_missing_local_include_fails () =
   check bool "missing local include raises" true
     (try
@@ -200,6 +229,7 @@ let () =
           Alcotest.test_case "include guards" `Quick test_include_guard;
           Alcotest.test_case "missing <system>" `Quick test_missing_system_include_tolerated;
           Alcotest.test_case "missing local" `Quick test_missing_local_include_fails;
+          Alcotest.test_case "manifest round-trip" `Quick test_manifest_virtual;
           Alcotest.test_case "line markers" `Quick test_line_markers_track_origin;
         ] );
       ( "text",

@@ -1,7 +1,7 @@
 (* Tests for the incremental compile-link-analyze chain: TU content
-   hashing, the delta linker against a full-merge oracle, and the
-   solver's delta resume against from-scratch solves over edit
-   streams. *)
+   hashing, the direct-mode unit probe, the delta linker against a
+   full-merge oracle, and the solver's delta resume against
+   from-scratch solves over edit streams. *)
 
 open Cla_core
 module W = Cla_workload
@@ -182,11 +182,13 @@ let test_update_noop () =
   let before = Incremental.solution t in
   let s = Incremental.update t (W.Editstream.sources es) in
   Alcotest.(check int) "no recompiles" 0 s.Incremental.cache_misses;
+  Alcotest.(check bool) "returned before the relink" false
+    s.Incremental.relinked;
   Alcotest.(check bool) "solution unchanged" true
     (Solution.equal before (Incremental.solution t))
 
 (* ------------------------------------------------------------------ *)
-(* Live --watch server across a swap                                   *)
+(* Direct-mode probe: source digest + include-manifest replay          *)
 (* ------------------------------------------------------------------ *)
 
 let write_file path content =
@@ -194,32 +196,143 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
+let fresh_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  dir
+
+let compile_units_count () =
+  Option.value ~default:0 (Cla_obs.Metrics.get_int "compile.units")
+
+(* Update, and gate the held solution on a from-scratch solve of the
+   same view. *)
+let update_checked msg t sources =
+  let s = Incremental.update t sources in
+  let scratch = Andersen.solve (Incremental.view t) in
+  Alcotest.(check bool)
+    (msg ^ ": incremental == scratch")
+    true
+    (Solution.equal (Incremental.solution t) scratch.Andersen.solution);
+  s
+
+let check_probe msg ~hits ~misses s =
+  Alcotest.(check int) (msg ^ ": misses") misses s.Incremental.cache_misses;
+  Alcotest.(check int) (msg ^ ": hits") hits s.Incremental.cache_hits
+
+let has_target t var target =
+  let sol = Incremental.solution t in
+  List.exists
+    (fun v ->
+      Lvalset.fold
+        (fun acc z -> acc || String.equal (Solution.var_name sol z) target)
+        false (Solution.points_to sol v))
+    (Objfile.find_targets (Incremental.view t) var)
+
+(* A header edit with the .c bytes unchanged is a miss for exactly the
+   including unit; its sibling stays a hit. *)
+let test_direct_header_edit () =
+  let dir = fresh_dir "cla_direct" in
+  let a = Filename.concat dir "a.c" and b = Filename.concat dir "b.c" in
+  write_file (Filename.concat dir "h.h") "#define TARGET x\n";
+  let a_src =
+    "#include \"h.h\"\nint x, y; int *p;\nvoid f(void) { p = &TARGET; }\n"
+  in
+  let sources =
+    [ (a, a_src); (b, "extern int *p; int *q;\nvoid g(void) { q = p; }\n") ]
+  in
+  let t, _ = Incremental.create sources in
+  Alcotest.(check bool) "p -> x" true (has_target t "p" "x");
+  let s = update_checked "untouched" t sources in
+  check_probe "untouched" ~hits:2 ~misses:0 s;
+  write_file (Filename.concat dir "h.h") "#define TARGET y\n";
+  let s = update_checked "header edit" t sources in
+  check_probe "header edit" ~hits:1 ~misses:1 s;
+  Alcotest.(check bool) "p -> y after the header edit" true
+    (has_target t "p" "y");
+  Alcotest.(check bool) "p -/-> x after the header edit" false
+    (has_target t "p" "x")
+
+(* A missing <x.h> that later appears in an include dir is a miss: the
+   manifest recorded the lookup as resolving to nothing. *)
+let test_direct_system_header_appears () =
+  let dir = fresh_dir "cla_direct" in
+  let inc = Filename.concat dir "inc" in
+  Unix.mkdir inc 0o700;
+  let options =
+    { Compilep.default_options with Compilep.include_dirs = [ inc ] }
+  in
+  let a = Filename.concat dir "a.c" in
+  let sources =
+    [
+      ( a,
+        "#include <x.h>\nint x, y; int *p;\nvoid f(void) { p = &x; }\n\
+         #ifdef HAVE_X\nvoid g(void) { p = &y; }\n#endif\n" );
+    ]
+  in
+  let t, _ = Incremental.create ~options sources in
+  Alcotest.(check bool) "no y before x.h exists" false (has_target t "p" "y");
+  let s = update_checked "still missing" t sources in
+  check_probe "still missing" ~hits:1 ~misses:0 s;
+  write_file (Filename.concat inc "x.h") "#define HAVE_X 1\n";
+  let s = update_checked "x.h appeared" t sources in
+  check_probe "x.h appeared" ~hits:0 ~misses:1 s;
+  Alcotest.(check bool) "p -> y once x.h exists" true (has_target t "p" "y")
+
+(* A comment-only edit changes the source digest (a direct miss) but
+   not the preprocessed text: the recompiled unit keeps its TU hash,
+   so the delta linker skips it and the link delta is empty. *)
+let test_direct_comment_edit () =
+  let src c = Fmt.str "int x; int *p; // %s\nvoid f(void) { p = &x; }\n" c in
+  let b = ("b.c", "extern int *p; int *q;\nvoid g(void) { q = p; }\n") in
+  let t, _ = Incremental.create [ ("a.c", src "one"); b ] in
+  let s = update_checked "comment edit" t [ ("a.c", src "two"); b ] in
+  check_probe "comment edit" ~hits:1 ~misses:1 s;
+  Alcotest.(check int) "nothing added" 0 s.Incremental.delta_added;
+  Alcotest.(check int) "nothing removed" 0 s.Incremental.delta_removed;
+  Alcotest.(check string) "same TU hash"
+    (Compilep.tu_hash ~file:"a.c" (src "one"))
+    (Compilep.tu_hash ~file:"a.c" (src "two"))
+
+(* A one-file edit over N units compiles exactly one unit: the probe
+   never runs the front end on a hit. *)
+let test_direct_one_compile () =
+  let es = W.Editstream.create ~seed:5L small_profile in
+  let t, s0 = Incremental.create (W.Editstream.sources es) in
+  let n = s0.Incremental.sources in
+  Alcotest.(check bool) "several units" true (n > 1);
+  for _ = 1 to 3 do
+    let step = W.Editstream.next es in
+    let before = compile_units_count () in
+    let s =
+      update_checked step.W.Editstream.sdesc t step.W.Editstream.ssources
+    in
+    check_probe step.W.Editstream.sdesc ~hits:(n - 1) ~misses:1 s;
+    Alcotest.(check int)
+      (step.W.Editstream.sdesc ^ ": compile.units delta")
+      1
+      (compile_units_count () - before)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Live --watch server across a swap                                   *)
+(* ------------------------------------------------------------------ *)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-(* Boot a real watch-mode server over a two-file tree, query it, append
-   an assignment to one TU, force the rescan through the [reanalyze]
-   protocol op, and check the next query sees the swapped solution:
-   one recompile, the other TU cached, the solver resumed. *)
-let test_watch_server () =
-  let dir = Filename.temp_file "cla_watch" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let src = Filename.concat dir "src" in
-  Unix.mkdir src 0o700;
-  write_file (Filename.concat src "a.c")
-    "int x; int *p;\nvoid f(void) { p = &x; }\n";
-  let b_base = "extern int *p; int *q;\nvoid g(void) { q = p; }\n" in
-  write_file (Filename.concat src "b.c") b_base;
+(* Run [f ask] against a real watch-mode server over [src], then shut
+   it down.  The poll period is one the test never reaches: the
+   explicit reanalyze op is the only trigger, so swap points are
+   deterministic. *)
+let with_watch_server ~dir src f =
   let socket = Filename.concat dir "s.sock" in
   let config =
     {
       Cla_serve.Server.default_config with
       socket_path = socket;
-      (* a poll period the test never reaches: the explicit reanalyze
-         op is the only trigger, so the swap point is deterministic *)
       watch_poll_ms = 60_000;
     }
   in
@@ -248,6 +361,25 @@ let test_watch_server () =
     | Ok reply -> reply
     | Error _ -> Alcotest.fail ("no reply to " ^ line)
   in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter Cla_serve.Server.request_shutdown !handle;
+      Thread.join server)
+    (fun () -> f ask)
+
+(* Query a two-file tree, append an assignment to one TU, force the
+   rescan through the [reanalyze] protocol op, and check the next query
+   sees the swapped solution: one recompile, the other TU cached, the
+   solver resumed. *)
+let test_watch_server () =
+  let dir = fresh_dir "cla_watch" in
+  let src = Filename.concat dir "src" in
+  Unix.mkdir src 0o700;
+  write_file (Filename.concat src "a.c")
+    "int x; int *p;\nvoid f(void) { p = &x; }\n";
+  let b_base = "extern int *p; int *q;\nvoid g(void) { q = p; }\n" in
+  write_file (Filename.concat src "b.c") b_base;
+  with_watch_server ~dir src @@ fun ask ->
   let reply = ask "{\"id\":1,\"op\":\"points-to\",\"var\":\"q\"}" in
   Alcotest.(check bool) "baseline sees x" true (contains reply "\"x\"");
   Alcotest.(check bool) "no z before the edit" false (contains reply "\"z\"");
@@ -264,11 +396,51 @@ let test_watch_server () =
   Alcotest.(check bool) "swap sees z" true (contains reply "\"z\"");
   (* nothing changed: the rescan must be a no-op *)
   let re = ask "{\"id\":4,\"op\":\"reanalyze\"}" in
-  Alcotest.(check bool) "no-op rescan" true (contains re "\"changed\": 0");
-  (match !handle with
-  | Some t -> Cla_serve.Server.request_shutdown t
-  | None -> ());
-  Thread.join server
+  Alcotest.(check bool) "no-op rescan" true (contains re "\"changed\": 0")
+
+(* Header-only edits: the watched a.c includes h.h (in the watched
+   directory) and ../inc/g.h (outside it, invisible to the stat
+   signature).  Editing either header alone, then sending reanalyze,
+   must move the next answer. *)
+let test_watch_header_edit () =
+  let dir = fresh_dir "cla_watch" in
+  let src = Filename.concat dir "src" and inc = Filename.concat dir "inc" in
+  Unix.mkdir src 0o700;
+  Unix.mkdir inc 0o700;
+  write_file (Filename.concat src "h.h") "#define PT x\n";
+  write_file (Filename.concat inc "g.h") "#define QT x\n";
+  write_file (Filename.concat src "a.c")
+    "#include \"h.h\"\n#include \"../inc/g.h\"\nint x, y, z; int *p, *q;\n\
+     void f(void) { p = &PT; q = &QT; }\n";
+  write_file (Filename.concat src "b.c")
+    "extern int *p; int *r;\nvoid g(void) { r = p; }\n";
+  with_watch_server ~dir src @@ fun ask ->
+  let pts id var =
+    ask (Fmt.str "{\"id\":%d,\"op\":\"points-to\",\"var\":%S}" id var)
+  in
+  let reply = pts 1 "p" in
+  Alcotest.(check bool) "baseline p -> x" true (contains reply "\"x\"");
+  write_file (Filename.concat src "h.h") "#define PT y\n";
+  let re = ask "{\"id\":2,\"op\":\"reanalyze\"}" in
+  Alcotest.(check bool) "header edit seen" true (contains re "\"changed\": 1");
+  Alcotest.(check bool) "only a.c recompiled" true
+    (contains re "\"cache_misses\": 1");
+  let reply = pts 3 "p" in
+  Alcotest.(check bool) "p -> y after editing h.h" true
+    (contains reply "\"y\"");
+  Alcotest.(check bool) "p -/-> x after editing h.h" false
+    (contains reply "\"x\"");
+  (* r copies p: the other unit's answer moves too *)
+  Alcotest.(check bool) "r -> y after editing h.h" true
+    (contains (pts 4 "r") "\"y\"");
+  write_file (Filename.concat inc "g.h") "#define QT z\n";
+  let re = ask "{\"id\":5,\"op\":\"reanalyze\"}" in
+  Alcotest.(check bool) "out-of-tree header edit seen" true
+    (contains re "\"changed\": 1");
+  Alcotest.(check bool) "q -> z after editing g.h" true
+    (contains (pts 6 "q") "\"z\"");
+  let re = ask "{\"id\":7,\"op\":\"reanalyze\"}" in
+  Alcotest.(check bool) "no-op rescan" true (contains re "\"changed\": 0")
 
 let () =
   Alcotest.run "incremental"
@@ -293,6 +465,20 @@ let () =
             test_stream_with_removals;
           Alcotest.test_case "no-op update" `Quick test_update_noop;
         ] );
+      ( "direct-probe",
+        [
+          Alcotest.test_case "header edit misses" `Quick
+            test_direct_header_edit;
+          Alcotest.test_case "appearing <x.h> misses" `Quick
+            test_direct_system_header_appears;
+          Alcotest.test_case "comment edit, empty link delta" `Quick
+            test_direct_comment_edit;
+          Alcotest.test_case "one compile per one-file edit" `Quick
+            test_direct_one_compile;
+        ] );
       ( "serve-watch",
-        [ Alcotest.test_case "query across a swap" `Quick test_watch_server ] );
+        [
+          Alcotest.test_case "query across a swap" `Quick test_watch_server;
+          Alcotest.test_case "header-only edit" `Quick test_watch_header_edit;
+        ] );
     ]
