@@ -4,8 +4,9 @@
 # server recover with zero failed well-formed queries), must write a
 # schema-tagged BENCH_chaos.json with every gate true, and must FAIL
 # when --inject-no-supervise disables the supervisor — proof the gate
-# actually bites.  Wired into `dune runtest` (see bench/dune); takes
-# the bench binary as $1.
+# actually bites.  Only answers are gated: under --quick the recovery
+# p99 (wall time) is printed, not gated.  Wired into `dune runtest` (see
+# bench/dune); takes the bench binary as $1.
 set -eu
 
 bench=${1:?usage: chaos_smoke.sh path/to/main.exe}
@@ -32,13 +33,15 @@ grep -q 'cla\.bench\.chaos/v1' BENCH_chaos.json || {
 }
 
 for gate in corrupt_fallback snapshot_oread snapshot_answers_match \
-            zero_failed_good recovery_p99 restarts_observed; do
+            zero_failed_good restarts_observed; do
   grep -q "\"$gate\": *true" BENCH_chaos.json || {
     echo "chaos_smoke.sh: gate $gate not true in BENCH_chaos.json" >&2
     cat BENCH_chaos.json >&2
     exit 1
   }
 done
+
+grep 'recovery p99' out.txt || true
 
 # faults must actually have fired, and the supervisor must have restarted
 grep -q '"kill:' BENCH_chaos.json || {

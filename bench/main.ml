@@ -35,8 +35,9 @@
                shards mid-flight.  Gates: a corrupt snapshot falls back
                to live solves, a good one answers without a single shard
                solve, zero well-formed queries fail across the faults,
-               recovery p99 over the kill windows stays bounded, and the
-               supervisor logged the restarts.  Writes BENCH_chaos.json
+               recovery p99 over the kill windows stays bounded (a
+               wall-time check: gated on the full run, informational
+               under --quick), and the supervisor logged the restarts.  Writes BENCH_chaos.json
                (cla.bench.chaos/v1); --inject-no-supervise disables the
                supervisor and must make the gate exit 1.
      incremental delta-solve gate: replay a seeded one-TU edit stream
@@ -1327,6 +1328,7 @@ let serve () =
      snapshot_oread     good snapshot: zero shard solves for the stream
      zero_failed_good   every well-formed query answered ok under faults
      recovery_p99       p99 latency of the queries right behind each kill
+                        (wall time: full run only; --quick prints it)
      restarts_observed  the supervisor actually restarted shards *)
 let chaos () =
   hr ();
@@ -1630,7 +1632,9 @@ let chaos () =
     (if zero_failed_good then "ok" else "FAIL");
   Fmt.pr "recovery p99 over kill windows: %.1fms (<= %.0fms) %s@."
     recovery_p99_ms recovery_bound_ms
-    (if recovery_ok then "ok" else "FAIL");
+    (if !quick then "(informational under --quick)"
+     else if recovery_ok then "ok"
+     else "FAIL");
   Fmt.pr "supervisor restarts observed: %d down: %d         %s@." restarts_seen
     shards_down
     (if restarts_ok then "ok" else "FAIL");
@@ -1640,9 +1644,9 @@ let chaos () =
       ("snapshot_oread", snapshot_oread_ok);
       ("snapshot_answers_match", snapshot_targets_ok);
       ("zero_failed_good", zero_failed_good);
-      ("recovery_p99", recovery_ok);
       ("restarts_observed", restarts_ok);
     ]
+    @ if !quick then [] else [ ("recovery_p99", recovery_ok) ]
   in
   Json.write_file "BENCH_chaos.json"
     (Json.Obj

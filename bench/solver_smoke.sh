@@ -1,7 +1,7 @@
 #!/bin/sh
 # Solver micro-bench smoke test: a tiny --scale sweep must report zero
 # divergence and write a schema-tagged BENCH_solver.json whose regression
-# check round-trips cleanly against itself, and --inject-divergence must
+# check re-reads it and prints a verdict, and --inject-divergence must
 # make the hard-fail path fire (exit 1) — proving the gate is live, not
 # decorative.  Wired into `dune runtest` (see bench/dune); takes the
 # bench binary as $1.
@@ -44,12 +44,26 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 
-# 3. Regression check against the run's own JSON must be clean (and must
-#    not crash on re-parse — proves the file is well-formed).
-"$bench" --scale=0.05 --check-against=BENCH_solver.json solver | \
-  grep -q 'regression check .*: clean' || {
-  echo "solver_smoke.sh: self check-against not clean" >&2
+# 3. Regression check against the run's own JSON must re-parse the file
+#    (proves it is well-formed) and print a verdict.  The verdict compares
+#    wall times, so tier-1 only reports it; a full run gates it with
+#    --check-hard.
+"$bench" --scale=0.05 --check-against=BENCH_solver.json solver \
+  >check.txt 2>check_err.txt
+if grep -q 'cannot read' check_err.txt; then
+  echo "solver_smoke.sh: check-against could not re-read its own JSON" >&2
+  cat check_err.txt >&2
   exit 1
-}
+fi
+if grep -q 'regression check .*: clean' check.txt; then
+  echo "solver_smoke.sh: self check-against clean"
+elif grep -q 'REGRESSION' check_err.txt; then
+  echo "solver_smoke.sh: self check-against saw timing noise (informational):"
+  grep 'REGRESSION' check_err.txt
+else
+  echo "solver_smoke.sh: self check-against printed no verdict" >&2
+  cat check.txt check_err.txt >&2
+  exit 1
+fi
 
 echo "solver_smoke.sh: ok"

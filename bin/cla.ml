@@ -27,10 +27,8 @@ let handle_errors f =
       err_input (Fmt.str "parse error: %s at %a" msg Cla_ir.Loc.pp loc)
   | Cla_cfront.Cpp.Cpp_error (msg, file, line) ->
       err_input (Fmt.str "cpp error: %s at %s:%d" msg file line)
-  | Cla_cfront.Clexer.Error (msg, pos) ->
-      err_input
-        (Fmt.str "lex error: %s at %s:%d" msg pos.Lexing.pos_fname
-           pos.Lexing.pos_lnum)
+  | Cla_cfront.Clexer.Error (msg, { file; line; col }) ->
+      err_input (Fmt.str "lex error: %s at %s:%d:%d" msg file line col)
   | Binio.Corrupt msg -> err_input ("corrupt object file: " ^ msg)
   | Diag.Fail d -> err_input (Diag.to_string d)
   | Sys_error msg -> err_input msg

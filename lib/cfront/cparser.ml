@@ -14,10 +14,14 @@ exception Parse_error of string * Loc.t
 
 type binding = Btypedef | Bobject
 
+module Scope = Hashtbl.Make (String)
+
 type state = {
-  toks : (T.t * Loc.t) array;
+  toks : T.t array;
+  locs : Loc.t array;  (* parallel to [toks] *)
+  last : int;  (* index of the final [EOF] *)
   mutable pos : int;
-  mutable scopes : (string, binding) Hashtbl.t list;
+  mutable scopes : binding Scope.t list;
   typedefs : (string, typ) Hashtbl.t;  (* name -> definition *)
   mutable comps : compdef list;  (* collected struct/union defs, reversed *)
   mutable enums : (string * (string * int64 option) list) list;
@@ -26,18 +30,18 @@ type state = {
 }
 
 let err st fmt =
-  let loc = if st.pos < Array.length st.toks then snd st.toks.(st.pos) else Loc.none in
+  let loc = st.locs.(st.pos) in
   Fmt.kstr (fun m -> raise (Parse_error (m, loc))) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Token-stream helpers                                                *)
 (* ------------------------------------------------------------------ *)
 
-let peek st = fst st.toks.(st.pos)
-let peek2 st =
-  if st.pos + 1 < Array.length st.toks then fst st.toks.(st.pos + 1) else T.EOF
-let loc st = snd st.toks.(st.pos)
-let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
+(* [pos] never passes [last], so these reads stay in bounds. *)
+let peek st = Array.unsafe_get st.toks st.pos
+let peek2 st = if st.pos < st.last then Array.unsafe_get st.toks (st.pos + 1) else T.EOF
+let loc st = Array.unsafe_get st.locs st.pos
+let advance st = if st.pos < st.last then st.pos <- st.pos + 1
 
 let eat st tok =
   if T.equal (peek st) tok then advance st
@@ -52,7 +56,7 @@ let eat_ident st =
 (* Scopes                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let enter_scope st = st.scopes <- Hashtbl.create 16 :: st.scopes
+let enter_scope st = st.scopes <- Scope.create 16 :: st.scopes
 let leave_scope st =
   match st.scopes with
   | _ :: (_ :: _ as rest) -> st.scopes <- rest
@@ -60,18 +64,20 @@ let leave_scope st =
 
 let bind st name b =
   match st.scopes with
-  | tbl :: _ -> Hashtbl.replace tbl name b
+  | tbl :: _ -> Scope.replace tbl name b
   | [] -> assert false
 
-let lookup st name =
+(* The innermost scope binding [name] decides. *)
+let is_typedef_name st name =
   let rec go = function
-    | [] -> None
+    | [] -> false
     | tbl :: rest -> (
-        match Hashtbl.find_opt tbl name with Some b -> Some b | None -> go rest)
+        match Scope.find_opt tbl name with
+        | Some Btypedef -> true
+        | Some Bobject -> false
+        | None -> go rest)
   in
   go st.scopes
-
-let is_typedef_name st name = lookup st name = Some Btypedef
 
 (* GNU noise we tolerate and discard: attributes, asm annotations. *)
 let rec skip_gnu_noise st =
@@ -946,34 +952,20 @@ let parse_top st : top option =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let lex_all ~file text =
-  let lexbuf = Lexing.from_string text in
-  Lexing.set_filename lexbuf file;
-  let toks = ref [] in
-  let rec go () =
-    let p = lexbuf.Lexing.lex_curr_p in
-    let tok = Clexer.token lexbuf in
-    let l =
-      Loc.make ~file:p.Lexing.pos_fname ~line:p.Lexing.pos_lnum
-        ~col:(p.Lexing.pos_cnum - p.Lexing.pos_bol + 1)
-    in
-    toks := (tok, l) :: !toks;
-    match tok with T.EOF -> () | _ -> go ()
-  in
-  go ();
-  Array.of_list (List.rev !toks)
-
 (** Result of parsing: the translation unit plus the typedef environment
     (the normalizer resolves {!Cast.Tnamed} through it). *)
 type result = { tunit : tunit; typedefs : (string, typ) Hashtbl.t }
 
 (** Parse preprocessed text (with optional [# line "file"] markers). *)
 let parse_string ?(file = "<string>") text : result =
+  let { Clexer.toks; locs } = Clexer.scan ~file text in
   let st =
     {
-      toks = lex_all ~file text;
+      toks;
+      locs;
+      last = Array.length toks - 1;
       pos = 0;
-      scopes = [ Hashtbl.create 64 ];
+      scopes = [ Scope.create 64 ];
       typedefs = Hashtbl.create 64;
       comps = [];
       enums = [];

@@ -30,22 +30,24 @@ type t =
   | LTLTEQ | GTGTEQ | AMPEQ | CARETEQ | BAREQ
   | EOF
 
-let keyword_table : (string * t) list =
-  [
-    ("auto", KW_AUTO); ("break", KW_BREAK); ("case", KW_CASE);
-    ("char", KW_CHAR); ("const", KW_CONST); ("continue", KW_CONTINUE);
-    ("default", KW_DEFAULT); ("do", KW_DO); ("double", KW_DOUBLE);
-    ("else", KW_ELSE); ("enum", KW_ENUM); ("extern", KW_EXTERN);
-    ("float", KW_FLOAT); ("for", KW_FOR); ("goto", KW_GOTO); ("if", KW_IF);
-    ("inline", KW_INLINE); ("__inline", KW_INLINE); ("__inline__", KW_INLINE);
-    ("int", KW_INT); ("long", KW_LONG); ("register", KW_REGISTER);
-    ("return", KW_RETURN); ("short", KW_SHORT); ("signed", KW_SIGNED);
-    ("__signed__", KW_SIGNED); ("sizeof", KW_SIZEOF); ("static", KW_STATIC);
-    ("struct", KW_STRUCT); ("switch", KW_SWITCH); ("typedef", KW_TYPEDEF);
-    ("union", KW_UNION); ("unsigned", KW_UNSIGNED); ("void", KW_VOID);
-    ("volatile", KW_VOLATILE); ("__volatile__", KW_VOLATILE);
-    ("while", KW_WHILE); ("__const", KW_CONST); ("__const__", KW_CONST);
-  ]
+(** The token an identifier-shaped spelling lexes to: a keyword (GNU
+    alternate spellings included) or [IDENT]. *)
+let of_ident = function
+  | "auto" -> KW_AUTO | "break" -> KW_BREAK | "case" -> KW_CASE
+  | "char" -> KW_CHAR | "const" | "__const" | "__const__" -> KW_CONST
+  | "continue" -> KW_CONTINUE | "default" -> KW_DEFAULT | "do" -> KW_DO
+  | "double" -> KW_DOUBLE | "else" -> KW_ELSE | "enum" -> KW_ENUM
+  | "extern" -> KW_EXTERN | "float" -> KW_FLOAT | "for" -> KW_FOR
+  | "goto" -> KW_GOTO | "if" -> KW_IF
+  | "inline" | "__inline" | "__inline__" -> KW_INLINE
+  | "int" -> KW_INT | "long" -> KW_LONG | "register" -> KW_REGISTER
+  | "return" -> KW_RETURN | "short" -> KW_SHORT
+  | "signed" | "__signed__" -> KW_SIGNED | "sizeof" -> KW_SIZEOF
+  | "static" -> KW_STATIC | "struct" -> KW_STRUCT | "switch" -> KW_SWITCH
+  | "typedef" -> KW_TYPEDEF | "union" -> KW_UNION | "unsigned" -> KW_UNSIGNED
+  | "void" -> KW_VOID | "volatile" | "__volatile__" -> KW_VOLATILE
+  | "while" -> KW_WHILE
+  | s -> IDENT s
 
 let to_string = function
   | IDENT s -> s
@@ -77,4 +79,13 @@ let to_string = function
   | LTLTEQ -> "<<=" | GTGTEQ -> ">>=" | AMPEQ -> "&=" | CARETEQ -> "^="
   | BAREQ -> "|=" | EOF -> "<eof>"
 
-let equal (a : t) (b : t) = a = b
+(* Monomorphic: constant constructors are immediates, so [==] decides
+   them; only literal and identifier payloads need a look inside. *)
+let equal (a : t) (b : t) =
+  a == b
+  ||
+  match (a, b) with
+  | IDENT x, IDENT y | FLOATLIT x, FLOATLIT y | STRLIT x, STRLIT y -> String.equal x y
+  | INTLIT (v, x), INTLIT (w, y) -> Int64.equal v w && String.equal x y
+  | CHARLIT x, CHARLIT y -> Int.equal x y
+  | _ -> false

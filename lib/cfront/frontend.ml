@@ -31,8 +31,5 @@ let prog_of_string ?(options = default_options) ~file source : Prog.t =
 
 (** Compile a C file from disk to primitive form. *)
 let prog_of_file ?(options = default_options) path : Prog.t =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let source = really_input_string ic len in
-  close_in ic;
+  let source = In_channel.with_open_bin path In_channel.input_all in
   prog_of_string ~options ~file:path source

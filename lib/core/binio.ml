@@ -10,7 +10,9 @@
 
 type writer = Buffer.t
 
-let writer () : writer = Buffer.create (1 lsl 16)
+(* Small to start: an object has a dozen sections, most of a few bytes;
+   the large ones grow by doubling. *)
+let writer () : writer = Buffer.create 256
 let wpos (b : writer) = Buffer.length b
 
 let u8 b v = Buffer.add_char b (Char.chr (v land 0xff))

@@ -97,13 +97,12 @@ let diag_of_exn ?file ~phase = function
         (error ?file
            ~loc:(Loc.make ~file:f ~line ~col:0)
            ~phase ("cpp error: " ^ msg))
-  | Cla_cfront.Clexer.Error (msg, pos) ->
+  | Cla_cfront.Clexer.Error (msg, loc) ->
+      (* the column is exact here (unlike a token's), so say it: the
+         printed location keeps the paper's <file:line> form *)
       Some
-        (error ?file
-           ~loc:
-             (Loc.make ~file:pos.Lexing.pos_fname ~line:pos.Lexing.pos_lnum
-                ~col:0)
-           ~phase ("lex error: " ^ msg))
+        (error ?file ~loc ~phase
+           (Fmt.str "lex error: %s at column %d" msg loc.Loc.col))
   | Binio.Corrupt msg -> Some (error ?file ~phase ("corrupt object file: " ^ msg))
   | Fail d -> Some d
   | Sys_error msg -> Some (error ?file ~phase msg)

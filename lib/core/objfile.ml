@@ -166,7 +166,7 @@ let read_i64 r =
   Int64.logxor (Int64.shift_right_logical z 1) (Int64.neg (Int64.logand z 1L))
 
 let write_loc w st (l : Loc.t) =
-  Binio.varint w (Strtab.intern st l.file);
+  Binio.varint w (Strtab.intern_repeated st l.file);
   Binio.varint w l.line;
   Binio.varint w l.col
 

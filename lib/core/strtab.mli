@@ -9,6 +9,11 @@ val create : unit -> t
 (** Intern a string, returning its stable index. *)
 val intern : t -> string -> int
 
+(** {!intern} for a string most calls repeat (the file name every
+    location record carries): a physically equal repeat of the previous
+    call costs one [==]. *)
+val intern_repeated : t -> string -> int
+
 val size : t -> int
 val to_array : t -> string array
 val write : Binio.writer -> t -> unit

@@ -131,5 +131,15 @@ let () =
               Alcotest.(check bool) "nonzero exit" true (code <> 0);
               Alcotest.(check bool) ("mentions parse error: " ^ out) true
                 (contains ~affix:"parse error" out));
+          Alcotest.test_case "lex error names its column" `Quick (fun () ->
+              write_file "lexbad.c" "int x @ y;\n";
+              let file = in_tmp "lexbad.c" in
+              let code, out = run_capture (Fmt.str "%s compile %s" cla (q file)) in
+              Alcotest.(check int) "bad input" 2 code;
+              let want =
+                Fmt.str "<%s:1>: compile error: lex error: unexpected character '@' at column 7"
+                  file
+              in
+              Alcotest.(check bool) (want ^ " in: " ^ out) true (contains ~affix:want out));
         ] );
     ]

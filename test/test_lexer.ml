@@ -1,6 +1,7 @@
 (* Tests for the C lexer: token classification, literals, positions, and
    the line markers the preprocessor emits. *)
 
+open Cla_ir
 open Cla_cfront
 module T = Ctoken
 
@@ -74,26 +75,29 @@ let test_comments_skipped () =
   check_toks "comments" [ T.KW_INT; T.IDENT "x"; T.SEMI ]
     "int /* c1 */ x; // trailing"
 
+(* A token's location is where its scan began, i.e. the position just
+   after the previous token: [locs.(i + 1)] is the position after
+   [toks.(i)]. *)
 let test_line_marker_positions () =
-  let lexbuf = Lexing.from_string "# 10 \"orig.c\"\nint x;\n" in
-  Lexing.set_filename lexbuf "pre.i";
-  let _int_tok = Clexer.token lexbuf in
-  let p = lexbuf.Lexing.lex_curr_p in
-  Alcotest.(check string) "file from marker" "orig.c" p.Lexing.pos_fname;
-  Alcotest.(check int) "line from marker" 10 p.Lexing.pos_lnum
+  let { Clexer.toks; locs } = Clexer.scan ~file:"pre.i" "# 10 \"orig.c\"\nint x;\n" in
+  Alcotest.(check tok) "first token" T.KW_INT toks.(0);
+  let after_int = locs.(1) in
+  Alcotest.(check string) "file from marker" "orig.c" after_int.Loc.file;
+  Alcotest.(check int) "line from marker" 10 after_int.Loc.line
 
 let test_newline_tracking () =
-  let lexbuf = Lexing.from_string "int\nx\n;" in
-  ignore (Clexer.token lexbuf);
-  ignore (Clexer.token lexbuf);
-  Alcotest.(check int) "line 2 after x" 2 lexbuf.Lexing.lex_curr_p.Lexing.pos_lnum
+  let { Clexer.toks; locs } = Clexer.scan "int\nx\n;" in
+  Alcotest.(check tok) "second token" (T.IDENT "x") toks.(1);
+  Alcotest.(check int) "line 2 after x" 2 locs.(2).Loc.line
 
 let test_error_on_garbage () =
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Clexer.tokens_of_string "int x @ y;");
-       false
-     with Clexer.Error _ -> true)
+  match Clexer.tokens_of_string ~file:"g.c" "int x @ y;" with
+  | _ -> Alcotest.fail "lexed garbage"
+  | exception Clexer.Error (msg, loc) ->
+      Alcotest.(check string) "message" "unexpected character '@'" msg;
+      Alcotest.(check string) "file" "g.c" loc.Loc.file;
+      Alcotest.(check int) "line" 1 loc.Loc.line;
+      Alcotest.(check int) "column of the character" 7 loc.Loc.col
 
 let test_adjacent_tokens () =
   (* maximal munch: a+++b lexes as a ++ + b *)

@@ -320,8 +320,29 @@ let check_dump name file expected =
         (file ^ " primitive dump") expected
         (prims (read_example file)))
 
+(* Reading a unit from disk closes its channel on every path, a failed
+   read included; a directory opens but cannot be read. *)
+let test_prog_of_file () =
+  let file = Filename.concat "../examples/fuzz" "array_decay.c" in
+  let from_disk = Frontend.prog_of_file file in
+  let from_text = Frontend.prog_of_string ~file (read_example "array_decay.c") in
+  Alcotest.(check (list string)) "same primitives"
+    (List.map Prim.to_string from_text.Prog.assigns)
+    (List.map Prim.to_string from_disk.Prog.assigns);
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let before = open_fds () in
+    for _ = 1 to 20 do
+      match Frontend.prog_of_file "../examples/fuzz" with
+      | _ -> Alcotest.fail "read a directory"
+      | exception Sys_error _ -> ()
+    done;
+    Alcotest.(check int) "no descriptor leaked" before (open_fds ())
+  end
+
 let corner_tests =
   [
+    Alcotest.test_case "prog_of_file closes its channel" `Quick test_prog_of_file;
     check_dump "function pointer through struct field"
       "fptr_struct_field.c"
       [ "p = f0@1"; "sp = &s"; "S.h0 = &f0"; "ip0@1 = &g0"; "ip0@1 = &g0" ];
