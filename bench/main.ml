@@ -1127,14 +1127,15 @@ let openworld () =
 (* Serve: shard-count x offered-load sweep (BENCH_serve.json)          *)
 (* ------------------------------------------------------------------ *)
 
-(* Each cell boots an in-process server ([shards] solver replicas) and
+(* Each cell boots an in-process server ([shards] solver shards) and
    drives it with the Servebench stream from [load] closed-loop client
    threads; latency is measured client-side on the monotonic clock into
    a Histo, so the percentiles carry the same bucket error bound as the
    server's own telemetry.  Before shutdown the cell asks the live
    server for a [stats] snapshot and embeds its merged latency block —
-   the before/after baseline the ROADMAP's shared-snapshot refactor
-   needs, and proof live introspection survives load. *)
+   proof live introspection survives load.  The committed
+   BENCH_serve.json is a full (non---quick) run: the baseline a change
+   to the serve path compares its p50/p99 against. *)
 let serve () =
   hr ();
   Fmt.pr "SERVE: shard x load sweep (shards=%s, load=%s)@."

@@ -1095,9 +1095,9 @@ let serve_cmd =
       & info [ "save-snapshot" ] ~docv:"FILE.snap"
           ~doc:
             "Rewrite $(docv) after every non-degraded solution swap (and \
-             at --watch boot), refreezing the lock-free frozen arena over \
-             the new view.  Pair with --snapshot $(docv) to also thaw it \
-             at the next restart.")
+             at --watch boot), so the served answer stays backed by a \
+             snapshot of the new view.  Pair with --snapshot $(docv) to \
+             also thaw it at the next restart.")
   in
   let max_inflight =
     Arg.(
@@ -1136,9 +1136,10 @@ let serve_cmd =
       value & opt int 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Run $(docv) solver replicas, each with its own cache on its \
-             own domain, fed round-robin.  1 (the default) keeps the \
-             single serialized solver.")
+            "Run solves on $(docv) supervised solver shards, each a \
+             worker domain fed round-robin.  Every query answers from \
+             one shared answer cell; shards only add room for fresh or \
+             concurrent solves.  1 (the default) is one solver domain.")
   in
   let query_log =
     Arg.(
@@ -1162,8 +1163,8 @@ let serve_cmd =
       & info [ "snapshot" ] ~docv:"FILE.snap"
           ~doc:
             "Thaw a solution persisted by $(b,cla analyze \
-             --save-snapshot) and answer every non-fresh query from the \
-             frozen arena — restart cost is the file read, no solve.  A \
+             --save-snapshot) and answer every non-fresh query from it — \
+             restart cost is the file read, no solve.  A \
              corrupt or wrong-database snapshot is rejected and the \
              server falls back to live solves.")
   in

@@ -19,6 +19,7 @@
     - ["shed"] (code 429) — admission control refused the query because
       the in-flight queue is full; carries [retry_after_ms];
     - ["error"] (code 400/404) — malformed request or unknown variable;
+      (code 503) — the query needs a solve and no solver shard is left;
     - ["bye"] (code 503) — the server is draining; reconnect later.
 
     The HTTP-flavored codes are advisory labels for client backoff

@@ -4,10 +4,11 @@
     database.  Resilience machinery, in the order a query meets it:
 
     - {b admission control}: at most [max_inflight] queries execute at
-      once; up to [max_queue] more may wait (polling their own
-      deadlines); beyond that the query is refused immediately with a
-      429-style ["shed"] response — overload degrades into fast
-      refusals, never into unbounded queueing;
+      once; up to [max_queue] more may wait (blocked until a slot frees,
+      their own deadline passes or drain starts); beyond that the query
+      is refused immediately with a 429-style ["shed"] response —
+      overload degrades into fast refusals, never into unbounded
+      queueing;
     - {b per-query deadline}: every admitted query carries a
       {!Cla_resilience.Deadline} token (client-requested, capped), which
       the solver ladder polls at pass boundaries and traversal loops;
@@ -15,16 +16,20 @@
       {!Cla_resilience.Cancel} token [watchdog_grace_ms] after the
       deadline — if a poisoned query somehow outruns its deadline
       checks, the cancel token aborts it at the next poll point and the
-      slot is recycled;
+      slot is recycled.  Its 20ms tick is the server's one timer: it
+      also wakes every blocked waiter to re-check its deadline and the
+      drain flag, and supervises the solver shards;
     - {b graceful drain}: SIGINT/SIGTERM stop the accept loop, let
       in-flight queries finish (new lines get a ["bye"]), then the
       socket is removed and [run] returns its final counters.
 
-    Solves are serialized behind one lock (the solvers and the metrics
-    registry are not re-entrant); the first non-degraded ladder outcome
-    is cached, so steady-state queries are lock-free lookups.  A query
-    blocked behind a long solve keeps polling its own deadline while it
-    waits, so a stuck solve delays answers but cannot wedge them. *)
+    Every query answers from one answer cell: the current non-degraded
+    outcome, whether thawed from a snapshot, solved live, or swapped in
+    by watch mode.  While the cell is empty the first query leads one
+    solve and the others wait for it (single flight).  Every solve —
+    the leader's or a [fresh] query's — runs on a supervised solver
+    shard (a worker domain), so a stuck solve delays answers but cannot
+    wedge them. *)
 
 open Cla_core
 module R = Cla_resilience
@@ -38,7 +43,7 @@ type config = {
   max_deadline_ms : int;  (** cap on client-requested deadlines *)
   watchdog_grace_ms : int;  (** cancel fires this long after the deadline *)
   allow_sleep : bool;  (** enable the debug [sleep] op (load tests) *)
-  shards : int;  (** solver replicas, each on its own domain; 1 = in-thread *)
+  shards : int;  (** solver shards, each a supervised domain *)
   solve_jobs : int;
       (** domains each solve draws from the shared pool
           ({!Cla_par.Pool.shared}); 1 = sequential solves *)
@@ -49,7 +54,7 @@ type config = {
       (** thaw a persisted solution at startup; corrupt or mismatched
           snapshots are rejected ([load.corrupt]) and the server falls
           back to live solves *)
-  supervise : bool;  (** heartbeat the shards; restart dead/wedged ones *)
+  supervise : bool;  (** restart dead/wedged shard workers on the tick *)
   heartbeat_grace_ms : int;
       (** a busy shard whose heartbeat is older than this is wedged *)
   restart_budget : int;  (** circuit breaker: max restarts per window *)
@@ -61,8 +66,8 @@ type config = {
           the served solution ([run_watch] sets this) *)
   watch_poll_ms : int;  (** watch-mode poll period *)
   save_snapshot : string option;
-      (** rewrite this snapshot after every non-degraded swap, and
-          refreeze the frozen arena from it — restart cost stays one
+      (** rewrite this snapshot after every non-degraded swap, so the
+          served answer stays snapshot-backed — restart cost stays one
           file read even as the watched tree evolves *)
 }
 
@@ -145,19 +150,22 @@ type query_event = {
   qe_cache_hit : bool;
 }
 
-(* One query handed to a solver shard.  The submitting connection thread
-   polls [j_reply] (2ms, the server's polling idiom); before the shard
-   picks the job up ([j_started]) the waiter may abandon it on its own
-   deadline/cancel, after which the shard skips it. *)
+(* Why a query got no outcome: its deadline or cancel token fired (a
+   timeout reply), or no solver shard is left to run its solve (a 503). *)
+type failure = Aborted of R.Progress.t | No_shard
+
+(* One solve handed to a solver shard.  [j_started] and [j_reply] are
+   guarded by the server's [m]; the submitting thread blocks on [wake]
+   until the reply lands.  Before the shard picks the job up
+   ([j_started]) the waiter may abandon it on its own deadline/cancel,
+   after which the shard skips it. *)
 type job = {
+  j_view : Objfile.view;
   j_deadline : R.Deadline.t;
   j_cancel : R.Cancel.t;
-  j_fresh : bool;
-  j_m : Mutex.t;
   mutable j_started : bool;
-  mutable j_cache_hit : bool;
   mutable j_solve_ns : int;
-  mutable j_reply : (Pipeline.ladder_outcome, R.Progress.t) result option;
+  mutable j_reply : (Pipeline.ladder_outcome, failure) result option;
 }
 
 (* Fault-injection entries for the chaos harness: [Chaos_kill] makes the
@@ -166,29 +174,49 @@ type job = {
    failure modes supervision must recover from, injectable on demand. *)
 type entry = Job of job | Chaos_kill | Chaos_wedge of int
 
-(* A solver replica: its own queue, cache and worker domain.  Each solve
-   builds fresh solver state over the shared immutable view, so shards
-   solve truly concurrently — systhreads share one runtime lock per
-   domain, which is why replicas must be domains to parallelize.
+(* A solver shard: its own queue and worker domain.  Each solve builds
+   fresh solver state over the job's immutable view, so shards solve
+   truly concurrently — systhreads share one runtime lock per domain,
+   which is why solvers must be domains to run side by side.
 
-   The queue, cache, and supervision state belong to the {e shard}, not
-   the domain: a respawned domain inherits them, so queued jobs survive
-   a restart and the snapshot-seeded cache makes the replacement warm
-   from its first pop.  [sh_ejected]/[sh_down] are written by the
-   supervisor thread and read by dispatch — both systhreads of the main
-   domain.  [sh_busy] crosses domains and is atomic. *)
+   The worker domain runs only while the shard has work: the first
+   enqueue starts it, and it exits after [idle_ticks] ticks with an
+   empty queue.  An idle domain is not free — every minor
+   collection of the serving domain has to stop it too — and once the
+   answer cell is filled most servers never solve again.
+
+   The queue and supervision state belong to the {e shard}, not the
+   domain: a respawned domain inherits them, so queued jobs survive a
+   restart.  Everything mutable is guarded by [sh_m] except [sh_busy],
+   an atomic the worker domain flips around each entry. *)
 type shard = {
   sh_id : int;
   sh_m : Mutex.t;
-  sh_c : Condition.t;
+  sh_c : Condition.t;  (* an entry arrived, or a tick *)
   sh_q : entry Queue.t;
-  mutable sh_cache : Pipeline.ladder_outcome option;
-  mutable sh_closing : bool;
-  mutable sh_ejected : bool;  (* round-robin skips; flipped by supervisor *)
-  mutable sh_down : bool;  (* circuit breaker tripped: stays ejected *)
+  mutable sh_running : bool;  (* a worker domain owns the queue *)
+  mutable sh_down : bool;  (* circuit breaker tripped: dispatch skips it *)
   mutable sh_doing : job option;  (* in-flight job, for restart re-queue *)
   sh_busy : bool Atomic.t;  (* worker between pop and reply *)
   sh_sup : Cla_par.Supervised.t;
+}
+
+(* Ticks (20ms each) an idle worker domain waits before it exits. *)
+let idle_ticks = 2
+
+(* Where the served outcome came from: a snapshot (thawed at startup or
+   rewritten by [save_snapshot]) or a live solve or swap. *)
+type origin = From_snapshot | Live
+
+(* The answer cell: the view queries resolve against and, once known,
+   its non-degraded outcome.  [c_epoch] counts watch-mode swaps.  A
+   solve publishes only into the very cell it started from
+   ([Atomic.compare_and_set]), so a swap while it ran drops its stale
+   outcome. *)
+type cell = {
+  c_epoch : int;
+  c_view : Objfile.view;
+  c_answer : (Pipeline.ladder_outcome * origin) option;
 }
 
 (* Watch-mode state: the persistent incremental pipeline over the
@@ -200,49 +228,37 @@ type watcher = {
   wa_m : Mutex.t;
   wa_inc : Incremental.t;
   mutable wa_sig : (string * int * float) list;  (* (path, size, mtime) *)
-  mutable wa_epoch : int;  (* swaps installed since boot *)
 }
 
 type t = {
   cfg : config;
-  mutable view : Objfile.view;
-      (* immutable once set, except for watch-mode swaps
-         ([install_outcome]), which replace it whole under [solve_m] *)
+  cell : cell Atomic.t;
   stats : stats;
   stats_m : Mutex.t;
-  (* admission gate *)
-  adm_m : Mutex.t;
+  (* [m] guards admission, the watchdog registry, the solve flight, job
+     replies and the connection count.  [slot] is signalled, one waiter
+     at a time, when an execution slot frees; [wake] is broadcast when
+     anything else moves.  Every tick broadcasts both. *)
+  m : Mutex.t;
+  slot : Condition.t;
+  wake : Condition.t;
   mutable inflight : int;
   mutable waiting : int;
   (* watchdog registry: query serial -> (cancel token, abort instant) *)
-  wd_m : Mutex.t;
   wd : (int, R.Cancel.t * float) Hashtbl.t;
   mutable serial : int;
-  (* the shared frozen arena: a thawed snapshot every query answers from
-     lock-free; [None] without --snapshot or when the snapshot was
-     rejected.  Mutable for watch mode only: a swap invalidates it
-     (snapshot staleness) and [save_snapshot] refreezes it. *)
-  mutable frozen : Pipeline.ladder_outcome option;
-  (* solve lock + cached ladder outcome (single-shard path) *)
-  solve_m : Mutex.t;
-  mutable cache : Pipeline.ladder_outcome option;
-  (* sharded path: empty array when [cfg.shards <= 1] *)
+  mutable flying : bool;  (* a leader is solving for the empty cell *)
+  mutable live_conns : int;
   shard_tab : shard array;
   rr : int Atomic.t;  (* round-robin dispatch counter *)
-  (* bumped by every watch-mode swap; solves stamp it at start and skip
-     the cache write when it moved, so an in-flight solve over the old
-     view can never poison a post-swap cache *)
-  epoch : int Atomic.t;
   mutable watcher : watcher option;  (* set by [run_watch] before serving *)
   mutable snapshot_stale : bool;  (* the staleness diagnostic fired once *)
   shutdown : bool Atomic.t;
-  stopped : bool Atomic.t;  (* watchdog terminator, set after drain *)
-  conns_m : Mutex.t;
-  mutable live_conns : int;
-  (* telemetry: one registry per shard (index 0 doubles as the
-     single-mode registry) so recording never touches the global
-     [Metrics.default] mutex; histogram handles are fetched once here so
-     the per-query path is lock-free atomic increments *)
+  stopped : bool Atomic.t;  (* tick terminator, set after drain *)
+  (* telemetry: one registry per shard (index 0 doubles as the registry
+     of queries no shard answered) so recording never touches the
+     global [Metrics.default] mutex; histogram handles are fetched once
+     here so the per-query path is lock-free atomic increments *)
   started_s : float;  (* monotonic, for uptime *)
   shard_regs : Cla_obs.Metrics.t array;
   lat_h : Cla_obs.Histo.t array;  (* total latency, ns *)
@@ -252,7 +268,7 @@ type t = {
   ring : query_event option array;
   mutable ring_pos : int;
   mutable ring_len : int;
-  log_oc : out_channel option;
+  mutable log_oc : out_channel option;  (* opened by [run_server] *)
 }
 
 let bump t f =
@@ -289,8 +305,8 @@ let event_json ev =
 
 (* Record one finished query: per-shard histograms (lock-free), the
    bounded recent-series, the ring, and the JSONL sink.  Events from a
-   query no shard answered (ping, shed, parse errors) attribute to
-   registry 0. *)
+   query no shard answered (cell hits, ping, shed, parse errors)
+   attribute to registry 0. *)
 let record_event t ev =
   let i = if ev.qe_shard >= 0 then ev.qe_shard else 0 in
   Cla_obs.Histo.record t.lat_h.(i) ev.qe_total_ns;
@@ -346,39 +362,27 @@ let pct_json h =
    the one place the per-shard data meets. *)
 let stats_extra t =
   let uptime_s = R.Deadline.now_s () -. t.started_s in
-  Mutex.lock t.adm_m;
+  Mutex.lock t.m;
   let inflight = t.inflight and waiting = t.waiting in
-  Mutex.unlock t.adm_m;
+  Mutex.unlock t.m;
+  let c = Atomic.get t.cell in
   let shard_json i =
-    (* supervision fields only exist for real shards; registry 0 of a
-       single-mode server reports the base block *)
-    let sup_fields =
-      if i < Array.length t.shard_tab then begin
-        let sh = t.shard_tab.(i) in
-        [
-          ("restarts", Json.Int (Cla_par.Supervised.restarts sh.sh_sup));
-          ("alive", Json.Bool (Cla_par.Supervised.is_alive sh.sh_sup));
-          ("ejected", Json.Bool (sh.sh_ejected || sh.sh_down));
-          ("down", Json.Bool sh.sh_down);
-        ]
-      end
-      else []
-    in
+    let sh = t.shard_tab.(i) in
     Json.Obj
-      ([
-         ("shard", Json.Int i);
-         ( "solves",
-           Json.Int
-             (Option.value ~default:0
-                (Cla_obs.Metrics.get_int ~reg:t.shard_regs.(i)
-                   "serve.shard_solves")) );
-       ]
-      @ sup_fields
-      @ [
-          ("latency", pct_json t.lat_h.(i));
-          ("queue", pct_json t.queue_h.(i));
-          ("solve", pct_json t.solve_h.(i));
-        ])
+      [
+        ("shard", Json.Int i);
+        ( "solves",
+          Json.Int
+            (Option.value ~default:0
+               (Cla_obs.Metrics.get_int ~reg:t.shard_regs.(i)
+                  "serve.shard_solves")) );
+        ("restarts", Json.Int (Cla_par.Supervised.restarts sh.sh_sup));
+        ("running", Json.Bool (Cla_par.Supervised.is_alive sh.sh_sup));
+        ("down", Json.Bool sh.sh_down);
+        ("latency", pct_json t.lat_h.(i));
+        ("queue", pct_json t.queue_h.(i));
+        ("solve", pct_json t.solve_h.(i));
+      ]
   in
   let merged = Cla_obs.Histo.create () in
   Array.iter (fun h -> Cla_obs.Histo.merge_into ~into:merged h) t.lat_h;
@@ -386,10 +390,12 @@ let stats_extra t =
     ("uptime_s", Json.Float uptime_s);
     ("inflight", Json.Int inflight);
     ("waiting", Json.Int waiting);
-    ("snapshot", Json.Bool (t.frozen <> None));
+    ( "snapshot",
+      Json.Bool
+        (match c.c_answer with Some (_, From_snapshot) -> true | _ -> false) );
     ("watching", Json.Bool (t.watcher <> None));
-    ("epoch", Json.Int (Atomic.get t.epoch));
-    ("shards", Json.Arr (List.init (Array.length t.lat_h) shard_json));
+    ("epoch", Json.Int c.c_epoch);
+    ("shards", Json.Arr (List.init (Array.length t.shard_tab) shard_json));
     ("latency", pct_json merged);
   ]
 
@@ -397,149 +403,77 @@ let stats_extra t =
 (* Admission control                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Take an execution slot, or wait for one when the queue has room:
+   until a slot frees, the query's own deadline passes, or drain
+   starts — whichever comes first.  The deadline is always finite (the
+   server fills in a default) and the tick wakes the waiter to
+   notice it. *)
 let admit t ~deadline =
-  Mutex.lock t.adm_m;
-  if t.inflight < t.cfg.max_inflight then begin
-    t.inflight <- t.inflight + 1;
-    Mutex.unlock t.adm_m;
-    `Admitted
-  end
-  else if t.waiting >= t.cfg.max_queue then begin
-    Mutex.unlock t.adm_m;
-    `Shed
-  end
-  else begin
-    t.waiting <- t.waiting + 1;
-    (* waiting queries poll: a slot, their own deadline, or drain —
-       whichever comes first.  Bounded by the query's deadline, which is
-       always finite (the server fills in a default). *)
-    let rec poll () =
-      if t.inflight < t.cfg.max_inflight then begin
-        t.waiting <- t.waiting - 1;
-        t.inflight <- t.inflight + 1;
-        Mutex.unlock t.adm_m;
-        `Admitted
-      end
-      else if Atomic.get t.shutdown then begin
-        t.waiting <- t.waiting - 1;
-        Mutex.unlock t.adm_m;
-        `Bye
-      end
-      else if R.Deadline.expired deadline then begin
-        t.waiting <- t.waiting - 1;
-        Mutex.unlock t.adm_m;
-        `Queued_past_deadline
-      end
-      else begin
-        Mutex.unlock t.adm_m;
-        Thread.delay 0.002;
-        Mutex.lock t.adm_m;
-        poll ()
-      end
-    in
-    poll ()
-  end
+  Mutex.lock t.m;
+  let verdict =
+    if t.inflight < t.cfg.max_inflight then `Admitted
+    else if t.waiting >= t.cfg.max_queue then `Shed
+    else begin
+      t.waiting <- t.waiting + 1;
+      let rec wait () =
+        if t.inflight < t.cfg.max_inflight then `Admitted
+        else if Atomic.get t.shutdown then `Bye
+        else if R.Deadline.expired deadline then `Queued_past_deadline
+        else begin
+          Condition.wait t.slot t.m;
+          wait ()
+        end
+      in
+      let v = wait () in
+      t.waiting <- t.waiting - 1;
+      v
+    end
+  in
+  if verdict = `Admitted then t.inflight <- t.inflight + 1;
+  Mutex.unlock t.m;
+  verdict
 
+(* Free a slot and wake one queued query: a woken waiter always takes a
+   free slot before it looks at its deadline, so no wakeup is lost.
+   Waking every waiter instead makes them all fight for the one runtime
+   lock of the serving domain, which measurably slows admission. *)
 let release t =
-  Mutex.lock t.adm_m;
+  Mutex.lock t.m;
   t.inflight <- t.inflight - 1;
-  Mutex.unlock t.adm_m
+  Condition.signal t.slot;
+  Mutex.unlock t.m
 
 (* ------------------------------------------------------------------ *)
 (* Watchdog                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let with_watchdog t ~abort_at cancel f =
-  Mutex.lock t.wd_m;
+  Mutex.lock t.m;
   t.serial <- t.serial + 1;
   let key = t.serial in
   Hashtbl.replace t.wd key (cancel, abort_at);
-  Mutex.unlock t.wd_m;
+  Mutex.unlock t.m;
   Fun.protect
     ~finally:(fun () ->
-      Mutex.lock t.wd_m;
+      Mutex.lock t.m;
       Hashtbl.remove t.wd key;
-      Mutex.unlock t.wd_m)
+      Mutex.unlock t.m)
     f
 
-let watchdog_loop t =
-  while not (Atomic.get t.stopped) do
-    Thread.delay 0.02;
-    let now = R.Deadline.now_s () in
-    Mutex.lock t.wd_m;
-    Hashtbl.iter
-      (fun _ (c, abort_at) ->
-        if now >= abort_at && not (R.Cancel.is_set c) then begin
-          R.Cancel.set c;
-          bump t (fun s -> s.s_watchdog_cancels <- s.s_watchdog_cancels + 1)
-        end)
-      t.wd;
-    Mutex.unlock t.wd_m
-  done
-
 (* ------------------------------------------------------------------ *)
-(* Query execution                                                     *)
+(* Solver shards                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Serialize actual solves; a waiter keeps polling its own deadline and
-   cancel token so a long solve ahead of it cannot wedge it. *)
-let acquire_solve_lock t ~deadline ~cancel =
-  let rec go () =
-    if Mutex.try_lock t.solve_m then `Locked
-    else if R.Cancel.is_set cancel then `Aborted
-    else if R.Deadline.expired deadline then `Aborted
-    else begin
-      Thread.delay 0.002;
-      go ()
-    end
-  in
-  go ()
-
-let solution_single t qc ~fresh ~deadline ~cancel :
-    (Pipeline.ladder_outcome, R.Progress.t) result =
-  let cached = if fresh then None else t.cache in
-  match cached with
-  | Some o ->
-      qc.qc_cache_hit <- true;
-      Ok o
-  | None -> (
-      let t0 = R.Deadline.now_s () in
-      match acquire_solve_lock t ~deadline ~cancel with
-      | `Aborted ->
-          Error
-            (R.Progress.make
-               ~elapsed_s:(R.Deadline.now_s () -. t0)
-               "aborted while waiting for the solver")
-      | `Locked -> (
-          Fun.protect ~finally:(fun () -> Mutex.unlock t.solve_m) @@ fun () ->
-          (* someone may have filled the cache while we waited *)
-          match (if fresh then None else t.cache) with
-          | Some o ->
-              qc.qc_cache_hit <- true;
-              Ok o
-          | None -> (
-              let s0 = R.Deadline.now_ns () in
-              match
-                Pipeline.points_to_ladder ~deadline ~cancel
-                  ~jobs:t.cfg.solve_jobs t.view
-              with
-              | o ->
-                  qc.qc_solve_ns <- R.Deadline.now_ns () - s0;
-                  (* degraded answers serve this query but never poison
-                     the cache: the next unhurried query recomputes *)
-                  if not o.Pipeline.lo_degraded then t.cache <- Some o;
-                  Ok o
-              | exception R.Deadline.Timed_out p ->
-                  qc.qc_solve_ns <- R.Deadline.now_ns () - s0;
-                  Error p
-              | exception R.Cancel.Cancelled p ->
-                  qc.qc_solve_ns <- R.Deadline.now_ns () - s0;
-                  Error p)))
+let reply t job r =
+  Mutex.lock t.m;
+  job.j_reply <- Some r;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.m
 
 (* One shard's worker domain: pop an entry, solve (or enact a chaos
    fault), reply.  Jobs abandoned by their waiter (cancel token already
-   set) are answered and skipped.  On [sh_closing] the queue is drained
-   — every queued job still gets a reply — before the domain exits.
+   set) are answered and skipped.  With the queue empty for
+   [idle_ticks] ticks the domain clears [sh_running] and exits.
 
    The body is generation-stamped: a superseded domain (the supervisor
    respawned the shard while this one was wedged) exits at the next loop
@@ -548,110 +482,103 @@ let solution_single t qc ~fresh ~deadline ~cancel :
    unit of progress; the supervisor reads its age. *)
 let shard_loop t sh ~gen =
   let sup = sh.sh_sup in
-  let reply job r =
-    Mutex.lock job.j_m;
-    job.j_reply <- Some r;
-    Mutex.unlock job.j_m
-  in
   let run_job job =
-    let cached = if job.j_fresh then None else sh.sh_cache in
-    Mutex.lock job.j_m;
+    Mutex.lock t.m;
     job.j_started <- true;
-    Mutex.unlock job.j_m;
+    Mutex.unlock t.m;
     if R.Cancel.is_set job.j_cancel then
-      reply job (Error (R.Progress.make "cancelled while queued for a solver shard"))
+      reply t job
+        (Error
+           (Aborted
+              (R.Progress.make "cancelled while queued for a solver shard")))
+    else begin
+      Cla_obs.Metrics.incr "serve.shard_solves";
+      Cla_obs.Metrics.incr ~reg:t.shard_regs.(sh.sh_id) "serve.shard_solves";
+      let s0 = R.Deadline.now_ns () in
+      let r =
+        match
+          Pipeline.points_to_ladder ~deadline:job.j_deadline
+            ~cancel:job.j_cancel ~jobs:t.cfg.solve_jobs job.j_view
+        with
+        | o -> Ok o
+        | exception (R.Deadline.Timed_out p | R.Cancel.Cancelled p) ->
+            Error (Aborted p)
+        | exception e ->
+            Error
+              (Aborted
+                 (R.Progress.make ("solver error: " ^ Printexc.to_string e)))
+      in
+      job.j_solve_ns <- R.Deadline.now_ns () - s0;
+      reply t job r
+    end
+  in
+  (* the next entry, or [None] when superseded or idle long enough to
+     exit; called with [sh_m] held, returns with it released *)
+  let rec next idle =
+    if Cla_par.Supervised.current sup <> gen then begin
+      Mutex.unlock sh.sh_m;
+      None
+    end
     else
-      match cached with
-      | Some o ->
-          job.j_cache_hit <- true;
-          reply job (Ok o)
-      | None -> (
-          Cla_obs.Metrics.incr "serve.shard_solves";
-          Cla_obs.Metrics.incr ~reg:t.shard_regs.(sh.sh_id)
-            "serve.shard_solves";
-          let s0 = R.Deadline.now_ns () in
-          let done_solving () = job.j_solve_ns <- R.Deadline.now_ns () - s0 in
-          (* stamp the epoch and pin the view: a watch-mode swap while we
-             solve must not let this (now stale) outcome into the cache *)
-          let epoch0 = Atomic.get t.epoch in
-          let view = t.view in
-          match
-            Pipeline.points_to_ladder ~deadline:job.j_deadline
-              ~cancel:job.j_cancel ~jobs:t.cfg.solve_jobs view
-          with
-          | o ->
-              done_solving ();
-              if not o.Pipeline.lo_degraded then begin
-                Mutex.lock sh.sh_m;
-                if Atomic.get t.epoch = epoch0 then sh.sh_cache <- Some o;
-                Mutex.unlock sh.sh_m
-              end;
-              reply job (Ok o)
-          | exception R.Deadline.Timed_out p ->
-              done_solving ();
-              reply job (Error p)
-          | exception R.Cancel.Cancelled p ->
-              done_solving ();
-              reply job (Error p)
-          | exception e ->
-              done_solving ();
-              reply job
-                (Error
-                   (R.Progress.make ("solver error: " ^ Printexc.to_string e))))
+      match Queue.take_opt sh.sh_q with
+      | Some e ->
+          (match e with Job j -> sh.sh_doing <- Some j | _ -> ());
+          Mutex.unlock sh.sh_m;
+          Some e
+      | None when idle >= idle_ticks ->
+          sh.sh_running <- false;
+          Mutex.unlock sh.sh_m;
+          None
+      | None ->
+          Condition.wait sh.sh_c sh.sh_m;
+          next (idle + 1)
   in
   let rec loop () =
-    if Cla_par.Supervised.current sup <> gen then () (* superseded: exit *)
-    else begin
-      Mutex.lock sh.sh_m;
-      while
-        Queue.is_empty sh.sh_q && (not sh.sh_closing)
-        && Cla_par.Supervised.current sup = gen
-      do
-        Condition.wait sh.sh_c sh.sh_m
-      done;
-      if Cla_par.Supervised.current sup <> gen then Mutex.unlock sh.sh_m
-      else
-        match Queue.take_opt sh.sh_q with
-        | None -> Mutex.unlock sh.sh_m (* closing, queue drained *)
-        | Some (Job job) ->
-            sh.sh_doing <- Some job;
-            Mutex.unlock sh.sh_m;
-            Atomic.set sh.sh_busy true;
-            Cla_par.Supervised.beat sup;
-            run_job job;
-            Cla_par.Supervised.beat sup;
-            Atomic.set sh.sh_busy false;
-            Mutex.lock sh.sh_m;
-            sh.sh_doing <- None;
-            Mutex.unlock sh.sh_m;
-            loop ()
-        | Some Chaos_kill ->
-            (* injected death: the body raises, the spawn wrapper clears
-               the alive sentinel, the supervisor notices *)
-            Mutex.unlock sh.sh_m;
-            raise Exit
-        | Some (Chaos_wedge ms) ->
-            (* injected wedge: busy without heartbeat for [ms] *)
-            Mutex.unlock sh.sh_m;
-            Atomic.set sh.sh_busy true;
-            Unix.sleepf (float_of_int ms /. 1000.);
-            Atomic.set sh.sh_busy false;
-            loop ()
-    end
+    Mutex.lock sh.sh_m;
+    match next 0 with
+    | None -> ()
+    | Some (Job job) ->
+        Atomic.set sh.sh_busy true;
+        Cla_par.Supervised.beat sup;
+        run_job job;
+        Cla_par.Supervised.beat sup;
+        Atomic.set sh.sh_busy false;
+        Mutex.lock sh.sh_m;
+        sh.sh_doing <- None;
+        Mutex.unlock sh.sh_m;
+        loop ()
+    | Some Chaos_kill ->
+        (* injected death: the body raises, the spawn wrapper clears the
+           alive sentinel, the supervisor notices *)
+        raise Exit
+    | Some (Chaos_wedge ms) ->
+        (* injected wedge: busy without heartbeat for [ms] *)
+        Atomic.set sh.sh_busy true;
+        Unix.sleepf (float_of_int ms /. 1000.);
+        Atomic.set sh.sh_busy false;
+        loop ()
   in
   loop ()
 
-(* Dispatch a query to a shard, round-robin.  A waiter that has not been
-   picked up yet gives up on its own deadline/cancel (setting the job's
-   cancel token so the shard skips it); once started, the solve bounds
-   itself through the same deadline/cancel the in-thread path uses —
-   including the watchdog, which fires the cancel token past the
-   deadline grace. *)
+(* Start the next worker generation of [sh] (the caller holds [sh_m]);
+   a predecessor that already exited is joined first. *)
+let spawn_worker t sh =
+  sh.sh_running <- true;
+  Cla_par.Supervised.reap_dead sh.sh_sup;
+  Cla_par.Supervised.spawn sh.sh_sup (fun ~gen -> shard_loop t sh ~gen)
+
+(* Queue an entry, starting the shard's worker if none is running. *)
+let enqueue t sh e =
+  Mutex.lock sh.sh_m;
+  Queue.add e sh.sh_q;
+  if sh.sh_running then Condition.broadcast sh.sh_c else spawn_worker t sh;
+  Mutex.unlock sh.sh_m
+
 (* Pick the next live shard, round-robin.  The counter is masked with
    [land max_int] before the modulo: [fetch_and_add] wraps to negative
    after 2^62 queries, and a negative [mod] would index out of bounds.
-   Ejected / breaker-tripped shards are skipped; when every shard is out
-   the caller falls back to the in-thread path. *)
+   Breaker-tripped shards are skipped; [None] when every shard is
+   down. *)
 let pick_shard t =
   let n = Array.length t.shard_tab in
   let rec go tries =
@@ -659,152 +586,161 @@ let pick_shard t =
     else
       let i = Atomic.fetch_and_add t.rr 1 land max_int mod n in
       let sh = t.shard_tab.(i) in
-      if sh.sh_ejected || sh.sh_down then go (tries + 1) else Some sh
+      if sh.sh_down then go (tries + 1) else Some sh
   in
   go 0
 
-let solution_on_shard qc sh ~fresh ~deadline ~cancel :
-    (Pipeline.ladder_outcome, R.Progress.t) result =
-  qc.qc_shard <- sh.sh_id;
-  let cached =
-    if fresh then None
-    else begin
-      Mutex.lock sh.sh_m;
-      let c = sh.sh_cache in
-      Mutex.unlock sh.sh_m;
-      c
-    end
-  in
-  match cached with
-  | Some o ->
-      qc.qc_cache_hit <- true;
-      Ok o
-  | None ->
+(* Solve [c]'s view on a shard and wait for the reply.  A waiter whose
+   job has not been picked up yet gives up on its own deadline/cancel
+   (setting the job's cancel token so the shard skips it); once
+   started, the solve bounds itself through the same deadline/cancel —
+   including the watchdog, which fires the cancel token past the
+   deadline grace.  A non-degraded outcome fills [c] if it was empty
+   and is still the current cell. *)
+let solve_on_shard t qc (c : cell) ~deadline ~cancel =
+  match pick_shard t with
+  | None -> Error No_shard
+  | Some sh ->
+      qc.qc_shard <- sh.sh_id;
       let t0 = R.Deadline.now_s () in
       let job =
         {
+          j_view = c.c_view;
           j_deadline = deadline;
           j_cancel = cancel;
-          j_fresh = fresh;
-          j_m = Mutex.create ();
           j_started = false;
-          j_cache_hit = false;
           j_solve_ns = 0;
           j_reply = None;
         }
       in
-      Mutex.lock sh.sh_m;
-      Queue.add (Job job) sh.sh_q;
-      Condition.broadcast sh.sh_c;
-      Mutex.unlock sh.sh_m;
+      enqueue t sh (Job job);
+      Mutex.lock t.m;
       let rec wait () =
-        Mutex.lock job.j_m;
-        let r = job.j_reply and started = job.j_started in
-        Mutex.unlock job.j_m;
-        match r with
-        | Some r ->
-            qc.qc_cache_hit <- job.j_cache_hit;
-            qc.qc_solve_ns <- job.j_solve_ns;
-            r
+        match job.j_reply with
+        | Some r -> r
+        | None
+          when (not job.j_started)
+               && (R.Cancel.is_set cancel || R.Deadline.expired deadline) ->
+            (* abandon: mark the job so the shard skips it when popped *)
+            R.Cancel.set cancel;
+            Error
+              (Aborted
+                 (R.Progress.make
+                    ~elapsed_s:(R.Deadline.now_s () -. t0)
+                    "aborted while queued for a solver shard"))
         | None ->
-            if
-              (not started)
-              && (R.Cancel.is_set cancel || R.Deadline.expired deadline)
-            then begin
-              (* abandon: mark the job so the shard skips it when popped *)
-              R.Cancel.set cancel;
-              Error
-                (R.Progress.make
-                   ~elapsed_s:(R.Deadline.now_s () -. t0)
-                   "aborted while queued for a solver shard")
-            end
-            else begin
-              Thread.delay 0.002;
-              wait ()
-            end
+            Condition.wait t.wake t.m;
+            wait ()
       in
-      wait ()
+      let r = wait () in
+      Mutex.unlock t.m;
+      qc.qc_solve_ns <- job.j_solve_ns;
+      (match r with
+      | Ok o when Option.is_none c.c_answer && not o.Pipeline.lo_degraded ->
+          ignore
+            (Atomic.compare_and_set t.cell c
+               { c with c_answer = Some (o, Live) })
+      | _ -> ());
+      r
 
-let solution_sharded t qc ~fresh ~deadline ~cancel :
-    (Pipeline.ladder_outcome, R.Progress.t) result =
-  match pick_shard t with
-  | None ->
-      (* every shard ejected or down: serve in-thread rather than refuse *)
-      solution_single t qc ~fresh ~deadline ~cancel
-  | Some sh -> solution_on_shard qc sh ~fresh ~deadline ~cancel
-
-(* The frozen arena answers first: a thawed snapshot is immutable and
-   shared by every thread and shard, so steady-state queries never take
-   a lock or touch a queue.  [fresh:true] bypasses it (and every cache)
-   — the one way to force a live solve against a snapshot-backed
-   server. *)
+(* The outcome a query answers from.  The cell answers first, so
+   steady-state queries never take a lock or touch a queue.  While it
+   is empty, the first query leads one solve and later ones wait for
+   it; a leader that ends degraded or in error fills nothing, and the
+   next waiter with time left leads — a waiter never receives another
+   query's degraded outcome in place of its own solve.  [fresh:true]
+   bypasses the cell: the one way to force a live solve against a
+   snapshot-backed server. *)
 let solution t qc ~fresh ~deadline ~cancel =
-  match (if fresh then None else t.frozen) with
-  | Some o ->
-      qc.qc_cache_hit <- true;
-      Ok o
-  | None ->
-      if Array.length t.shard_tab = 0 then
-        solution_single t qc ~fresh ~deadline ~cancel
-      else solution_sharded t qc ~fresh ~deadline ~cancel
+  let t0 = R.Deadline.now_s () in
+  let rec go () =
+    let c = Atomic.get t.cell in
+    match c.c_answer with
+    | _ when fresh -> solve_on_shard t qc c ~deadline ~cancel
+    | Some (o, _) ->
+        qc.qc_cache_hit <- true;
+        Ok o
+    | None ->
+        Mutex.lock t.m;
+        if Atomic.get t.cell != c then begin
+          Mutex.unlock t.m;
+          go ()
+        end
+        else if not t.flying then begin
+          t.flying <- true;
+          Mutex.unlock t.m;
+          Fun.protect
+            ~finally:(fun () ->
+              Mutex.lock t.m;
+              t.flying <- false;
+              Condition.broadcast t.wake;
+              Mutex.unlock t.m)
+            (fun () -> solve_on_shard t qc c ~deadline ~cancel)
+        end
+        else if R.Cancel.is_set cancel || R.Deadline.expired deadline then begin
+          Mutex.unlock t.m;
+          Error
+            (Aborted
+               (R.Progress.make
+                  ~elapsed_s:(R.Deadline.now_s () -. t0)
+                  "aborted while waiting for the solver"))
+        end
+        else begin
+          Condition.wait t.wake t.m;
+          Mutex.unlock t.m;
+          go ()
+        end
+  in
+  go ()
 
 (* ------------------------------------------------------------------ *)
 (* Shard supervision                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Take back the in-flight job of a dead domain (it never answered it):
+   marked queued again so a live worker can pick it up.  The caller
+   holds [sh_m]. *)
+let reclaim_doing t sh =
+  match sh.sh_doing with
+  | Some j when not (Cla_par.Supervised.is_alive sh.sh_sup) ->
+      sh.sh_doing <- None;
+      Mutex.lock t.m;
+      let lost = Option.is_none j.j_reply in
+      if lost then j.j_started <- false;
+      Mutex.unlock t.m;
+      if lost then Some j else None
+  | _ -> None
+
 (* Move every queued job of a shard the breaker gave up on to a live
-   shard (or answer it with an error when none is left).  Chaos entries
+   shard (or answer it [No_shard] when none is left).  Chaos entries
    die with the shard. *)
 let rehome_queue t sh =
-  let orphans = ref [] in
   Mutex.lock sh.sh_m;
-  Queue.iter
-    (fun e -> match e with Job j -> orphans := j :: !orphans | _ -> ())
-    sh.sh_q;
+  let queued =
+    Queue.fold (fun acc e -> match e with Job j -> j :: acc | _ -> acc) []
+      sh.sh_q
+  in
   Queue.clear sh.sh_q;
-  (match sh.sh_doing with
-  | Some j when (not (Cla_par.Supervised.is_alive sh.sh_sup)) && j.j_reply = None
-    ->
-      (* the dead domain never answered it; treat it as queued again *)
-      Mutex.lock j.j_m;
-      j.j_started <- false;
-      Mutex.unlock j.j_m;
-      orphans := j :: !orphans;
-      sh.sh_doing <- None
-  | _ -> ());
+  let orphans = Option.to_list (reclaim_doing t sh) @ List.rev queued in
   Mutex.unlock sh.sh_m;
   List.iter
     (fun j ->
       match pick_shard t with
-      | Some sh2 ->
-          Mutex.lock sh2.sh_m;
-          Queue.add (Job j) sh2.sh_q;
-          Condition.broadcast sh2.sh_c;
-          Mutex.unlock sh2.sh_m
-      | None ->
-          Mutex.lock j.j_m;
-          if j.j_reply = None then
-            j.j_reply <-
-              Some (Error (R.Progress.make "solver shard down, none left"));
-          Mutex.unlock j.j_m)
-    (List.rev !orphans)
+      | Some sh2 -> enqueue t sh2 (Job j)
+      | None -> reply t j (Error No_shard))
+    orphans
 
-(* Restart one dead or wedged shard: eject it from dispatch, reap the
-   corpse (dead only — a wedged domain cannot be joined and is parked as
-   a zombie by the respawn), charge the restart budget, and either
-   respawn the worker over the shard's surviving queue/cache or trip the
-   breaker and leave the shard down for good. *)
-let restart_shard t sh ~dead ~window_ns =
-  Mutex.lock sh.sh_m;
-  sh.sh_ejected <- true;
-  Mutex.unlock sh.sh_m;
-  if dead then Cla_par.Supervised.reap_dead sh.sh_sup;
+(* Restart one dead or wedged shard (the caller holds [sh_m]): charge
+   the restart budget, and either respawn the worker over the shard's
+   surviving queue — a dead domain is joined by the respawn, a wedged
+   one is parked as a zombie — or trip the breaker and leave the shard
+   down for good. *)
+let restart_shard t sh ~window_ns =
   match
     Cla_par.Supervised.note_restart sh.sh_sup ~budget:t.cfg.restart_budget
       ~window_ns
   with
   | `Give_up ->
-      Mutex.lock sh.sh_m;
       sh.sh_down <- true;
       Mutex.unlock sh.sh_m;
       bump t (fun s -> s.s_shards_down <- s.s_shards_down + 1);
@@ -813,49 +749,63 @@ let restart_shard t sh ~dead ~window_ns =
   | `Restart ->
       (* a dead domain's in-flight job never answered: put it back first
          so the replacement pops it *)
-      Mutex.lock sh.sh_m;
-      (match sh.sh_doing with
-      | Some j when dead && j.j_reply = None ->
-          Mutex.lock j.j_m;
-          j.j_started <- false;
-          Mutex.unlock j.j_m;
-          Queue.add (Job j) sh.sh_q;
-          sh.sh_doing <- None
-      | _ -> ());
-      Mutex.unlock sh.sh_m;
+      Option.iter (fun j -> Queue.add (Job j) sh.sh_q) (reclaim_doing t sh);
       Atomic.set sh.sh_busy false;
-      Cla_par.Supervised.spawn sh.sh_sup (fun ~gen -> shard_loop t sh ~gen);
+      spawn_worker t sh;
+      Mutex.unlock sh.sh_m;
       bump t (fun s -> s.s_shard_restarts <- s.s_shard_restarts + 1);
-      Cla_obs.Metrics.incr "serve.shard_restarts";
-      Mutex.lock sh.sh_m;
-      sh.sh_ejected <- false;
-      Condition.broadcast sh.sh_c;
-      Mutex.unlock sh.sh_m
+      Cla_obs.Metrics.incr "serve.shard_restarts"
 
-(* The supervisor systhread: every 10ms, look for shards whose domain
-   died (alive sentinel cleared) or wedged (busy with a heartbeat older
-   than the grace).  Long legitimate solves are bounded by their query's
-   deadline + watchdog, so a sensible grace never fires on them — and a
-   false positive is benign anyway: the superseded domain finishes its
-   reply and exits at its next generation check. *)
-let supervisor_loop t =
+(* ------------------------------------------------------------------ *)
+(* The tick                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The server's one timer thread.  Every 20ms it
+   - cancels the queries past their abort instant (the watchdog);
+   - wakes every blocked waiter, so it re-checks its deadline, its
+     cancel token and the drain flag;
+   - supervises the shards: a running worker that died (alive sentinel
+     cleared without an idle exit) or wedged (busy with a heartbeat
+     older than the grace) is restarted.  Long legitimate solves are
+     bounded by their query's deadline + watchdog, so a sensible grace
+     never fires on them — and a false positive is benign anyway: the
+     superseded domain finishes its reply and exits at its next
+     generation check;
+   - wakes the idle shard workers, so they can count their way to
+     exit. *)
+let tick_loop t =
   let grace_ns = t.cfg.heartbeat_grace_ms * 1_000_000 in
   let window_ns = t.cfg.restart_window_ms * 1_000_000 in
   while not (Atomic.get t.stopped) do
-    Thread.delay 0.01;
-    if not (Atomic.get t.shutdown) then
-      Array.iter
-        (fun sh ->
-          if not sh.sh_down then begin
-            let dead = not (Cla_par.Supervised.is_alive sh.sh_sup) in
-            let wedged =
-              (not dead)
-              && Atomic.get sh.sh_busy
-              && Cla_par.Supervised.beat_age_ns sh.sh_sup > grace_ns
-            in
-            if dead || wedged then restart_shard t sh ~dead ~window_ns
-          end)
-        t.shard_tab
+    Thread.delay 0.02;
+    let now = R.Deadline.now_s () in
+    Mutex.lock t.m;
+    Hashtbl.iter
+      (fun _ (c, abort_at) ->
+        if now >= abort_at && not (R.Cancel.is_set c) then begin
+          R.Cancel.set c;
+          bump t (fun s -> s.s_watchdog_cancels <- s.s_watchdog_cancels + 1)
+        end)
+      t.wd;
+    Condition.broadcast t.slot;
+    Condition.broadcast t.wake;
+    Mutex.unlock t.m;
+    let supervise = t.cfg.supervise && not (Atomic.get t.shutdown) in
+    Array.iter
+      (fun sh ->
+        Mutex.lock sh.sh_m;
+        let failed =
+          supervise && sh.sh_running && (not sh.sh_down)
+          && ((not (Cla_par.Supervised.is_alive sh.sh_sup))
+             || Atomic.get sh.sh_busy
+                && Cla_par.Supervised.beat_age_ns sh.sh_sup > grace_ns)
+        in
+        if failed then restart_shard t sh ~window_ns
+        else begin
+          Condition.broadcast sh.sh_c;
+          Mutex.unlock sh.sh_m
+        end)
+      t.shard_tab
   done
 
 (* ------------------------------------------------------------------ *)
@@ -865,11 +815,7 @@ let supervisor_loop t =
 let chaos_enqueue t i e =
   if i < 0 || i >= Array.length t.shard_tab then false
   else begin
-    let sh = t.shard_tab.(i) in
-    Mutex.lock sh.sh_m;
-    Queue.add e sh.sh_q;
-    Condition.broadcast sh.sh_c;
-    Mutex.unlock sh.sh_m;
+    enqueue t t.shard_tab.(i) e;
     true
   end
 
@@ -883,55 +829,50 @@ let chaos_wedge_shard t i ~wedge_ms = chaos_enqueue t i (Chaos_wedge wedge_ms)
 let outcome_view (o : Pipeline.ladder_outcome) =
   o.Pipeline.lo_solution.Solution.view
 
-(* Rewrite the snapshot sidecar from a fresh non-degraded outcome and
-   restore the lock-free frozen-arena path over the new view. *)
+(* Rewrite the snapshot sidecar from a fresh non-degraded outcome; the
+   origin the served answer then has. *)
 let refreeze t (outcome : Pipeline.ladder_outcome) =
   match t.cfg.save_snapshot with
   | Some path when not outcome.Pipeline.lo_degraded -> (
       match Snapshot.save path ~view:(outcome_view outcome) outcome with
       | () ->
-          t.frozen <- Some outcome;
-          Cla_obs.Metrics.incr "serve.snapshot_refreeze"
+          Cla_obs.Metrics.incr "serve.snapshot_refreeze";
+          From_snapshot
       | exception Sys_error m ->
-          Printf.eprintf "cla serve: --save-snapshot: %s\n%!" m)
-  | _ -> ()
+          Printf.eprintf "cla serve: --save-snapshot: %s\n%!" m;
+          Live)
+  | _ -> Live
 
-(* Install a freshly-analyzed view as the served solution.  The epoch
-   bump comes first: a shard solve that started before it skips its
-   cache write (see [run_job]), and the single-shard path serializes
-   with us on [solve_m] — so no solve over the old view can poison a
-   post-swap cache.  Queries already in flight finish against whichever
-   outcome they hold; that stays internally consistent because answers
-   resolve variable names against the outcome's own view. *)
+(* Install a freshly-analyzed outcome as the served answer: a new epoch
+   over the outcome's own view.  A solve still running over the old
+   view holds the old cell, so its compare-and-set fails and its stale
+   outcome never lands.  Queries already in flight finish against
+   whichever outcome they hold; that stays internally consistent
+   because answers resolve variable names against the outcome's own
+   view.  Callers hold the watcher's [wa_m]. *)
 let install_outcome t (outcome : Pipeline.ladder_outcome) =
-  Atomic.incr t.epoch;
-  Mutex.lock t.solve_m;
-  t.view <- outcome_view outcome;
-  t.cache <- Some outcome;
-  Mutex.unlock t.solve_m;
-  Array.iter
-    (fun sh ->
-      Mutex.lock sh.sh_m;
-      sh.sh_cache <- Some outcome;
-      Mutex.unlock sh.sh_m)
-    t.shard_tab;
-  (* snapshot staleness: the frozen arena is bound to the pre-swap view
-     and must stop answering — one structured diagnostic, first swap
+  let old = Atomic.get t.cell in
+  (* snapshot staleness: the snapshot answer is bound to the pre-swap
+     view and stops answering — one structured diagnostic, first swap
      only *)
-  if t.frozen <> None then begin
-    t.frozen <- None;
-    if not t.snapshot_stale then begin
+  (match old.c_answer with
+  | Some (_, From_snapshot) when not t.snapshot_stale ->
       t.snapshot_stale <- true;
       Cla_obs.Metrics.incr "serve.snapshot_stale";
       Printf.eprintf "cla serve: %s\n%!"
         (Diag.to_string
            (Diag.warning ~phase:Diag.Load
-              "snapshot stale after relink: the frozen arena no longer \
+              "snapshot stale after relink: the thawed snapshot no longer \
                matches the served database and stops answering \
-               (--save-snapshot refreezes it)"))
-    end
-  end;
-  refreeze t outcome
+               (--save-snapshot rewrites it)"))
+  | _ -> ());
+  let origin = refreeze t outcome in
+  Atomic.set t.cell
+    {
+      c_epoch = old.c_epoch + 1;
+      c_view = outcome_view outcome;
+      c_answer = Some (outcome, origin);
+    }
 
 (* The stat signature of the watched files: sources, objects and the
    headers sources may include, so the poll loop sees a header edit. *)
@@ -989,7 +930,6 @@ let watch_boot dir =
     wa_m = Mutex.create ();
     wa_inc = inc;
     wa_sig = sg;
-    wa_epoch = 0;
   }
 
 (* One rescan: stat the directory and, when the signature moved (or
@@ -1038,7 +978,6 @@ let watch_rescan t w ~force =
         install_outcome t
           (Pipeline.outcome_of_solution Pipeline.Pretransitive
              (Incremental.solution w.wa_inc));
-        w.wa_epoch <- w.wa_epoch + 1;
         Cla_obs.Metrics.incr "serve.reanalyzes";
         `Swapped (changed, st, R.Deadline.now_s () -. t0)
     | exception e ->
@@ -1061,11 +1000,6 @@ let watch_loop t w =
     if not (Atomic.get t.stopped) && not (Atomic.get t.shutdown) then
       ignore (watch_rescan t w ~force:false)
   done
-
-let find_var t name = Objfile.find_targets t.view name
-
-let pts_of (o : Pipeline.ladder_outcome) v =
-  Solution.points_to o.Pipeline.lo_solution v
 
 let target_names (o : Pipeline.ladder_outcome) set =
   Lvalset.fold
@@ -1117,6 +1051,44 @@ let run_admitted t (req : Protocol.request) qc ~start_ns ~deadline ~cancel =
       t_cache_hit = qc.qc_cache_hit;
     }
   in
+  (* Answer a variable query from the served outcome.  Unknown names
+     are rejected against the current view before any solve, so they
+     never pay for one; [ok o pts] then resolves names against the
+     outcome's own view — a watch-mode swap between the two must not
+     mix pre-swap ids with a post-swap solution. *)
+  let answer names ok =
+    let unknown view =
+      List.find_opt (fun n -> Objfile.find_targets view n = []) names
+    in
+    let not_found n =
+      bump t (fun s -> s.s_error <- s.s_error + 1);
+      Protocol.error ~id ~code:404 (Printf.sprintf "unknown variable %S" n)
+    in
+    match unknown (Atomic.get t.cell).c_view with
+    | Some n -> not_found n
+    | None -> (
+        match solution t qc ~fresh:req.Protocol.r_fresh ~deadline ~cancel with
+        | Error (Aborted p) ->
+            bump t (fun s -> s.s_timeout <- s.s_timeout + 1);
+            timeout_response ~id p
+        | Error No_shard ->
+            bump t (fun s -> s.s_error <- s.s_error + 1);
+            Protocol.error ~id ~code:503 "no solver shard left"
+        | Ok o -> (
+            let view = outcome_view o in
+            match unknown view with
+            | Some n -> not_found n
+            | None ->
+                bump t (fun s ->
+                    s.s_ok <- s.s_ok + 1;
+                    if o.Pipeline.lo_degraded then
+                      s.s_degraded <- s.s_degraded + 1);
+                qc.qc_rung <- Pipeline.algorithm_name o.Pipeline.lo_algorithm;
+                qc.qc_degraded <- o.Pipeline.lo_degraded;
+                ok o (fun n ->
+                    Solution.points_to o.Pipeline.lo_solution
+                      (List.hd (Objfile.find_targets view n)))))
+  in
   match req.Protocol.r_op with
   | Protocol.Ping ->
       bump t (fun s -> s.s_ok <- s.s_ok + 1);
@@ -1141,6 +1113,7 @@ let run_admitted t (req : Protocol.request) qc ~start_ns ~deadline ~cancel =
             bump t (fun s -> s.s_timeout <- s.s_timeout + 1);
             timeout_response ~id p)
   | Protocol.Reanalyze -> (
+      let epoch () = (Atomic.get t.cell).c_epoch in
       match t.watcher with
       | None ->
           bump t (fun s -> s.s_error <- s.s_error + 1);
@@ -1151,12 +1124,12 @@ let run_admitted t (req : Protocol.request) qc ~start_ns ~deadline ~cancel =
           match watch_rescan t w ~force:true with
           | `Unchanged ->
               bump t (fun s -> s.s_ok <- s.s_ok + 1);
-              Protocol.ok_reanalyze ~id ~epoch:(Atomic.get t.epoch) ~changed:0
+              Protocol.ok_reanalyze ~id ~epoch:(epoch ()) ~changed:0
                 ~sources:0 ~cache_hits:0 ~cache_misses:0 ~resumed:false
                 ~wall_ms:0. ()
           | `Swapped (changed, st, wall_s) ->
               bump t (fun s -> s.s_ok <- s.s_ok + 1);
-              Protocol.ok_reanalyze ~id ~epoch:(Atomic.get t.epoch) ~changed
+              Protocol.ok_reanalyze ~id ~epoch:(epoch ()) ~changed
                 ~sources:st.Incremental.sources
                 ~cache_hits:st.Incremental.cache_hits
                 ~cache_misses:st.Incremental.cache_misses
@@ -1165,76 +1138,18 @@ let run_admitted t (req : Protocol.request) qc ~start_ns ~deadline ~cancel =
           | `Failed msg ->
               bump t (fun s -> s.s_error <- s.s_error + 1);
               Protocol.error ~id ~code:500 ("reanalyze failed: " ^ msg)))
-  | Protocol.Points_to name -> (
-      (* cheap pre-check against the current view so unknown variables
-         never pay for a solve *)
-      match find_var t name with
-      | [] ->
-          bump t (fun s -> s.s_error <- s.s_error + 1);
-          Protocol.error ~id ~code:404 (Printf.sprintf "unknown variable %S" name)
-      | _ :: _ -> (
-          match solution t qc ~fresh:req.Protocol.r_fresh ~deadline ~cancel with
-          | Error p ->
-              bump t (fun s -> s.s_timeout <- s.s_timeout + 1);
-              timeout_response ~id p
-          | Ok o -> (
-              (* resolve against the outcome's own view: a watch-mode
-                 swap between the pre-check and the solve must not mix
-                 pre-swap ids with a post-swap solution *)
-              match Objfile.find_targets (outcome_view o) name with
-              | [] ->
-                  bump t (fun s -> s.s_error <- s.s_error + 1);
-                  Protocol.error ~id ~code:404
-                    (Printf.sprintf "unknown variable %S" name)
-              | v :: _ ->
-                  bump t (fun s ->
-                      s.s_ok <- s.s_ok + 1;
-                      if o.Pipeline.lo_degraded then
-                        s.s_degraded <- s.s_degraded + 1);
-                  let rung = Pipeline.algorithm_name o.Pipeline.lo_algorithm in
-                  qc.qc_rung <- rung;
-                  qc.qc_degraded <- o.Pipeline.lo_degraded;
-                  Protocol.ok_points_to ~id ~telemetry:(telemetry ()) ~rung
-                    ~degraded:o.Pipeline.lo_degraded ~var:name
-                    ~targets:(target_names o (pts_of o v))
-                    ())))
-  | Protocol.Alias (n1, n2) -> (
-      match (find_var t n1, find_var t n2) with
-      | [], _ ->
-          bump t (fun s -> s.s_error <- s.s_error + 1);
-          Protocol.error ~id ~code:404 (Printf.sprintf "unknown variable %S" n1)
-      | _, [] ->
-          bump t (fun s -> s.s_error <- s.s_error + 1);
-          Protocol.error ~id ~code:404 (Printf.sprintf "unknown variable %S" n2)
-      | _ :: _, _ :: _ -> (
-          match solution t qc ~fresh:req.Protocol.r_fresh ~deadline ~cancel with
-          | Error p ->
-              bump t (fun s -> s.s_timeout <- s.s_timeout + 1);
-              timeout_response ~id p
-          | Ok o -> (
-              match
-                ( Objfile.find_targets (outcome_view o) n1,
-                  Objfile.find_targets (outcome_view o) n2 )
-              with
-              | [], _ | _, [] ->
-                  bump t (fun s -> s.s_error <- s.s_error + 1);
-                  Protocol.error ~id ~code:404
-                    (Printf.sprintf "unknown variable %S"
-                       (if Objfile.find_targets (outcome_view o) n1 = [] then
-                          n1
-                        else n2))
-              | v1 :: _, v2 :: _ ->
-                  bump t (fun s ->
-                      s.s_ok <- s.s_ok + 1;
-                      if o.Pipeline.lo_degraded then
-                        s.s_degraded <- s.s_degraded + 1);
-                  let rung = Pipeline.algorithm_name o.Pipeline.lo_algorithm in
-                  qc.qc_rung <- rung;
-                  qc.qc_degraded <- o.Pipeline.lo_degraded;
-                  Protocol.ok_alias ~id ~telemetry:(telemetry ()) ~rung
-                    ~degraded:o.Pipeline.lo_degraded ~var:n1 ~var2:n2
-                    ~aliased:(sets_intersect (pts_of o v1) (pts_of o v2))
-                    ())))
+  | Protocol.Points_to name ->
+      answer [ name ] (fun o pts ->
+          Protocol.ok_points_to ~id ~telemetry:(telemetry ()) ~rung:qc.qc_rung
+            ~degraded:qc.qc_degraded ~var:name
+            ~targets:(target_names o (pts name))
+            ())
+  | Protocol.Alias (n1, n2) ->
+      answer [ n1; n2 ] (fun _ pts ->
+          Protocol.ok_alias ~id ~telemetry:(telemetry ()) ~rung:qc.qc_rung
+            ~degraded:qc.qc_degraded ~var:n1 ~var2:n2
+            ~aliased:(sets_intersect (pts n1) (pts n2))
+            ())
 
 let handle_line t line =
   let start_ns = R.Deadline.now_ns () in
@@ -1348,33 +1263,34 @@ let handle_conn t fd =
      loop ()
    with Sys_error _ | Unix.Unix_error _ -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.conns_m;
+  Mutex.lock t.m;
   t.live_conns <- t.live_conns - 1;
-  Mutex.unlock t.conns_m
+  Condition.broadcast t.wake;
+  Mutex.unlock t.m
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let create ?(config = default_config) view =
-  (* one registry (and one handle per histogram) per shard; single mode
-     gets exactly one of each *)
-  let n_regs = if config.shards <= 1 then 1 else min config.shards 64 in
-  let shard_regs = Array.init n_regs (fun _ -> Cla_obs.Metrics.create ()) in
+  (* one registry (and one handle per histogram) per shard *)
+  let n_shards = max 1 (min config.shards 64) in
+  let shard_regs = Array.init n_shards (fun _ -> Cla_obs.Metrics.create ()) in
   let histos name =
-    Array.init n_regs (fun i -> Cla_obs.Metrics.histo ~reg:shard_regs.(i) name)
+    Array.init n_shards (fun i ->
+        Cla_obs.Metrics.histo ~reg:shard_regs.(i) name)
   in
   (* thaw the persisted solution, if any.  Rejection (corrupt bytes,
      version bump, wrong database) is a diagnostic plus a fallback to
      live solves — never a wrong answer, never a refusal to start. *)
-  let frozen =
+  let thawed =
     match config.snapshot_path with
     | None -> None
     | Some path -> (
         match Snapshot.load_result path ~view with
         | Ok o ->
             Cla_obs.Metrics.set "serve.snapshot" 1;
-            Some o
+            Some (o, From_snapshot)
         | Error d ->
             Cla_obs.Metrics.incr (Diag.metric_of_phase d.Diag.phase);
             Printf.eprintf
@@ -1384,7 +1300,7 @@ let create ?(config = default_config) view =
   in
   {
     cfg = config;
-    view;
+    cell = Atomic.make { c_epoch = 0; c_view = view; c_answer = thawed };
     stats =
       {
         s_queries = 0;
@@ -1400,42 +1316,33 @@ let create ?(config = default_config) view =
         s_shards_down = 0;
       };
     stats_m = Mutex.create ();
-    adm_m = Mutex.create ();
+    m = Mutex.create ();
+    slot = Condition.create ();
+    wake = Condition.create ();
     inflight = 0;
     waiting = 0;
-    wd_m = Mutex.create ();
     wd = Hashtbl.create 32;
     serial = 0;
-    frozen;
-    solve_m = Mutex.create ();
-    cache = frozen;
+    flying = false;
+    live_conns = 0;
     shard_tab =
-      (if config.shards <= 1 then [||]
-       else
-         Array.init
-           (min config.shards 64)
-           (fun i ->
-             {
-               sh_id = i;
-               sh_m = Mutex.create ();
-               sh_c = Condition.create ();
-               sh_q = Queue.create ();
-               sh_cache = frozen;
-               sh_closing = false;
-               sh_ejected = false;
-               sh_down = false;
-               sh_doing = None;
-               sh_busy = Atomic.make false;
-               sh_sup = Cla_par.Supervised.create ();
-             }));
+      Array.init n_shards (fun i ->
+          {
+            sh_id = i;
+            sh_m = Mutex.create ();
+            sh_c = Condition.create ();
+            sh_q = Queue.create ();
+            sh_running = false;
+            sh_down = false;
+            sh_doing = None;
+            sh_busy = Atomic.make false;
+            sh_sup = Cla_par.Supervised.create ();
+          });
     rr = Atomic.make 0;
-    epoch = Atomic.make 0;
     watcher = None;
     snapshot_stale = false;
     shutdown = Atomic.make false;
     stopped = Atomic.make false;
-    conns_m = Mutex.create ();
-    live_conns = 0;
     started_s = R.Deadline.now_s ();
     shard_regs;
     lat_h = histos "serve.latency_ns";
@@ -1445,15 +1352,12 @@ let create ?(config = default_config) view =
     ring = Array.make (max 1 config.ring_capacity) None;
     ring_pos = 0;
     ring_len = 0;
-    log_oc =
-      Option.map
-        (fun p ->
-          open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644 p)
-        config.query_log;
+    log_oc = None;
   }
 
 (** Ask a running server to drain (what the SIGINT/SIGTERM handlers
-    call). *)
+    call): one atomic store, no lock — the accept loop and the tick
+    notice it. *)
 let request_shutdown t = Atomic.set t.shutdown true
 
 (* Claim the socket path.  A leftover socket from a crashed server (no
@@ -1497,41 +1401,34 @@ let run_server t (config : config) on_ready : stats =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX config.socket_path);
   Unix.listen sock 64;
-  (* from here on the socket file is ours: remove it on every exit path
-     — graceful drain, accept-loop exception, anything — so a crash
-     leaves at worst a stale file the next server takes over *)
+  (* from here on the socket file and the query log are ours: release
+     them on every exit path — graceful drain, accept-loop exception,
+     anything — so a crash leaves at worst a stale file the next server
+     takes over *)
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close sock with Unix.Unix_error _ -> ());
-      try Sys.remove config.socket_path with Sys_error _ -> ())
+      (try Sys.remove config.socket_path with Sys_error _ -> ());
+      Option.iter
+        (fun oc -> try close_out oc with Sys_error _ -> ())
+        t.log_oc)
   @@ fun () ->
-  let wd_thread = Thread.create watchdog_loop t in
-  Cla_obs.Metrics.set "serve.shards" (max 1 (Array.length t.shard_tab));
-  Array.iter
-    (fun sh -> Cla_par.Supervised.spawn sh.sh_sup (fun ~gen -> shard_loop t sh ~gen))
-    t.shard_tab;
-  let sup_thread =
-    if config.supervise && Array.length t.shard_tab > 0 then
-      Some (Thread.create supervisor_loop t)
-    else None
-  in
+  t.log_oc <-
+    Option.map
+      (fun p -> open_out_gen [ Open_creat; Open_append; Open_wronly ] 0o644 p)
+      config.query_log;
+  let tick_thread = Thread.create tick_loop t in
+  Cla_obs.Metrics.set "serve.shards" (Array.length t.shard_tab);
   let watch_thread =
     Option.map (fun w -> Thread.create (watch_loop t) w) t.watcher
   in
   let stop_workers () =
-    (* stop the solver shards: each drains its queue (every queued job
-       still answers) and exits; superseded zombies are reaped too *)
-    Array.iter
-      (fun sh ->
-        Mutex.lock sh.sh_m;
-        sh.sh_closing <- true;
-        Condition.broadcast sh.sh_c;
-        Mutex.unlock sh.sh_m)
-      t.shard_tab;
+    (* stop the solver shards: each worker drains its queue (every
+       queued job still answers) and exits on its idle ticks;
+       superseded zombies are reaped too *)
     Array.iter (fun sh -> Cla_par.Supervised.join_all sh.sh_sup) t.shard_tab;
     Atomic.set t.stopped true;
-    Thread.join wd_thread;
-    (match sup_thread with Some th -> Thread.join th | None -> ());
+    Thread.join tick_thread;
     match watch_thread with Some th -> Thread.join th | None -> ()
   in
   (try
@@ -1544,9 +1441,9 @@ let run_server t (config : config) on_ready : stats =
        | _ -> (
            match Unix.accept sock with
            | fd, _ ->
-               Mutex.lock t.conns_m;
+               Mutex.lock t.m;
                t.live_conns <- t.live_conns + 1;
-               Mutex.unlock t.conns_m;
+               Mutex.unlock t.m;
                ignore (Thread.create (handle_conn t) fd)
            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -1562,15 +1459,11 @@ let run_server t (config : config) on_ready : stats =
   (* drain: in-flight queries finish (their watchdogs still armed);
      bounded so a wedged connection cannot hold the exit hostage *)
   let drain_deadline = R.Deadline.after ~seconds:10. in
-  let live () =
-    Mutex.lock t.conns_m;
-    let n = t.live_conns in
-    Mutex.unlock t.conns_m;
-    n
-  in
-  while live () > 0 && not (R.Deadline.expired drain_deadline) do
-    Thread.delay 0.02
+  Mutex.lock t.m;
+  while t.live_conns > 0 && not (R.Deadline.expired drain_deadline) do
+    Condition.wait t.wake t.m
   done;
+  Mutex.unlock t.m;
   stop_workers ();
   (* the per-shard registries meet the global one exactly once, here —
      [--stats] / [--stats-json] at exit show the aggregated histograms *)
@@ -1602,7 +1495,6 @@ let run_server t (config : config) on_ready : stats =
           (ring_events t)
       in
       try Cla_obs.Trace.write_lanes path lanes with Sys_error _ -> ());
-  (match t.log_oc with Some oc -> (try close_out oc with Sys_error _ -> ()) | None -> ());
   t.stats
 
 let run ?(config = default_config) ?(on_ready = fun _ -> ()) view : stats =
@@ -1615,18 +1507,15 @@ let run_watch ?(config = default_config) ?(on_ready = fun _ -> ()) dir : stats
   let w = watch_boot dir in
   let t = create ~config (Incremental.view w.wa_inc) in
   t.watcher <- Some w;
-  (* seed the caches with the boot solve so first queries hit; an
-     accepted --snapshot (already seeded by [create]) keeps precedence
-     until the first swap marks it stale *)
-  let boot =
-    Pipeline.outcome_of_solution Pipeline.Pretransitive
-      (Incremental.solution w.wa_inc)
-  in
-  if t.frozen = None then begin
-    t.cache <- Some boot;
-    Array.iter (fun sh -> sh.sh_cache <- Some boot) t.shard_tab;
-    (* --save-snapshot from boot: the arena is lock-free immediately and
-       the sidecar exists before the first edit *)
-    refreeze t boot
+  (* publish the boot solve so first queries hit; an accepted --snapshot
+     keeps precedence until the first swap marks it stale.  With
+     --save-snapshot the sidecar exists before the first edit. *)
+  let c = Atomic.get t.cell in
+  if Option.is_none c.c_answer then begin
+    let boot =
+      Pipeline.outcome_of_solution Pipeline.Pretransitive
+        (Incremental.solution w.wa_inc)
+    in
+    Atomic.set t.cell { c with c_answer = Some (boot, refreeze t boot) }
   end;
   run_server t config on_ready

@@ -7,9 +7,17 @@
     watchdog thread that fires the query's {!Cla_resilience.Cancel}
     token [watchdog_grace_ms] past the deadline so even a query that
     dodges its deadline checks is aborted and its slot recycled; and
-    graceful drain on SIGINT/SIGTERM.  Solves are serialized and the
-    first non-degraded ladder outcome is cached, so steady-state queries
-    are lock-free lookups. *)
+    graceful drain on SIGINT/SIGTERM.  Waiters block on conditions; the
+    watchdog's 20ms tick is the one timer that wakes them to re-check
+    their deadlines and the drain flag.
+
+    Every query answers from one answer cell: the current non-degraded
+    outcome, thawed from a snapshot, solved live or swapped in by watch
+    mode — steady-state queries are lock-free lookups.  While the cell
+    is empty, the first query leads one solve and the others wait for
+    it (single flight); [fresh] queries bypass the cell.  Every solve
+    runs on a supervised solver shard; with every shard down, a query
+    the cell cannot answer gets a 503 error. *)
 
 type config = {
   socket_path : string;
@@ -20,10 +28,12 @@ type config = {
   watchdog_grace_ms : int;  (** cancel fires this long after the deadline *)
   allow_sleep : bool;  (** enable the debug [sleep] op (load tests) *)
   shards : int;
-      (** solver replicas, each with its own cache on its own domain,
-          fed round-robin.  [1] (the default) keeps the in-thread
-          serialized-solve path; systhreads share one runtime lock per
-          domain, so replicas must be domains to solve concurrently. *)
+      (** solver shards, fed round-robin, each with its own queue and a
+          supervised worker domain that runs while the shard has work.
+          [1] (the default) is one solver domain; more let [fresh] and
+          concurrent solves run side by side (systhreads share one
+          runtime lock per domain, so solvers must be domains to run
+          concurrently).  Answers never depend on the count. *)
   solve_jobs : int;
       (** width each solve draws from the process-wide persistent pool
           ({!Cla_par.Pool.shared}) — the pre-transitive query fan-out
@@ -41,9 +51,9 @@ type config = {
       (** recent-query ring size; also bounds the serve-path series
           ([serve.recent_total_us]) *)
   snapshot_path : string option;
-      (** thaw a persisted {!Cla_core.Snapshot} at startup and answer
-          every non-[fresh] query from the shared frozen arena,
-          lock-free.  A corrupt, truncated, version-bumped or
+      (** thaw a persisted {!Cla_core.Snapshot} at startup into the
+          answer cell, so every non-[fresh] query answers from it
+          without a solve.  A corrupt, truncated, version-bumped or
           wrongly-bound snapshot is rejected ([load.corrupt] diagnostic
           on stderr) and the server falls back to live solves — never a
           wrong answer. *)
@@ -75,12 +85,12 @@ type config = {
   watch_poll_ms : int;  (** watch-mode poll period *)
   save_snapshot : string option;
       (** rewrite this snapshot sidecar after every non-degraded swap
-          (and at watch-mode boot), refreezing the lock-free frozen
-          arena over the new view — restart cost stays one file read as
-          the watched tree evolves.  Without it, a swap under
-          [snapshot_path] marks the thawed arena stale
-          ([serve.snapshot_stale], one diagnostic) and live caches take
-          over. *)
+          (and at watch-mode boot), so the served answer stays backed by
+          a snapshot of the new view — restart cost stays one file read
+          as the watched tree evolves.  Without it, a swap under
+          [snapshot_path] marks the thawed snapshot stale
+          ([serve.snapshot_stale], one diagnostic) and the swapped-in
+          live answer takes over. *)
 }
 
 val default_config : config
@@ -111,8 +121,7 @@ val request_shutdown : t -> unit
 
 (** Fault injection for the chaos harness: make shard [i]'s worker
     domain die (its alive sentinel clears; the supervisor respawns it
-    over the surviving queue).  [false] when the server is unsharded or
-    [i] is out of range.  The fault is an ordinary queue entry, so it
+    over the surviving queue).  [false] when [i] is out of range.  The fault is an ordinary queue entry, so it
     lands when the worker next pops — deterministic, no signals. *)
 val chaos_kill_shard : t -> int -> bool
 
@@ -123,6 +132,8 @@ val chaos_wedge_shard : t -> int -> wedge_ms:int -> bool
 
 (** Serve queries over [view] until SIGINT/SIGTERM (or
     {!request_shutdown}), then drain and return the final counters.
+    Raises [Sys_error] when the socket path holds a live server or a
+    file that is not a socket; nothing is left open then.
     [on_ready] runs once the socket is listening — tests use it to
     launch clients, and it receives the server handle so an embedded
     caller can stop the server without a signal.  Installs handlers for

@@ -327,13 +327,15 @@ let contains hay needle =
    it down.  The poll period is one the test never reaches: the
    explicit reanalyze op is the only trigger, so swap points are
    deterministic. *)
-let with_watch_server ~dir src f =
+let with_watch_server ?snapshot ?save ~dir src f =
   let socket = Filename.concat dir "s.sock" in
   let config =
     {
       Cla_serve.Server.default_config with
       socket_path = socket;
       watch_poll_ms = 60_000;
+      snapshot_path = snapshot;
+      save_snapshot = save;
     }
   in
   let handle = ref None in
@@ -442,6 +444,71 @@ let test_watch_header_edit () =
   let re = ask "{\"id\":7,\"op\":\"reanalyze\"}" in
   Alcotest.(check bool) "no-op rescan" true (contains re "\"changed\": 0")
 
+(* Watch mode over a snapshot.  A first server writes the sidecar at
+   boot ([save_snapshot]); a second boots from it: its queries are
+   answered from the snapshot with zero solves.  After an edit and
+   [reanalyze] the answer moves; without [save_snapshot] the stats stop
+   reporting a snapshot, and with it the rewritten sidecar is bound to
+   the post-swap view (the test rebuilds that view through the same
+   incremental steps). *)
+let test_watch_snapshot () =
+  let module Json = Cla_obs.Json in
+  let dir = fresh_dir "cla_watch" in
+  let src = Filename.concat dir "src" in
+  Unix.mkdir src 0o700;
+  let a = Filename.concat src "a.c" and b = Filename.concat src "b.c" in
+  let a_text = "int x; int *p;\nvoid f(void) { p = &x; }\n" in
+  let b_base = "extern int *p; int *q;\nvoid g(void) { q = p; }\n" in
+  let b_edit = b_base ^ "int z;\nvoid h(void) { q = &z; }\n" in
+  write_file a a_text;
+  write_file b b_base;
+  let snap = Filename.concat dir "boot.snap" in
+  let saved = Filename.concat dir "saved.snap" in
+  let query = "{\"id\":1,\"op\":\"points-to\",\"var\":\"q\"}" in
+  let stats ask = Json.of_string (ask "{\"id\":9,\"op\":\"stats\"}") in
+  let solves j =
+    match Json.member "shards" j with
+    | Some (Json.Arr blocks) ->
+        List.fold_left
+          (fun acc b ->
+            acc + Option.value ~default:0 (Option.bind (Json.member "solves" b) Json.to_int))
+          0 blocks
+    | _ -> Alcotest.fail "stats carry no shard blocks"
+  in
+  let snapshot_flag j = Json.member "snapshot" j = Some (Json.Bool true) in
+  (* the snapshot-backed run: hits with zero solves, then an edit *)
+  let edit_and_check ~save ask =
+    let reply = ask query in
+    Alcotest.(check bool) "answered from the snapshot" true
+      (contains reply "\"cache_hit\": true");
+    Alcotest.(check bool) "baseline sees x" true (contains reply "\"x\"");
+    let j = stats ask in
+    Alcotest.(check bool) "stats report the snapshot" true (snapshot_flag j);
+    Alcotest.(check int) "no solve ran" 0 (solves j);
+    write_file b b_edit;
+    let re = ask "{\"id\":2,\"op\":\"reanalyze\"}" in
+    Alcotest.(check bool) "one TU changed" true (contains re "\"changed\": 1");
+    let reply = ask query in
+    Alcotest.(check bool) "swap sees z" true (contains reply "\"z\"");
+    Alcotest.(check bool) "snapshot flag after the swap" save
+      (snapshot_flag (stats ask))
+  in
+  (* 1. the sidecar is written at boot *)
+  with_watch_server ~save:snap ~dir src (fun ask ->
+      Alcotest.(check bool) "boot answer" true (contains (ask query) "\"x\""));
+  Alcotest.(check bool) "sidecar written at boot" true (Sys.file_exists snap);
+  (* 2. without save_snapshot the swap drops the snapshot answer *)
+  with_watch_server ~snapshot:snap ~dir src (edit_and_check ~save:false);
+  (* 3. with save_snapshot the swap rewrites the sidecar *)
+  write_file b b_base;
+  with_watch_server ~snapshot:snap ~save:saved ~dir src
+    (edit_and_check ~save:true);
+  let inc, _ = Incremental.create [ (a, a_text); (b, b_base) ] in
+  ignore (Incremental.update inc [ (a, a_text); (b, b_edit) ]);
+  match Snapshot.load_result saved ~view:(Incremental.view inc) with
+  | Ok _ -> ()
+  | Error d -> Alcotest.fail ("rewritten sidecar rejected: " ^ Diag.to_string d)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -480,5 +547,7 @@ let () =
         [
           Alcotest.test_case "query across a swap" `Quick test_watch_server;
           Alcotest.test_case "header-only edit" `Quick test_watch_header_edit;
+          Alcotest.test_case "snapshot boot, swap, refreeze" `Quick
+            test_watch_snapshot;
         ] );
     ]

@@ -673,6 +673,227 @@ let test_server_stale_socket_takeover () =
   Alcotest.(check bool) "socket removed at exit" false (Sys.file_exists socket);
   Unix.rmdir dir
 
+(* Boot an in-process server over [view] with [config] (its socket in a
+   fresh directory), run [f handle socket], then drain. *)
+let with_server config view f =
+  let dir = Filename.temp_file "cla_serve" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let socket = Filename.concat dir "s.sock" in
+  let config = { config with Cla_serve.Server.socket_path = socket } in
+  let handle = ref None in
+  let ready_m = Mutex.create () and ready_c = Condition.create () in
+  let server =
+    Thread.create
+      (fun () ->
+        Cla_serve.Server.run ~config
+          ~on_ready:(fun t ->
+            Mutex.lock ready_m;
+            handle := Some t;
+            Condition.signal ready_c;
+            Mutex.unlock ready_m)
+          view)
+      ()
+  in
+  Mutex.lock ready_m;
+  while !handle = None do
+    Condition.wait ready_c ready_m
+  done;
+  Mutex.unlock ready_m;
+  let h = Option.get !handle in
+  Fun.protect
+    ~finally:(fun () ->
+      Cla_serve.Server.request_shutdown h;
+      Thread.join server;
+      (try Sys.remove socket with Sys_error _ -> ());
+      Unix.rmdir dir)
+    (fun () -> f h socket)
+
+let ask socket line =
+  match Cla_serve.Client.round_trip ~socket line with
+  | Ok reply -> reply
+  | Error e -> Alcotest.fail (Cla_serve.Client.describe e)
+
+let stats_json socket =
+  Cla_obs.Json.of_string (ask socket "{\"id\":99,\"op\":\"stats\"}")
+
+let counter j name =
+  let module Json = Cla_obs.Json in
+  Option.value ~default:0
+    (Option.bind
+       (Option.bind (Json.member "counters" j) (Json.member name))
+       Json.to_int)
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+(* Poll the live stats until [ready] holds (bounded; fails the test
+   when it never does). *)
+let await_stats socket what ready =
+  let deadline = Deadline.after ~seconds:5. in
+  let rec go () =
+    if ready (stats_json socket) then ()
+    else if Deadline.expired deadline then Alcotest.fail ("never saw " ^ what)
+    else begin
+      Thread.delay 0.02;
+      go ()
+    end
+  in
+  go ()
+
+(* A start refused at the socket path — a non-socket file there, or a
+   live listener — must not leak the query log's descriptor. *)
+let test_server_refused_start_closes_log () =
+  let view = view_of "int x; int *p;\nvoid f(void) { p = &x; }" in
+  let dir = Filename.temp_file "cla_serve" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let file = Filename.concat dir "not-a-socket" in
+  let oc = open_out file in
+  close_out oc;
+  let live = Filename.concat dir "live.sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX live);
+  Unix.listen listener 64;
+  let log = Filename.concat dir "queries.jsonl" in
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  for i = 1 to 20 do
+    let path = if i mod 2 = 0 then file else live in
+    let config =
+      {
+        Cla_serve.Server.default_config with
+        socket_path = path;
+        query_log = Some log;
+      }
+    in
+    match Cla_serve.Server.run ~config view with
+    | _ -> Alcotest.fail "a start over an occupied path was not refused"
+    | exception Sys_error _ -> ()
+  done;
+  Alcotest.(check int) "no descriptor leaked" before (open_fds ());
+  Unix.close listener;
+  List.iter
+    (fun f -> if Sys.file_exists f then Sys.remove f)
+    [ file; live; log ];
+  Unix.rmdir dir
+
+(* Single flight: a cold two-shard server hit by eight concurrent
+   non-fresh queries solves once — the first query leads, the rest wait
+   for its outcome — and every query answers the same. *)
+let test_server_single_flight () =
+  let module Json = Cla_obs.Json in
+  let view =
+    view_of
+      "int x, y; int *p, *q;\n\
+       void f(void) { p = &x; q = p; }\n\
+       void g(void) { q = &y; }"
+  in
+  let config =
+    { Cla_serve.Server.default_config with shards = 2; max_inflight = 8 }
+  in
+  with_server config view @@ fun _ socket ->
+  let replies = Array.make 8 "" in
+  let threads =
+    List.init 8 (fun i ->
+        Thread.create
+          (fun () ->
+            replies.(i) <-
+              ask socket
+                (Fmt.str "{\"id\":%d,\"op\":\"points-to\",\"var\":\"q\"}" i))
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iter
+    (fun r ->
+      Alcotest.(check bool) "answered ok" true
+        (Cla_serve.Protocol.status_of_line r = Cla_serve.Protocol.S_ok);
+      Alcotest.(check bool) "q -> x" true (contains r "\"x\"");
+      Alcotest.(check bool) "q -> y" true (contains r "\"y\""))
+    replies;
+  let solves =
+    match Json.member "shards" (stats_json socket) with
+    | Some (Json.Arr blocks) ->
+        List.fold_left
+          (fun acc b ->
+            acc
+            + Option.value ~default:0
+                (Option.bind (Json.member "solves" b) Json.to_int))
+          0 blocks
+    | _ -> Alcotest.fail "stats carry no shard blocks"
+  in
+  Alcotest.(check int) "one solve for eight queries" 1 solves
+
+(* Blocking waits keep their answers.  Admission: with the only slot
+   held by a sleep, a queued ping whose deadline passes gets the
+   admission timeout, and a queued ping with time left is admitted when
+   the slot frees.  Dispatch: once the breaker leaves no shard, the
+   answer cell still serves, and a query that needs a solve gets the
+   typed 503. *)
+let test_server_blocking_waits () =
+  let view = view_of "int x; int *p;\nvoid f(void) { p = &x; }" in
+  let config =
+    {
+      Cla_serve.Server.default_config with
+      max_inflight = 1;
+      max_queue = 2;
+      allow_sleep = true;
+    }
+  in
+  (with_server config view @@ fun _ socket ->
+   let slow =
+     Thread.create
+       (fun () ->
+         ask socket "{\"id\":0,\"op\":\"sleep\",\"ms\":2000,\"deadline_ms\":5000}")
+       ()
+   in
+   (* give the sleep time to take the slot *)
+   Thread.delay 0.3;
+   let patient = ref "" in
+   let waiter =
+     Thread.create
+       (fun () ->
+         patient := ask socket "{\"id\":1,\"op\":\"ping\",\"deadline_ms\":5000}")
+       ()
+   in
+   let hurried = ask socket "{\"id\":2,\"op\":\"ping\",\"deadline_ms\":50}" in
+   Alcotest.(check bool) "hurried ping times out" true
+     (Cla_serve.Protocol.status_of_line hurried = Cla_serve.Protocol.S_timeout);
+   Alcotest.(check bool) "timed out in the admission queue" true
+     (contains hurried "deadline passed while queued for admission");
+   Thread.join waiter;
+   Thread.join slow;
+   Alcotest.(check bool) "patient ping answered" true
+     (Cla_serve.Protocol.status_of_line !patient = Cla_serve.Protocol.S_ok));
+  let config =
+    { Cla_serve.Server.default_config with shards = 1; restart_budget = 1 }
+  in
+  with_server config view @@ fun h socket ->
+  let query ?(fresh = false) () =
+    ask socket
+      (Fmt.str "{\"id\":3,\"op\":\"points-to\",\"var\":\"p\"%s}"
+         (if fresh then ",\"fresh\":true" else ""))
+  in
+  Alcotest.(check bool) "cell filled" true
+    (Cla_serve.Protocol.status_of_line (query ()) = Cla_serve.Protocol.S_ok);
+  (* one restart fits the budget; the second death trips the breaker *)
+  Alcotest.(check bool) "kill accepted" true (Cla_serve.Server.chaos_kill_shard h 0);
+  await_stats socket "the restart" (fun j -> counter j "serve.shard_restarts" >= 1);
+  Alcotest.(check bool) "kill accepted" true (Cla_serve.Server.chaos_kill_shard h 0);
+  await_stats socket "the shard down" (fun j -> counter j "serve.shards_down" = 1);
+  let cached = query () in
+  Alcotest.(check bool) "the cell still answers" true
+    (Cla_serve.Protocol.status_of_line cached = Cla_serve.Protocol.S_ok);
+  Alcotest.(check bool) "with the solved targets" true (contains cached "\"x\"");
+  let fresh = query ~fresh:true () in
+  Alcotest.(check bool) "fresh query refused" true
+    (Cla_serve.Protocol.status_of_line fresh = Cla_serve.Protocol.S_error);
+  Alcotest.(check bool) "as a 503" true (contains fresh "\"code\": 503");
+  Alcotest.(check bool) "no solver shard left" true
+    (contains fresh "no solver shard left")
+
 let () =
   Alcotest.run "resilience"
     [
@@ -714,5 +935,11 @@ let () =
             test_server_shard_kill_recovers;
           Alcotest.test_case "stale socket takeover" `Quick
             test_server_stale_socket_takeover;
+          Alcotest.test_case "refused start closes the query log" `Quick
+            test_server_refused_start_closes_log;
+          Alcotest.test_case "single-flight solve" `Quick
+            test_server_single_flight;
+          Alcotest.test_case "blocking waits keep their answers" `Quick
+            test_server_blocking_waits;
         ] );
     ]
