@@ -12,9 +12,10 @@
      bechamel  one Bechamel micro-benchmark per table
      parallel  compile / verify / solve sweep over --jobs=N,N,... x
                --units=N,N,... synthesized compile units (writes
-               BENCH_parallel.json v2; -jN bytes and solutions must
-               match -j1, solve speedup gated at the largest unit
-               count on multi-core hosts, informational under --quick;
+               BENCH_parallel.json v2; -jN bytes and bit-vector
+               solutions must match -j1, bit-vector solve speedup
+               gated at the largest unit count on multi-core hosts,
+               informational under --quick;
                --inject-divergence proves the solution gate fires)
      solver    solver micro-bench: sparse/dense/cyclic workloads x every
                solver and Pretrans.config cell, hybrid lval-sets vs the
@@ -653,19 +654,20 @@ let bechamel () =
    --jobs entry (0 = auto) on that corpus: compile across the shared
    pool, byte-compare every object and the linked database against the
    corpus's fresh -j1 baseline, time the pooled CRC verify, then run
-   both parallel solvers — the pre-transitive query fan-out and the
-   row-parallel bit-vector passes — and require [Solution.equal]
-   against the -j1 solve.  Any divergence, bytes or solution, in any
-   cell is a hard failure (exit 1); --inject-divergence perturbs one
-   j>=2 solution to prove that gate fires.
+   the row-parallel bit-vector solver (the one solver with a parallel
+   path) and require [Solution.equal] against the -j1 solve.  Any
+   divergence, bytes or solution, in any cell is a hard failure
+   (exit 1); --inject-divergence perturbs one j>=2 solution to prove
+   that gate fires.
 
    The speedup gate is the part v1 got wrong: it measured 3 units at
    whole-pool spawn cost per call and could only report the loss.  Now
-   domains are spawned once (Pool.shared) and the gate asserts solve
-   speedup_vs_j1 > 1.0 at the LARGEST unit count, where there is enough
-   work to amortize chunking — hard on multi-core hosts in the full run,
-   informational under --quick (whose few small units cannot amortize
-   the pool) and on a 1-core box where j>=2 resolves to 1 domain. *)
+   domains are spawned once (Pool.shared) and the gate asserts
+   solve_bitvector_speedup_vs_j1 > 1.0 at the LARGEST unit count, where
+   there is enough work to amortize chunking — hard on multi-core hosts
+   in the full run, informational under --quick (whose few small units
+   cannot amortize the pool) and on a 1-core box where j>=2 resolves to
+   1 domain. *)
 let parallel () =
   hr ();
   let units_list =
@@ -695,9 +697,8 @@ let parallel () =
   let best_solve_speedup_at_largest = ref 0. in
   let rows = ref [] in
   let divergent = ref false in
-  Fmt.pr "%-6s %-5s %-5s %10s %9s %9s %11s %11s %9s  %s@." "units" "req"
-    "jobs" "compile_s" "link_s" "verify_s" "pretrans_s" "bitvec_s" "speedup"
-    "identical";
+  Fmt.pr "%-6s %-5s %-5s %10s %9s %9s %11s %9s  %s@." "units" "req" "jobs"
+    "compile_s" "link_s" "verify_s" "bitvec_s" "speedup" "identical";
   List.iter
     (fun n_units ->
       (* scale the profile so Genc emits ~n_units translation units
@@ -721,15 +722,12 @@ let parallel () =
         let db, _stats = Linkp.link_views views in
         Objfile.write db
       in
-      (* per-corpus -j1 baseline: bytes and both exact solutions *)
+      (* per-corpus -j1 baseline: bytes and the exact solution *)
       let t0 = Unix.gettimeofday () in
       let base_objs = compile_all ~jobs:1 in
       let base_compile_s = Unix.gettimeofday () -. t0 in
       let base_db = link base_objs in
       let base_view = Objfile.view_of_string base_db in
-      let t0 = Unix.gettimeofday () in
-      let base_pre = (Andersen.solve ~demand:false base_view).Andersen.solution in
-      let base_pre_s = Unix.gettimeofday () -. t0 in
       let t0 = Unix.gettimeofday () in
       let base_bv = Bitsolver.solve base_view in
       let base_bv_s = Unix.gettimeofday () -. t0 in
@@ -754,35 +752,25 @@ let parallel () =
             if jobs > 1 then Some (Cla_par.Pool.shared ~jobs) else None
           in
           let t3 = Unix.gettimeofday () in
-          let pre =
-            (Andersen.solve ~demand:false ?pool:solve_pool view)
-              .Andersen.solution
-          in
-          let pre_s = Unix.gettimeofday () -. t3 in
-          let pre =
-            if !inject_divergence && jobs >= 2 then perturb view pre else pre
-          in
-          let t4 = Unix.gettimeofday () in
           let bv = Bitsolver.solve ?pool:solve_pool view in
-          let bv_s = Unix.gettimeofday () -. t4 in
+          let bv_s = Unix.gettimeofday () -. t3 in
+          let bv =
+            if !inject_divergence && jobs >= 2 then perturb view bv else bv
+          in
           let bytes_ok =
             List.equal String.equal objs base_objs && String.equal db base_db
           in
-          let pre_ok = Solution.equal base_pre pre in
-          let bv_ok = Solution.equal base_bv bv in
-          let identical = bytes_ok && pre_ok && bv_ok in
+          let identical = bytes_ok && Solution.equal base_bv bv in
           if not identical then divergent := true;
           let speedup base s = if s > 0. then base /. s else 0. in
           let compile_speedup = speedup base_compile_s compile_s in
-          let pre_speedup = speedup base_pre_s pre_s in
           let bv_speedup = speedup base_bv_s bv_s in
-          let solve_speedup = Float.max pre_speedup bv_speedup in
           if n_units = largest && jobs_requested >= 2 then
             best_solve_speedup_at_largest :=
-              Float.max !best_solve_speedup_at_largest solve_speedup;
-          Fmt.pr "%-6d %-5d %-5d %10.3f %9.3f %9.3f %11.3f %11.3f %8.2fx  %s@."
-            n_units jobs_requested jobs compile_s link_s verify_s pre_s bv_s
-            solve_speedup
+              Float.max !best_solve_speedup_at_largest bv_speedup;
+          Fmt.pr "%-6d %-5d %-5d %10.3f %9.3f %9.3f %11.3f %8.2fx  %s@."
+            n_units jobs_requested jobs compile_s link_s verify_s bv_s
+            bv_speedup
             (if identical then "yes"
              else if not bytes_ok then "NO — BYTES DIVERGED"
              else "NO — SOLUTION DIVERGED");
@@ -795,12 +783,9 @@ let parallel () =
                 ("compile_wall_s", Json.Float compile_s);
                 ("link_wall_s", Json.Float link_s);
                 ("verify_wall_s", Json.Float verify_s);
-                ("solve_pretrans_wall_s", Json.Float pre_s);
                 ("solve_bitvector_wall_s", Json.Float bv_s);
                 ("compile_speedup_vs_j1", Json.Float compile_speedup);
-                ("solve_pretrans_speedup_vs_j1", Json.Float pre_speedup);
                 ("solve_bitvector_speedup_vs_j1", Json.Float bv_speedup);
-                ("speedup_vs_j1", Json.Float solve_speedup);
                 ("identical", Json.Bool identical);
               ]
             :: !rows)
@@ -825,16 +810,16 @@ let parallel () =
   if host_cores > 1 && not !quick then begin
     if !best_solve_speedup_at_largest <= 1.0 then begin
       Fmt.epr
-        "parallel: FAIL — solve speedup_vs_j1 %.2fx <= 1.0 at the largest \
-         unit count (%d units) on a %d-core host@."
+        "parallel: FAIL — bit-vector solve speedup_vs_j1 %.2fx <= 1.0 at \
+         the largest unit count (%d units) on a %d-core host@."
         !best_solve_speedup_at_largest largest host_cores;
       exit 1
     end
   end
   else
     Fmt.pr
-      "parallel: solve speedup %.2fx at %d units is informational only \
-       (%s)@."
+      "parallel: bit-vector solve speedup %.2fx at %d units is \
+       informational only (%s)@."
       !best_solve_speedup_at_largest largest
       (if !quick then "--quick" else "1-core host")
 
@@ -1023,6 +1008,7 @@ let solver () =
        [
          ("schema", Json.Str "cla.bench.solver/v1");
          ("quick", Json.Bool !quick);
+         ("host_cores", Json.Int (Domain.recommended_domain_count ()));
          ("scale", Json.Float scale);
          ("dense_threshold", Json.Int saved_threshold);
          ("rows", Json.Arr (List.rev !rows));

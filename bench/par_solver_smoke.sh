@@ -24,14 +24,15 @@ trap 'rm -rf "$dir"' EXIT INT TERM
 cd "$dir"
 
 # 1. The j2 solve oracle passes on an honest run: every cell solves
-#    with both parallel solvers and Solution.equal against -j1.
+#    with the row-parallel bit-vector solver and Solution.equal
+#    against -j1.
 "$bench" parallel --jobs=1,2 --units=2 --quick >/dev/null
 if grep -q '"identical": false' BENCH_parallel.json; then
   echo "par_solver_smoke.sh: honest sweep reports identical=false" >&2
   cat BENCH_parallel.json >&2
   exit 1
 fi
-grep -q 'solve_pretrans_wall_s' BENCH_parallel.json || {
+grep -q 'solve_bitvector_wall_s' BENCH_parallel.json || {
   echo "par_solver_smoke.sh: v2 sweep has no solve cells" >&2
   cat BENCH_parallel.json >&2
   exit 1

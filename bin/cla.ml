@@ -81,10 +81,11 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Use $(docv) worker domains for the parallel phases (unit \
-           compilation, section checksum verification, and the solve \
-           itself: the pre-transitive query fan-out and the row-parallel \
-           bit-vector passes).  0 means auto: one domain per core.  \
-           Output is byte-identical regardless of $(docv).")
+           compilation, section checksum verification, and the \
+           row-parallel bit-vector passes; the pre-transitive solver is \
+           the paper's single-threaded pass loop at any $(docv)).  0 \
+           means auto: one domain per core.  Output is byte-identical \
+           regardless of $(docv).")
 
 (* Resolve a [-j N] request once per run, publishing the requested and
    resolved widths so [--stats-json] records what actually ran.  A
@@ -607,13 +608,7 @@ let analyze_cmd =
                     let config =
                       { Pretrans.cache = not no_cache; cycle_elim = not no_cycle }
                     in
-                    let pool =
-                      if jobs > 1 then Some (Cla_par.Pool.shared ~jobs)
-                      else None
-                    in
-                    match
-                      Andersen.solve ~config ?budget ~deadline ?pool view
-                    with
+                    match Andersen.solve ~config ?budget ~deadline view with
                     | r ->
                         let ls = r.Andersen.loader_stats in
                         Ok

@@ -81,9 +81,6 @@ type t = {
   deadline : Cla_resilience.Deadline.t;
   cancel : Cla_resilience.Cancel.t option;
   t_start : float;  (* monotonic start, for abort progress reports *)
-  mutable par_scratch : Pretrans.scratch array;
-      (* per-domain traversal scratch for the parallel query fan-out,
-         kept across passes (one per pool chunk, grown on demand) *)
 }
 
 (* Convergence counters for one pass of Figure 5's loop — the visible
@@ -386,7 +383,6 @@ let init ?(config = Pretrans.default_config) ?(demand = true) ?budget
       deadline;
       cancel;
       t_start = Cla_resilience.Deadline.now_s ();
-      par_scratch = [||];
     }
   in
   if not (Cla_resilience.Deadline.is_never deadline) || cancel <> None then
@@ -411,54 +407,6 @@ let init ?(config = Pretrans.default_config) ?(demand = true) ?budget
   apply_evictions st;
   st
 
-(* Parallel pre-transitive query fan-out: every [get_lvals] root the
-   pass is about to ask for — the complex assignments' pointers and the
-   indirect calls' called pointers, all known at pass start because the
-   complexes list is an iteration snapshot — is answered up front by
-   read-only traversals fanned across the pool, each chunk on its own
-   {!Pretrans.scratch}.  The single-threaded [commit_scratches] then
-   unifies the discovered cycles and installs the results into the pass
-   cache in deterministic scratch order, so the sequential body below
-   runs unchanged and every one of its [get_lvals] calls is a cache
-   hit.  Pass counts may differ from a sequential run (the fan-out
-   answers from the pass-start snapshot, where sequential in-pass
-   queries see edges added earlier in the same pass) — the fixpoint,
-   and hence the extracted {!Solution}, is identical either way. *)
-let fan_out st pool =
-  let width = Cla_par.Pool.jobs pool in
-  let seen = Hashtbl.create 256 in
-  let roots = Dynarr.create ~capacity:256 () in
-  let add r =
-    let r = Pretrans.deskip st.g r in
-    if not (Hashtbl.mem seen r) then begin
-      Hashtbl.replace seen r ();
-      Dynarr.push roots r
-    end
-  in
-  List.iter (fun c -> add c.cptr) st.complexes;
-  Array.iter
-    (fun (r : Objfile.indir_rec) -> add (node_of st r.Objfile.iptr))
-    st.view.Objfile.rindirects;
-  let n = Dynarr.length roots in
-  if n > 0 then begin
-    let roots = Dynarr.to_array roots in
-    let nchunks = min width n in
-    if Array.length st.par_scratch < nchunks then
-      st.par_scratch <-
-        Array.init nchunks (fun i ->
-            if i < Array.length st.par_scratch then st.par_scratch.(i)
-            else Pretrans.make_scratch st.g);
-    let scratches = Array.sub st.par_scratch 0 nchunks in
-    ignore
-      (Cla_par.Pool.map_array ?cancel:st.cancel pool
-         (fun ci ->
-           Pretrans.query_batch st.g scratches.(ci) roots
-             ~lo:(ci * n / nchunks)
-             ~hi:((ci + 1) * n / nchunks))
-         (Array.init nchunks Fun.id));
-    Pretrans.commit_scratches st.g roots scratches
-  end
-
 (* One pass of Figure 5's iteration algorithm; returns [true] if the graph
    changed.
 
@@ -466,11 +414,10 @@ let fan_out st pool =
    reachability memos surviving from the previous fixpoint are kept
    instead of flushed ([Pretrans.new_pass]), relying on
    [Pretrans.invalidate_reaching] having dropped every memo the delta
-   could touch.  The parallel fan-out is skipped too — it requires an
-   empty pass cache.  If this pass changes the graph, the following
+   could touch.  If this pass changes the graph, the following
    passes run with the normal flush-everything semantics, so the
    fixpoint test ("a pass with no change") stays exact. *)
-let pass ?pool ?(keep_memos = false) st =
+let pass ?(keep_memos = false) st =
   check_tokens st;
   let t0 = Cla_resilience.Deadline.now_s () in
   st.passes <- st.passes + 1;
@@ -482,12 +429,7 @@ let pass ?pool ?(keep_memos = false) st =
      constraint, resident or re-loaded *)
   reload_evicted st;
   let before = Pretrans.stats st.g in
-  if not keep_memos then begin
-    Pretrans.new_pass st.g;
-    match pool with
-    | Some p when Cla_par.Pool.jobs p > 1 -> fan_out st p
-    | _ -> ()
-  end;
+  if not keep_memos then Pretrans.new_pass st.g;
   let changed = ref false in
   let discovered = ref 0 in
   List.iter
@@ -640,14 +582,14 @@ let extract st a0 : result =
 
 (** Run the analysis to fixpoint and extract points-to sets for every
     program variable. *)
-let solve ?config ?demand ?budget ?deadline ?cancel ?pool view : result =
+let solve ?config ?demand ?budget ?deadline ?cancel view : result =
   Cla_obs.Obs.with_span "analyze" @@ fun () ->
   let a0 = Gc.allocated_bytes () in
   let st =
     Cla_obs.Obs.with_span "analyze.init" (fun () ->
         init ?config ?demand ?budget ?deadline ?cancel view)
   in
-  while pass ?pool st do
+  while pass st do
     ()
   done;
   let r = extract st a0 in
@@ -656,7 +598,7 @@ let solve ?config ?demand ?budget ?deadline ?cancel ?pool view : result =
 
 (** Like {!solve}, but also return the iteration state so a later
     constraint delta can be solved incrementally with {!resume}. *)
-let solve_state ?config ?demand ?budget ?deadline ?cancel ?pool view :
+let solve_state ?config ?demand ?budget ?deadline ?cancel view :
     t * result =
   Cla_obs.Obs.with_span "analyze" @@ fun () ->
   let a0 = Gc.allocated_bytes () in
@@ -664,7 +606,7 @@ let solve_state ?config ?demand ?budget ?deadline ?cancel ?pool view :
     Cla_obs.Obs.with_span "analyze.init" (fun () ->
         init ?config ?demand ?budget ?deadline ?cancel view)
   in
-  while pass ?pool st do
+  while pass st do
     ()
   done;
   let r = extract st a0 in
@@ -689,7 +631,7 @@ let solve_state ?config ?demand ?budget ?deadline ?cancel ?pool view :
      [iseen] may already contain that function variable (processed back
      when it had no definition), and difference propagation would never
      look at it again. *)
-let resume ?pool st ~(view : Objfile.view) ~(delta : Linkp.delta) :
+let resume st ~(view : Objfile.view) ~(delta : Linkp.delta) :
     result option =
   let fallback reason =
     Cla_obs.Metrics.incr "pretrans.delta.fallbacks";
@@ -785,8 +727,8 @@ let resume ?pool st ~(view : Objfile.view) ~(delta : Linkp.delta) :
     (* first pass keeps the surviving memos — the incremental win; if it
        changes anything, the following passes run with the usual
        flush-everything semantics *)
-    if pass ?pool ~keep_memos:true st then
-      while pass ?pool st do
+    if pass ~keep_memos:true st then
+      while pass st do
         ()
       done;
     let r = extract st a0 in

@@ -60,9 +60,6 @@ type t = {
   deadline : Cla_resilience.Deadline.t;
   cancel : Cla_resilience.Cancel.t option;
   t_start : float;  (** monotonic start, for abort progress reports *)
-  mutable par_scratch : Pretrans.scratch array;
-      (** per-domain traversal scratch for the parallel query fan-out,
-          kept across passes (one per pool chunk, grown on demand) *)
 }
 
 (** Convergence counters for one pass of Figure 5's loop. *)
@@ -104,26 +101,16 @@ val init :
 
 (** One pass of Figure 5's iteration algorithm (complex assignments, then
     analysis-time indirect-call linking).  Returns [true] if the graph
-    changed — iterate until it does not.
-
-    [pool] (width ≥ 2) fans the pass's [get_lvals] roots — all known at
-    pass start, since the complexes list is an iteration snapshot —
-    across the pool as read-only traversals, each chunk on its own
-    {!Pretrans.scratch}; cycle unifications and pass-cache writes are
-    then applied in a deterministic single-threaded merge
-    ({!Pretrans.commit_scratches}), so the sequential pass body runs
-    unchanged with every query a cache hit.  Pass counts may differ
-    from a sequential run (the fan-out answers from the pass-start
-    snapshot); the fixpoint — and the extracted {!Solution} — is
-    identical.
+    changed — iterate until it does not.  The pass is single-threaded,
+    as in the paper: each [get_lvals] is one reachability walk over the
+    live graph.
 
     [keep_memos] is the delta-solve resume's first pass: the
     reachability memos surviving from the previous fixpoint are kept
     instead of flushed, relying on {!Pretrans.invalidate_reaching}
     having dropped every memo the delta could affect ({!resume} sets
-    this up; do not pass it by hand).  It also skips the parallel
-    fan-out, which requires an empty pass cache. *)
-val pass : ?pool:Cla_par.Pool.t -> ?keep_memos:bool -> t -> bool
+    this up; do not pass it by hand). *)
+val pass : ?keep_memos:bool -> t -> bool
 
 type result = {
   solution : Solution.t;
@@ -153,16 +140,13 @@ val publish_result : ?reg:Cla_obs.Metrics.t -> result -> unit
 (** Run to fixpoint and extract the points-to set of every variable.
     Recorded as an ["analyze"] span (children ["analyze.init"], one
     ["analyze.pass"] per pass, ["analyze.extract"]); the result is
-    published into the metrics registry.  [pool] parallelizes each
-    pass's query fan-out (see {!pass}); the returned solution is
-    identical at any pool width. *)
+    published into the metrics registry. *)
 val solve :
   ?config:Pretrans.config ->
   ?demand:bool ->
   ?budget:int ->
   ?deadline:Cla_resilience.Deadline.t ->
   ?cancel:Cla_resilience.Cancel.t ->
-  ?pool:Cla_par.Pool.t ->
   Objfile.view ->
   result
 
@@ -174,7 +158,6 @@ val solve_state :
   ?budget:int ->
   ?deadline:Cla_resilience.Deadline.t ->
   ?cancel:Cla_resilience.Cancel.t ->
-  ?pool:Cla_par.Pool.t ->
   Objfile.view ->
   t * result
 
@@ -201,7 +184,6 @@ val solve_state :
     can absorb further deltas; on [None] it is unchanged and still
     valid for its old view. *)
 val resume :
-  ?pool:Cla_par.Pool.t ->
   t ->
   view:Objfile.view ->
   delta:Linkp.delta ->

@@ -19,7 +19,9 @@
     the same unique least fixpoint, so the returned {!Solution} is
     byte-identical to a sequential solve — round counts may differ,
     the answer may not.  Omitting [pool] (or passing a width-1 pool)
-    runs the sequential baseline. *)
+    runs the sequential baseline.  This is the one solver with a
+    parallel solve: the pre-transitive solver ({!Andersen}) runs the
+    paper's single-threaded pass loop. *)
 val solve :
   ?deadline:Cla_resilience.Deadline.t ->
   ?cancel:Cla_resilience.Cancel.t ->

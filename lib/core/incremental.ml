@@ -38,7 +38,6 @@ type entry = {
 
 type t = {
   options : Compilep.options;
-  pool : Cla_par.Pool.t option;
   units : (string, entry) Hashtbl.t;  (* file -> entry *)
   lstate : Linkp.state;
   mutable linked : (string * Objfile.view) list;  (* last linked unit set *)
@@ -91,7 +90,7 @@ let solution t = t.result.Andersen.solution
 let result t = t.result
 let view t = Linkp.state_view t.lstate
 
-let create ?(options = Compilep.default_options) ?pool ?(units = []) sources =
+let create ?(options = Compilep.default_options) ?(units = []) sources =
   let t0 = now () in
   let tbl = Hashtbl.create 64 in
   let compiled =
@@ -108,9 +107,9 @@ let create ?(options = Compilep.default_options) ?pool ?(units = []) sources =
   let lstate, delta = Linkp.state_create linked in
   let lview = Linkp.state_view lstate in
   let t2 = now () in
-  let solver, result = Andersen.solve_state ?pool lview in
+  let solver, result = Andersen.solve_state lview in
   let t3 = now () in
-  ( { options; pool; units = tbl; lstate; linked; solver; result },
+  ( { options; units = tbl; lstate; linked; solver; result },
     {
       sources = List.length sources + List.length units;
       cache_hits = 0;
@@ -135,13 +134,13 @@ let relink_and_solve t linked =
   let lview = Linkp.state_view t.lstate in
   let t1 = now () in
   let resumed, result =
-    match Andersen.resume ?pool:t.pool t.solver ~view:lview ~delta with
+    match Andersen.resume t.solver ~view:lview ~delta with
     | Some r -> (true, r)
     | None ->
         (* resume declined (removal, full relink, ...) and bumped
            [pretrans.delta.fallbacks]; re-solve from scratch over the
            relinked view *)
-        let solver, r = Andersen.solve_state ?pool:t.pool lview in
+        let solver, r = Andersen.solve_state lview in
         t.solver <- solver;
         (false, r)
   in

@@ -41,10 +41,9 @@ type stats = {
   wall_solve_s : float;
 }
 
-(** [create ?options ?pool ?units sources] — full build of
+(** [create ?options ?units sources] — full build of
     [(file, source)] pairs (file names unique; they key the compile
-    cache and the delta linker's unit matching).  [pool] parallelizes
-    the solver's query fan-out.  [units] are pre-compiled unit views
+    cache and the delta linker's unit matching).  [units] are pre-compiled unit views
     (e.g. [.clo] files the caller loads and revalidates itself —
     {!Loader.load_file_cached}) linked after the compiled sources; they
     bypass the compile cache and its hit/miss counters.  With a
@@ -52,7 +51,6 @@ type stats = {
     predicate cannot be content-hashed). *)
 val create :
   ?options:Compilep.options ->
-  ?pool:Cla_par.Pool.t ->
   ?units:(string * Objfile.view) list ->
   (string * string) list ->
   t * stats

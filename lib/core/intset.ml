@@ -22,8 +22,13 @@ let create capacity =
 
 let length t = t.count
 
-(* Fibonacci hashing: spreads consecutive keys. *)
-let slot t key = (key * 0x9E3779B97F4A7C1) land max_int land t.mask
+(* Fibonacci hashing, folded: the multiply spreads consecutive keys,
+   but its low bits depend only on the key's low bits.  A packed pair
+   key [(a lsl 31) lor b] keeps [a] above bit 31, so without the fold
+   every edge into one node [b] would probe a single growing cluster. *)
+let slot t key =
+  let h = key * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 32)) land t.mask
 
 let rec grow t =
   let old = t.keys in
@@ -69,6 +74,20 @@ let check_node_bound n =
          "node id %d outside [0, %d]: the packed edge-key encoding holds \
           31 bits per endpoint"
          n max_node_id)
+
+let longest_run t =
+  let n = Array.length t.keys in
+  let best = ref 0 and run = ref 0 in
+  (* two laps so a cluster that wraps past the last slot is measured
+     whole; a full table cannot happen (load stays <= 1/2) *)
+  for i = 0 to (2 * n) - 1 do
+    if Array.unsafe_get t.keys (i land t.mask) <> 0 then begin
+      incr run;
+      if !run > !best then best := !run
+    end
+    else run := 0
+  done;
+  !best
 
 let mem t key =
   let k = key + 1 in

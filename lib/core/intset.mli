@@ -16,6 +16,11 @@ val add : t -> int -> bool
 
 val mem : t -> int -> bool
 
+(** Length of the longest run of consecutive occupied slots (wrapping
+    around the end of the table): the worst-case probe count of a
+    lookup.  A diagnostic for the hash's spread; O(capacity). *)
+val longest_run : t -> int
+
 (** {2 Packed pair keys}
 
     The solvers dedup graph edges by probing this set with a single int

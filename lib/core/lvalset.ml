@@ -238,8 +238,6 @@ let pool_stats p =
     p_dense_sets = p.dense_sets;
   }
 
-let pool_dense_threshold p = p.threshold
-
 (* The canonical representation rule: a set goes word-packed iff its
    cardinality clears the pool threshold AND it populates its bitmap at
    >= 1 element per word on average (otherwise a sparse tail — a huge

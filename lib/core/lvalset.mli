@@ -76,7 +76,6 @@ val flush_pool : pool -> unit
 val set_default_dense_threshold : int -> unit
 
 val default_dense_threshold : unit -> int
-val pool_dense_threshold : pool -> int
 
 (** Cumulative pool counters; they survive {!flush_pool}. [p_small_sets]
     / [p_dense_sets] count distinct interned sets per representation. *)

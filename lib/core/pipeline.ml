@@ -52,8 +52,8 @@ let compile_units ~jobs compile units =
         let pool = Cla_par.Pool.shared ~jobs in
         Cla_par.Pool.map pool compile units)
 
-(* The shared pool, when the caller asked for parallelism; [None] keeps
-   every solver on its strictly sequential code path. *)
+(* The shared pool for the bit-vector solver, when the caller asked for
+   parallelism; [None] keeps it on its strictly sequential code path. *)
 let pool_of_jobs jobs =
   match jobs with
   | None -> None
@@ -136,17 +136,16 @@ let compile_link_files ?(options = Compilep.default_options) ?(jobs = 1)
     typed {!Cla_resilience} exceptions — never a partial solution. *)
 let points_to ?(algorithm = Pretransitive) ?config ?demand ?budget ?deadline
     ?cancel ?jobs (view : Objfile.view) : Solution.t =
-  let pool = pool_of_jobs jobs in
   match algorithm with
   | Pretransitive ->
-      (Andersen.solve ?config ?demand ?budget ?deadline ?cancel ?pool view)
+      (Andersen.solve ?config ?demand ?budget ?deadline ?cancel view)
         .Andersen.solution
   | Worklist ->
       Cla_obs.Obs.with_span "analyze" ~label:"worklist" (fun () ->
           Worklist.solve ?deadline ?cancel view)
   | Bitvector ->
       Cla_obs.Obs.with_span "analyze" ~label:"bitvector" (fun () ->
-          Bitsolver.solve ?deadline ?cancel ?pool view)
+          Bitsolver.solve ?deadline ?cancel ?pool:(pool_of_jobs jobs) view)
   | Steensgaard ->
       (* Unification would put the blob in one equivalence class with
          every escaping object — a degenerate "everything aliases
@@ -162,10 +161,9 @@ let points_to ?(algorithm = Pretransitive) ?config ?demand ?budget ?deadline
 
 (** Like {!points_to} with the pre-transitive solver, returning the full
     result (pass count, loader statistics, graph statistics). *)
-let points_to_result ?config ?demand ?budget ?deadline ?cancel ?jobs view :
+let points_to_result ?config ?demand ?budget ?deadline ?cancel view :
     Andersen.result =
-  let pool = pool_of_jobs jobs in
-  Andersen.solve ?config ?demand ?budget ?deadline ?cancel ?pool view
+  Andersen.solve ?config ?demand ?budget ?deadline ?cancel view
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation                                                 *)

@@ -54,12 +54,12 @@ val compile_link_files :
     (unification would collapse the blob with every escaping object);
     the other algorithms treat havoc constraints like ordinary ones.
 
-    [jobs >= 2] ([0] = auto) solves on the process-wide persistent
-    domain pool ({!Cla_par.Pool.shared}): the pre-transitive solver fans
-    each pass's [get_lvals] roots across domains, the bit-vector solver
-    partitions variable rows per pass.  The returned solution is
-    byte-identical to a sequential run at any width; [Worklist] and
-    [Steensgaard] always run sequentially. *)
+    [jobs >= 2] ([0] = auto) runs the bit-vector solver on the
+    process-wide persistent domain pool ({!Cla_par.Pool.shared}),
+    partitioning variable rows per pass; its solution is byte-identical
+    to a sequential run at any width.  The other algorithms ignore
+    [jobs]: the pre-transitive solver is the paper's single-threaded
+    pass loop, and [Worklist] and [Steensgaard] are sequential too. *)
 val points_to :
   ?algorithm:algorithm ->
   ?config:Pretrans.config ->
@@ -80,7 +80,6 @@ val points_to_result :
   ?budget:int ->
   ?deadline:Cla_resilience.Deadline.t ->
   ?cancel:Cla_resilience.Cancel.t ->
-  ?jobs:int ->
   Objfile.view ->
   Andersen.result
 
@@ -140,7 +139,7 @@ val outcome_of_solution : algorithm -> Solution.t -> ladder_outcome
     Hedging never changes {e which} answer a given rung computes, only
     when the fallback starts.
 
-    [jobs] parallelizes the precise rungs' solves on the shared domain
+    [jobs] parallelizes a bit-vector rung's solve on the shared domain
     pool, as in {!points_to}; the hedge rung itself always solves
     sequentially (it is the cheap near-linear one, and a pool task must
     not submit batches to its own pool). *)

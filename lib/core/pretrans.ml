@@ -466,288 +466,6 @@ let get_lvals t node =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Read-only batch queries (parallel fan-out)                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A worker domain's private traversal state: its own Tarjan arrays,
-   its own pass-local memo, its own lval-set pool, and a log of the
-   cycles it met.  [query_batch] runs the same walk as [tarjan] but
-   treats the shared graph as read-only — no unification, no shared
-   memo or pool writes — so any number of scratches can traverse one
-   graph concurrently.  The only shared-state writes a read-only walk
-   performs are [skip]/successor path compression, and those are
-   convergent: every domain writes the same final representative
-   (unification is barred during the fan-out), so a racing reader sees
-   either the raw node or the representative and de-skips both to the
-   same place.  Discoveries are replayed deterministically by
-   [commit_scratches] on one domain. *)
-type scratch = {
-  s_pool : Lvalset.pool;
-  mutable s_disc : int array;
-  mutable s_low : int array;
-  mutable s_qid : int array;
-  mutable s_onstk : int array;
-  mutable s_mark : int array;  (* local memo validity, versus [s_stamp] *)
-  mutable s_result : Lvalset.t array;  (* local memo, sets in [s_pool] *)
-  s_fnode : Dynarr.t;
-  s_fidx : Dynarr.t;
-  s_tstack : Dynarr.t;
-  s_scc_buf : Dynarr.t;  (* members of traversed cycles ... *)
-  s_scc_ends : Dynarr.t;  (* ... flattened; end offset per cycle *)
-  s_base_scratch : Dynarr.t;
-  mutable s_set_buf : Lvalset.t array;
-  mutable s_set_len : int;
-  mutable s_accum : int;
-  mutable s_query : int;
-  mutable s_stamp : int;  (* bumped per batch = per pass *)
-  mutable s_ticks : int;
-  (* the slice of the shared root array this batch answered *)
-  mutable s_lo : int;
-  mutable s_hi : int;
-  mutable s_res : Lvalset.t array;  (* per root of the slice *)
-  (* stat deltas folded into the shared counters at commit *)
-  mutable s_queries : int;
-  mutable s_visits : int;
-  mutable s_cache_hits : int;
-}
-
-let make_scratch t =
-  let cap = max 16 t.n in
-  {
-    s_pool = Lvalset.create_pool ~dense_threshold:(Lvalset.pool_dense_threshold t.pool) ();
-    s_disc = Array.make cap 0;
-    s_low = Array.make cap 0;
-    s_qid = Array.make cap (-1);
-    s_onstk = Array.make cap (-1);
-    s_mark = Array.make cap (-1);
-    s_result = Array.make cap Lvalset.empty;
-    s_fnode = Dynarr.create ~capacity:64 ();
-    s_fidx = Dynarr.create ~capacity:64 ();
-    s_tstack = Dynarr.create ~capacity:64 ();
-    s_scc_buf = Dynarr.create ~capacity:16 ();
-    s_scc_ends = Dynarr.create ~capacity:8 ();
-    s_base_scratch = Dynarr.create ~capacity:64 ();
-    s_set_buf = Array.make 64 Lvalset.empty;
-    s_set_len = 0;
-    s_accum = 0;
-    s_query = 0;
-    s_stamp = 0;
-    s_ticks = 0;
-    s_lo = 0;
-    s_hi = 0;
-    s_res = [||];
-    s_queries = 0;
-    s_visits = 0;
-    s_cache_hits = 0;
-  }
-
-let ensure_scratch t s =
-  let cap = Array.length s.s_disc in
-  if t.n > cap then begin
-    let cap' = max t.n (2 * cap) in
-    let extend a fill =
-      let a' = Array.make cap' fill in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    s.s_disc <- extend s.s_disc 0;
-    s.s_low <- extend s.s_low 0;
-    s.s_qid <- extend s.s_qid (-1);
-    s.s_onstk <- extend s.s_onstk (-1);
-    s.s_mark <- extend s.s_mark (-1);
-    let r' = Array.make cap' Lvalset.empty in
-    Array.blit s.s_result 0 r' 0 cap;
-    s.s_result <- r'
-  end
-
-let s_push_set s v =
-  if s.s_set_len = Array.length s.s_set_buf then begin
-    let b = Array.make (2 * s.s_set_len) Lvalset.empty in
-    Array.blit s.s_set_buf 0 b 0 s.s_set_len;
-    s.s_set_buf <- b
-  end;
-  s.s_set_buf.(s.s_set_len) <- v;
-  s.s_set_len <- s.s_set_len + 1
-
-(* [tarjan], read-only: shared-graph structure is only read (modulo the
-   convergent path compression described above), memo/pool/stat writes
-   go to the scratch, and multi-node SCCs are logged instead of unified. *)
-let tarjan_ro t s root =
-  s.s_query <- s.s_query + 1;
-  let q = s.s_query in
-  let counter = ref 0 in
-  let fnode = s.s_fnode and fidx = s.s_fidx and tstack = s.s_tstack in
-  Dynarr.clear fnode;
-  Dynarr.clear fidx;
-  Dynarr.clear tstack;
-  let push_frame n =
-    s.s_qid.(n) <- q;
-    s.s_disc.(n) <- !counter;
-    s.s_low.(n) <- !counter;
-    incr counter;
-    s.s_onstk.(n) <- q;
-    Dynarr.push tstack n;
-    Dynarr.push fnode n;
-    Dynarr.push fidx 0;
-    s.s_visits <- s.s_visits + 1
-  in
-  push_frame root;
-  while Dynarr.length fnode > 0 do
-    s.s_ticks <- s.s_ticks + 1;
-    if s.s_ticks land interrupt_mask = 0 then
-      (match t.interrupt with Some f -> f () | None -> ());
-    let top = Dynarr.length fnode - 1 in
-    let n = Dynarr.get fnode top in
-    let i = Dynarr.get fidx top in
-    let sn = t.succ.(n) in
-    if i < Dynarr.length sn then begin
-      fidx.Dynarr.data.(top) <- i + 1;
-      let raw = Dynarr.unsafe_get sn i in
-      let sx =
-        if t.skip.(raw) < 0 then raw
-        else begin
-          let r = deskip t raw in
-          sn.Dynarr.data.(i) <- r;
-          r
-        end
-      in
-      if sx = n then ()
-      else if s.s_mark.(sx) = s.s_stamp then ()
-      else if s.s_qid.(sx) = q then begin
-        if s.s_onstk.(sx) = q && s.s_disc.(sx) < s.s_low.(n) then
-          s.s_low.(n) <- s.s_disc.(sx)
-      end
-      else push_frame sx
-    end
-    else begin
-      fnode.Dynarr.len <- top;
-      fidx.Dynarr.len <- top;
-      if top > 0 then begin
-        let p = Dynarr.get fnode (top - 1) in
-        if s.s_low.(n) < s.s_low.(p) then s.s_low.(p) <- s.s_low.(n)
-      end;
-      if s.s_low.(n) = s.s_disc.(n) then begin
-        let tlen = Dynarr.length tstack in
-        let mstart = ref (tlen - 1) in
-        while Dynarr.get tstack !mstart <> n do decr mstart done;
-        let mstart = !mstart in
-        for k = mstart to tlen - 1 do
-          s.s_onstk.(Dynarr.unsafe_get tstack k) <- -1
-        done;
-        s.s_accum <- s.s_accum + 1;
-        let aid = s.s_accum in
-        s.s_set_len <- 0;
-        Dynarr.clear s.s_base_scratch;
-        for k = mstart to tlen - 1 do
-          let m = Dynarr.unsafe_get tstack k in
-          Dynarr.iter (fun z -> Dynarr.push s.s_base_scratch z) t.base.(m);
-          let sm = t.succ.(m) in
-          for j = 0 to Dynarr.length sm - 1 do
-            let raw = Dynarr.unsafe_get sm j in
-            let sx =
-              if t.skip.(raw) < 0 then raw
-              else begin
-                let r = deskip t raw in
-                sm.Dynarr.data.(j) <- r;
-                r
-              end
-            in
-            if s.s_mark.(sx) = s.s_stamp && s.s_onstk.(sx) <> q then begin
-              let rs = s.s_result.(sx) in
-              (* [rs] lives in this scratch's private pool, so the
-                 stamp dedup never touches another domain's sets *)
-              if Lvalset.try_stamp rs aid then s_push_set s rs
-            end
-          done
-        done;
-        let set =
-          Lvalset.union_many s.s_pool s.s_set_buf s.s_set_len
-            s.s_base_scratch.Dynarr.data
-            (Dynarr.length s.s_base_scratch)
-        in
-        for k = mstart to tlen - 1 do
-          let m = Dynarr.unsafe_get tstack k in
-          s.s_mark.(m) <- s.s_stamp;
-          s.s_result.(m) <- set
-        done;
-        if tlen - mstart > 1 && t.cfg.cycle_elim then begin
-          for k = mstart to tlen - 1 do
-            Dynarr.push s.s_scc_buf (Dynarr.unsafe_get tstack k)
-          done;
-          Dynarr.push s.s_scc_ends (Dynarr.length s.s_scc_buf)
-        end;
-        tstack.Dynarr.len <- mstart
-      end
-    end
-  done
-
-let query_batch t s roots ~lo ~hi =
-  ensure_scratch t s;
-  s.s_stamp <- s.s_stamp + 1;
-  Lvalset.flush_pool s.s_pool;
-  Dynarr.clear s.s_scc_buf;
-  Dynarr.clear s.s_scc_ends;
-  s.s_lo <- lo;
-  s.s_hi <- hi;
-  if Array.length s.s_res < hi - lo then
-    s.s_res <- Array.make (max 16 (hi - lo)) Lvalset.empty;
-  for k = lo to hi - 1 do
-    (* no unification runs during a fan-out, so the de-skip is stable *)
-    let node = deskip t roots.(k) in
-    s.s_queries <- s.s_queries + 1;
-    if s.s_mark.(node) = s.s_stamp then begin
-      s.s_cache_hits <- s.s_cache_hits + 1;
-      s.s_res.(k - lo) <- s.s_result.(node)
-    end
-    else begin
-      tarjan_ro t s node;
-      s.s_res.(k - lo) <- s.s_result.(node)
-    end
-  done
-
-let commit_scratches t roots scratches =
-  (* 1. replay the recorded cycles in scratch-then-discovery order —
-     the one mutating step, deterministic because the order never
-     depends on domain scheduling *)
-  Array.iter
-    (fun s ->
-      let start = ref 0 in
-      for c = 0 to Dynarr.length s.s_scc_ends - 1 do
-        let stop = Dynarr.get s.s_scc_ends c in
-        let rep = deskip t (Dynarr.get s.s_scc_buf !start) in
-        for k = !start + 1 to stop - 1 do
-          let m = deskip t (Dynarr.get s.s_scc_buf k) in
-          if m <> rep then unify_into t m rep
-        done;
-        start := stop
-      done)
-    scratches;
-  (* 2. install the roots' results into the shared pass cache,
-     re-interned into the shared pool so later sequential queries share
-     them physically.  First scratch to claim a (post-unification)
-     representative wins — again scratch order, not domain order. *)
-  let b = Dynarr.create ~capacity:256 () in
-  Array.iter
-    (fun s ->
-      for k = s.s_lo to s.s_hi - 1 do
-        let node = deskip t roots.(k) in
-        if t.mark.(node) <> t.stamp then begin
-          Dynarr.clear b;
-          Lvalset.iter (fun z -> Dynarr.push b z) s.s_res.(k - s.s_lo);
-          let set = Lvalset.of_dyn t.pool b.Dynarr.data (Dynarr.length b) in
-          t.mark.(node) <- t.stamp;
-          t.result.(node) <- set
-        end
-      done;
-      t.n_queries <- t.n_queries + s.s_queries;
-      t.n_visits <- t.n_visits + s.s_visits;
-      t.n_cache_hits <- t.n_cache_hits + s.s_cache_hits;
-      s.s_queries <- 0;
-      s.s_visits <- 0;
-      s.s_cache_hits <- 0)
-    scratches
-
-(* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
 

@@ -39,10 +39,6 @@ val n_nodes : t -> int
     splitting [*x = *y]). *)
 val fresh_node : t -> int
 
-(** Follow skip pointers to a node's unification representative, with path
-    compression. *)
-val deskip : t -> int -> int
-
 (** [add_edge t a b] adds [a -> b] ([pts(a) ⊇ pts(b)]).  Returns [true] if
     the edge is new — the driver's [nochange] flag (Figure 5).  Edges are
     deduplicated against the canonical (de-skipped) endpoints. *)
@@ -88,41 +84,6 @@ val pred_tracking : t -> bool
     Requires {!enable_pred_tracking} to have been called before the
     edges now being invalidated were added (or rebuilt over them). *)
 val invalidate_reaching : t -> int list -> int
-
-(** {1 Read-only batch queries (parallel fan-out)}
-
-    A {!scratch} is one worker domain's private traversal state: its own
-    Tarjan arrays, pass-local memo, lval-set pool, and a log of the
-    cycles it met.  {!query_batch} answers a slice of a shared root
-    array with the same reachability walk as {!get_lvals} but treats the
-    graph as read-only — no unification, no shared memo or pool writes —
-    so any number of scratches may traverse one graph concurrently, as
-    long as no mutating call ({!add_edge}, {!unify}-ing queries, ...)
-    interleaves.  {!commit_scratches} then replays the recorded cycle
-    unifications and installs the roots' results into the shared pass
-    cache on one domain, in scratch order — deterministic regardless of
-    how the batches were scheduled.  Keep scratches across passes:
-    they regrow with the graph and their per-pass state is reset by
-    {!query_batch}. *)
-
-type scratch
-
-val make_scratch : t -> scratch
-
-(** [query_batch t s roots ~lo ~hi] answers roots [lo..hi-1] of [roots]
-    into [s].  Must be bracketed by {!new_pass} (before) and
-    {!commit_scratches} (after); the shared pass cache must be empty for
-    the current pass.  The interrupt hook is polled inside the walk, as
-    in {!get_lvals}. *)
-val query_batch : t -> scratch -> int array -> lo:int -> hi:int -> unit
-
-(** [commit_scratches t roots scratches] — single-threaded merge: unify
-    the cycles every batch recorded (in scratch-then-discovery order),
-    install each root's result into the shared pass cache (re-interned
-    into the shared pool), and fold the batches' query statistics into
-    the graph's.  After the commit, {!get_lvals} on any queried root is
-    a cache hit for the rest of the pass. *)
-val commit_scratches : t -> int array -> scratch array -> unit
 
 (** Install (or clear) the cooperative-interruption hook: a callback
     polled periodically {e inside} the {!get_lvals} reachability walk, so

@@ -36,9 +36,10 @@ type config = {
           concurrently).  Answers never depend on the count. *)
   solve_jobs : int;
       (** width each solve draws from the process-wide persistent pool
-          ({!Cla_par.Pool.shared}) — the pre-transitive query fan-out
-          and row-parallel bit-vector passes, never ad-hoc domain
-          spawns.  [1] (the default) keeps solves sequential.  Shards
+          ({!Cla_par.Pool.shared}) for the row-parallel bit-vector
+          passes, never ad-hoc domain spawns; pre-transitive solves
+          are single-threaded at any width.  [1] (the default) keeps
+          solves sequential.  Shards
           submit to the one shared pool concurrently; answers are
           byte-identical at any width. *)
   query_log : string option;

@@ -223,6 +223,24 @@ let test_intset () =
   Alcotest.(check int) "length after growth" 1001 (Intset.length s);
   Alcotest.(check bool) "still mem" true (Intset.mem s (700 * 7))
 
+(* Every edge into one node [c] packs to [pair_key a c] with the same
+   low 31 bits.  A hash that reads only the product's low bits puts all
+   of them in one probe cluster (2^16 keys -> one 2^16-slot run, and
+   quadratic insertion); the folded hash must keep every run short.
+   Counts slots, never times. *)
+let test_intset_pair_key_spread () =
+  List.iter
+    (fun c ->
+      let s = Intset.create 16 in
+      for a = 0 to (1 lsl 16) - 1 do
+        ignore (Intset.add s (Intset.pair_key a c))
+      done;
+      Alcotest.(check int) "all keys present" (1 lsl 16) (Intset.length s);
+      let run = Intset.longest_run s in
+      if run > 64 then
+        Alcotest.failf "edges into node %d: longest probe run %d > 64" c run)
+    [ 7; 0; Intset.max_node_id ]
+
 let qcheck_intset =
   QCheck.Test.make ~count:100 ~name:"intset behaves like a set"
     QCheck.(list (int_bound 1000))
@@ -266,6 +284,8 @@ let () =
       ( "intset",
         [
           Alcotest.test_case "basic" `Quick test_intset;
+          Alcotest.test_case "pair keys into one node spread" `Quick
+            test_intset_pair_key_spread;
           QCheck_alcotest.to_alcotest qcheck_intset;
         ] );
     ]
