@@ -56,7 +56,7 @@ grep -q '"shard_restarts": *0' BENCH_chaos.json && {
 }
 
 # 2. unsupervised run: the same faults must blow the gate (exit 1)
-if "$bench" --quick --inject-no-supervise chaos >out2.txt 2>err2.txt; then
+if "$bench" --quick --inject chaos >out2.txt 2>err2.txt; then
   echo "chaos_smoke.sh: --inject-no-supervise did NOT fail the gate" >&2
   cat out2.txt >&2
   exit 1

@@ -72,7 +72,7 @@ grep -q '(remove)' out.txt || {
 }
 
 # 2. the gate must bite: a stale solution has to fail the run
-if "$bench" --quick --inject-stale incremental >out2.txt 2>err2.txt; then
+if "$bench" --quick --inject incremental >out2.txt 2>err2.txt; then
   echo "incremental_smoke.sh: --inject-stale did NOT fail the gate" >&2
   cat out2.txt >&2
   exit 1

@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper.
 
-   Sections (all run by default; select with command-line flags):
+   Sections (all run by default; name one or more to run only those):
 
      table2    benchmark characteristics (Table 2)
      table3    field-based analysis results + demand-loading stats (Table 3)
@@ -10,57 +10,29 @@
      transforms offline variable substitution (reference [21])
      figures   the worked examples (Figures 1, 3, 4)
      bechamel  one Bechamel micro-benchmark per table
-     parallel  compile / verify / solve sweep over --jobs=N,N,... x
-               --units=N,N,... synthesized compile units (writes
-               BENCH_parallel.json v2; -jN bytes and bit-vector
-               solutions must match -j1, bit-vector solve speedup
-               gated at the largest unit count on multi-core hosts,
-               informational under --quick;
-               --inject-divergence proves the solution gate fires)
-     solver    solver micro-bench: sparse/dense/cyclic workloads x every
-               solver and Pretrans.config cell, hybrid lval-sets vs the
-               sorted-array baseline (writes BENCH_solver.json; any
-               divergence from the baseline solution is a hard failure)
-     serve     serving sweep: shard count (--shards=N,N,...) x offered
-               load (--load=N,N,... concurrent closed-loop clients) over
-               an in-process server driven by the Servebench stream;
-               client-measured latency percentiles + throughput per cell
-               land in BENCH_serve.json (schema cla.bench.serve/v1)
-     openworld open-world soundness gate: delete function bodies from a
-               complete Genc program in a seeded stream and check the
-               havocked analysis keeps every surviving closed-world fact
-               (⊇ at every step; --inject-unsound must make it exit 1)
-     chaos     self-healing serve gate: freeze a snapshot, boot a sharded
-               server from it, and drive the Servebench stream while a
-               deterministic fault schedule kills and wedges the solver
-               shards mid-flight.  Gates: a corrupt snapshot falls back
-               to live solves, a good one answers without a single shard
-               solve, zero well-formed queries fail across the faults,
-               recovery p99 over the kill windows stays bounded (a
-               wall-time check: gated on the full run, informational
-               under --quick), and the supervisor logged the restarts.  Writes BENCH_chaos.json
-               (cla.bench.chaos/v1); --inject-no-supervise disables the
-               supervisor and must make the gate exit 1.
-     incremental delta-solve gate: replay a seeded one-TU edit stream
-               (--steps=N, --p-remove=P, --seed=S) through the
-               Incremental driver and, at every step, redo the honest
-               from-scratch pipeline (every unit recompiled, full link,
-               cold solve).  Solution.equal at every step is a hard
-               gate; additions must resume the solver; the compile
-               cache must score 1 miss / n-1 hits per one-TU edit; and
-               the incremental-vs-scratch speedup at the stream's tail
-               must beat 1.0 (a wall-time check: gated on the full run,
-               informational under --quick).  Writes
-               BENCH_incremental.json (schema
-               cla.bench.incremental/v1); --inject-stale checks each
-               step against the previous step's solution and must make
-               the gate exit 1.
+     parallel  -jN compile / verify / bit-vector solve vs -j1
+               (--jobs=N,N,... x --units=N,N,...)
+     solver    every solver and Pretrans.config cell vs the sorted-array
+               baseline on sparse/dense/cyclic workloads (--scale=F)
+     serve     shard count (--shards=N,...) x offered load (--load=N,...)
+     openworld body-deletion soundness gate for open-world havoc
+     chaos     self-healing serve gate: snapshots, shard kills and wedges
+     incremental delta compile-link-solve vs from-scratch over a seeded
+               edit stream (--steps=N, --p-remove=P, --seed=S)
 
-   Every table prints the paper's reported row (p:) next to the measured
-   row (m:).  Absolute times are not comparable (the paper used an 800MHz
-   Pentium III and hand-tuned C; we run synthetic workloads matched to
-   Table 2 on an OCaml implementation) — the *shape* is the claim: which
+   Every table prints the paper's reported row next to the measured one.
+   Absolute times are not comparable (the paper used an 800MHz Pentium
+   III and hand-tuned C; we run synthetic workloads matched to Table 2 on
+   an OCaml implementation) — the *shape* is the claim: which
    configuration wins, by roughly what factor, and where the blowups are.
+
+   The measured sections (table3, parallel, solver, serve, chaos,
+   incremental) share one harness (below): a row prints its table line
+   and becomes its JSON row, and [finish] writes BENCH_<section>.json
+   (table3: BENCH_pipeline.json) and enforces the gates.  Answer gates
+   hold every run; timed gates hold full runs on multi-core hosts and are
+   printed otherwise.  A failed gate exits 1.  --inject feeds each gated
+   section its one fault, which must fail it.
 
    Usage:
      dune exec bench/main.exe                 # every section, full scale
@@ -70,9 +42,12 @@
                 # bound retained assignments in core (LRU block eviction)
      dune exec bench/main.exe -- --scale=0.5 solver
                 # scale the solver workloads (default 1.0; --quick: 0.25)
-     dune exec bench/main.exe -- --check-against=BENCH_solver.json solver
-                # warn when a cell regresses > 25% vs a previous run
-                # (add --check-hard to turn the warning into exit 1)
+     dune exec bench/main.exe -- --check-against=BENCH_serve.json serve
+                # report each *wall_s over 25% slower than in a previous
+                # file of the same section (--check-hard: a timed gate)
+     dune exec bench/main.exe -- --quick --inject chaos   # must fail
+
+   An unknown section or flag, or a bad flag value, exits 2.
 *)
 
 open Cla_core
@@ -83,84 +58,18 @@ module Json = Cla_obs.Json
 
 let quick = ref false
 let budget = ref None
-let sections = ref []
 let jobs_sweep = ref [ 1; 2; 4 ]
 let units_sweep = ref []
 let serve_shards = ref [ 1; 2; 4 ]
 let serve_load = ref [ 2; 8 ]
 let solver_scale = ref None
-let check_against = ref None
+let baseline = ref None (* --check-against: the file and its parse *)
 let check_hard = ref false
-let inject_divergence = ref false
-let inject_unsound = ref false
-let inject_no_supervise = ref false
-let inject_stale = ref false
+let inject = ref false
 let incr_steps = ref 8
 let incr_seed = ref 1 (* seed 1's default stream includes a removal step *)
 let incr_p_remove = ref 0.2
-
-(* shared "--flag=value" parsing — every sweep used to hand-roll its own
-   String.sub prefix dance; these cover them all *)
-let chop s prefix =
-  let np = String.length prefix and ns = String.length s in
-  if ns > np && String.sub s 0 np = prefix then
-    Some (String.sub s np (ns - np))
-  else None
-
-let has s prefix = chop s prefix <> None
-
-let int_list_arg ?(min = 1) s prefix tgt =
-  let body = Option.value ~default:"" (chop s prefix) in
-  match List.map int_of_string_opt (String.split_on_char ',' body) with
-  | js
-    when js <> []
-         && List.for_all (function Some j -> j >= min | None -> false) js ->
-      tgt := List.map Option.get js
-  | _ -> Fmt.epr "bad %s value %S, ignored@." prefix s
-
-let int_arg ?(min = 1) s prefix tgt =
-  match int_of_string_opt (Option.value ~default:"" (chop s prefix)) with
-  | Some n when n >= min -> tgt := n
-  | _ -> Fmt.epr "bad %s value %S, ignored@." prefix s
-
-let float_arg ~lo s prefix tgt =
-  match float_of_string_opt (Option.value ~default:"" (chop s prefix)) with
-  | Some f when f >= lo -> tgt := f
-  | _ -> Fmt.epr "bad %s value %S, ignored@." prefix s
-
-let () =
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match arg with
-        | "--quick" -> quick := true
-        | "--check-hard" -> check_hard := true
-        | "--inject-divergence" -> inject_divergence := true
-        | "--inject-unsound" -> inject_unsound := true
-        | "--inject-no-supervise" -> inject_no_supervise := true
-        | "--inject-stale" -> inject_stale := true
-        | s when has s "--scale=" -> (
-            match float_of_string_opt (Option.get (chop s "--scale=")) with
-            | Some f when f > 0. -> solver_scale := Some f
-            | _ -> Fmt.epr "bad --scale value %S, ignored@." s)
-        | s when has s "--check-against=" ->
-            check_against := chop s "--check-against="
-        | s when has s "--budget=" -> (
-            match int_of_string_opt (Option.get (chop s "--budget=")) with
-            | Some n when n > 0 -> budget := Some n
-            | _ -> Fmt.epr "bad --budget value %S, ignored@." s)
-        | s when has s "--units=" -> int_list_arg s "--units=" units_sweep
-        | s when has s "--shards=" -> int_list_arg s "--shards=" serve_shards
-        | s when has s "--load=" -> int_list_arg s "--load=" serve_load
-        | s when has s "--jobs=" -> int_list_arg ~min:0 s "--jobs=" jobs_sweep
-        | s when has s "--steps=" -> int_arg s "--steps=" incr_steps
-        | s when has s "--seed=" -> int_arg ~min:0 s "--seed=" incr_seed
-        | s when has s "--p-remove=" ->
-            float_arg ~lo:0. s "--p-remove=" incr_p_remove
-        | s -> sections := s :: !sections)
-    Sys.argv
-
-let want name = !sections = [] || List.mem name !sections
+let host_cores = Domain.recommended_domain_count ()
 
 (* scale the two large profiles down in quick mode *)
 let profiles () =
@@ -175,8 +84,8 @@ let heap_mb () =
   let s = Gc.quick_stat () in
   float_of_int (s.Gc.heap_words * 8) /. 1e6
 
-(* All timing below goes through Cla_obs spans: run [f] with recording
-   on and return its result plus the recorded top-level spans. *)
+(* Run [f] with Cla_obs recording on and return its result plus the
+   recorded top-level spans (the paper tables' phase timings). *)
 let with_recording f =
   Obs.enable ();
   Obs.reset ();
@@ -184,23 +93,17 @@ let with_recording f =
   Obs.disable ();
   (r, Span.roots ())
 
-(* Wall-clock a thunk that carries no spans of its own. *)
-let time f =
-  let (), spans =
-    with_recording (fun () -> Obs.with_span "run" (fun () -> ignore (f ())))
-  in
-  match Span.find "run" spans with Some s -> s.Span.wall_s | None -> 0.
+(* [f ()] and its wall time *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
 (* The analyze span of a recorded Andersen.solve run. *)
 let analyze_span spans =
   match Span.find "analyze" spans with
   | Some s -> s
   | None -> failwith "no analyze span recorded"
-
-(* One row per profile run lands here and is written to
-   BENCH_pipeline.json at exit — the start of the repo's perf
-   trajectory. *)
-let bench_rows : Json.t list ref = ref []
 
 (* Per-profile workload cache: generating + compiling gimp takes a while,
    so each (profile, mode) is compiled once and reused across sections. *)
@@ -225,17 +128,241 @@ let compiled ?(mode = Cla_cfront.Normalize.Field_based) (p : Profile.t) =
 
 let hr () = Fmt.pr "%s@." (String.make 100 '-')
 
+(* a section's title, between rules *)
+let banner fmt =
+  Fmt.kstr
+    (fun title ->
+      hr ();
+      Fmt.pr "%s@." title;
+      hr ())
+    fmt
+
 let k n =
   if n >= 10_000 then Fmt.str "%dK" (n / 1000) else string_of_int n
+
+(* ------------------------------------------------------------------ *)
+(* The harness: one row, gate, writer and regression check             *)
+(* ------------------------------------------------------------------ *)
+
+(* A result row is one ordered list of named, typed fields.  It prints
+   the table line — an [O] group flattens into its columns, a [J] field
+   is JSON-only — and becomes the JSON row. *)
+type value =
+  | I of int
+  | F of float
+  | S of string
+  | B of bool
+  | O of (string * value) list
+  | J of Json.t
+
+let rec json_of = function
+  | I n -> Json.Int n
+  | F f -> Json.Float f
+  | S s -> Json.Str s
+  | B b -> Json.Bool b
+  | O fields -> Json.Obj (List.map (fun (k, v) -> (k, json_of v)) fields)
+  | J j -> j
+
+(* a JSON-only group of int fields *)
+let ints kvs = J (Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) kvs))
+
+let rec columns fields =
+  List.concat_map
+    (fun (k, v) ->
+      match v with
+      | I n -> [ (k, string_of_int n) ]
+      | F f -> [ (k, Fmt.str "%.3f" f) ]
+      | S s -> [ (k, s) ]
+      | B b -> [ (k, if b then "yes" else "NO") ]
+      | O fields -> columns fields
+      | J _ -> [])
+    fields
+
+(* One section's results; [key] names the fields that identify a row
+   across runs, for the regression check. *)
+type report = {
+  section : string;
+  key : string list;
+  mutable rows : (string * value) list list;
+  mutable widths : int list;
+}
+
+let report ?(key = []) section = { section; key; rows = []; widths = [] }
+
+(* Print one table line; the section's first prints the header and
+   fixes the column widths. *)
+let show r fields =
+  let cols = columns fields in
+  let line cells =
+    let width i = Option.value ~default:0 (List.nth_opt r.widths i) in
+    Fmt.pr "%s@." (String.concat " " (List.mapi (fun i -> Fmt.str "%*s" (width i)) cells))
+  in
+  if r.widths = [] then begin
+    r.widths <- List.map (fun (h, c) -> max (String.length h) (String.length c)) cols;
+    line (List.map fst cols)
+  end;
+  line (List.map snd cols)
+
+let row r fields =
+  show r fields;
+  r.rows <- fields :: r.rows
+
+(* An answer gate holds every run; a timed gate (a wall-time claim)
+   holds a full run on a multi-core host and is only printed elsewhere. *)
+type kind = Answer | Timed
+
+type gate = { name : string; ok : bool; kind : kind; detail : string }
+
+let gate ?(kind = Answer) name ok fmt =
+  Fmt.kstr (fun detail -> { name; ok; kind; detail }) fmt
+
+let enforced g = g.kind = Answer || ((not !quick) && host_cores > 1)
+
+(* Print every gate's verdict; if an enforced gate failed, name the
+   failures on stdout and their detail lines on stderr, and fail the
+   run with status 1. *)
+let enforce section gates =
+  let verdict g =
+    Fmt.str "%s: %s %s — %s" section
+      (if enforced g then if g.ok then "ok" else "FAIL"
+       else if !quick then "info (--quick)"
+       else "info (1 core)")
+      g.name g.detail
+  in
+  List.iter (fun g -> Fmt.pr "%s@." (verdict g)) gates;
+  match List.filter (fun g -> enforced g && not g.ok) gates with
+  | [] -> ()
+  | failed ->
+      Fmt.pr "%s GATE FAILED: %s@."
+        (String.uppercase_ascii section)
+        (String.concat ", " (List.map (fun g -> g.name) failed));
+      List.iter (fun g -> Fmt.epr "%s@." (verdict g)) failed;
+      exit 1
+
+(* The timings of a JSON row: every field named *wall_s, nested groups
+   included, keyed by the row's [key] fields and the field's path. *)
+let timings r row =
+  let id =
+    List.map
+      (fun k ->
+        match Json.member k row with
+        | Some (Json.Str s) -> s
+        | Some j -> Json.to_string ~indent:false j
+        | None -> "-")
+      r.key
+  in
+  let rec walk path = function
+    | Json.Obj kvs ->
+        List.concat_map (fun (k, v) -> walk (if path = "" then k else path ^ "." ^ k) v) kvs
+    | v -> (
+        match Json.to_float v with
+        | Some t when String.ends_with ~suffix:"wall_s" path ->
+            [ (String.concat "/" id ^ " " ^ path, t) ]
+        | _ -> [])
+  in
+  walk "" row
+
+(* --check-against FILE, when FILE holds this section's schema: a timing
+   over 25% slower than the same row's in FILE is a regression, unless
+   it took under 5 ms there (timer noise).  A check that matched no
+   timing says so rather than "clean".  Under --check-hard the verdict
+   is a timed gate, which an empty check fails. *)
+let regression_gates r schema rows =
+  match !baseline with
+  | Some (file, None) ->
+      Fmt.epr "%s: cannot read %s, skipping regression check@." r.section file;
+      []
+  | Some (file, Some prev) when Json.member "schema" prev = Some (Json.Str schema) ->
+      let prev_rows =
+        match Json.member "rows" prev with Some (Json.Arr rs) -> rs | _ -> []
+      in
+      let before =
+        Hashtbl.of_seq (List.to_seq (List.concat_map (timings r) prev_rows))
+      in
+      let compared =
+        List.filter_map
+          (fun (k, t) -> Option.map (fun t0 -> (k, t0, t)) (Hashtbl.find_opt before k))
+          (List.concat_map (timings r) rows)
+      in
+      let slower = List.filter (fun (_, t0, t) -> t0 > 0.005 && t > t0 *. 1.25) compared in
+      if compared = [] then Fmt.pr "regression check vs %s: no comparable timings@." file
+      else if slower = [] then
+        Fmt.pr "regression check vs %s: clean (%d timing(s))@." file (List.length compared);
+      List.iter
+        (fun (k, t0, t) ->
+          Fmt.epr "%s: REGRESSION %s: %.3fs -> %.3fs (+%.0f%%)@." r.section k
+            t0 t
+            ((t /. t0 -. 1.) *. 100.))
+        slower;
+      if !check_hard then
+        [
+          gate ~kind:Timed "no_regression" (compared <> [] && slower = [])
+            "%d of %d timing(s) over 25%% slower than %s" (List.length slower)
+            (List.length compared) file;
+        ]
+      else []
+  | Some (file, Some prev) ->
+      let other =
+        match Json.member "schema" prev with
+        | Some (Json.Str s) -> s
+        | _ -> "no schema"
+      in
+      Fmt.epr "%s: %s holds %s, not %s; no regression check@." r.section file other
+        schema;
+      []
+  | None -> []
+
+(* Run the regression check, write BENCH_<section>.json — schema, run
+   header, [meta], the rows and the enforced gates — and enforce every
+   gate. *)
+let finish ?(v = 1) ?(meta = []) ?(gates = []) r =
+  let schema = Fmt.str "cla.bench.%s/v%d" r.section v in
+  let rows = List.rev_map (fun fields -> json_of (O fields)) r.rows in
+  let gates = gates @ regression_gates r schema rows in
+  let file = Fmt.str "BENCH_%s.json" r.section in
+  let held = List.filter enforced gates in
+  Json.write_file file
+    (json_of
+       (O
+          ((("schema", S schema) :: ("quick", B !quick) :: ("host_cores", I host_cores) :: meta)
+          @ [
+              ("rows", J (Json.Arr rows));
+              ("gates", O (List.map (fun g -> (g.name, B g.ok)) held));
+            ])));
+  Fmt.pr "wrote %s (%d row(s))@." file (List.length rows);
+  enforce r.section gates
+
+(* The solution fault --inject feeds the parallel and solver gates: one
+   points-to set flipped between empty and {0}. *)
+let perturb v (sol : Solution.t) =
+  let pts = Array.copy sol.Solution.pts in
+  if Array.length pts > 0 then
+    pts.(0) <-
+      (if Lvalset.cardinal pts.(0) = 0 then
+         Lvalset.of_list (Lvalset.create_pool ()) [ 0 ]
+       else Lvalset.empty);
+  Solution.create v pts
+
+(* Boot an in-process server over [view], run [body handle socket], and
+   drain the server. *)
+let with_server view (config : Cla_serve.Server.config) body =
+  let module Sv = Cla_serve.Server in
+  let ready = Event.new_channel () in
+  let on_ready t = Event.sync (Event.send ready t) in
+  let srv = Thread.create (fun () -> ignore (Sv.run ~config ~on_ready view)) () in
+  let h = Event.sync (Event.receive ready) in
+  Fun.protect
+    ~finally:(fun () ->
+      Sv.request_shutdown h;
+      Thread.join srv)
+    (fun () -> body h config.Sv.socket_path)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: benchmark characteristics                                  *)
 (* ------------------------------------------------------------------ *)
 
 let table2 () =
-  hr ();
-  Fmt.pr "TABLE 2: benchmarks (m: measured on the synthetic workload, p: paper)@.";
-  hr ();
+  banner "TABLE 2: benchmarks (m: measured on the synthetic workload, p: paper)";
   Fmt.pr "%-10s %2s %10s %10s %9s %9s %8s %8s %8s %8s@." "bench" "" "obj bytes"
     "variables" "x=y" "x=&y" "*x=y" "*x=*y" "x=*y" "LOC";
   List.iter
@@ -255,74 +382,16 @@ let table2 () =
     (profiles ())
 
 (* ------------------------------------------------------------------ *)
+(* ------------------------------------------------------------------ *)
 (* Table 3: analysis results                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The Table-3 row of one profile run, as a BENCH_pipeline.json record:
-   profile identity, per-phase span timings, the paper's Table 3 metrics,
-   and the pre-transitive graph statistics with per-pass convergence. *)
-let bench_row (p : Profile.t) ~compile_link_s ~heap_mb (a : Span.t)
-    (r : Andersen.result) : Json.t =
-  let sol = r.Andersen.solution in
-  let ls = r.Andersen.loader_stats in
-  let gs = r.Andersen.graph_stats in
-  Json.Obj
-    [
-      ("profile", Json.Str p.Profile.name);
-      ("scale", Json.Float p.Profile.scale);
-      ( "phases",
-        Json.Obj
-          [
-            ("compile_link_wall_s", Json.Float compile_link_s);
-            ("analyze_wall_s", Json.Float a.Span.wall_s);
-            ("analyze_user_s", Json.Float a.Span.user_s);
-            ("analyze_gc_minor_words", Json.Float a.Span.gc_minor_words);
-            ("analyze_gc_major_words", Json.Float a.Span.gc_major_words);
-          ] );
-      ( "table3",
-        Json.Obj
-          [
-            ("pointer_vars", Json.Int (Solution.n_pointer_vars sol));
-            ("relations", Json.Int (Solution.n_relations sol));
-            ("heap_mb", Json.Float heap_mb);
-            ("in_core", Json.Int ls.Loader.s_in_core);
-            ("loaded", Json.Int ls.Loader.s_loaded);
-            ("in_file", Json.Int ls.Loader.s_in_file);
-            ("reloads", Json.Int ls.Loader.s_reloads);
-          ] );
-      ( "graph",
-        Json.Obj
-          [
-            ("nodes", Json.Int gs.Pretrans.nodes);
-            ("edges", Json.Int gs.Pretrans.edges);
-            ("unified", Json.Int gs.Pretrans.unified);
-            ("queries", Json.Int gs.Pretrans.queries);
-            ("visits", Json.Int gs.Pretrans.visits);
-            ("cache_hits", Json.Int gs.Pretrans.cache_hits);
-          ] );
-      ("passes", Json.Int r.Andersen.passes);
-      ( "pass_log",
-        Json.Arr
-          (List.map
-             (fun (ps : Andersen.pass_stats) ->
-               Json.Obj
-                 [
-                   ("pass", Json.Int ps.Andersen.ps_pass);
-                   ("edges_added", Json.Int ps.Andersen.ps_edges_added);
-                   ( "lvals_discovered",
-                     Json.Int ps.Andersen.ps_lvals_discovered );
-                   ("unified", Json.Int ps.Andersen.ps_unified);
-                   ("queries", Json.Int ps.Andersen.ps_queries);
-                 ])
-             r.Andersen.pass_log) );
-    ]
-
+(* One BENCH_pipeline.json row per profile: per-phase span timings, the
+   paper's Table 3 metrics, and the pre-transitive graph statistics with
+   per-pass convergence.  The paper's row follows each measured one. *)
 let table3 () =
-  hr ();
-  Fmt.pr "TABLE 3: field-based points-to analysis, demand loading@.";
-  hr ();
-  Fmt.pr "%-10s %2s %8s %10s %8s %8s %8s %9s %9s %9s@." "bench" "" "ptrs"
-    "relations" "real" "user" "heap MB" "in core" "loaded" "in file";
+  banner "TABLE 3: field-based points-to analysis, demand loading";
+  let r = report ~key:[ "profile"; "scale" ] "pipeline" in
   List.iter
     (fun (p : Profile.t) ->
       (* record compile+link spans too (zero if the workload is cached) *)
@@ -332,42 +401,71 @@ let table3 () =
       in
       Gc.compact ();
       let h0 = heap_mb () in
-      let r, aspans =
+      let res, aspans =
         with_recording (fun () -> Andersen.solve ?budget:!budget v)
       in
-      let h1 = heap_mb () in
+      let heap = Float.max 0. (heap_mb () -. h0) in
       let a = analyze_span aspans in
-      let heap = Float.max 0. (h1 -. h0) in
-      let ls = r.Andersen.loader_stats in
-      Fmt.pr "%-10s %2s %8d %10s %7.2fs %7.2fs %8.1f %9d %9d %9d@."
-        p.Profile.name "m:"
-        (Solution.n_pointer_vars r.Andersen.solution)
-        (k (Solution.n_relations r.Andersen.solution))
-        a.Span.wall_s a.Span.user_s heap ls.Loader.s_in_core
-        ls.Loader.s_loaded ls.Loader.s_in_file;
-      Option.iter
-        (fun b ->
-          Fmt.pr "%-10s     budget=%d: evictions=%d reloads=%d@." "" b
-            ls.Loader.s_evictions ls.Loader.s_reloads)
-        !budget;
+      let sol = res.Andersen.solution in
+      let ls = res.Andersen.loader_stats and gs = res.Andersen.graph_stats in
+      row r
+        [
+          ("profile", S p.Profile.name);
+          ("scale", F p.Profile.scale);
+          ( "phases",
+            O
+              [
+                ("compile_link_wall_s", J (Json.Float compile_link_s));
+                ("analyze_wall_s", F a.Span.wall_s);
+                ("analyze_user_s", F a.Span.user_s);
+                ("analyze_gc_minor_words", J (Json.Float a.Span.gc_minor_words));
+                ("analyze_gc_major_words", J (Json.Float a.Span.gc_major_words));
+              ] );
+          ( "table3",
+            O
+              [
+                ("pointer_vars", I (Solution.n_pointer_vars sol));
+                ("relations", I (Solution.n_relations sol));
+                ("heap_mb", F heap);
+                ("in_core", I ls.s_in_core);
+                ("loaded", I ls.s_loaded);
+                ("in_file", I ls.s_in_file);
+                ("reloads", I ls.s_reloads);
+                ("evictions", I ls.s_evictions);
+              ] );
+          ( "graph",
+            ints
+              [ ("nodes", gs.nodes); ("edges", gs.edges); ("unified", gs.unified);
+                ("queries", gs.queries); ("visits", gs.visits); ("cache_hits", gs.cache_hits) ] );
+          ("passes", J (Json.Int res.passes));
+          ( "pass_log",
+            J
+              (Json.Arr
+                 (List.map
+                    (fun (ps : Andersen.pass_stats) ->
+                      json_of
+                        (ints
+                           [ ("pass", ps.ps_pass); ("edges_added", ps.ps_edges_added);
+                             ("lvals_discovered", ps.ps_lvals_discovered);
+                             ("unified", ps.ps_unified); ("queries", ps.ps_queries) ]))
+                    res.pass_log)) );
+        ];
       let t3 = p.Profile.table3 in
-      Fmt.pr "%-10s %2s %8d %10s %7.2fs %7.2fs %8.1f %9d %9d %9d@." "" "p:"
-        t3.Profile.t3_pointer_vars
-        (k t3.Profile.t3_relations)
-        t3.Profile.t3_real_s t3.Profile.t3_user_s t3.Profile.t3_size_mb
-        t3.Profile.t3_in_core t3.Profile.t3_loaded t3.Profile.t3_in_file;
-      bench_rows :=
-        bench_row p ~compile_link_s ~heap_mb:heap a r :: !bench_rows)
-    (profiles ())
+      show r
+        (List.map
+           (fun v -> ("", v))
+           [ S "(paper)"; S ""; F t3.t3_real_s; F t3.t3_user_s; I t3.t3_pointer_vars;
+             I t3.t3_relations; F t3.t3_size_mb; I t3.t3_in_core; I t3.t3_loaded;
+             I t3.t3_in_file; S "-"; S "-" ]))
+    (profiles ());
+  finish r
 
 (* ------------------------------------------------------------------ *)
 (* Table 4: field-based vs field-independent                           *)
 (* ------------------------------------------------------------------ *)
 
 let table4 () =
-  hr ();
-  Fmt.pr "TABLE 4: effect of a field-independent treatment of structs@.";
-  hr ();
+  banner "TABLE 4: effect of a field-independent treatment of structs";
   Fmt.pr "%-10s %2s | %8s %10s %8s | %8s %10s %8s %9s@." "bench" ""
     "fb ptrs" "fb rel" "fb utime" "fi ptrs" "fi rel" "fi utime" "slowdown";
   List.iter
@@ -438,13 +536,12 @@ let ablation_row label v budget =
   | _ -> ()
 
 let ablation () =
-  hr ();
-  Fmt.pr "ABLATION (Section 5): caching of reachability + cycle elimination@.";
-  Fmt.pr "(the paper reports a > 50,000x slowdown on gimp with both off —@.";
-  Fmt.pr " 45,000s vs 0.8s.  The ablated configurations blow up superlinearly,@.";
-  Fmt.pr " so the sweep runs growing constraint graphs until timeout; the@.";
-  Fmt.pr " factor's growth is the claim)@.";
-  hr ();
+  banner
+    "ABLATION (Section 5): caching of reachability + cycle elimination@.\
+     (the paper reports a > 50,000x slowdown on gimp with both off —@.\
+    \ 45,000s vs 0.8s.  The ablated configurations blow up superlinearly,@.\
+    \ so the sweep runs growing constraint graphs until timeout; the@.\
+    \ factor's growth is the claim)";
   Fmt.pr "%-22s %12s %12s %12s %12s@." "workload" "full" "no cache"
     "no cyc-elim" "neither";
   (* dense random constraint graphs: the regime where reachability caching
@@ -475,19 +572,18 @@ let ablation () =
 (* ------------------------------------------------------------------ *)
 
 let solvers () =
-  hr ();
-  Fmt.pr "SOLVERS: pre-transitive vs transitively-closed vs bit-vector vs unification@.";
-  Fmt.pr "(the paper's positioning: subset-based precision at near-unification speed)@.";
-  hr ();
+  banner
+    "SOLVERS: pre-transitive vs transitively-closed vs bit-vector vs unification@.\
+     (the paper's positioning: subset-based precision at near-unification speed)";
   Fmt.pr "%-10s %14s %14s %14s %14s@." "bench" "pretransitive" "worklist"
     "bitvector" "steensgaard";
   List.iter
     (fun (p : Profile.t) ->
       let v = compiled p in
-      let pre = time (fun () -> Andersen.solve v) in
-      let wl = time (fun () -> Worklist.solve v) in
-      let bv = time (fun () -> Bitsolver.solve v) in
-      let st = time (fun () -> Steensgaard.solve v) in
+      let pre = snd (timed (fun () -> Andersen.solve v)) in
+      let wl = snd (timed (fun () -> Worklist.solve v)) in
+      let bv = snd (timed (fun () -> Bitsolver.solve v)) in
+      let st = snd (timed (fun () -> Steensgaard.solve v)) in
       Fmt.pr "%-10s %13.3fs %13.3fs %13.3fs %13.3fs@." p.Profile.name pre wl
         bv st)
     [ Profile.nethack; Profile.burlap; Profile.vortex; Profile.povray; Profile.gcc ]
@@ -497,12 +593,11 @@ let solvers () =
 (* ------------------------------------------------------------------ *)
 
 let transforms () =
-  hr ();
-  Fmt.pr "TRANSFORMERS: offline variable substitution before analysis@.";
-  Fmt.pr "(the paper's database-to-database optimizer hook, instantiated@.";
-  Fmt.pr " with Rountev-Chandra-style substitution — its PLDI'00 table is@.";
-  Fmt.pr " variables/assignments removed and the analysis-time effect)@.";
-  hr ();
+  banner
+    "TRANSFORMERS: offline variable substitution before analysis@.\
+     (the paper's database-to-database optimizer hook, instantiated@.\
+    \ with Rountev-Chandra-style substitution — its PLDI'00 table is@.\
+    \ variables/assignments removed and the analysis-time effect)";
   Fmt.pr "%-10s %10s %10s %10s %10s %10s %10s@." "bench" "vars" "vars'"
     "assigns" "assigns'" "t before" "t after";
   List.iter
@@ -513,10 +608,10 @@ let transforms () =
         List.length d.Objfile.statics
         + Array.fold_left (fun a l -> a + List.length l) 0 d.Objfile.blocks
       in
-      let t_before = time (fun () -> Andersen.solve v) in
+      let t_before = snd (timed (fun () -> Andersen.solve v)) in
       let db', _ = Transform.substitute_variables db in
       let v' = Objfile.view_of_string (Objfile.write db') in
-      let t_after = time (fun () -> Andersen.solve v') in
+      let t_after = snd (timed (fun () -> Andersen.solve v')) in
       Fmt.pr "%-10s %10d %10d %10d %10d %9.3fs %9.3fs@." p.Profile.name
         (Array.length db.Objfile.vars)
         (Array.length db'.Objfile.vars)
@@ -528,9 +623,7 @@ let transforms () =
 (* ------------------------------------------------------------------ *)
 
 let figures () =
-  hr ();
-  Fmt.pr "FIGURES: the paper's worked examples@.";
-  hr ();
+  banner "FIGURES: the paper's worked examples";
   (* Figure 3 *)
   let v3 =
     Pipeline.compile_link
@@ -593,9 +686,7 @@ let figures () =
 (* ------------------------------------------------------------------ *)
 
 let bechamel () =
-  hr ();
-  Fmt.pr "BECHAMEL: micro-benchmarks (one Test.make per table)@.";
-  hr ();
+  banner "BECHAMEL: micro-benchmarks (one Test.make per table)";
   let open Bechamel in
   let p = Profile.scaled 0.1 Profile.nethack in
   let files = Genc.generate p in
@@ -656,49 +747,28 @@ let bechamel () =
    corpus's fresh -j1 baseline, time the pooled CRC verify, then run
    the row-parallel bit-vector solver (the one solver with a parallel
    path) and require [Solution.equal] against the -j1 solve.  Any
-   divergence, bytes or solution, in any cell is a hard failure
-   (exit 1); --inject-divergence perturbs one j>=2 solution to prove
-   that gate fires.
+   divergence, bytes or solution, in any cell fails the [identical]
+   gate; --inject perturbs one j>=2 solution to prove it fires.
 
-   The speedup gate is the part v1 got wrong: it measured 3 units at
-   whole-pool spawn cost per call and could only report the loss.  Now
-   domains are spawned once (Pool.shared) and the gate asserts
+   Domains are spawned once (Pool.shared), and the timed gate asserts
    solve_bitvector_speedup_vs_j1 > 1.0 at the LARGEST unit count, where
-   there is enough work to amortize chunking — hard on multi-core hosts
-   in the full run, informational under --quick (whose few small units
-   cannot amortize the pool) and on a 1-core box where j>=2 resolves to
-   1 domain. *)
+   there is enough work to amortize chunking (--quick's few small units
+   cannot, and on a 1-core box j>=2 resolves to 1 domain). *)
 let parallel () =
-  hr ();
   let units_list =
-    match !units_sweep with
-    | [] -> if !quick then [ 2; 8 ] else [ 2; 8; 32 ]
-    | u -> u
+    if !units_sweep <> [] then !units_sweep
+    else if !quick then [ 2; 8 ]
+    else [ 2; 8; 32 ]
   in
-  let host_cores = Domain.recommended_domain_count () in
-  Fmt.pr "PARALLEL: compile/verify/solve sweep (--units=%s x --jobs=%s, %d core(s))@."
+  banner "PARALLEL: compile/verify/solve sweep (--units=%s x --jobs=%s, %d core(s))"
     (String.concat "," (List.map string_of_int units_list))
     (String.concat "," (List.map string_of_int !jobs_sweep))
     host_cores;
-  hr ();
   let options = Compilep.default_options in
-  (* perturb one points-to set so the Solution.equal gate provably
-     fires (same shape as the solver bench's --inject-divergence) *)
-  let perturb v (sol : Solution.t) =
-    let pool = Lvalset.create_pool () in
-    let pts = Array.copy sol.Solution.pts in
-    if Array.length pts > 0 then
-      pts.(0) <-
-        (if Lvalset.cardinal pts.(0) = 0 then Lvalset.of_list pool [ 0 ]
-         else Lvalset.empty);
-    Solution.create v pts
-  in
   let largest = List.fold_left max 0 units_list in
-  let best_solve_speedup_at_largest = ref 0. in
-  let rows = ref [] in
-  let divergent = ref false in
-  Fmt.pr "%-6s %-5s %-5s %10s %9s %9s %11s %9s  %s@." "units" "req" "jobs"
-    "compile_s" "link_s" "verify_s" "bitvec_s" "speedup" "identical";
+  let best_speedup = ref 0. in
+  let bytes_bad = ref 0 and solution_bad = ref 0 in
+  let r = report ~key:[ "units"; "jobs_requested" ] "parallel" in
   List.iter
     (fun n_units ->
       (* scale the profile so Genc emits ~n_units translation units
@@ -711,117 +781,74 @@ let parallel () =
       let compile_one (file, src) =
         Objfile.write (Compilep.compile_string ~options ~file src)
       in
-      let compile_all ~jobs =
-        if jobs <= 1 then List.map compile_one files
-        else
-          let pool = Cla_par.Pool.shared ~jobs in
-          Cla_par.Pool.map pool compile_one files
+      let compile_all = function
+        | None -> List.map compile_one files
+        | Some pool -> Cla_par.Pool.map pool compile_one files
       in
       let link objs =
-        let views = List.map Objfile.view_of_string objs in
-        let db, _stats = Linkp.link_views views in
-        Objfile.write db
+        Objfile.write (fst (Linkp.link_views (List.map Objfile.view_of_string objs)))
       in
       (* per-corpus -j1 baseline: bytes and the exact solution *)
-      let t0 = Unix.gettimeofday () in
-      let base_objs = compile_all ~jobs:1 in
-      let base_compile_s = Unix.gettimeofday () -. t0 in
+      let base_objs, base_compile_s = timed (fun () -> compile_all None) in
       let base_db = link base_objs in
-      let base_view = Objfile.view_of_string base_db in
-      let t0 = Unix.gettimeofday () in
-      let base_bv = Bitsolver.solve base_view in
-      let base_bv_s = Unix.gettimeofday () -. t0 in
+      let base_bv, base_bv_s =
+        timed (fun () -> Bitsolver.solve (Objfile.view_of_string base_db))
+      in
       List.iter
         (fun jobs_requested ->
           let jobs = Cla_par.Pool.resolve_jobs jobs_requested in
-          let t0 = Unix.gettimeofday () in
-          let objs = compile_all ~jobs in
-          let compile_s = Unix.gettimeofday () -. t0 in
-          let t1 = Unix.gettimeofday () in
-          let db = link objs in
-          let link_s = Unix.gettimeofday () -. t1 in
-          let t2 = Unix.gettimeofday () in
-          let view =
-            if jobs <= 1 then Objfile.view_of_string db
-            else
-              let pool = Cla_par.Pool.shared ~jobs in
-              Loader.view_par ~pool db
+          let pool = if jobs > 1 then Some (Cla_par.Pool.shared ~jobs) else None in
+          let objs, compile_s = timed (fun () -> compile_all pool) in
+          let db, link_s = timed (fun () -> link objs) in
+          let view, verify_s =
+            timed (fun () ->
+                match pool with
+                | None -> Objfile.view_of_string db
+                | Some pool -> Loader.view_par ~pool db)
           in
-          let verify_s = Unix.gettimeofday () -. t2 in
-          let solve_pool =
-            if jobs > 1 then Some (Cla_par.Pool.shared ~jobs) else None
-          in
-          let t3 = Unix.gettimeofday () in
-          let bv = Bitsolver.solve ?pool:solve_pool view in
-          let bv_s = Unix.gettimeofday () -. t3 in
-          let bv =
-            if !inject_divergence && jobs >= 2 then perturb view bv else bv
-          in
+          let bv, bv_s = timed (fun () -> Bitsolver.solve ?pool view) in
+          let bv = if !inject && jobs >= 2 then perturb view bv else bv in
           let bytes_ok =
             List.equal String.equal objs base_objs && String.equal db base_db
           in
-          let identical = bytes_ok && Solution.equal base_bv bv in
-          if not identical then divergent := true;
+          let solution_ok = Solution.equal base_bv bv in
+          if not bytes_ok then incr bytes_bad;
+          if not solution_ok then incr solution_bad;
           let speedup base s = if s > 0. then base /. s else 0. in
-          let compile_speedup = speedup base_compile_s compile_s in
           let bv_speedup = speedup base_bv_s bv_s in
           if n_units = largest && jobs_requested >= 2 then
-            best_solve_speedup_at_largest :=
-              Float.max !best_solve_speedup_at_largest bv_speedup;
-          Fmt.pr "%-6d %-5d %-5d %10.3f %9.3f %9.3f %11.3f %8.2fx  %s@."
-            n_units jobs_requested jobs compile_s link_s verify_s bv_s
-            bv_speedup
-            (if identical then "yes"
-             else if not bytes_ok then "NO — BYTES DIVERGED"
-             else "NO — SOLUTION DIVERGED");
-          rows :=
-            Json.Obj
-              [
-                ("units", Json.Int (List.length files));
-                ("jobs_requested", Json.Int jobs_requested);
-                ("jobs", Json.Int jobs);
-                ("compile_wall_s", Json.Float compile_s);
-                ("link_wall_s", Json.Float link_s);
-                ("verify_wall_s", Json.Float verify_s);
-                ("solve_bitvector_wall_s", Json.Float bv_s);
-                ("compile_speedup_vs_j1", Json.Float compile_speedup);
-                ("solve_bitvector_speedup_vs_j1", Json.Float bv_speedup);
-                ("identical", Json.Bool identical);
-              ]
-            :: !rows)
+            best_speedup := Float.max !best_speedup bv_speedup;
+          row r
+            [
+              ("units", I (List.length files));
+              ("jobs_requested", I jobs_requested);
+              ("jobs", I jobs);
+              ("compile_wall_s", F compile_s);
+              ("link_wall_s", F link_s);
+              ("verify_wall_s", F verify_s);
+              ("solve_bitvector_wall_s", F bv_s);
+              ("compile_speedup_vs_j1", F (speedup base_compile_s compile_s));
+              ("solve_bitvector_speedup_vs_j1", F bv_speedup);
+              ("identical", B (bytes_ok && solution_ok));
+            ])
         !jobs_sweep)
     units_list;
-  Json.write_file "BENCH_parallel.json"
-    (Json.Obj
-       [
-         ("schema", Json.Str "cla.bench.parallel/v2");
-         ("quick", Json.Bool !quick);
-         ("profile", Json.Str Profile.nethack.Profile.name);
-         ("host_cores", Json.Int host_cores);
-         ("units_sweep", Json.Arr (List.map (fun u -> Json.Int u) units_list));
-         ("rows", Json.Arr (List.rev !rows));
-       ]);
-  Fmt.pr "wrote BENCH_parallel.json (%d row(s))@." (List.length !rows);
-  if !divergent then begin
-    Fmt.epr
-      "parallel: FAIL — a -jN run diverged from -j1 (bytes or solution)@.";
-    exit 1
-  end;
-  if host_cores > 1 && not !quick then begin
-    if !best_solve_speedup_at_largest <= 1.0 then begin
-      Fmt.epr
-        "parallel: FAIL — bit-vector solve speedup_vs_j1 %.2fx <= 1.0 at \
-         the largest unit count (%d units) on a %d-core host@."
-        !best_solve_speedup_at_largest largest host_cores;
-      exit 1
-    end
-  end
-  else
-    Fmt.pr
-      "parallel: bit-vector solve speedup %.2fx at %d units is \
-       informational only (%s)@."
-      !best_solve_speedup_at_largest largest
-      (if !quick then "--quick" else "1-core host")
+  finish ~v:2 r
+    ~meta:
+      [
+        ("profile", S Profile.nethack.Profile.name);
+        ("units_sweep", J (Json.Arr (List.map (fun u -> Json.Int u) units_list)));
+      ]
+    ~gates:
+      [
+        gate "identical"
+          (!bytes_bad + !solution_bad = 0)
+          "%d cell(s) diverged from -j1 in bytes, %d in solution" !bytes_bad
+          !solution_bad;
+        gate ~kind:Timed "solve_speedup_gt_1" (!best_speedup > 1.0)
+          "best bit-vector solve speedup_vs_j1 %.2fx at %d units (> 1.0)"
+          !best_speedup largest;
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Solver micro-bench: hybrid lval-sets + allocation-free reachability *)
@@ -831,167 +858,116 @@ let parallel () =
    every Pretrans.config cell, at the hybrid lval-set threshold and at
    the sorted-array baseline (threshold = max_int).  The baseline
    solution is the correctness oracle: any exact solver or configuration
-   that diverges from it is a hard failure (exit 1); Steensgaard is
-   checked as a sound superset.  Wall time, allocation per query, and
-   the pool's set-representation histogram land in BENCH_solver.json
-   (schema cla.bench.solver/v1).  --check-against=FILE compares each
-   cell's wall time against a previous run and warns on > 25%
-   regressions (informational; --check-hard exits 1 instead).
-   --inject-divergence deliberately perturbs one solution to prove the
-   hard-fail path fires — the smoke script asserts exit 1. *)
-
+   that diverges from it fails the gate; Steensgaard is checked as a
+   sound superset.  Wall time, allocation per query, and the pool's
+   set-representation histogram land in BENCH_solver.json.  --inject
+   perturbs the worklist solution to prove the gate fires. *)
 let solver () =
-  hr ();
-  let scale =
-    match !solver_scale with
-    | Some s -> s
-    | None -> if !quick then 0.25 else 1.0
-  in
-  Fmt.pr
-    "SOLVER: micro-bench over shaped workloads (scale %.2f, dense threshold %d)@."
-    scale
-    (Lvalset.default_dense_threshold ());
-  hr ();
+  let scale = Option.value !solver_scale ~default:(if !quick then 0.25 else 1.0) in
   let saved_threshold = Lvalset.default_dense_threshold () in
-  let rows = ref [] in
-  let divergent = ref false in
+  banner "SOLVER: micro-bench over shaped workloads (scale %.2f, dense threshold %d)"
+    scale saved_threshold;
+  let r = report ~key:[ "workload"; "cell" ] "solver" in
+  let diverged = ref 0 in
   let dense_hybrid_t = ref None and dense_array_t = ref None in
-  let alloc_timed f =
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0, Gc.allocated_bytes () -. a0)
+  let superset big small nvars =
+    Seq.for_all
+      (fun var ->
+        Lvalset.fold
+          (fun ok z -> ok && Lvalset.mem z (Solution.points_to big var))
+          true (Solution.points_to small var))
+      (Seq.init nvars Fun.id)
   in
-  let superset (big : Solution.t) (small : Solution.t) nvars =
-    let ok = ref true in
-    for var = 0 to nvars - 1 do
-      Lvalset.iter
-        (fun z -> if not (Lvalset.mem z (Solution.points_to big var)) then ok := false)
-        (Solution.points_to small var)
-    done;
-    !ok
-  in
-  let perturb v (sol : Solution.t) =
-    let pool = Lvalset.create_pool () in
-    let pts = Array.copy sol.Solution.pts in
-    if Array.length pts > 0 then
-      pts.(0) <-
-        (if Lvalset.cardinal pts.(0) = 0 then Lvalset.of_list pool [ 0 ]
-         else Lvalset.empty);
-    Solution.create v pts
-  in
-  Fmt.pr "%-8s %-22s %9s %6s %8s %12s %8s %8s  %s@." "workload" "cell"
-    "wall_s" "passes" "queries" "alloc/query" "arrays" "bitmaps" "ok";
   List.iter
     (fun shape ->
       let wname = Genir.shape_name shape in
       let v = Genir.shaped ~scale shape 42L in
-      let nvars = Objfile.n_vars v in
-      (* histogram of the solution's set representations *)
-      let sol_histo (sol : Solution.t) =
-        let arrays = ref 0 and bitmaps = ref 0 in
-        Array.iter
-          (fun s ->
-            if Lvalset.cardinal s > 0 then
-              if Lvalset.is_bitmap s then incr bitmaps else incr arrays)
-          sol.Solution.pts;
-        (!arrays, !bitmaps)
-      in
-      let emit ~cell ~wall_s ~alloc ~sol ~ok ?result () =
-        let arrays, bitmaps = sol_histo sol in
-        let queries, passes, pool_fields, pass_wall =
-          match result with
-          | Some (r : Andersen.result) ->
-              let gs = r.Andersen.graph_stats in
-              ( gs.Pretrans.queries,
-                r.Andersen.passes,
+      (* time [solve], check its solution and emit the cell's row *)
+      let cell name solve check =
+        let a0 = Gc.allocated_bytes () in
+        let (sol, res), wall_s = timed solve in
+        let alloc = Gc.allocated_bytes () -. a0 in
+        let ok = check sol in
+        if not ok then incr diverged;
+        let queries, passes, pretrans =
+          match res with
+          | Some (res : Andersen.result) ->
+              let gs = res.graph_stats in
+              ( gs.queries,
+                res.passes,
                 [
                   ( "pool",
-                    Json.Obj
-                      [
-                        ("hits", Json.Int gs.Pretrans.pool_hits);
-                        ("misses", Json.Int gs.Pretrans.pool_misses);
-                        ("small_sets", Json.Int gs.Pretrans.pool_small);
-                        ("dense_sets", Json.Int gs.Pretrans.pool_dense);
-                      ] );
-                ],
-                [
+                    ints
+                      [ ("hits", gs.pool_hits); ("misses", gs.pool_misses);
+                        ("small_sets", gs.pool_small); ("dense_sets", gs.pool_dense) ] );
                   ( "pass_wall_s",
-                    Json.Arr
-                      (List.map
-                         (fun (ps : Andersen.pass_stats) ->
-                           Json.Float ps.Andersen.ps_wall_s)
-                         r.Andersen.pass_log) );
+                    J
+                      (Json.Arr
+                         (List.map
+                            (fun (ps : Andersen.pass_stats) -> Json.Float ps.ps_wall_s)
+                            res.pass_log)) );
                 ] )
-          | None -> (0, 0, [], [])
+          | None -> (0, 0, [])
         in
-        let alloc_per_query =
-          if queries > 0 then alloc /. float_of_int queries else Float.nan
-        in
-        Fmt.pr "%-8s %-22s %8.3fs %6d %8d %12s %8d %8d  %s@." wname cell
-          wall_s passes queries
-          (if queries > 0 then Fmt.str "%.0fB" alloc_per_query else "-")
-          arrays bitmaps
-          (if ok then "yes" else "NO — DIVERGED");
-        if not ok then divergent := true;
-        rows :=
-          Json.Obj
-            ([
-               ("workload", Json.Str wname);
-               ("cell", Json.Str cell);
-               ("scale", Json.Float scale);
-               ("wall_s", Json.Float wall_s);
-               ("passes", Json.Int passes);
-               ("queries", Json.Int queries);
-               ("alloc_bytes", Json.Float alloc);
-               ("alloc_bytes_per_query", Json.Float alloc_per_query);
-               ("solution_arrays", Json.Int arrays);
-               ("solution_bitmaps", Json.Int bitmaps);
-               ("equal_to_baseline", Json.Bool ok);
-             ]
-            @ pool_fields @ pass_wall)
-          :: !rows
+        (* the solution's set representations *)
+        let sets = List.filter (fun s -> Lvalset.cardinal s > 0) (Array.to_list sol.Solution.pts) in
+        let bitmaps = List.length (List.filter Lvalset.is_bitmap sets) in
+        row r
+          ([
+             ("workload", S wname);
+             ("cell", S name);
+             ("scale", J (Json.Float scale));
+             ("wall_s", F wall_s);
+             ("passes", I passes);
+             ("queries", I queries);
+             ("alloc_bytes", J (Json.Float alloc));
+             ( "alloc_bytes_per_query",
+               F (if queries > 0 then alloc /. float_of_int queries else Float.nan) );
+             ("solution_arrays", I (List.length sets - bitmaps));
+             ("solution_bitmaps", I bitmaps);
+             ("equal_to_baseline", B ok);
+           ]
+          @ pretrans);
+        (sol, wall_s)
       in
+      let pretrans ?config () =
+        let res = Andersen.solve ?config v in
+        (res.Andersen.solution, Some res)
+      in
+      let plain solve () = (solve v, None) in
       (* correctness oracle: pre-transitive, pure sorted-array pool *)
       Lvalset.set_default_dense_threshold max_int;
-      let base_r, base_t, base_alloc =
-        alloc_timed (fun () -> Andersen.solve v)
+      let base, base_t =
+        Fun.protect
+          ~finally:(fun () -> Lvalset.set_default_dense_threshold saved_threshold)
+          (fun () -> cell "pretrans/full/array" pretrans (fun _ -> true))
       in
-      Lvalset.set_default_dense_threshold saved_threshold;
-      let base_sol = base_r.Andersen.solution in
+      let exact sol = Solution.equal base sol in
       if shape = Genir.Dense then dense_array_t := Some base_t;
-      emit ~cell:"pretrans/full/array" ~wall_s:base_t ~alloc:base_alloc
-        ~sol:base_sol ~ok:true ~result:base_r ();
       (* pre-transitive ablation cells, hybrid sets *)
       List.iter
-        (fun (cname, config) ->
-          let r, t, alloc =
-            alloc_timed (fun () -> Andersen.solve ~config v)
-          in
-          let sol = r.Andersen.solution in
-          if cname = "pretrans/full" && shape = Genir.Dense then
-            dense_hybrid_t := Some t;
-          emit ~cell:cname ~wall_s:t ~alloc ~sol
-            ~ok:(Solution.equal base_sol sol)
-            ~result:r ())
+        (fun (name, config) ->
+          let _, t = cell name (pretrans ~config) exact in
+          if name = "pretrans/full" && shape = Genir.Dense then
+            dense_hybrid_t := Some t)
         [
           ("pretrans/full", { Pretrans.cache = true; cycle_elim = true });
           ("pretrans/nocache", { Pretrans.cache = false; cycle_elim = true });
           ("pretrans/nocycle", { Pretrans.cache = true; cycle_elim = false });
           ("pretrans/neither", { Pretrans.cache = false; cycle_elim = false });
         ];
-      (* the other exact solvers *)
-      let wl, wl_t, wl_alloc = alloc_timed (fun () -> Worklist.solve v) in
-      let wl = if !inject_divergence then perturb v wl else wl in
-      emit ~cell:"worklist" ~wall_s:wl_t ~alloc:wl_alloc ~sol:wl
-        ~ok:(Solution.equal base_sol wl) ();
-      let bv, bv_t, bv_alloc = alloc_timed (fun () -> Bitsolver.solve v) in
-      emit ~cell:"bitvector" ~wall_s:bv_t ~alloc:bv_alloc ~sol:bv
-        ~ok:(Solution.equal base_sol bv) ();
+      (* the other exact solvers; --inject perturbs the worklist's *)
+      ignore
+        (cell "worklist"
+           (fun () ->
+             let sol = Worklist.solve v in
+             ((if !inject then perturb v sol else sol), None))
+           exact);
+      ignore (cell "bitvector" (plain Bitsolver.solve) exact);
       (* unification: sound over-approximation, checked as a superset *)
-      let st, st_t, st_alloc = alloc_timed (fun () -> Steensgaard.solve v) in
-      emit ~cell:"steensgaard" ~wall_s:st_t ~alloc:st_alloc ~sol:st
-        ~ok:(superset st base_sol nvars) ())
+      ignore
+        (cell "steensgaard" (plain Steensgaard.solve) (fun sol ->
+             superset sol base (Objfile.n_vars v))))
     Genir.all_shapes;
   let speedup =
     match (!dense_array_t, !dense_hybrid_t) with
@@ -1003,79 +979,19 @@ let solver () =
       "dense profile: hybrid pretransitive %.2fx vs sorted-array baseline \
        (target >= 1.5x, informational)@."
       speedup;
-  Json.write_file "BENCH_solver.json"
-    (Json.Obj
-       [
-         ("schema", Json.Str "cla.bench.solver/v1");
-         ("quick", Json.Bool !quick);
-         ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-         ("scale", Json.Float scale);
-         ("dense_threshold", Json.Int saved_threshold);
-         ("rows", Json.Arr (List.rev !rows));
-         ( "summary",
-           Json.Obj
-             [
-               ("dense_speedup_vs_array", Json.Float speedup);
-               ("dense_speedup_target", Json.Float 1.5);
-             ] );
-       ]);
-  Fmt.pr "wrote BENCH_solver.json (%d row(s))@." (List.length !rows);
-  (* regression gate against a previous run *)
-  (match !check_against with
-  | None -> ()
-  | Some file ->
-      let prev =
-        try Some (Json.of_string (In_channel.with_open_bin file In_channel.input_all))
-        with _ ->
-          Fmt.epr "solver: cannot read %s, skipping regression check@." file;
-          None
-      in
-      Option.iter
-        (fun prev ->
-          let prev_rows =
-            match Json.member "rows" prev with
-            | Some (Json.Arr rs) -> rs
-            | _ -> []
-          in
-          let key r =
-            match (Json.member "workload" r, Json.member "cell" r) with
-            | Some (Json.Str w), Some (Json.Str c) -> Some (w ^ "/" ^ c)
-            | _ -> None
-          in
-          let prev_wall = Hashtbl.create 32 in
-          List.iter
-            (fun r ->
-              match (key r, Option.bind (Json.member "wall_s" r) Json.to_float) with
-              | Some k, Some t -> Hashtbl.replace prev_wall k t
-              | _ -> ())
-            prev_rows;
-          let regressions = ref [] in
-          List.iter
-            (fun r ->
-              match (key r, Option.bind (Json.member "wall_s" r) Json.to_float) with
-              | Some k, Some t -> (
-                  match Hashtbl.find_opt prev_wall k with
-                  (* ignore sub-5ms cells: pure timer noise *)
-                  | Some t0 when t0 > 0.005 && t > t0 *. 1.25 ->
-                      regressions := (k, t0, t) :: !regressions
-                  | _ -> ())
-              | _ -> ())
-            (List.rev !rows);
-          match !regressions with
-          | [] -> Fmt.pr "regression check vs %s: clean@." file
-          | rs ->
-              List.iter
-                (fun (k, t0, t) ->
-                  Fmt.epr
-                    "solver: REGRESSION %s: %.3fs -> %.3fs (+%.0f%%)@." k t0 t
-                    ((t /. t0 -. 1.) *. 100.))
-                rs;
-              if !check_hard then exit 1)
-        prev);
-  if !divergent then begin
-    Fmt.epr "solver: FAIL — a solver diverged from the sorted-array baseline@.";
-    exit 1
-  end
+  finish r
+    ~meta:
+      [
+        ("scale", F scale);
+        ("dense_threshold", I saved_threshold);
+        ( "summary",
+          O [ ("dense_speedup_vs_array", F speedup); ("dense_speedup_target", F 1.5) ] );
+      ]
+    ~gates:
+      [
+        gate "equal_to_baseline" (!diverged = 0)
+          "%d cell(s) diverged from the sorted-array baseline" !diverged;
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Open world: the body-deletion soundness gate                        *)
@@ -1084,30 +1000,30 @@ let solver () =
 (* Delete function bodies from a complete program in a seeded stream and
    check at every step that open-world havoc keeps the closed-world
    facts (set inclusion over surviving objects, Deletion's contract).
-   --inject-unsound analyzes the stripped fragments closed-world
-   instead, which must make the gate fail (exit 1) — the smoke script
-   asserts both directions. *)
+   --inject analyzes the stripped fragments closed-world instead, which
+   must fail the gate. *)
 let openworld () =
   let profile = Profile.scaled 0.12 Profile.nethack in
   let seed = 42L in
   Fmt.pr "openworld: deletion gate on %s (scale %.2f, seed %Ld%s)@."
     profile.Profile.name profile.Profile.scale seed
-    (if !inject_unsound then ", INJECTING unsoundness" else "");
-  match Deletion.run ~inject_unsound:!inject_unsound ~seed profile with
-  | Ok o ->
-      Fmt.pr
-        "openworld: ok — %d step(s), %d/%d bodies deleted by the last, %d \
-         inclusion check(s)@."
-        o.Deletion.n_steps o.Deletion.n_dropped o.Deletion.n_funcs
-        o.Deletion.n_checked
-  | Error v ->
-      Fmt.epr
-        "openworld: FAIL — step %d (%d bodies deleted): %s lost {%s}@."
-        v.Deletion.v_step
-        (List.length v.Deletion.v_dropped)
-        v.Deletion.v_var
-        (String.concat ", " v.Deletion.v_missing);
-      exit 1
+    (if !inject then ", INJECTING unsoundness" else "");
+  enforce "openworld"
+    [
+      (match Deletion.run ~inject_unsound:!inject ~seed profile with
+      | Ok o ->
+          gate "sound" true
+            "%d step(s), %d/%d bodies deleted by the last, %d inclusion \
+             check(s)"
+            o.Deletion.n_steps o.Deletion.n_dropped o.Deletion.n_funcs
+            o.Deletion.n_checked
+      | Error v ->
+          gate "sound" false "step %d (%d bodies deleted): %s lost {%s}"
+            v.Deletion.v_step
+            (List.length v.Deletion.v_dropped)
+            v.Deletion.v_var
+            (String.concat ", " v.Deletion.v_missing));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve: shard-count x offered-load sweep (BENCH_serve.json)          *)
@@ -1123,180 +1039,108 @@ let openworld () =
    BENCH_serve.json is a full (non---quick) run: the baseline a change
    to the serve path compares its p50/p99 against. *)
 let serve () =
-  hr ();
-  Fmt.pr "SERVE: shard x load sweep (shards=%s, load=%s)@."
+  banner "SERVE: shard x load sweep (shards=%s, load=%s)"
     (String.concat "," (List.map string_of_int !serve_shards))
     (String.concat "," (List.map string_of_int !serve_load));
-  hr ();
   let module Sv = Cla_serve.Server in
   let module Cl = Cla_serve.Client in
   let module Pr = Cla_serve.Protocol in
   let module D = Cla_resilience.Deadline in
   let module H = Cla_obs.Histo in
-  let p =
-    Profile.scaled (if !quick then 0.05 else 0.1) Profile.nethack
-  in
+  let p = Profile.scaled (if !quick then 0.05 else 0.1) Profile.nethack in
   let view = compiled p in
-  (* named program variables for the good queries *)
-  let vars =
-    let out = ref [] and count = ref 0 in
-    Array.iter
-      (fun (vi : Objfile.varinfo) ->
-        if
-          !count < 32 && vi.Objfile.vname <> ""
-          && (not (String.contains vi.Objfile.vname '$'))
-          && vi.Objfile.vkind <> Cla_ir.Var.Temp
-        then begin
-          incr count;
-          out := vi.Objfile.vname :: !out
-        end)
-      view.Objfile.rvars;
-    Array.of_list (List.rev !out)
-  in
+  let vars = Servebench.sample_vars view in
   if Array.length vars = 0 then failwith "serve: no named variables to query";
-  let n = if !quick then 80 else 240 in
-  let slow_ms = if !quick then 40 else 80 in
-  let rows = ref [] in
-  let cell_idx = ref 0 in
-  Fmt.pr "%-7s %-5s %6s %8s %10s %9s %9s %9s %9s  %s@." "shards" "load" "n"
-    "wall_s" "qps" "p50_ms" "p90_ms" "p99_ms" "max_ms" "ok/shed/tmo/err";
-  List.iter
-    (fun shards ->
-      List.iter
-        (fun load ->
-          incr cell_idx;
-          let socket =
+  let n = if !quick then 80 else 240 and slow_ms = if !quick then 40 else 80 in
+  let r = report ~key:[ "shards"; "load" ] "serve" in
+  let cells =
+    List.concat_map (fun s -> List.map (fun l -> (s, l)) !serve_load) !serve_shards
+  in
+  List.iteri
+    (fun i (shards, load) ->
+      let cell = i + 1 in
+      let config =
+        {
+          Sv.default_config with
+          socket_path =
             Filename.concat
               (Filename.get_temp_dir_name ())
-              (Fmt.str "cla-bs-%d-%d.sock" (Unix.getpid ()) !cell_idx)
-          in
-          let config =
-            {
-              Sv.default_config with
-              Sv.socket_path = socket;
-              shards;
-              allow_sleep = true;
-            }
-          in
-          let ready_m = Mutex.create () and ready_c = Condition.create () in
-          let handle = ref None in
-          let on_ready t =
-            Mutex.lock ready_m;
-            handle := Some t;
-            Condition.broadcast ready_c;
-            Mutex.unlock ready_m
-          in
-          let srv =
-            Thread.create (fun () -> ignore (Sv.run ~config ~on_ready view)) ()
-          in
-          Mutex.lock ready_m;
-          while !handle = None do
-            Condition.wait ready_c ready_m
-          done;
-          Mutex.unlock ready_m;
-          let queries =
-            Array.of_list
-              (Servebench.generate
-                 ~mix:{ Servebench.m_good = 8; m_poison = 1; m_slow = 1 }
-                 ~seed:(Int64.of_int (1000 + !cell_idx))
-                 ~n ~vars ~deadline_ms:2000 ~slow_ms ())
-          in
-          let histo = H.create () in
-          let next = Atomic.make 0 in
-          let results = Array.make n None in
-          let worker _ =
-            let rec loop () =
+              (Fmt.str "cla-bs-%d-%d.sock" (Unix.getpid ()) cell);
+          shards;
+          allow_sleep = true;
+        }
+      in
+      let queries =
+        Array.of_list
+          (Servebench.generate
+             ~mix:{ Servebench.m_good = 8; m_poison = 1; m_slow = 1 }
+             ~seed:(Int64.of_int (1000 + cell))
+             ~n ~vars ~deadline_ms:2000 ~slow_ms ())
+      in
+      let histo = H.create () in
+      (* each reply's status; None when it never came back *)
+      let status = Array.make n None in
+      let wall_s, stats_reply =
+        with_server view config (fun _ socket ->
+            let next = Atomic.make 0 in
+            let rec worker () =
               let i = Atomic.fetch_and_add next 1 in
               if i < n then begin
                 let t0 = D.now_ns () in
-                let r = Cl.round_trip ~socket queries.(i).Servebench.q_line in
+                let reply = Cl.round_trip ~socket queries.(i).Servebench.q_line in
                 H.record histo (D.now_ns () - t0);
-                results.(i) <- Some r;
-                loop ()
+                status.(i) <- Result.to_option (Result.map Pr.status_of_line reply);
+                worker ()
               end
             in
-            loop ()
-          in
-          let t0 = D.now_s () in
-          let threads = List.init (max 1 load) (Thread.create worker) in
-          List.iter Thread.join threads;
-          let wall_s = D.now_s () -. t0 in
-          (* live introspection under this cell's residue, pre-shutdown *)
-          let stats_reply =
-            Cl.round_trip ~socket "{\"id\":0,\"op\":\"stats\"}"
-          in
-          (match !handle with Some t -> Sv.request_shutdown t | None -> ());
-          Thread.join srv;
-          let ok = ref 0 and shed = ref 0 and tmo = ref 0 and err = ref 0 in
-          let transport = ref 0 in
-          Array.iter
-            (function
-              | None -> ()
-              | Some (Error _) -> incr transport
-              | Some (Ok l) -> (
-                  match Pr.status_of_line l with
-                  | Pr.S_ok -> incr ok
-                  | Pr.S_shed -> incr shed
-                  | Pr.S_timeout -> incr tmo
-                  | Pr.S_error -> incr err
-                  | Pr.S_bye | Pr.S_malformed -> incr transport))
-            results;
-          let answered = !ok + !shed + !tmo + !err in
-          let qps = if wall_s > 0. then float_of_int answered /. wall_s else 0. in
-          let pms q = float_of_int (H.quantile histo q) /. 1e6 in
-          let server_latency =
-            match stats_reply with
-            | Error _ -> Json.Null
-            | Ok l -> (
-                match Json.of_string l with
-                | exception Json.Parse_error _ -> Json.Null
-                | j -> Option.value ~default:Json.Null (Json.member "latency" j))
-          in
-          Fmt.pr "%-7d %-5d %6d %8.3f %10.1f %9.3f %9.3f %9.3f %9.3f  %d/%d/%d/%d@."
-            shards load n wall_s qps (pms 0.5) (pms 0.9) (pms 0.99)
-            (float_of_int (H.max_value histo) /. 1e6)
-            !ok !shed !tmo !err;
-          rows :=
-            Json.Obj
+            let t0 = D.now_s () in
+            List.iter Thread.join
+              (List.init (max 1 load) (fun _ -> Thread.create worker ()));
+            (* live introspection under this cell's residue *)
+            (D.now_s () -. t0, Cl.round_trip ~socket {|{"id":0,"op":"stats"}|}))
+      in
+      let count st =
+        Array.fold_left (fun a s -> if s = Some st then a + 1 else a) 0 status
+      in
+      let ok = count Pr.S_ok and shed = count Pr.S_shed in
+      let tmo = count Pr.S_timeout and err = count Pr.S_error in
+      let answered = ok + shed + tmo + err in
+      let pms q = float_of_int (H.quantile histo q) /. 1e6 in
+      row r
+        [
+          ("shards", I shards);
+          ("load", I load);
+          ("n", I n);
+          ("wall_s", F wall_s);
+          ( "throughput_qps",
+            F (if wall_s > 0. then float_of_int answered /. wall_s else 0.) );
+          ("ok", I ok);
+          ("shed", I shed);
+          ("timeout", I tmo);
+          ("error", I err);
+          (* dropped connections, [bye] and malformed replies *)
+          ("transport_errors", I (n - answered));
+          ( "latency",
+            O
               [
-                ("shards", Json.Int shards);
-                ("load", Json.Int load);
-                ("n", Json.Int n);
-                ("wall_s", Json.Float wall_s);
-                ("throughput_qps", Json.Float qps);
-                ("ok", Json.Int !ok);
-                ("shed", Json.Int !shed);
-                ("timeout", Json.Int !tmo);
-                ("error", Json.Int !err);
-                ("transport_errors", Json.Int !transport);
-                ( "latency",
-                  Json.Obj
-                    [
-                      ("count", Json.Int (H.count histo));
-                      ("mean_ms", Json.Float (H.mean histo /. 1e6));
-                      ("p50_ms", Json.Float (pms 0.5));
-                      ("p90_ms", Json.Float (pms 0.9));
-                      ("p99_ms", Json.Float (pms 0.99));
-                      ("p999_ms", Json.Float (pms 0.999));
-                      ( "max_ms",
-                        Json.Float (float_of_int (H.max_value histo) /. 1e6) );
-                    ] );
-                ("server_latency", server_latency);
-              ]
-            :: !rows)
-        !serve_load)
-    !serve_shards;
-  Json.write_file "BENCH_serve.json"
-    (Json.Obj
-       [
-         ("schema", Json.Str "cla.bench.serve/v1");
-         ("quick", Json.Bool !quick);
-         ("profile", Json.Str p.Profile.name);
-         ("scale", Json.Float p.Profile.scale);
-         ("queries_per_cell", Json.Int n);
-         ("rows", Json.Arr (List.rev !rows));
-       ]);
-  Fmt.pr "wrote BENCH_serve.json (%d row(s))@." (List.length !rows)
+                ("count", J (Json.Int (H.count histo)));
+                ("mean_ms", J (Json.Float (H.mean histo /. 1e6)));
+                ("p50_ms", F (pms 0.5));
+                ("p90_ms", F (pms 0.9));
+                ("p99_ms", F (pms 0.99));
+                ("p999_ms", J (Json.Float (pms 0.999)));
+                ("max_ms", F (float_of_int (H.max_value histo) /. 1e6));
+              ] );
+          ( "server_latency",
+            J
+              (match Result.map Json.of_string stats_reply with
+              | Ok j -> Option.value ~default:Json.Null (Json.member "latency" j)
+              | Error _ | (exception Json.Parse_error _) -> Json.Null) );
+        ])
+    cells;
+  finish r
+    ~meta:
+      [ ("profile", S p.Profile.name); ("scale", F p.Profile.scale); ("queries_per_cell", I n) ]
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: self-healing serve gate (BENCH_chaos.json)                   *)
@@ -1310,253 +1154,139 @@ let serve () =
    queries).  Faults are fired at deterministic points of the query
    stream, not wall-clock times, so the schedule cannot miss a fast run.
 
-   Gates (each lands in BENCH_chaos.json; any failure exits 1):
-     corrupt_fallback   bit-flipped snapshot rejected, live answer correct
-     snapshot_oread     good snapshot: zero shard solves for the stream
-     zero_failed_good   every well-formed query answered ok under faults
-     recovery_p99       p99 latency of the queries right behind each kill
-                        (wall time: full run only; --quick prints it)
-     restarts_observed  the supervisor actually restarted shards *)
+   Every gate but the timed recovery_p99 (the p99 latency of the queries
+   right behind each kill) checks answers.  --inject disables the
+   supervisor, which must fail the gate.  The snapshot files are removed
+   on every exit path. *)
 let chaos () =
-  hr ();
-  Fmt.pr "CHAOS: snapshot + supervision gate%s@."
-    (if !inject_no_supervise then " [INJECTED: supervisor disabled]" else "");
-  hr ();
+  banner "CHAOS: snapshot + supervision gate%s"
+    (if !inject then " [INJECTED: supervisor disabled]" else "");
   let module Sv = Cla_serve.Server in
   let module Cl = Cla_serve.Client in
   let module Pr = Cla_serve.Protocol in
   let module D = Cla_resilience.Deadline in
-  let module H = Cla_obs.Histo in
   let p = Profile.scaled (if !quick then 0.05 else 0.1) Profile.nethack in
   let view = compiled p in
-  let vars =
-    let out = ref [] and count = ref 0 in
-    Array.iter
-      (fun (vi : Objfile.varinfo) ->
-        if
-          !count < 32 && vi.Objfile.vname <> ""
-          && (not (String.contains vi.Objfile.vname '$'))
-          && vi.Objfile.vkind <> Cla_ir.Var.Temp
-        then begin
-          incr count;
-          out := vi.Objfile.vname :: !out
-        end)
-      view.Objfile.rvars;
-    Array.of_list (List.rev !out)
-  in
+  let vars = Servebench.sample_vars view in
   if Array.length vars = 0 then failwith "chaos: no named variables to query";
   let tmp name =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Fmt.str "cla-chaos-%d-%s" (Unix.getpid ()) name)
   in
-  (* boot an in-process server, run [body handle socket], drain *)
-  let with_server config body =
-    let ready_m = Mutex.create () and ready_c = Condition.create () in
-    let handle = ref None in
-    let on_ready t =
-      Mutex.lock ready_m;
-      handle := Some t;
-      Condition.broadcast ready_c;
-      Mutex.unlock ready_m
+  let config ?snapshot ?(shards = 2) name =
+    { Sv.default_config with socket_path = tmp name; snapshot_path = snapshot; shards }
+  in
+  (* one round trip, its reply parsed; [get] walks a path into it *)
+  let ask socket line =
+    match Cl.round_trip ~socket line with
+    | Ok l -> ( try Some (Json.of_string l) with Json.Parse_error _ -> None)
+    | Error _ -> None
+  in
+  let get path j = List.fold_left (fun j k -> Option.bind j (Json.member k)) j path in
+  let stats socket = ask socket {|{"id":0,"op":"stats"}|} in
+  (* a points-to query: answered ok?, and its sorted targets *)
+  let points_to socket var =
+    let j =
+      ask socket
+        (Fmt.str {|{"id":1,"op":"points-to","var":%s,"deadline_ms":4000}|}
+           (Json.to_string (Json.Str var)))
     in
-    let srv = Thread.create (fun () -> ignore (Sv.run ~config ~on_ready view)) () in
-    Mutex.lock ready_m;
-    while !handle = None do
-      Condition.wait ready_c ready_m
-    done;
-    Mutex.unlock ready_m;
-    let h = Option.get !handle in
-    let r = body h config.Sv.socket_path in
-    Sv.request_shutdown h;
-    Thread.join srv;
-    r
+    ( get [ "status" ] j = Some (Json.Str "ok"),
+      match get [ "targets" ] j with
+      | Some (Json.Arr ts) -> Some (List.sort compare ts)
+      | _ -> None )
   in
-  let probe_var = vars.(0) in
-  let points_to_line ?(fresh = false) id var =
-    Cla_obs.Json.to_string ~indent:false
-      (Json.Obj
-         ([
-            ("id", Json.Int id);
-            ("op", Json.Str "points-to");
-            ("var", Json.Str var);
-            ("deadline_ms", Json.Int 4000);
-          ]
-         @ if fresh then [ ("fresh", Json.Bool true) ] else []))
-  in
-  let targets_of_line l =
-    match Json.of_string l with
-    | exception Json.Parse_error _ -> None
-    | j -> (
-        match Json.member "targets" j with
-        | Some (Json.Arr ts) ->
-            Some
-              (List.sort compare
-                 (List.filter_map
-                    (function Json.Str s -> Some s | _ -> None)
-                    ts))
-        | _ -> None)
-  in
-  let stat_of_line l path =
-    match Json.of_string l with
-    | exception Json.Parse_error _ -> None
-    | j ->
-        List.fold_left
-          (fun acc k -> Option.bind acc (Json.member k))
-          (Some j) path
-  in
-  (* -- phase 0: freeze the reference solution ----------------------- *)
-  let outcome = Pipeline.points_to_ladder view in
-  let snap = tmp "good.snap" in
-  Snapshot.save snap ~view outcome;
-  let live_targets =
-    with_server { Sv.default_config with socket_path = tmp "live.sock" }
-      (fun _ socket ->
-        match Cl.round_trip ~socket (points_to_line 1 probe_var) with
-        | Ok l -> targets_of_line l
-        | Error e -> failwith ("chaos: live probe failed: " ^ Cl.describe e))
-  in
-  (* -- gate: corrupt snapshot is rejected, answer still correct ----- *)
-  let bad = tmp "bad.snap" in
-  let b = Bytes.of_string (Binio.read_file snap) in
-  let mid = Bytes.length b / 2 in
-  Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0xff));
-  let oc = open_out_bin bad in
-  output_bytes oc b;
-  close_out oc;
-  let corrupt_fallback_ok =
-    with_server
-      {
-        Sv.default_config with
-        socket_path = tmp "corrupt.sock";
-        snapshot_path = Some bad;
-        shards = 2;
-      }
-      (fun _ socket ->
-        let answer =
-          match Cl.round_trip ~socket (points_to_line 2 probe_var) with
-          | Ok l -> targets_of_line l
-          | Error _ -> None
-        in
-        let snapshot_active =
-          match Cl.round_trip ~socket "{\"id\":3,\"op\":\"stats\"}" with
-          | Ok l -> stat_of_line l [ "snapshot" ] = Some (Json.Bool true)
-          | Error _ -> true
-        in
-        answer <> None && answer = live_targets && not snapshot_active)
-  in
-  Fmt.pr "corrupt snapshot: rejected + correct live answer  %s@."
-    (if corrupt_fallback_ok then "ok" else "FAIL");
-  (* -- gate: good snapshot answers without a single shard solve ----- *)
-  let n_warm = 40 in
-  let snapshot_oread_ok, snapshot_targets_ok =
-    with_server
-      {
-        Sv.default_config with
-        socket_path = tmp "snap.sock";
-        snapshot_path = Some snap;
-        shards = 2;
-      }
-      (fun _ socket ->
-        let all_ok = ref true in
-        let first_targets = ref None in
-        for i = 0 to n_warm - 1 do
-          let var = vars.(i mod Array.length vars) in
-          match Cl.round_trip ~socket (points_to_line (100 + i) var) with
-          | Ok l ->
-              if Pr.status_of_line l <> Pr.S_ok then all_ok := false;
-              if var = probe_var && !first_targets = None then
-                first_targets := targets_of_line l
-          | Error _ -> all_ok := false
-        done;
-        let solves =
-          match Cl.round_trip ~socket "{\"id\":4,\"op\":\"stats\"}" with
-          | Error _ -> max_int
-          | Ok l -> (
-              match stat_of_line l [ "shards" ] with
-              | Some (Json.Arr shards) ->
-                  List.fold_left
-                    (fun acc sh ->
-                      acc
-                      + Option.value ~default:0
-                          (Option.bind (Json.member "solves" sh) Json.to_int))
-                    0 shards
-              | _ -> max_int)
-        in
-        (!all_ok && solves = 0, !first_targets = live_targets))
-  in
-  Fmt.pr "good snapshot: %d queries, zero shard solves      %s@." n_warm
-    (if snapshot_oread_ok then "ok" else "FAIL");
-  Fmt.pr "good snapshot: answers match the live solve       %s@."
-    (if snapshot_targets_ok then "ok" else "FAIL");
-  (* -- the chaos run: faults under load ----------------------------- *)
-  let shards = 3 in
-  let n = if !quick then 160 else 400 in
-  let load = 4 in
-  let kills = 2 and wedges = 1 in
-  let wedge_ms = 300 in
+  let shards = 3 and load = 4 and n = if !quick then 160 else 400 in
   let recovery_bound_ms = 2000. in
-  let queries =
-    Array.of_list
-      (Servebench.generate
-         ~mix:{ Servebench.m_good = 8; m_poison = 2; m_slow = 0 }
-         ~fresh_frac:0.5 ~seed:4242L ~n ~vars ~deadline_ms:4000 ~slow_ms:40 ())
-  in
-  (* map the time-based schedule onto query indices: fault f lands when
-     the stream reaches index at_ms * n / span_ms — deterministic and
-     immune to how fast the queries actually drain *)
-  let span_ms = 1000 in
-  let schedule =
-    Servebench.fault_schedule ~kills ~wedges ~seed:99L ~shards ~span_ms
-      ~wedge_ms ()
-  in
-  let faults_at = Array.make n [] in
-  let kill_indices = ref [] in
-  List.iter
-    (fun ev ->
-      let idx = min (n - 1) (ev.Servebench.f_at_ms * n / span_ms) in
-      (match ev.Servebench.f_fault with
-      | Servebench.Kill_shard _ -> kill_indices := idx :: !kill_indices
-      | Servebench.Wedge_shard _ -> ());
-      faults_at.(idx) <- ev.Servebench.f_fault :: faults_at.(idx))
-    schedule;
-  let config =
-    {
-      Sv.default_config with
-      socket_path = tmp "chaos.sock";
-      snapshot_path = Some snap;
-      shards;
-      supervise = not !inject_no_supervise;
-      heartbeat_grace_ms = 150;
-      restart_budget = 8;
-      restart_window_ms = 10_000;
-    }
-  in
-  let lat_ns = Array.make n 0 in
-  let failed_good = ref 0 and answered = ref 0 in
-  let fired = ref [] in
-  let restarts_seen, shards_down =
-    with_server config (fun h socket ->
-        let next = Atomic.make 0 in
-        let fired_m = Mutex.create () in
-        let worker _ =
-          let rec loop () =
+  let snap = tmp "good.snap" and bad = tmp "bad.snap" in
+  let meta, gates =
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ snap; bad ])
+    @@ fun () ->
+    (* the reference: a frozen solution, and a live server's answer *)
+    Snapshot.save snap ~view (Pipeline.points_to_ladder view);
+    let _, live =
+      with_server view (config ~shards:1 "live.sock") (fun _ s ->
+          points_to s vars.(0))
+    in
+    if live = None then failwith "chaos: live probe failed";
+    (* a bit-flipped snapshot is rejected, and the answer still right *)
+    let b = Bytes.of_string (Binio.read_file snap) in
+    let mid = Bytes.length b / 2 in
+    Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0xff));
+    Out_channel.with_open_bin bad (fun oc -> Out_channel.output_bytes oc b);
+    let corrupt_ok =
+      with_server view (config ~snapshot:bad "corrupt.sock") (fun _ s ->
+          snd (points_to s vars.(0)) = live
+          && get [ "snapshot" ] (stats s) = Some (Json.Bool false))
+    in
+    (* a good snapshot answers without a single shard solve *)
+    let n_warm = 40 in
+    let warm, solves =
+      with_server view (config ~snapshot:snap "snap.sock") (fun _ s ->
+          let warm =
+            List.init n_warm (fun i -> points_to s vars.(i mod Array.length vars))
+          in
+          let solve_count sh = Option.bind (Json.member "solves" sh) Json.to_int in
+          ( warm,
+            match get [ "shards" ] (stats s) with
+            | Some (Json.Arr shs) ->
+                List.fold_left
+                  (fun acc sh -> acc + Option.value ~default:0 (solve_count sh))
+                  0 shs
+            | _ -> max_int ))
+    in
+    (* the chaos run: a fault schedule fired into the stream under load;
+       fault f lands when the stream reaches index at_ms * n / span_ms —
+       deterministic and immune to how fast the queries drain *)
+    let queries =
+      Array.of_list
+        (Servebench.generate
+           ~mix:{ Servebench.m_good = 8; m_poison = 2; m_slow = 0 }
+           ~fresh_frac:0.5 ~seed:4242L ~n ~vars ~deadline_ms:4000 ~slow_ms:40 ())
+    in
+    let span_ms = 1000 in
+    let faults_at = Array.make n [] in
+    let kill_indices = ref [] in
+    List.iter
+      (fun { Servebench.f_at_ms; f_fault } ->
+        let i = min (n - 1) (f_at_ms * n / span_ms) in
+        (match f_fault with
+        | Servebench.Kill_shard _ -> kill_indices := i :: !kill_indices
+        | Servebench.Wedge_shard _ -> ());
+        faults_at.(i) <- f_fault :: faults_at.(i))
+      (Servebench.fault_schedule ~kills:2 ~wedges:1 ~seed:99L ~shards ~span_ms
+         ~wedge_ms:300 ());
+    let config =
+      {
+        (config ~snapshot:snap ~shards "chaos.sock") with
+        supervise = not !inject;
+        heartbeat_grace_ms = 150;
+        restart_budget = 8;
+        restart_window_ms = 10_000;
+      }
+    in
+    let lat_ns = Array.make n 0 in
+    let failed_good = ref 0 and answered = ref 0 and fired = ref [] in
+    let restarts, shards_down =
+      with_server view config (fun h socket ->
+          let next = Atomic.make 0 and fired_m = Mutex.create () in
+          let fire f =
+            let fired_ok =
+              match f with
+              | Servebench.Kill_shard s -> Sv.chaos_kill_shard h s
+              | Servebench.Wedge_shard (s, ms) -> Sv.chaos_wedge_shard h s ~wedge_ms:ms
+            in
+            if fired_ok then
+              Mutex.protect fired_m (fun () ->
+                  fired := Servebench.fault_name f :: !fired)
+          in
+          let rec worker () =
             let i = Atomic.fetch_and_add next 1 in
             if i < n then begin
-              List.iter
-                (fun f ->
-                  let okay =
-                    match f with
-                    | Servebench.Kill_shard s -> Sv.chaos_kill_shard h s
-                    | Servebench.Wedge_shard (s, ms) ->
-                        Sv.chaos_wedge_shard h s ~wedge_ms:ms
-                  in
-                  if okay then begin
-                    Mutex.lock fired_m;
-                    fired := Servebench.fault_name f :: !fired;
-                    Mutex.unlock fired_m
-                  end)
-                faults_at.(i);
+              List.iter fire faults_at.(i);
               let q = queries.(i) in
               let t0 = D.now_ns () in
               let outcome =
@@ -1565,104 +1295,66 @@ let chaos () =
                   ~socket q.Servebench.q_line
               in
               lat_ns.(i) <- D.now_ns () - t0;
+              incr answered;
               (match (q.Servebench.q_kind, outcome.Cl.reply) with
-              | Servebench.Good, Ok l ->
-                  incr answered;
-                  if Pr.status_of_line l <> Pr.S_ok then incr failed_good
-              | Servebench.Good, Error _ ->
-                  incr answered;
-                  incr failed_good
-              | _, _ -> incr answered);
-              loop ()
+              | Servebench.Good, Ok l when Pr.status_of_line l = Pr.S_ok -> ()
+              | Servebench.Good, _ -> incr failed_good
+              | _ -> ());
+              worker ()
             end
           in
-          loop ()
-        in
-        let threads = List.init load (Thread.create worker) in
-        List.iter Thread.join threads;
-        (* supervision counters, read live before drain *)
-        match Cl.round_trip ~socket "{\"id\":5,\"op\":\"stats\"}" with
-        | Error _ -> (-1, -1)
-        | Ok l ->
-            let counter k =
-              Option.value ~default:(-1)
-                (Option.bind (stat_of_line l [ "counters"; k ]) Json.to_int)
-            in
-            (counter "serve.shard_restarts", counter "serve.shards_down"))
+          List.iter Thread.join
+            (List.init load (fun _ -> Thread.create worker ()));
+          (* supervision counters, read live before drain *)
+          let counter k =
+            Option.value ~default:(-1)
+              (Option.bind (get [ "counters"; k ] (stats socket)) Json.to_int)
+          in
+          (counter "serve.shard_restarts", counter "serve.shards_down"))
+    in
+    (* recovery: the p99 of the queries issued right behind each kill *)
+    let window = max 8 (n / 20) in
+    let recovery =
+      Array.of_list
+        (List.sort compare
+           (List.concat_map
+              (fun k -> Array.to_list (Array.sub lat_ns k (min window (n - k))))
+              !kill_indices))
+    in
+    let recovery_p99_ms =
+      let m = Array.length recovery in
+      if m = 0 then 0. else float_of_int recovery.(min (m - 1) (m * 99 / 100)) /. 1e6
+    in
+    let faults = List.rev !fired in
+    ( [ ("profile", S p.Profile.name); ("scale", F p.Profile.scale);
+        ("supervised", B (not !inject)); ("shards", I shards); ("n", I n); ("load", I load);
+        ("faults", J (Json.Arr (List.map (fun s -> Json.Str s) faults)));
+        ("failed_good", I !failed_good); ("recovery_p99_ms", F recovery_p99_ms);
+        ("recovery_bound_ms", F recovery_bound_ms); ("shard_restarts", I restarts);
+        ("shards_down", I shards_down) ],
+      [
+        gate "corrupt_fallback" corrupt_ok
+          "bit-flipped snapshot rejected, live answer correct";
+        gate "snapshot_oread"
+          (List.for_all fst warm && solves = 0)
+          "%d queries off the good snapshot, %d shard solve(s)" n_warm solves;
+        gate "snapshot_answers_match"
+          (snd (List.hd warm) = live)
+          "snapshot answers match the live solve";
+        gate "zero_failed_good"
+          (!failed_good = 0 && !answered = n)
+          "n=%d answered=%d faults=[%s] failed_good=%d" n !answered
+          (String.concat ", " faults) !failed_good;
+        (* with the supervisor injected away there is nothing to observe *)
+        gate "restarts_observed" (!inject || restarts >= 1)
+          "supervisor restarts %d, shards down %d" restarts shards_down;
+        gate ~kind:Timed "recovery_p99"
+          (recovery_p99_ms <= recovery_bound_ms)
+          "recovery p99 over kill windows %.1fms (<= %.0fms)" recovery_p99_ms
+          recovery_bound_ms;
+      ] )
   in
-  (* recovery: the tail of queries issued right behind each kill *)
-  let recovery_window = max 8 (n / 20) in
-  let recovery_lats =
-    List.concat_map
-      (fun k ->
-        Array.to_list (Array.sub lat_ns k (min recovery_window (n - k))))
-      !kill_indices
-  in
-  let recovery_p99_ms =
-    match List.sort compare recovery_lats with
-    | [] -> 0.
-    | sorted ->
-        let arr = Array.of_list sorted in
-        float_of_int arr.(min (Array.length arr - 1)
-                            (Array.length arr * 99 / 100))
-        /. 1e6
-  in
-  let zero_failed_good = !failed_good = 0 && !answered = n in
-  let recovery_ok = recovery_p99_ms <= recovery_bound_ms in
-  let restarts_ok =
-    if !inject_no_supervise then true (* nothing to observe by design *)
-    else restarts_seen >= 1
-  in
-  Fmt.pr "chaos stream: n=%d faults=[%s] failed_good=%d     %s@." n
-    (String.concat ", " (List.rev !fired))
-    !failed_good
-    (if zero_failed_good then "ok" else "FAIL");
-  Fmt.pr "recovery p99 over kill windows: %.1fms (<= %.0fms) %s@."
-    recovery_p99_ms recovery_bound_ms
-    (if !quick then "(informational under --quick)"
-     else if recovery_ok then "ok"
-     else "FAIL");
-  Fmt.pr "supervisor restarts observed: %d down: %d         %s@." restarts_seen
-    shards_down
-    (if restarts_ok then "ok" else "FAIL");
-  let gates =
-    [
-      ("corrupt_fallback", corrupt_fallback_ok);
-      ("snapshot_oread", snapshot_oread_ok);
-      ("snapshot_answers_match", snapshot_targets_ok);
-      ("zero_failed_good", zero_failed_good);
-      ("restarts_observed", restarts_ok);
-    ]
-    @ if !quick then [] else [ ("recovery_p99", recovery_ok) ]
-  in
-  Json.write_file "BENCH_chaos.json"
-    (Json.Obj
-       [
-         ("schema", Json.Str "cla.bench.chaos/v1");
-         ("quick", Json.Bool !quick);
-         ("profile", Json.Str p.Profile.name);
-         ("scale", Json.Float p.Profile.scale);
-         ("supervised", Json.Bool (not !inject_no_supervise));
-         ("shards", Json.Int shards);
-         ("n", Json.Int n);
-         ("load", Json.Int load);
-         ( "faults",
-           Json.Arr (List.map (fun s -> Json.Str s) (List.rev !fired)) );
-         ("failed_good", Json.Int !failed_good);
-         ("recovery_p99_ms", Json.Float recovery_p99_ms);
-         ("recovery_bound_ms", Json.Float recovery_bound_ms);
-         ("shard_restarts", Json.Int restarts_seen);
-         ("shards_down", Json.Int shards_down);
-         ( "gates",
-           Json.Obj (List.map (fun (k, v) -> (k, Json.Bool v)) gates) );
-       ]);
-  Fmt.pr "wrote BENCH_chaos.json@.";
-  if List.exists (fun (_, v) -> not v) gates then begin
-    Fmt.pr "CHAOS GATE FAILED: %s@."
-      (String.concat ", "
-         (List.filter_map (fun (k, v) -> if v then None else Some k) gates));
-    exit 1
-  end
+  finish (report "chaos") ~meta ~gates
 
 (* --- incremental: delta compile-link-solve vs from-scratch ----------- *)
 
@@ -1677,117 +1369,86 @@ let chaos () =
    where the delta linker appends; the constraint sets are identical —
    the delta-link tests check that equivalence name-wise).
 
-   --inject-stale swaps the previous step's from-scratch solution into
-   the equality check, so the gate must fail and the section must exit
-   1 — proof the gate can fire. *)
-
+   --inject swaps the previous step's from-scratch solution into the
+   equality check, so the gate must fail. *)
 let incremental () =
-  hr ();
   (* vortex, not burlap: unit count is what the compile cache leverages
      (Genc splits ~1200 variables per file), and vortex's 11.4K
      variables give 9 units at full scale where burlap gives 5 *)
-  let scale =
-    match !solver_scale with
-    | Some s -> s
-    | None -> if !quick then 0.5 else 1.0
-  in
+  let scale = Option.value !solver_scale ~default:(if !quick then 0.5 else 1.0) in
   let steps = !incr_steps and p_remove = !incr_p_remove in
   let p = Profile.scaled scale Profile.vortex in
-  Fmt.pr
-    "INCREMENTAL: %d-step edit stream over %s (scale %.2f, p_remove %.2f, \
-     seed %d)%s@."
+  banner "INCREMENTAL: %d-step edit stream over %s (scale %.2f, p_remove %.2f, seed %d)%s"
     steps p.Profile.name p.Profile.scale p_remove !incr_seed
-    (if !inject_stale then " [INJECTING STALE SOLUTION]" else "");
-  hr ();
-  let es =
-    Editstream.create ~seed:(Int64.of_int !incr_seed) ~p_remove p
-  in
+    (if !inject then " [INJECTING STALE SOLUTION]" else "");
+  let es = Editstream.create ~seed:(Int64.of_int !incr_seed) ~p_remove p in
   (* from-scratch baseline: recompile every unit (no compile cache),
      full link, cold solve — serialization round-trips included, exactly
      like the incremental driver's own unit handling *)
   let scratch sources view =
-    let t0 = Unix.gettimeofday () in
-    let views =
-      List.map
-        (fun (file, src) ->
-          Objfile.view_of_string
-            (Objfile.write (Compilep.compile_string ~file src)))
-        sources
+    let views, compile_s =
+      timed (fun () ->
+          List.map
+            (fun (file, src) ->
+              Objfile.view_of_string (Objfile.write (Compilep.compile_string ~file src)))
+            sources)
     in
-    let t1 = Unix.gettimeofday () in
-    let _db, _stats = Linkp.link_views views in
-    let t2 = Unix.gettimeofday () in
-    let sol = (Andersen.solve view).Andersen.solution in
-    let t3 = Unix.gettimeofday () in
-    (sol, t1 -. t0, t2 -. t1, t3 -. t2)
+    let _, link_s = timed (fun () -> Linkp.link_views views) in
+    let sol, solve_s = timed (fun () -> (Andersen.solve view).Andersen.solution) in
+    (sol, compile_s, link_s, solve_s)
   in
   let t, s0 = Incremental.create (Editstream.sources es) in
   let n_files = s0.Incremental.sources in
-  let base_scratch, _, _, _ =
-    scratch (Editstream.sources es) (Incremental.view t)
-  in
-  let base_ok = Solution.equal (Incremental.solution t) base_scratch in
-  Fmt.pr "base: %d unit(s), solution %s scratch@." n_files
-    (if base_ok then "==" else "!=");
+  let base_scratch, _, _, _ = scratch (Editstream.sources es) (Incremental.view t) in
   let prev_scratch = ref base_scratch in
-  let rows = ref [] in
-  let all_equal = ref base_ok in
-  let cache_ok = ref true in
-  let adds_resumed = ref true in
+  let r = report "incremental" in
+  let unequal =
+    ref (if Solution.equal (Incremental.solution t) base_scratch then 0 else 1)
+  in
+  let cache_broken = ref 0 and adds_fell_back = ref 0 in
   let totals = ref [] in
   for _ = 1 to steps do
     let step = Editstream.next es in
-    let s = Incremental.update t step.Editstream.ssources in
-    let inc_total =
-      s.Incremental.wall_compile_s +. s.Incremental.wall_link_s
-      +. s.Incremental.wall_solve_s
-    in
+    let s = Incremental.update t step.ssources in
+    let inc_total = s.wall_compile_s +. s.wall_link_s +. s.wall_solve_s in
     let sol_scratch, sc_compile, sc_link, sc_solve =
-      scratch step.Editstream.ssources (Incremental.view t)
+      scratch step.ssources (Incremental.view t)
     in
     let sc_total = sc_compile +. sc_link +. sc_solve in
-    (* the gate; --inject-stale deliberately compares against the
-       previous step's solution, which each edit invalidates *)
-    let oracle = if !inject_stale then !prev_scratch else sol_scratch in
+    (* the gate; --inject deliberately compares against the previous
+       step's solution, which each edit invalidates *)
+    let oracle = if !inject then !prev_scratch else sol_scratch in
     let equal = Solution.equal (Incremental.solution t) oracle in
     prev_scratch := sol_scratch;
-    let speedup = if inc_total > 0. then sc_total /. inc_total else 0. in
     totals := (inc_total, sc_total) :: !totals;
-    if not equal then all_equal := false;
-    if s.Incremental.cache_misses <> 1
-       || s.Incremental.cache_hits <> n_files - 1
-    then cache_ok := false;
-    if (not step.Editstream.sremoval) && not s.Incremental.resumed then
-      adds_resumed := false;
-    Fmt.pr
-      "step %2d %-9s %-28s inc %6.1fms  scratch %6.1fms  %5.1fx  %s@."
-      step.Editstream.snum
-      (if step.Editstream.sremoval then "(remove)"
-       else if s.Incremental.resumed then "(resume)"
-       else "(fallback)")
-      step.Editstream.sdesc (inc_total *. 1e3) (sc_total *. 1e3) speedup
-      (if equal then "ok" else "STALE");
-    rows :=
-      Json.Obj
-        [
-          ("step", Json.Int step.Editstream.snum);
-          ("desc", Json.Str step.Editstream.sdesc);
-          ("removal", Json.Bool step.Editstream.sremoval);
-          ("resumed", Json.Bool s.Incremental.resumed);
-          ("cache_hits", Json.Int s.Incremental.cache_hits);
-          ("cache_misses", Json.Int s.Incremental.cache_misses);
-          ("inc_compile_s", Json.Float s.Incremental.wall_compile_s);
-          ("inc_link_s", Json.Float s.Incremental.wall_link_s);
-          ("inc_solve_s", Json.Float s.Incremental.wall_solve_s);
-          ("inc_total_s", Json.Float inc_total);
-          ("scratch_compile_s", Json.Float sc_compile);
-          ("scratch_link_s", Json.Float sc_link);
-          ("scratch_solve_s", Json.Float sc_solve);
-          ("scratch_total_s", Json.Float sc_total);
-          ("speedup", Json.Float speedup);
-          ("equal", Json.Bool equal);
-        ]
-      :: !rows
+    if not equal then incr unequal;
+    if s.cache_misses <> 1 || s.cache_hits <> n_files - 1 then incr cache_broken;
+    if (not step.sremoval) && not s.resumed then incr adds_fell_back;
+    let quiet x = J (Json.Float x) in
+    row r
+      [
+        ("step", I step.snum);
+        ( "path",
+          S
+            (if step.sremoval then "(remove)"
+             else if s.resumed then "(resume)"
+             else "(fallback)") );
+        ("desc", S step.sdesc);
+        ("removal", J (Json.Bool step.sremoval));
+        ("resumed", J (Json.Bool s.resumed));
+        ("cache_hits", I s.cache_hits);
+        ("cache_misses", I s.cache_misses);
+        ("inc_compile_s", quiet s.wall_compile_s);
+        ("inc_link_s", quiet s.wall_link_s);
+        ("inc_solve_s", quiet s.wall_solve_s);
+        ("inc_total_s", F inc_total);
+        ("scratch_compile_s", quiet sc_compile);
+        ("scratch_link_s", quiet sc_link);
+        ("scratch_solve_s", quiet sc_solve);
+        ("scratch_total_s", F sc_total);
+        ("speedup", F (if inc_total > 0. then sc_total /. inc_total else 0.));
+        ("equal", B equal);
+      ]
   done;
   (* the steady-state claim: aggregate the last three steps (noise at
      millisecond walls makes a single step an unfair judge either way) *)
@@ -1797,73 +1458,85 @@ let incremental () =
     and sc = List.fold_left (fun a (_, s) -> a +. s) 0. tail in
     if inc > 0. then sc /. inc else 0.
   in
-  (* a wall-time check: gated on the full run only, printed under
-     --quick, where the answer gates above carry the test *)
-  let speedup_ok = tail_speedup > 1.0 in
-  Fmt.pr "tail speedup (last %d step(s)): %.1fx (> 1.0) %s@."
-    (List.length tail) tail_speedup
-    (if !quick then "(informational under --quick)"
-     else if speedup_ok then "ok"
-     else "FAIL");
-  let gates =
-    [
-      ("solutions_equal", !all_equal);
-      ("cache_discipline", !cache_ok);
-      ("additions_resumed", !adds_resumed);
-    ]
-    @ if !quick then [] else [ ("tail_speedup_gt_1", speedup_ok) ]
-  in
-  Json.write_file "BENCH_incremental.json"
-    (Json.Obj
-       [
-         ("schema", Json.Str "cla.bench.incremental/v1");
-         ("quick", Json.Bool !quick);
-         ("profile", Json.Str p.Profile.name);
-         ("scale", Json.Float p.Profile.scale);
-         ("steps", Json.Int steps);
-         ("p_remove", Json.Float p_remove);
-         ("seed", Json.Int !incr_seed);
-         ("injected_stale", Json.Bool !inject_stale);
-         ("units", Json.Int n_files);
-         ("tail_speedup", Json.Float tail_speedup);
-         ("rows", Json.Arr (List.rev !rows));
-         ( "gates",
-           Json.Obj (List.map (fun (k, v) -> (k, Json.Bool v)) gates) );
-       ]);
-  Fmt.pr "wrote BENCH_incremental.json@.";
-  if List.exists (fun (_, v) -> not v) gates then begin
-    Fmt.pr "INCREMENTAL GATE FAILED: %s@."
-      (String.concat ", "
-         (List.filter_map (fun (k, v) -> if v then None else Some k) gates));
-    exit 1
-  end
+  finish r
+    ~meta:
+      [ ("profile", S p.Profile.name); ("scale", F p.Profile.scale); ("steps", I steps);
+        ("p_remove", F p_remove); ("seed", I !incr_seed); ("injected_stale", B !inject);
+        ("units", I n_files); ("tail_speedup", F tail_speedup) ]
+    ~gates:
+      [
+        gate "solutions_equal" (!unequal = 0)
+          "%d of %d solve(s) (base + steps) differ from scratch" !unequal
+          (steps + 1);
+        gate "cache_discipline" (!cache_broken = 0)
+          "%d step(s) missed 1 miss / %d hits" !cache_broken (n_files - 1);
+        gate "additions_resumed" (!adds_fell_back = 0)
+          "%d append-only step(s) fell back to a cold solve" !adds_fell_back;
+        gate ~kind:Timed "tail_speedup_gt_1" (tail_speedup > 1.0)
+          "tail speedup (last %d step(s)) %.1fx (> 1.0)" (List.length tail)
+          tail_speedup;
+      ]
+
+(* ------------------------------------------------------------------ *)
+(* Command line                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let all_sections =
+  [ ("table2", table2); ("table3", table3); ("table4", table4);
+    ("ablation", ablation); ("solvers", solvers); ("transforms", transforms);
+    ("figures", figures); ("bechamel", bechamel); ("parallel", parallel);
+    ("solver", solver); ("openworld", openworld); ("serve", serve);
+    ("chaos", chaos); ("incremental", incremental) ]
+
+let usage fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "bench: %s@.sections: %s@." msg
+        (String.concat " " (List.map fst all_sections));
+      exit 2)
+    fmt
 
 let () =
+  let num conv valid arg v =
+    match conv v with Some x when valid x -> x | _ -> usage "bad value in %S" arg
+  in
+  let ints ?(min = 1) arg v =
+    List.map (num int_of_string_opt (fun j -> j >= min) arg) (String.split_on_char ',' v)
+  in
+  let sections = ref [] in
+  Array.iteri
+    (fun i arg ->
+      let flag, v =
+        match String.index_opt arg '=' with
+        | Some e ->
+            (String.sub arg 0 (e + 1), String.sub arg (e + 1) (String.length arg - e - 1))
+        | None -> (arg, "")
+      in
+      if i > 0 then
+        match flag with
+        | "--quick" -> quick := true
+        | "--check-hard" -> check_hard := true
+        | "--inject" -> inject := true
+        | "--scale=" -> solver_scale := Some (num float_of_string_opt (fun f -> f > 0.) arg v)
+        | "--budget=" -> budget := Some (num int_of_string_opt (fun n -> n > 0) arg v)
+        | "--check-against=" ->
+            let read () = Json.of_string (In_channel.with_open_bin v In_channel.input_all) in
+            baseline := Some (v, try Some (read ()) with Sys_error _ | Json.Parse_error _ -> None)
+        | "--units=" -> units_sweep := ints arg v
+        | "--shards=" -> serve_shards := ints arg v
+        | "--load=" -> serve_load := ints arg v
+        | "--jobs=" -> jobs_sweep := ints ~min:0 arg v
+        | "--steps=" -> incr_steps := num int_of_string_opt (fun n -> n >= 1) arg v
+        | "--seed=" -> incr_seed := num int_of_string_opt (fun n -> n >= 0) arg v
+        | "--p-remove=" ->
+            incr_p_remove := num float_of_string_opt (fun f -> f >= 0.) arg v
+        | _ when String.starts_with ~prefix:"-" arg -> usage "unknown flag %S" arg
+        | _ when List.mem_assoc arg all_sections -> sections := arg :: !sections
+        | _ -> usage "unknown section %S" arg)
+    Sys.argv;
   let t0 = Unix.gettimeofday () in
-  if want "table2" then table2 ();
-  if want "table3" then table3 ();
-  if want "table4" then table4 ();
-  if want "ablation" then ablation ();
-  if want "solvers" then solvers ();
-  if want "transforms" then transforms ();
-  if want "figures" then figures ();
-  if want "bechamel" then bechamel ();
-  if want "parallel" then parallel ();
-  if want "solver" then solver ();
-  if want "openworld" then openworld ();
-  if want "serve" then serve ();
-  if want "chaos" then chaos ();
-  if want "incremental" then incremental ();
-  if !bench_rows <> [] then begin
-    Json.write_file "BENCH_pipeline.json"
-      (Json.Obj
-         [
-           ("schema", Json.Str "cla.bench.pipeline/v1");
-           ("quick", Json.Bool !quick);
-           ("rows", Json.Arr (List.rev !bench_rows));
-         ]);
-    Fmt.pr "wrote BENCH_pipeline.json (%d row(s))@."
-      (List.length !bench_rows)
-  end;
+  List.iter
+    (fun (name, run) -> if !sections = [] || List.mem name !sections then run ())
+    all_sections;
   hr ();
   Fmt.pr "total bench time: %.1fs@." (Unix.gettimeofday () -. t0)

@@ -28,7 +28,7 @@ grep -q 'openworld: ok' out.txt || {
 
 # 2. The gate must actually fail when havoc synthesis is skipped.
 rc=0
-"$bench" --inject-unsound openworld >inject.txt 2>&1 || rc=$?
+"$bench" --inject openworld >inject.txt 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then
   echo "openworld_smoke.sh: --inject-unsound exited $rc, want 1" >&2
   cat inject.txt >&2
@@ -39,5 +39,14 @@ grep -q 'openworld: FAIL' inject.txt || {
   cat inject.txt >&2
   exit 1
 }
+
+# 3. A misspelt section is a usage error (exit 2), not a silent no-op.
+rc=0
+"$bench" chaoss >usage.txt 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "openworld_smoke.sh: bench chaoss exited $rc, want 2" >&2
+  cat usage.txt >&2
+  exit 1
+fi
 
 echo "openworld_smoke.sh: ok"

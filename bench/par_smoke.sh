@@ -65,4 +65,20 @@ grep -q 'invalid job count' err.txt || {
   exit 1
 }
 
+# 4. The regression check reads any bench file, not just the solver's:
+#    re-run the sweep against its own BENCH_parallel.json and require a
+#    verdict.  The verdict compares wall times, so it is only reported.
+"$bench" parallel --jobs=1,2 --units=2 --quick \
+  --check-against=BENCH_parallel.json >check.txt 2>check_err.txt
+if grep -q 'regression check .*: clean' check.txt; then
+  echo "par_smoke.sh: self check-against clean"
+elif grep -q 'REGRESSION' check_err.txt; then
+  echo "par_smoke.sh: self check-against saw timing noise (informational):"
+  grep 'REGRESSION' check_err.txt
+else
+  echo "par_smoke.sh: self check-against printed no verdict" >&2
+  cat check.txt check_err.txt >&2
+  exit 1
+fi
+
 echo "par_smoke.sh: ok"

@@ -41,7 +41,7 @@ grep -q 'solve_bitvector_wall_s' BENCH_parallel.json || {
 # 2. The gate can actually fail: --inject-divergence perturbs one j>=2
 #    solution and the sweep must exit 1 and say the solution diverged.
 rc=0
-"$bench" parallel --jobs=1,2 --units=2 --quick --inject-divergence \
+"$bench" parallel --jobs=1,2 --units=2 --quick --inject \
   >/dev/null 2>err.txt || rc=$?
 if [ "$rc" -ne 1 ]; then
   echo "par_solver_smoke.sh: injected divergence exited $rc, want 1" >&2

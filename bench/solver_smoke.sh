@@ -38,7 +38,7 @@ fi
 # 2. The divergence gate must actually exit 1 when a solution is
 #    deliberately perturbed.
 rc=0
-"$bench" --scale=0.05 --inject-divergence solver >/dev/null 2>&1 || rc=$?
+"$bench" --scale=0.05 --inject solver >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then
   echo "solver_smoke.sh: --inject-divergence exited $rc, want 1" >&2
   exit 1

@@ -1597,21 +1597,7 @@ let serve_bench_cmd =
         let vars =
           match vars with
           | _ :: _ -> Array.of_list vars
-          | [] ->
-              (* sample named program variables for the good queries *)
-              let out = ref [] and count = ref 0 in
-              Array.iter
-                (fun (vi : Objfile.varinfo) ->
-                  if
-                    !count < 32 && vi.Objfile.vname <> ""
-                    && (not (String.contains vi.Objfile.vname '$'))
-                    && vi.Objfile.vkind <> Cla_ir.Var.Temp
-                  then begin
-                    incr count;
-                    out := vi.Objfile.vname :: !out
-                  end)
-                view.Objfile.rvars;
-              Array.of_list (List.rev !out)
+          | [] -> Cla_workload.Servebench.sample_vars view
         in
         let* () =
           if Array.length vars = 0 then

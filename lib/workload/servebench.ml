@@ -78,6 +78,16 @@ let slow rng ~id ~slow_ms =
       (with_deadline (slow_ms * 4)
          (base id "sleep" @ [ ("ms", Json.Int slow_ms) ]))
 
+let sample_vars (view : Cla_core.Objfile.view) =
+  let named (vi : Cla_core.Objfile.varinfo) =
+    vi.vname <> ""
+    && (not (String.contains vi.vname '$'))
+    && vi.vkind <> Cla_ir.Var.Temp
+  in
+  Array.to_seq view.rvars |> Seq.filter named |> Seq.take 32
+  |> Seq.map (fun (vi : Cla_core.Objfile.varinfo) -> vi.vname)
+  |> Array.of_seq
+
 let generate ?(mix = default_mix) ?(fresh_frac = 0.) ~seed ~n ~vars
     ~deadline_ms ~slow_ms () =
   if Array.length vars = 0 then invalid_arg "Servebench.generate: no variables";

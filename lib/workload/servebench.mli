@@ -19,6 +19,11 @@ type mix = { m_good : int; m_poison : int; m_slow : int }
 (** 6 good : 2 poison : 2 slow. *)
 val default_mix : mix
 
+(** The first 32 named, non-temporary program variables of [view], in
+    variable order: the targets of good queries when the caller names
+    none. *)
+val sample_vars : Cla_core.Objfile.view -> string array
+
 (** [generate ~seed ~n ~vars ~deadline_ms ~slow_ms ()] builds [n]
     request lines: good queries draw variables from [vars] and carry
     [deadline_ms]; slow queries sleep [slow_ms] (half with a deadline
