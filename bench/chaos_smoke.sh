@@ -3,7 +3,7 @@
 # faults enabled (kills + wedges against a snapshot-backed sharded
 # server recover with zero failed well-formed queries), must write a
 # schema-tagged BENCH_chaos.json with every gate true, and must FAIL
-# when --inject-no-supervise disables the supervisor — proof the gate
+# when --inject disables the supervisor — proof the gate
 # actually bites.  Only answers are gated: under --quick the recovery
 # p99 (wall time) is printed, not gated.  Wired into `dune runtest` (see
 # bench/dune); takes the bench binary as $1.
@@ -57,7 +57,7 @@ grep -q '"shard_restarts": *0' BENCH_chaos.json && {
 
 # 2. unsupervised run: the same faults must blow the gate (exit 1)
 if "$bench" --quick --inject chaos >out2.txt 2>err2.txt; then
-  echo "chaos_smoke.sh: --inject-no-supervise did NOT fail the gate" >&2
+  echo "chaos_smoke.sh: --inject did NOT fail the gate" >&2
   cat out2.txt >&2
   exit 1
 fi

@@ -6,7 +6,7 @@
 #      the solver, and a schema-tagged BENCH_incremental.json lands with
 #      every answer gate true (the tail speedup, a wall-time figure, is
 #      reported but not gated under --quick);
-#   2. --inject-stale compares each step against the previous step's
+#   2. --inject compares each step against the previous step's
 #      solution and must blow the gate (exit 1) — proof it can fire;
 #   3. `cla serve --watch DIR` answers across an edit: query, append an
 #      assignment to one TU, force a rescan with the `reanalyze` op
@@ -73,7 +73,7 @@ grep -q '(remove)' out.txt || {
 
 # 2. the gate must bite: a stale solution has to fail the run
 if "$bench" --quick --inject incremental >out2.txt 2>err2.txt; then
-  echo "incremental_smoke.sh: --inject-stale did NOT fail the gate" >&2
+  echo "incremental_smoke.sh: --inject did NOT fail the gate" >&2
   cat out2.txt >&2
   exit 1
 fi

@@ -43,8 +43,9 @@
      dune exec bench/main.exe -- --scale=0.5 solver
                 # scale the solver workloads (default 1.0; --quick: 0.25)
      dune exec bench/main.exe -- --check-against=BENCH_serve.json serve
-                # report each *wall_s over 25% slower than in a previous
-                # file of the same section (--check-hard: a timed gate)
+                # report each *wall_s or *total_s over 25% slower than
+                # in a previous file of the same section (--check-hard:
+                # a timed gate)
      dune exec bench/main.exe -- --quick --inject chaos   # must fail
 
    An unknown section or flag, or a bad flag value, exits 2.
@@ -239,8 +240,9 @@ let enforce section gates =
       List.iter (fun g -> Fmt.epr "%s@." (verdict g)) failed;
       exit 1
 
-(* The timings of a JSON row: every field named *wall_s, nested groups
-   included, keyed by the row's [key] fields and the field's path. *)
+(* The timings of a JSON row: every field named *wall_s or *total_s,
+   nested groups included, keyed by the row's [key] fields and the
+   field's path. *)
 let timings r row =
   let id =
     List.map
@@ -256,7 +258,9 @@ let timings r row =
         List.concat_map (fun (k, v) -> walk (if path = "" then k else path ^ "." ^ k) v) kvs
     | v -> (
         match Json.to_float v with
-        | Some t when String.ends_with ~suffix:"wall_s" path ->
+        | Some t
+          when String.ends_with ~suffix:"wall_s" path
+               || String.ends_with ~suffix:"total_s" path ->
             [ (String.concat "/" id ^ " " ^ path, t) ]
         | _ -> [])
   in
@@ -1401,7 +1405,7 @@ let incremental () =
   let n_files = s0.Incremental.sources in
   let base_scratch, _, _, _ = scratch (Editstream.sources es) (Incremental.view t) in
   let prev_scratch = ref base_scratch in
-  let r = report "incremental" in
+  let r = report ~key:[ "step" ] "incremental" in
   let unequal =
     ref (if Solution.equal (Incremental.solution t) base_scratch then 0 else 1)
   in

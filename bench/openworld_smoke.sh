@@ -1,6 +1,6 @@
 #!/bin/sh
 # Open-world soundness gate smoke test: the body-deletion stream must
-# hold the ⊇ property at every step (exit 0), and --inject-unsound —
+# hold the ⊇ property at every step (exit 0), and --inject —
 # which analyzes the stripped fragments closed-world instead of
 # synthesizing havoc — must make the gate fail (exit 1), proving the
 # gate is live, not decorative.  Wired into `dune runtest` (see
@@ -30,12 +30,12 @@ grep -q 'openworld: ok' out.txt || {
 rc=0
 "$bench" --inject openworld >inject.txt 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then
-  echo "openworld_smoke.sh: --inject-unsound exited $rc, want 1" >&2
+  echo "openworld_smoke.sh: --inject exited $rc, want 1" >&2
   cat inject.txt >&2
   exit 1
 fi
 grep -q 'openworld: FAIL' inject.txt || {
-  echo "openworld_smoke.sh: --inject-unsound exit 1 without a FAIL line" >&2
+  echo "openworld_smoke.sh: --inject exit 1 without a FAIL line" >&2
   cat inject.txt >&2
   exit 1
 }

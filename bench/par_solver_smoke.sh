@@ -1,7 +1,7 @@
 #!/bin/sh
 # Parallel-solve oracle smoke test: the bench parallel sweep must
 # hard-gate byte-identical solutions at j2 (exit 0 when they match,
-# and — proven via --inject-divergence — exit 1 when one diverges).
+# and — proven via --inject — exit 1 when one diverges).
 # Also checks `cla analyze -j 2` answers match -j 1 end to end, and
 # that an oversubscribed `cla serve --shards` is a clean usage error.
 # Wired into `dune runtest` (see bench/dune); takes the cla binary as
@@ -38,7 +38,7 @@ grep -q 'solve_bitvector_wall_s' BENCH_parallel.json || {
   exit 1
 }
 
-# 2. The gate can actually fail: --inject-divergence perturbs one j>=2
+# 2. The gate can actually fail: --inject perturbs one j>=2
 #    solution and the sweep must exit 1 and say the solution diverged.
 rc=0
 "$bench" parallel --jobs=1,2 --units=2 --quick --inject \

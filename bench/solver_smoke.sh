@@ -1,7 +1,7 @@
 #!/bin/sh
 # Solver micro-bench smoke test: a tiny --scale sweep must report zero
 # divergence and write a schema-tagged BENCH_solver.json whose regression
-# check re-reads it and prints a verdict, and --inject-divergence must
+# check re-reads it and prints a verdict, and --inject must
 # make the hard-fail path fire (exit 1) — proving the gate is live, not
 # decorative.  Wired into `dune runtest` (see bench/dune); takes the
 # bench binary as $1.
@@ -40,7 +40,7 @@ fi
 rc=0
 "$bench" --scale=0.05 --inject solver >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then
-  echo "solver_smoke.sh: --inject-divergence exited $rc, want 1" >&2
+  echo "solver_smoke.sh: --inject exited $rc, want 1" >&2
   exit 1
 fi
 

@@ -15,7 +15,7 @@ type writer = Buffer.t
 let writer () : writer = Buffer.create 256
 let wpos (b : writer) = Buffer.length b
 
-let u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+let u8 b v = Buffer.add_char b (Char.unsafe_chr (v land 0xff))
 
 let u32 b v =
   u8 b v;
@@ -25,7 +25,7 @@ let u32 b v =
 
 let rec varint b v =
   if v < 0 then invalid_arg "Binio.varint: negative";
-  if v < 0x80 then u8 b v
+  if v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
   else begin
     u8 b (0x80 lor (v land 0x7f));
     varint b (v lsr 7)
@@ -79,7 +79,7 @@ let ru32 r =
    bits), so an encoding is at most 9 data bytes; a 10th continuation
    byte — or high bits that would shift past bit 61 — is corruption, not
    undefined [lsl] behavior. *)
-let rvarint r =
+let rvarint_slow r =
   let rec go shift acc =
     let byte = ru8 r in
     let bits = byte land 0x7f in
@@ -92,6 +92,21 @@ let rvarint r =
     end
   in
   go 0 0
+
+(* Most varints (ids, line and column numbers, counts) fit one byte:
+   that case reads it and returns; anything else, the end of data
+   included, takes the checked loop. *)
+let rvarint r =
+  let pos = r.pos in
+  if pos < r.limit then begin
+    let byte = Char.code r.data.[pos] in
+    if byte < 0x80 then begin
+      r.pos <- pos + 1;
+      byte
+    end
+    else rvarint_slow r
+  end
+  else rvarint_slow r
 
 (** Read a u32 record count that must be plausible for the remaining
     bytes of the reader: every record occupies at least [min_size]

@@ -294,8 +294,6 @@ type delta = {
   d_removed_fundefs : Objfile.fund_rec list;
   d_added_indirects : Objfile.indir_rec list;
   d_removed_indirects : Objfile.indir_rec list;
-  d_added_strings : string list;  (** linked-view string-table additions *)
-  d_removed_strings : string list;
   d_full_relink : bool;
       (** the database was rebuilt by a full merge (constraint removal);
           linked ids are NOT stable across this delta *)
@@ -464,25 +462,6 @@ let indir_key (i : Objfile.indir_rec) =
   (i.Objfile.iptr, i.Objfile.inargs, i.Objfile.iret,
    Array.to_list i.Objfile.iargs)
 
-let strings_diff (old_v : Objfile.view) (new_v : Objfile.view) =
-  let setify a =
-    let t = Hashtbl.create (Array.length a) in
-    Array.iter (fun s -> Hashtbl.replace t s ()) a;
-    t
-  in
-  let olds = setify old_v.Objfile.strings
-  and news = setify new_v.Objfile.strings in
-  let added =
-    Hashtbl.fold
-      (fun s () acc -> if Hashtbl.mem olds s then acc else s :: acc)
-      news []
-  and removed =
-    Hashtbl.fold
-      (fun s () acc -> if Hashtbl.mem news s then acc else s :: acc)
-      olds []
-  in
-  (added, removed)
-
 (* Recompute the per-var metadata passes of [link_views_full] (typed
    declaration wins; defined iff any unit defines) over the current unit
    set.  Cheap — O(total vars) — so the patch path reruns it instead of
@@ -543,7 +522,6 @@ let meta_of_units units : Objfile.meta =
 let relink (st : state) (units : (string * Objfile.view) list) : delta =
   Cla_obs.Obs.with_span "link" ~label:"delta" (fun () ->
   let old_nvars = Array.length st.s_db.Objfile.vars in
-  let old_view = st.s_view in
   let old_by_name = Hashtbl.create 16 in
   List.iter (fun ue -> Hashtbl.replace old_by_name ue.ue_name ue) st.s_units;
   (* tentative fresh-id allocations: committed only on the patch path *)
@@ -746,7 +724,6 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
     st.s_db <- db;
     st.s_view <- Objfile.view_of_string (Objfile.write db)
   end;
-  let added_strings, removed_strings = strings_diff old_view st.s_view in
   let d =
     {
       d_old_nvars = old_nvars;
@@ -760,16 +737,12 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
       d_removed_fundefs = List.rev !rem_fn;
       d_added_indirects = List.rev !add_in;
       d_removed_indirects = List.rev !rem_in;
-      d_added_strings = added_strings;
-      d_removed_strings = removed_strings;
       d_full_relink = has_removals;
     }
   in
   Cla_obs.Metrics.set "link.delta.units_changed" d.d_changed_units;
   Cla_obs.Metrics.set "link.delta.added" (delta_size_added d);
   Cla_obs.Metrics.set "link.delta.removed" (delta_size_removed d);
-  Cla_obs.Metrics.set "link.delta.strings_added"
-    (List.length d.d_added_strings);
   Cla_obs.Metrics.set "link.delta.pure" (if delta_is_pure_add d then 1 else 0);
   if d.d_full_relink then Cla_obs.Metrics.incr "link.delta.full_relinks";
   Cla_obs.Metrics.set "link.units" (List.length units);

@@ -76,8 +76,6 @@ type delta = {
   d_removed_fundefs : Objfile.fund_rec list;
   d_added_indirects : Objfile.indir_rec list;
   d_removed_indirects : Objfile.indir_rec list;
-  d_added_strings : string list;  (** linked-view string-table additions *)
-  d_removed_strings : string list;
   d_full_relink : bool;
       (** the database was rebuilt by a full merge (constraint removal);
           linked ids are NOT stable across this delta *)

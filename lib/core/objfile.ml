@@ -191,9 +191,13 @@ let write (db : db) : string =
      sections are built into their own buffers. *)
   let b_vars = Binio.writer () in
   Binio.u32 b_vars (Array.length db.vars);
-  Array.iter
-    (fun v ->
-      Binio.varint b_vars (Strtab.intern st v.vname);
+  (* each var's name id, reused by TARGETS *)
+  let name_ids = Array.make (Array.length db.vars) 0 in
+  Array.iteri
+    (fun i v ->
+      let name = Strtab.intern st v.vname in
+      name_ids.(i) <- name;
+      Binio.varint b_vars name;
       Binio.u8 b_vars (kind_code v.vkind);
       (match v.vkind with
       | Var.Arg i -> Binio.varint b_vars i
@@ -266,24 +270,44 @@ let write (db : db) : string =
       Array.iter (fun a -> Binio.varint b_indirect a) i.iargs;
       write_loc b_indirect st i.iiloc)
     db.indirects;
-  (* targets: (display name, var) sorted by name for binary search *)
+  (* targets: the named objects' indices, sorted by (name, index) for
+     binary search.  A name's first 7 bytes, big-endian and zero-padded,
+     order like the name; only equal prefixes compare whole names. *)
   let b_targets = Binio.writer () in
-  let targets =
-    Array.to_list
-      (Array.mapi
-         (fun i v -> (v.vname, i))
-         db.vars)
-    |> List.filter (fun (_, i) ->
-           match db.vars.(i).vkind with
-           | Var.Temp | Var.Arg _ | Var.Ret -> false
-           | _ -> true)
-    |> List.sort (fun (a, i) (b, j) ->
-           match String.compare a b with 0 -> Int.compare i j | c -> c)
+  let targets = Array.make (Array.length db.vars) 0 and ntargets = ref 0 in
+  Array.iteri
+    (fun i v ->
+      match v.vkind with
+      | Var.Temp | Var.Arg _ | Var.Ret -> ()
+      | _ ->
+          targets.(!ntargets) <- i;
+          incr ntargets)
+    db.vars;
+  let targets = Array.sub targets 0 !ntargets in
+  let prefix =
+    Array.map
+      (fun v ->
+        let s = v.vname in
+        let k = ref 0 in
+        for b = 0 to 6 do
+          k := (!k lsl 8) lor if b < String.length s then Char.code s.[b] else 0
+        done;
+        !k)
+      db.vars
   in
-  Binio.u32 b_targets (List.length targets);
-  List.iter
-    (fun (name, i) ->
-      Binio.varint b_targets (Strtab.intern st name);
+  Array.stable_sort
+    (fun i j ->
+      match Int.compare prefix.(i) prefix.(j) with
+      | 0 -> (
+          match String.compare db.vars.(i).vname db.vars.(j).vname with
+          | 0 -> Int.compare i j
+          | c -> c)
+      | c -> c)
+    targets;
+  Binio.u32 b_targets (Array.length targets);
+  Array.iter
+    (fun i ->
+      Binio.varint b_targets name_ids.(i);
       Binio.varint b_targets i)
     targets;
   let b_meta = Binio.writer () in
@@ -354,8 +378,9 @@ type view = {
   rvars : varinfo array;
   rkeys : (int * string) list;
   rstatics : prim_rec array;
-  block_index : (int * int) array;
-      (** per var: (absolute offset, count), or [(-1, 0)] if no block *)
+  block_index : int array;
+      (** two cells per var: absolute offset (or [-1] if no block), then
+          record count *)
   blob_limit : int;
       (** absolute end of the DYNAMIC blob — block reads never cross it *)
   rfundefs : fund_rec array;
@@ -457,27 +482,29 @@ let view_of_sections (s : Sectioned.t) : view =
   in
   let r = sec sec_dynamic in
   let nblocks = Binio.rcount ~min_size:3 r in
-  let block_index = Array.make nvars (-1, 0) in
-  let entries =
-    Array.init nblocks (fun _ ->
-        let src = check_var "block" (Binio.rvarint r) in
-        let off = Binio.rvarint r in
-        let n = Binio.rvarint r in
-        (src, off, n))
-  in
+  (* (src, offset, count) triples, checked once the blob size is known *)
+  let entries = Array.make (3 * nblocks) 0 in
+  for e = 0 to nblocks - 1 do
+    entries.(3 * e) <- check_var "block" (Binio.rvarint r);
+    entries.((3 * e) + 1) <- Binio.rvarint r;
+    entries.((3 * e) + 2) <- Binio.rvarint r
+  done;
   let blob_size = Binio.ru32 r in
   let blob_start = r.Binio.pos in
   if blob_start + blob_size > r.Binio.limit then
     raise (Binio.Corrupt "dynamic blob larger than its section");
   let blob_limit = blob_start + blob_size in
-  Array.iter
-    (fun (src, off, n) ->
-      (* each record is at least 5 bytes (tag, dst, 3-varint loc) *)
-      if off > blob_size || n * 5 > blob_size - off then
-        raise
-          (Binio.Corrupt (Fmt.str "block of object %d outside the blob" src));
-      block_index.(src) <- (blob_start + off, n))
-    entries;
+  let block_index = Array.init (2 * nvars) (fun i -> if i land 1 = 0 then -1 else 0) in
+  for e = 0 to nblocks - 1 do
+    let src = entries.(3 * e)
+    and off = entries.((3 * e) + 1)
+    and n = entries.((3 * e) + 2) in
+    (* each record is at least 5 bytes (tag, dst, 3-varint loc) *)
+    if off > blob_size || n * 5 > blob_size - off then
+      raise (Binio.Corrupt (Fmt.str "block of object %d outside the blob" src));
+    block_index.(2 * src) <- blob_start + off;
+    block_index.((2 * src) + 1) <- n
+  done;
   let r = sec sec_fundefs in
   let nfun = Binio.rcount ~min_size:6 r in
   let check_args r n =
@@ -589,7 +616,7 @@ let view_of_string data = view_of_sections (Sectioned.of_string format data)
     callers are free to discard the result and call again (the
     load-and-throw-away strategy). *)
 let read_block (v : view) (src : int) : prim_rec list =
-  let off, n = v.block_index.(src) in
+  let off = v.block_index.(2 * src) and n = v.block_index.((2 * src) + 1) in
   if off < 0 then []
   else begin
     let nvars = Array.length v.rvars in
@@ -612,7 +639,7 @@ let read_block (v : view) (src : int) : prim_rec list =
         { pkind; pdst; psrc = src; pop; ploc })
   end
 
-let has_block (v : view) (src : int) = fst v.block_index.(src) >= 0
+let has_block (v : view) (src : int) = v.block_index.(2 * src) >= 0
 let n_vars (v : view) = Array.length v.rvars
 
 (** Look up objects by display name (the "target section" hashtable of

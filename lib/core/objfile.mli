@@ -130,8 +130,8 @@ type view = {
   rvars : varinfo array;
   rkeys : (int * string) list;
   rstatics : prim_rec array;
-  block_index : (int * int) array;
-      (** per object: (absolute offset, record count), or [(-1, 0)] *)
+  block_index : int array;
+      (** two cells per object: absolute offset (or [-1]), record count *)
   blob_limit : int;
       (** absolute end of the DYNAMIC blob — block reads never cross it *)
   rfundefs : fund_rec array;

@@ -2,31 +2,83 @@
 
     Variable names, type spellings, file names and operator spellings are
     stored once and referenced by index everywhere else ("common strings",
-    Figure 4). *)
+    Figure 4).
 
-module Tbl = Hashtbl.Make (String)
+    An open-addressing table: [slots] holds string ids (or [-1]) probed
+    linearly from a string's hash; the strings and their hashes live in
+    arrays indexed by id, so ids are first-intern order and the table
+    writes out without sorting or reversing.  A probe compares cached
+    hashes before it compares strings. *)
 
 type t = {
-  by_string : int Tbl.t;
-  mutable strings : string list;  (* reversed *)
+  mutable slots : int array;  (* power-of-two size, at most half full *)
+  mutable strings : string array;  (* by id *)
+  mutable hashes : int array;  (* by id *)
   mutable next : int;
   mutable last : string;  (* [intern_repeated]'s last hit ... *)
   mutable last_id : int;  (* ... and its index *)
 }
 
 let create () =
-  { by_string = Tbl.create 256; strings = []; next = 0; last = ""; last_id = -1 }
+  {
+    slots = Array.make 64 (-1);
+    strings = Array.make 32 "";
+    hashes = Array.make 32 0;
+    next = 0;
+    last = "";
+    last_id = -1;
+  }
+
+(* The slot of [s] (hash [h]): its id's slot, or the empty one it would
+   take. *)
+let find_slot t s h =
+  let slots = t.slots in
+  let mask = Array.length slots - 1 in
+  let rec probe i =
+    let id = Array.unsafe_get slots i in
+    if id < 0
+       || (Array.unsafe_get t.hashes id = h
+          && String.equal (Array.unsafe_get t.strings id) s)
+    then i
+    else probe ((i + 1) land mask)
+  in
+  probe (h land mask)
+
+(* Double the slot array and re-place every id by its cached hash. *)
+let grow t =
+  let slots = Array.make (2 * Array.length t.slots) (-1) in
+  let mask = Array.length slots - 1 in
+  for id = 0 to t.next - 1 do
+    let rec place i =
+      if slots.(i) < 0 then slots.(i) <- id else place ((i + 1) land mask)
+    in
+    place (t.hashes.(id) land mask)
+  done;
+  t.slots <- slots;
+  let cap = Array.length slots / 2 in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.next;
+    b
+  in
+  t.strings <- extend t.strings "";
+  t.hashes <- extend t.hashes 0
 
 (** Intern [s], returning its stable index. *)
 let intern t s =
-  match Tbl.find t.by_string s with
-  | i -> i
-  | exception Not_found ->
-      let i = t.next in
-      t.next <- i + 1;
-      Tbl.add t.by_string s i;
-      t.strings <- s :: t.strings;
-      i
+  let h = Hashtbl.hash s in
+  let i = find_slot t s h in
+  let id = t.slots.(i) in
+  if id >= 0 then id
+  else begin
+    let id = t.next in
+    t.slots.(i) <- id;
+    t.strings.(id) <- s;
+    t.hashes.(id) <- h;
+    t.next <- id + 1;
+    if 2 * t.next >= Array.length t.slots then grow t;
+    id
+  end
 
 (** [intern] for a string that most calls repeat physically (a record's
     location file name): a repeat costs one [==]. *)
@@ -40,12 +92,13 @@ let intern_repeated t s =
   end
 
 let size t = t.next
-let to_array t = Array.of_list (List.rev t.strings)
+let to_array t = Array.sub t.strings 0 t.next
 
 let write w t =
-  let arr = to_array t in
-  Binio.u32 w (Array.length arr);
-  Array.iter (fun s -> Binio.bytes_ w s) arr
+  Binio.u32 w t.next;
+  for id = 0 to t.next - 1 do
+    Binio.bytes_ w t.strings.(id)
+  done
 
 (** Read back as a plain array: readers index it directly. *)
 let read r =

@@ -148,6 +148,63 @@ let test_varint_negative_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_varint_truncated () =
+  let corrupt s =
+    try
+      ignore (Binio.rvarint (Binio.reader s));
+      false
+    with Binio.Corrupt _ -> true
+  in
+  Alcotest.(check bool) "empty" true (corrupt "");
+  Alcotest.(check bool) "continuation at end" true (corrupt "\x80");
+  Alcotest.(check bool) "too long" true (corrupt (String.make 10 '\xff'))
+
+(* ---------------- string table ---------------- *)
+
+let test_strtab_order () =
+  let st = Strtab.create () in
+  let name i = "s" ^ string_of_int i in
+  for i = 0 to 999 do
+    Alcotest.(check int) "fresh id" i (Strtab.intern st (name i));
+    Alcotest.(check int) "repeat id" (i / 2) (Strtab.intern st (name (i / 2)))
+  done;
+  Alcotest.(check int) "size" 1000 (Strtab.size st);
+  Alcotest.(check (array string)) "first-intern order"
+    (Array.init 1000 name) (Strtab.to_array st)
+
+(* ---------------- crc32 ---------------- *)
+
+(* Bit-at-a-time CRC-32: the definition the table-driven paths must
+   match. *)
+let crc_reference s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_check_value () =
+  Alcotest.(check int) "123456789" 0xCBF43926 (Crc32.string "123456789");
+  Alcotest.(check int) "empty" 0 (Crc32.string "")
+
+let test_crc_slices () =
+  let s = String.init 80 (fun i -> Char.chr ((i * 151 + 7) land 0xff)) in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      let want = crc_reference s ~pos ~len in
+      Alcotest.(check int) (Fmt.str "sub %d %d" pos len) want (Crc32.sub s ~pos ~len);
+      (* chained: any split gives the same CRC *)
+      let k = len / 3 in
+      Alcotest.(check int)
+        (Fmt.str "chained %d %d" pos len)
+        want
+        (Crc32.update (Crc32.update 0 s ~pos ~len:k) s ~pos:(pos + k) ~len:(len - k))
+    done
+  done
+
 (* ---------------- qcheck: random database roundtrips ---------------- *)
 
 let qcheck_roundtrip =
@@ -174,7 +231,7 @@ let qcheck_double_serialize =
 (* ---------------- pinned format bytes ---------------- *)
 
 (* Every encode change must keep objects, databases and snapshots
-   byte-identical; these digests pin all three for a fixed program. *)
+   byte-identical; these digests pin all three for fixed programs. *)
 let pin_sources =
   [
     ( "a.c",
@@ -189,23 +246,39 @@ let pin_sources =
        void h(void) { q = p; sv.fld = &z; q = sv.fld; }\n" );
   ]
 
-let test_format_bytes_pinned () =
+(* The first file's unit object, the linked database and view, and
+   the snapshot of its points-to solution. *)
+let pin_bytes files =
   let objs =
-    List.map
-      (fun (file, src) -> Objfile.write (Compilep.compile_string ~file src))
-      pin_sources
+    List.map (fun (file, src) -> Objfile.write (Compilep.compile_string ~file src)) files
   in
   let db, _ = Linkp.link_views (List.map Objfile.view_of_string objs) in
   let linked = Objfile.write db in
   let view = Objfile.view_of_string linked in
-  let snap = Snapshot.freeze ~view (Pipeline.points_to_ladder view) in
-  let digest s = Digest.to_hex (Digest.string s) in
-  Alcotest.(check string)
-    "unit object" "47a3acd815307ccb6b67a15ffccd93d3" (digest (List.hd objs));
-  Alcotest.(check string)
-    "linked database" "ed7815179716b82b6604cb772d8acf23" (digest linked);
-  Alcotest.(check string)
-    "snapshot" "206332042b0f677bb20d51988921aa71" (digest snap)
+  (List.hd objs, linked, view, Snapshot.freeze ~view (Pipeline.points_to_ladder view))
+
+let test_format_bytes_pinned () =
+  let check name (o, l, _, s) (obj, linked, snap) =
+    let digest s = Digest.to_hex (Digest.string s) in
+    Alcotest.(check string) (name ^ " unit object") obj (digest o);
+    Alcotest.(check string) (name ^ " linked database") linked (digest l);
+    Alcotest.(check string) (name ^ " snapshot") snap (digest s)
+  in
+  check "tiny" (pin_bytes pin_sources)
+    ( "47a3acd815307ccb6b67a15ffccd93d3",
+      "ed7815179716b82b6604cb772d8acf23",
+      "206332042b0f677bb20d51988921aa71" );
+  (* Large enough that each string table grows several times and
+     objects share display names, so TARGETS repeats names. *)
+  let vortex = pin_bytes Cla_workload.(Genc.generate (Profile.scaled 0.1 Profile.vortex)) in
+  let _, _, view, _ = vortex in
+  let names = Array.map fst view.Objfile.rtargets in
+  Alcotest.(check bool) "names repeat in TARGETS" true
+    (Array.exists Fun.id (Array.mapi (fun i n -> i > 0 && n = names.(i - 1)) names));
+  check "vortex" vortex
+    ( "73adabcafdac2174dd5bd1c588cc8681",
+      "43d89b5015ef32ef6e507a43dbcf7afe",
+      "9b79253f4e3821a06ed6a48d8ae7ee08" )
 
 let () =
   Alcotest.run "objfile"
@@ -232,6 +305,13 @@ let () =
           Alcotest.test_case "varint" `Quick test_varint_roundtrip;
           Alcotest.test_case "bytes" `Quick test_bytes_roundtrip;
           Alcotest.test_case "negative varint" `Quick test_varint_negative_rejected;
+          Alcotest.test_case "truncated varint" `Quick test_varint_truncated;
+        ] );
+      ("strtab", [ Alcotest.test_case "first-intern order" `Quick test_strtab_order ]);
+      ( "crc32",
+        [
+          Alcotest.test_case "check value" `Quick test_crc_check_value;
+          Alcotest.test_case "8-byte path matches bytewise" `Quick test_crc_slices;
         ] );
       ( "properties",
         [
