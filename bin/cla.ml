@@ -277,12 +277,7 @@ let compile_cmd =
                   (src, `Fresh (Compilep.compile_file_result ~options src))
                 end
               in
-              if jobs <= 1 then List.map compile sources
-              else
-                Cla_obs.Obs.with_span "compile"
-                  ~label:(Fmt.str "fan-out -j%d" jobs) (fun () ->
-                    let pool = Cla_par.Pool.shared ~jobs in
-                    Cla_par.Pool.map pool compile sources)
+              Pipeline.compile_units ~jobs compile sources
             in
             let c = Diag.collector () in
             List.iter
@@ -426,19 +421,20 @@ let analyze_cmd =
           ~doc:
             "Abort the analysis after $(docv) milliseconds of wall-clock \
              time (monotonic).  Without $(b,--ladder) a blown deadline \
-             exits with code 4; with it the solve degrades to a cheaper \
-             rung instead.")
+             exits with code 4; with it the solve degrades to \
+             steensgaard instead.")
   in
   let ladder =
     Arg.(
       value & flag
       & info [ "ladder" ]
           ~doc:
-            "On deadline expiry, fall back through the degradation \
-             ladder (pretransitive, bitvector, steensgaard) instead of \
-             failing; the final rung runs deadline-exempt, so the \
-             command always reports a sound solution labeled with the \
-             rung that produced it.")
+            "On deadline expiry, fall back from pretransitive to \
+             steensgaard instead of failing; the final rung runs \
+             deadline-exempt, so the command always reports a sound \
+             solution labeled with the rung that produced it.  On an \
+             open-world database pretransitive is the only rung and \
+             runs to completion.")
   in
   let strict_deadline =
     Arg.(
@@ -449,18 +445,6 @@ let analyze_cmd =
              deadline, so the whole ladder may time out (exit code 4) \
              instead of always answering.")
   in
-  let hedge =
-    Arg.(
-      value & flag
-      & info [ "hedge" ]
-          ~doc:
-            "With $(b,--ladder) and $(b,--deadline-ms): run the final \
-             (cheapest, always-sound) rung concurrently on its own \
-             domain from the start; the first sound answer wins and the \
-             loser is cancelled.  Eliminates the latency cliff of \
-             starting the fallback only after the precise rungs time \
-             out.")
-  in
   let save_snapshot =
     Arg.(
       value
@@ -470,7 +454,7 @@ let analyze_cmd =
             "Persist the solution as a snapshot sidecar: $(b,cla serve \
              --snapshot) $(docv) then restarts in the time it takes to \
              read the file, answering from the frozen solution without a \
-             single solve.  Degraded solutions are refused — a snapshot \
+             single solve.  A degraded solution is refused — a snapshot \
              must never pin reduced precision.")
   in
   let json_escape s =
@@ -504,7 +488,7 @@ let analyze_cmd =
     Fmt.pr "@.}@."
   in
   let run db algo print_sets json no_cache no_cycle budget deadline_ms ladder
-      strict_deadline hedge save_snapshot open_world jobs obs =
+      strict_deadline save_snapshot open_world jobs obs =
     with_obs obs (fun () ->
         handle_errors (fun () ->
             let* jobs = resolve_jobs jobs in
@@ -545,16 +529,6 @@ let analyze_cmd =
                       Fmt.str "--budget is ignored by the %s solver \
                                (pretransitive only)"
                         (Pipeline.algorithm_name algorithm)));
-            (* --hedge is meaningful only for a deadlined ladder run;
-               warn instead of silently ignoring it *)
-            if hedge && (not ladder || deadline_ms = None) then
-              Fmt.epr "cla: %a@." Diag.pp
-                (Diag.warning ~phase:Diag.Analyze
-                   (if not ladder then
-                      "--hedge requires --ladder; ignoring it"
-                    else
-                      "--hedge is inactive without --deadline-ms (there \
-                       is nothing to hedge against)"));
             Cla_obs.Metrics.set_str "analyze.algorithm"
               (Pipeline.algorithm_name algorithm);
             let view = load_view_jobs ~jobs db in
@@ -581,8 +555,8 @@ let analyze_cmd =
             let outcome =
               if ladder then
                 match
-                  Pipeline.points_to_ladder ~strict:strict_deadline ~hedge
-                    ?budget ~deadline ~jobs view
+                  Pipeline.points_to_ladder ~strict:strict_deadline ?budget
+                    ~deadline view
                 with
                 | o ->
                     List.iter
@@ -683,7 +657,7 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Run a points-to analysis over a linked database.")
     Term.(
       const run $ db $ algo $ print_sets $ json $ no_cache $ no_cycle $ budget
-      $ deadline_ms $ ladder $ strict_deadline $ hedge $ save_snapshot
+      $ deadline_ms $ ladder $ strict_deadline $ save_snapshot
       $ open_world_arg $ jobs_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
@@ -1195,13 +1169,11 @@ let serve_cmd =
   in
   let run db watch watch_poll save_snapshot socket max_inflight max_queue
       default_deadline watchdog_grace allow_sleep shards query_log ring
-      snapshot no_supervise heartbeat_grace restart_budget restart_window jobs
-      obs =
+      snapshot no_supervise heartbeat_grace restart_budget restart_window obs =
     handle_errors (fun () ->
         (* [--trace] here means the serving timeline (per-query lanes,
            written by the server at drain), not the batch span tree *)
         with_obs { obs with o_trace = None } @@ fun () ->
-        let* jobs = resolve_jobs jobs in
         let* () =
           if shards < 1 then
             err_input
@@ -1240,7 +1212,6 @@ let serve_cmd =
             watchdog_grace_ms = watchdog_grace;
             allow_sleep;
             shards;
-            solve_jobs = jobs;
             query_log;
             trace_path = obs.o_trace;
             ring_capacity = max 1 ring;
@@ -1282,8 +1253,7 @@ let serve_cmd =
       const run $ db $ watch $ watch_poll $ save_snapshot $ socket_arg
       $ max_inflight $ max_queue $ default_deadline $ watchdog_grace
       $ allow_sleep $ shards $ query_log $ ring $ snapshot $ no_supervise
-      $ heartbeat_grace $ restart_budget $ restart_window $ jobs_arg
-      $ obs_term)
+      $ heartbeat_grace $ restart_budget $ restart_window $ obs_term)
 
 let query_cmd =
   let points_to =

@@ -24,7 +24,7 @@ let () =
   let view = Pipeline.compile_link [ ("fig3.c", source) ] in
 
   (* run Andersen's analysis with the pre-transitive graph solver *)
-  let result = Pipeline.points_to_result view in
+  let result = Andersen.solve view in
   let solution = result.Andersen.solution in
 
   Fmt.pr "All non-empty points-to sets:@.%a@." Solution.pp solution;

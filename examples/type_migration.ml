@@ -35,7 +35,7 @@ void log_it(void) {
 
 let () =
   let view = Pipeline.compile_link [ ("eg1.c", source) ] in
-  let pta = Pipeline.points_to_result view in
+  let pta = Andersen.solve view in
   let dep = Depend.prepare view pta in
 
   Fmt.pr "=== change the type of 'target' from short to int ===@.";

@@ -159,12 +159,6 @@ let points_to ?(algorithm = Pretransitive) ?config ?demand ?budget ?deadline
       Cla_obs.Obs.with_span "analyze" ~label:"steensgaard" (fun () ->
           Steensgaard.solve ?deadline ?cancel view)
 
-(** Like {!points_to} with the pre-transitive solver, returning the full
-    result (pass count, loader statistics, graph statistics). *)
-let points_to_result ?config ?demand ?budget ?deadline ?cancel view :
-    Andersen.result =
-  Andersen.solve ?config ?demand ?budget ?deadline ?cancel view
-
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -181,16 +175,6 @@ let soundness_note = function
       "sound over-approximation (unification; supersets of the \
        subset-based sets)"
 
-(** The default ladder: the paper's solver, then the cheaper bit-vector
-    formulation of the same subset problem, then the near-linear
-    unification analysis that always finishes. *)
-let default_ladder = [ Pretransitive; Bitvector; Steensgaard ]
-
-(** The ladder for open-world databases: Steensgaard's unification is
-    unsupported there (see {!points_to}), so the bit-vector solver is
-    the always-sound final rung. *)
-let open_world_ladder = [ Pretransitive; Bitvector ]
-
 type ladder_outcome = {
   lo_solution : Solution.t;
   lo_algorithm : algorithm;  (** the rung that answered *)
@@ -201,9 +185,9 @@ type ladder_outcome = {
 }
 
 (* Stamp the answering rung onto the solution, publish the ladder
-   metrics, and build the outcome record — shared by the sequential
-   (Degrade.run) and hedged paths so both report identically. *)
-let finish_outcome ~alg ~degraded ~timeouts sol =
+   metrics, and build the outcome record. *)
+let finish_outcome ~alg ~timeouts sol =
+  let degraded = timeouts <> [] in
   let lo_note = soundness_note alg in
   Solution.set_provenance sol
     { Solution.p_rung = algorithm_name alg; p_degraded = degraded; p_note = lo_note };
@@ -218,159 +202,30 @@ let finish_outcome ~alg ~degraded ~timeouts sol =
     lo_timeouts = timeouts;
   }
 
-let outcome_of_solution alg sol =
-  finish_outcome ~alg ~degraded:false ~timeouts:[] sol
+let outcome_of_solution alg sol = finish_outcome ~alg ~timeouts:[] sol
 
-(* The hedged ladder: run the cheap final rung on its own domain from
-   the start, while the main domain climbs the precise rungs under the
-   deadline.  First sound answer wins — a precise rung finishing in time
-   cancels the hedge; every precise rung timing out means the hedge's
-   answer (usually already done, Steensgaard being near-linear) is
-   returned without the sequential ladder's "time out, then start the
-   fallback from zero" latency cliff.  Unless [strict], the hedge runs
-   deadline-exempt, like Degrade.run's final rung.
-
-   The hedge is a {!Cla_par.Pool.async} future on the shared pool: at
-   width 1 (no [-j]) that is a dedicated domain as before, at width >= 2
-   it rides a parked worker.  The hedge body itself always solves
-   sequentially (never [?jobs]) — a pool task must not submit batches to
-   its own pool, and the final rung is the cheap near-linear one. *)
-let hedged_ladder ~ladder ~strict ?config ?demand ?budget ~deadline ?cancel
-    ?jobs (view : Objfile.view) : ladder_outcome =
-  let init_rungs, final_rung =
-    let rec split acc = function
-      | [ last ] -> (List.rev acc, last)
-      | x :: rest -> split (x :: acc) rest
-      | [] -> assert false (* caller checked length >= 2 *)
-    in
-    split [] ladder
-  in
-  let hedge_cancel = Cla_resilience.Cancel.create () in
-  let hedge_done = Atomic.make false in
-  let hedge_deadline = if strict then deadline else Cla_resilience.Deadline.never in
-  let hedge_pool =
-    Cla_par.Pool.shared ~jobs:(Cla_par.Pool.resolve_jobs (Option.value jobs ~default:1))
-  in
-  let hedge =
-    Cla_par.Pool.async hedge_pool (fun () ->
-        let r =
-          match
-            points_to ~algorithm:final_rung ?config ?demand ?budget
-              ~deadline:hedge_deadline ~cancel:hedge_cancel view
-          with
-          | sol -> Ok sol
-          | exception e -> Error e
-        in
-        Atomic.set hedge_done true;
-        r)
-  in
-  let discard_hedge () =
-    Cla_resilience.Cancel.set hedge_cancel;
-    ignore (Cla_par.Pool.await hedge)
-  in
-  let timeouts = ref [] in
-  let rec run_init idx = function
-    | [] -> None
-    | alg :: rest -> (
-        match
-          points_to ~algorithm:alg ?config ?demand ?budget ~deadline ?cancel
-            ?jobs view
-        with
-        | sol -> Some (alg, idx, sol)
-        | exception Cla_resilience.Deadline.Timed_out p ->
-            timeouts := (alg, p) :: !timeouts;
-            run_init (idx + 1) rest)
-  in
-  match run_init 0 init_rungs with
-  | Some (alg, idx, sol) ->
-      discard_hedge ();
-      Cla_obs.Metrics.set "analyze.hedge_won" 0;
-      finish_outcome ~alg ~degraded:(idx > 0) ~timeouts:(List.rev !timeouts)
-        sol
-  | None -> (
-      (* Every precise rung timed out; the hedge's answer is the result.
-         While it is still running, keep relaying an external
-         cancellation onto the hedge's own token so a watchdog can still
-         abort the whole solve. *)
-      (match cancel with
-      | Some c ->
-          while not (Atomic.get hedge_done) do
-            if Cla_resilience.Cancel.is_set c then
-              Cla_resilience.Cancel.set hedge_cancel;
-            Unix.sleepf 0.002
-          done
-      | None -> ());
-      match Cla_par.Pool.await hedge with
-      | Ok sol ->
-          Cla_obs.Metrics.set "analyze.hedge_won" 1;
-          finish_outcome ~alg:final_rung ~degraded:true
-            ~timeouts:(List.rev !timeouts) sol
-      | Error e -> raise e)
-  | exception e ->
-      (* external cancellation or a genuine solver error: stop the hedge
-         before unwinding *)
-      discard_hedge ();
-      raise e
-
-(** Run the degradation ladder under one deadline token.  Each rung gets
-    the remaining slice; the final rung runs deadline-exempt (unless
-    [strict]) so the ladder always returns a sound solution, labeled
-    with its rung via {!Solution.set_provenance}.  A [cancel] token
-    aborts the whole ladder.  Publishes [analyze.degraded],
-    [analyze.deadline_ms], [analyze.rung], [analyze.rung_timeouts] and
-    [analyze.hedge]/[analyze.hedge_won] into the metrics registry.
-
-    [~hedge:true] with a finite deadline and at least two rungs runs the
-    final (cheapest, always-sound) rung concurrently on its own domain
-    from the start; the first sound answer wins and the loser is
-    cancelled. *)
-let points_to_ladder ?(ladder = default_ladder) ?strict ?(hedge = false)
-    ?config ?demand ?budget ?(deadline = Cla_resilience.Deadline.never)
-    ?cancel ?jobs (view : Objfile.view) : ladder_outcome =
-  (* open-world databases drop unsupported unification rungs rather
-     than dying mid-ladder on the Steensgaard guard *)
-  let ladder =
-    if view.Objfile.ropenworld <> None then
-      List.filter (fun a -> a <> Steensgaard) ladder
-    else ladder
-  in
-  if ladder = [] then invalid_arg "Pipeline.points_to_ladder: empty ladder";
+(** The degradation ladder: the paper's solver under [deadline]; if it
+    times out, Steensgaard's near-linear unification, deadline-exempt
+    unless [strict].  On an open-world view Steensgaard is unsupported,
+    so the paper's solver is the only rung and gets the exemption
+    itself.  A [cancel] token aborts every path. *)
+let points_to_ladder ?(strict = false) ?config ?demand ?budget
+    ?(deadline = Cla_resilience.Deadline.never) ?cancel (view : Objfile.view)
+    : ladder_outcome =
   Cla_obs.Metrics.set "analyze.deadline_ms"
     (if Cla_resilience.Deadline.is_never deadline then -1
      else
        int_of_float (Float.max 0. (Cla_resilience.Deadline.remaining_ms deadline)));
-  let hedge_active =
-    hedge
-    && (not (Cla_resilience.Deadline.is_never deadline))
-    && List.length ladder >= 2
+  let final = if strict then deadline else Cla_resilience.Deadline.never in
+  let solve algorithm ~deadline =
+    points_to ~algorithm ?config ?demand ?budget ~deadline ?cancel view
   in
-  Cla_obs.Metrics.set "analyze.hedge" (if hedge_active then 1 else 0);
-  if hedge_active then
-    hedged_ladder ~ladder
-      ~strict:(Option.value strict ~default:false)
-      ?config ?demand ?budget ~deadline ?cancel ?jobs view
-  else begin
-    let rungs =
-      List.map
-        (fun a ->
-          ( algorithm_name a,
-            fun ~deadline ->
-              points_to ~algorithm:a ?config ?demand ?budget ~deadline ?cancel
-                ?jobs view ))
-        ladder
-    in
-    let o = Cla_resilience.Degrade.run ?strict ~deadline ~rungs () in
-    let lo_algorithm = List.nth ladder o.Cla_resilience.Degrade.rung_index in
-    let lo_timeouts =
-      List.map2
-        (fun alg (a : Cla_resilience.Degrade.attempt) ->
-          (alg, a.Cla_resilience.Degrade.a_progress))
-        (List.filteri
-           (fun i _ -> i < List.length o.Cla_resilience.Degrade.attempts)
-           ladder)
-        o.Cla_resilience.Degrade.attempts
-    in
-    finish_outcome ~alg:lo_algorithm
-      ~degraded:o.Cla_resilience.Degrade.degraded ~timeouts:lo_timeouts
-      o.Cla_resilience.Degrade.value
-  end
+  if view.Objfile.ropenworld <> None then
+    finish_outcome ~alg:Pretransitive ~timeouts:[]
+      (solve Pretransitive ~deadline:final)
+  else
+    match solve Pretransitive ~deadline with
+    | sol -> finish_outcome ~alg:Pretransitive ~timeouts:[] sol
+    | exception Cla_resilience.Deadline.Timed_out p ->
+        finish_outcome ~alg:Steensgaard ~timeouts:[ (Pretransitive, p) ]
+          (solve Steensgaard ~deadline:final)

@@ -12,12 +12,19 @@ type algorithm =
 
 val algorithm_name : algorithm -> string
 
-(** The canonical names, in ladder order — for CLI error messages. *)
+(** The canonical names — for CLI error messages. *)
 val algorithm_names : string list
 
 (** Case-insensitive; also accepts the short forms [pretrans], [bitvec],
     [steens]. *)
 val algorithm_of_string : string -> algorithm option
+
+(** [compile_units ~jobs compile units] maps [compile] over the
+    translation units in input order.  [jobs > 1] fans out across the
+    process-wide pool ({!Cla_par.Pool.shared}) under one ["compile"]
+    span; [jobs = 0] means auto ({!Cla_par.Pool.resolve_jobs}).  Units
+    are file-local, so the results do not depend on [jobs]. *)
+val compile_units : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Compile each [(name, source)] pair and link the results, all in
     memory.  [jobs > 1] compiles translation units across a domain pool
@@ -71,30 +78,6 @@ val points_to :
   Objfile.view ->
   Solution.t
 
-(** Like {!points_to} with the pre-transitive solver, returning the full
-    result: pass count, loader statistics, graph statistics, and the
-    retained complex assignments the dependence analysis reuses. *)
-val points_to_result :
-  ?config:Pretrans.config ->
-  ?demand:bool ->
-  ?budget:int ->
-  ?deadline:Cla_resilience.Deadline.t ->
-  ?cancel:Cla_resilience.Cancel.t ->
-  Objfile.view ->
-  Andersen.result
-
-(** The default degradation ladder:
-    [Pretransitive -> Bitvector -> Steensgaard] — the paper's solver,
-    then the cheaper bit-vector formulation of the same subset problem,
-    then the near-linear unification analysis that always finishes. *)
-val default_ladder : algorithm list
-
-(** The ladder for open-world databases ([Pretransitive -> Bitvector]):
-    unification rungs are unsupported there.  {!points_to_ladder}
-    filters [Steensgaard] out of any ladder automatically when the view
-    carries an open-world section. *)
-val open_world_ladder : algorithm list
-
 (** The soundness statement attached to answers from this rung
     ([lo_note] / {!Solution.provenance}'s [p_note]) — exposed so callers
     that persist a plain solve (e.g. [cla analyze --save-snapshot]) can
@@ -116,42 +99,25 @@ type ladder_outcome = {
     server uses it to install incremental solves as served outcomes. *)
 val outcome_of_solution : algorithm -> Solution.t -> ladder_outcome
 
-(** Run the degradation ladder under one deadline token: each rung gets
-    the remaining slice of the budget, and the final rung runs
-    deadline-exempt (unless [strict]) so the ladder always returns a
-    {e sound} solution, labeled with its rung via
-    {!Solution.set_provenance}.  Every answer is safe to act on: the
-    subset-based rungs are exact and the unification rung
-    over-approximates — a degraded answer may report {e more} aliases,
-    never fewer.  A [cancel] token aborts the whole ladder with
-    {!Cla_resilience.Cancel.Cancelled}.  Publishes [analyze.degraded],
-    [analyze.deadline_ms], [analyze.rung], [analyze.rung_timeouts] and
-    [analyze.hedge]/[analyze.hedge_won].
-
-    [~hedge:true] (with a finite deadline and at least two rungs) runs
-    the final — cheapest, always-sound — rung concurrently on its own
-    domain from the start, instead of only after every precise rung has
-    timed out.  The first sound answer wins: a precise rung finishing
-    within the deadline cancels the hedge and the outcome is exactly the
-    sequential one; if every precise rung times out, the hedge's answer
-    (typically already computed) is returned immediately, eliminating
-    the "time out, then start the fallback from zero" latency cliff.
-    Hedging never changes {e which} answer a given rung computes, only
-    when the fallback starts.
-
-    [jobs] parallelizes a bit-vector rung's solve on the shared domain
-    pool, as in {!points_to}; the hedge rung itself always solves
-    sequentially (it is the cheap near-linear one, and a pool task must
-    not submit batches to its own pool). *)
+(** Run the degradation ladder under one deadline token.  The paper's
+    solver runs under [deadline]; if it times out, Steensgaard's
+    near-linear unification answers, deadline-exempt unless [strict], so
+    the ladder always returns a {e sound} solution labeled with its rung
+    via {!Solution.set_provenance}.  The unification rung
+    over-approximates: a degraded answer may report {e more} aliases,
+    never fewer.  On an open-world view Steensgaard is unsupported, so
+    the paper's solver is the only rung; it runs deadline-exempt unless
+    [strict] and its answer is never degraded.  With [strict] the final
+    rung's {!Cla_resilience.Deadline.Timed_out} escapes.  A [cancel]
+    token aborts the ladder with {!Cla_resilience.Cancel.Cancelled} on
+    every path.  Publishes [analyze.degraded], [analyze.deadline_ms],
+    [analyze.rung] and [analyze.rung_timeouts]. *)
 val points_to_ladder :
-  ?ladder:algorithm list ->
   ?strict:bool ->
-  ?hedge:bool ->
   ?config:Pretrans.config ->
   ?demand:bool ->
   ?budget:int ->
   ?deadline:Cla_resilience.Deadline.t ->
   ?cancel:Cla_resilience.Cancel.t ->
-  ?jobs:int ->
   Objfile.view ->
   ladder_outcome

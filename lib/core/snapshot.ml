@@ -41,7 +41,7 @@ let sec_varsets = 3
 
 (* Distinct-set table: sets are hash-consed per solver pool, so physical
    identity catches most duplicates in O(1); the content key behind it
-   makes dedup exact even across pools (e.g. a hedged rung's result). *)
+   makes dedup exact even across pools. *)
 let freeze ~(view : Objfile.view) (o : Pipeline.ladder_outcome) : string =
   if o.Pipeline.lo_degraded then
     invalid_arg

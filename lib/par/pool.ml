@@ -416,50 +416,3 @@ let map_token ?cancel pool f xs =
 
 let map ?cancel pool f xs = map_token ?cancel pool (fun _tok x -> f x) xs
 
-(* ------------------------------------------------------------------ *)
-(* Futures                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* A one-shot future.  With a worker available the task runs on the
-   pool; a width-1 pool has no workers, so the task gets a dedicated
-   domain — [async] must stay concurrent with the submitter (the hedged
-   ladder races it against the precise rungs). *)
-type 'a future = {
-  fm : Mutex.t;
-  fc : Condition.t;
-  mutable fval : ('a, exn) result option;
-  mutable fjoin : unit Domain.t option;  (* the fallback domain to join *)
-}
-
-let fulfil fut r =
-  Mutex.lock fut.fm;
-  fut.fval <- Some r;
-  Condition.broadcast fut.fc;
-  Mutex.unlock fut.fm
-
-let async pool f =
-  let fut =
-    { fm = Mutex.create (); fc = Condition.create (); fval = None; fjoin = None }
-  in
-  let body () =
-    fulfil fut (match f () with v -> Ok v | exception e -> Error e)
-  in
-  if pool.width <= 1 then fut.fjoin <- Some (Domain.spawn body)
-  else enqueue_jobs pool [ { jrun = body; jenq_ns = Deadline.now_ns () } ];
-  fut
-
-let await fut =
-  Mutex.lock fut.fm;
-  while fut.fval = None do
-    Condition.wait fut.fc fut.fm
-  done;
-  let r = Option.get fut.fval in
-  Mutex.unlock fut.fm;
-  Option.iter (fun d -> Domain.join d) fut.fjoin;
-  match r with Ok v -> v | Error e -> raise e
-
-let is_done fut =
-  Mutex.lock fut.fm;
-  let r = fut.fval <> None in
-  Mutex.unlock fut.fm;
-  r

@@ -1,6 +1,6 @@
 (** A persistent work-stealing domain pool for the parallel phases of
     the pipeline (per-unit compilation, per-section integrity checks,
-    row-parallel solving, independent queries).
+    row-parallel bit-vector solving).
 
     The pool owns [jobs - 1] worker domains plus the submitting domain,
     which helps drain its own lane — so [~jobs:1] spawns no domains at
@@ -32,10 +32,9 @@
     (enqueue-to-start latency per chunk) via {!Cla_obs.Histo}.
 
     Each batch carries its own completion latch, so multiple domains
-    may submit batches to one pool concurrently (the server's shards
-    share one pool).  Do not call {!map} from {e inside} a task of the
-    same pool — a task waiting on a nested batch occupies the lane the
-    nested chunks need. *)
+    may submit batches to one pool concurrently.  Do not call {!map}
+    from {e inside} a task of the same pool — a task waiting on a nested
+    batch occupies the lane the nested chunks need. *)
 
 type t
 
@@ -84,33 +83,10 @@ val map_array_token :
   'a array ->
   'b array
 
-(** {1 Futures}
-
-    One-shot tasks racing the submitting domain — the hedged ladder
-    runs its always-sound fallback rung this way. *)
-
-type 'a future
-
-(** [async pool f] starts [f] concurrently and returns immediately.  On
-    a pool with workers ([jobs >= 2]) the task runs on the pool; a
-    width-1 pool has no workers, so the task gets a dedicated domain
-    (an [async] must stay concurrent with the submitter, unlike a
-    width-1 {!map} which runs inline). *)
-val async : t -> (unit -> 'a) -> 'a future
-
-(** Wait for the future and return its value, re-raising the task's
-    exception if it failed.  Joins the fallback domain if one was
-    spawned.  May be called at most once per future from one domain. *)
-val await : 'a future -> 'a
-
-(** [true] once the task has finished (successfully or not); never
-    blocks. *)
-val is_done : 'a future -> bool
-
 (** {1 Lifecycle} *)
 
 (** Stop the workers and join their domains.  Must not be called while
-    a {!map} or un-awaited {!async} is in flight. *)
+    a {!map} is in flight. *)
 val shutdown : t -> unit
 
 (** [with_pool ~jobs f]: create, run [f], always shut down. *)

@@ -44,9 +44,6 @@ type config = {
   watchdog_grace_ms : int;  (** cancel fires this long after the deadline *)
   allow_sleep : bool;  (** enable the debug [sleep] op (load tests) *)
   shards : int;  (** solver shards, each a supervised domain *)
-  solve_jobs : int;
-      (** domains each solve draws from the shared pool
-          ({!Cla_par.Pool.shared}); 1 = sequential solves *)
   query_log : string option;  (** JSONL sink, one line per query *)
   trace_path : string option;  (** Chrome trace of recent queries at drain *)
   ring_capacity : int;  (** recent-query ring (query log + trace + series) *)
@@ -81,7 +78,6 @@ let default_config =
     watchdog_grace_ms = 200;
     allow_sleep = false;
     shards = 1;
-    solve_jobs = 1;
     query_log = None;
     trace_path = None;
     ring_capacity = 256;
@@ -498,7 +494,7 @@ let shard_loop t sh ~gen =
       let r =
         match
           Pipeline.points_to_ladder ~deadline:job.j_deadline
-            ~cancel:job.j_cancel ~jobs:t.cfg.solve_jobs job.j_view
+            ~cancel:job.j_cancel job.j_view
         with
         | o -> Ok o
         | exception (R.Deadline.Timed_out p | R.Cancel.Cancelled p) ->

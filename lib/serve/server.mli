@@ -34,14 +34,6 @@ type config = {
           concurrent solves run side by side (systhreads share one
           runtime lock per domain, so solvers must be domains to run
           concurrently).  Answers never depend on the count. *)
-  solve_jobs : int;
-      (** width each solve draws from the process-wide persistent pool
-          ({!Cla_par.Pool.shared}) for the row-parallel bit-vector
-          passes, never ad-hoc domain spawns; pre-transitive solves
-          are single-threaded at any width.  [1] (the default) keeps
-          solves sequential.  Shards
-          submit to the one shared pool concurrently; answers are
-          byte-identical at any width. *)
   query_log : string option;
       (** append one JSONL line per finished query (op, outcome, shard,
           queue/solve/total timings, rung, cache hit) *)

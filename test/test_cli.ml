@@ -61,6 +61,55 @@ let check_run name cmd expects =
 
 let q = Filename.quote
 
+let count ~affix s =
+  let n = String.length affix in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else go (i + 1) (if String.sub s i n = affix then acc + 1 else acc)
+  in
+  go 0 0
+
+(* [cla analyze --ladder] with an expired deadline: a closed-world
+   database degrades to Steensgaard after one pre-transitive timeout;
+   on an open-world one the pre-transitive solver is the only rung and
+   answers exactly. *)
+let ladder_tests =
+  let analyze db = Fmt.str "%s analyze %s --ladder --deadline-ms 0" cla (q db) in
+  [
+    Alcotest.test_case "closed world degrades to steensgaard" `Quick (fun () ->
+        let code, out = run_capture (analyze (in_tmp "prog.cla")) in
+        Alcotest.(check int) ("exit code\n" ^ out) 0 code;
+        Alcotest.(check bool) ("steensgaard answers:\n" ^ out) true
+          (contains ~affix:"steensgaard:" out);
+        Alcotest.(check int) ("one pretransitive timeout:\n" ^ out) 1
+          (count ~affix:"pretransitive rung timed out" out);
+        Alcotest.(check bool) ("no bitvector rung:\n" ^ out) false
+          (contains ~affix:"bitvector" out));
+    Alcotest.test_case "open world answers exactly" `Quick (fun () ->
+        write_file "ow.c"
+          "int g;\nint *p;\nvoid missing(int **q);\n\
+           void start(void) { p = &g; missing(&p); }\n";
+        let setup =
+          Fmt.str "%s compile %s && %s link --open-world %s -o %s" cla
+            (q (in_tmp "ow.c")) cla (q (in_tmp "ow.clo")) (q (in_tmp "ow.cla"))
+        in
+        let code, out = run_capture setup in
+        Alcotest.(check int) ("open-world link\n" ^ out) 0 code;
+        let code, out = run_capture (analyze (in_tmp "ow.cla")) in
+        Alcotest.(check int) ("exit code\n" ^ out) 0 code;
+        Alcotest.(check bool) ("pretransitive answers:\n" ^ out) true
+          (contains ~affix:"pretransitive:" out);
+        Alcotest.(check bool) ("not degraded:\n" ^ out) false
+          (contains ~affix:"[degraded" out));
+    Alcotest.test_case "--hedge is an unknown option" `Quick (fun () ->
+        let code, out =
+          run_capture
+            (Fmt.str "%s analyze %s --ladder --deadline-ms 0 --hedge" cla
+               (q (in_tmp "prog.cla")))
+        in
+        Alcotest.(check int) ("usage error\n" ^ out) 124 code);
+  ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -92,6 +141,7 @@ let () =
             (Fmt.str "%s dump %s --blocks" cla (q (in_tmp "prog.cla")))
             [ "static section"; "z = &y"; "dynamic section" ];
         ] );
+      ("ladder", ladder_tests);
       ( "applications",
         [
           check_run "depend setup"

@@ -497,7 +497,7 @@ let test_pipeline_stats_export () =
         ("b.c", "extern int *y;\nint *alias;\nvoid g(void) { alias = y; }");
       ]
   in
-  let r = Pipeline.points_to_result view in
+  let r = Andersen.solve view in
   Obs.disable ();
   let parsed = Json.of_string (Json.to_string (Export.to_json ())) in
   let metrics = Option.get (Json.member "metrics" parsed) in

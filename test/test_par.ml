@@ -1,8 +1,8 @@
 (* Tests for the multicore layer: the Cla_par domain pool's ordering,
    first-error and cancellation contracts; byte-identical parallel
    compilation; pooled CRC verification (including catching a corrupt
-   section); the hedged degradation ladder; and domain-sharded serving
-   answering exactly like the single-solver path. *)
+   section); and domain-sharded serving answering exactly like the
+   single-solver path. *)
 
 open Cla_core
 open Cla_resilience
@@ -85,19 +85,6 @@ let test_shared_pool_is_persistent () =
   let p3 = Pool.shared ~jobs:1 in
   Alcotest.(check bool) "narrower request reuses the wide pool" true (p1 == p3);
   Alcotest.(check int) "width kept" 2 (Pool.jobs p3)
-
-let test_async_future () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let f = Pool.async pool (fun () -> 6 * 7) in
-      Alcotest.(check int) "future value" 42 (Pool.await f);
-      let g = Pool.async pool (fun () -> failwith "boom") in
-      match Pool.await g with
-      | _ -> Alcotest.fail "failed future must re-raise"
-      | exception Failure msg -> Alcotest.(check string) "error kept" "boom" msg);
-  (* width-1 pools have no workers: async must still run concurrently *)
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let f = Pool.async pool (fun () -> 2 + 2) in
-      Alcotest.(check int) "width-1 future value" 4 (Pool.await f))
 
 let test_pool_telemetry_published () =
   Pool.with_pool ~jobs:3 (fun pool ->
@@ -204,58 +191,6 @@ let test_solvers_byte_identical_across_jobs () =
                 (Solution.equal base_bv bv)))
         [ 2; 4 ])
     (Lazy.force shaped_views)
-
-(* ------------------------------------------------------------------ *)
-(* Hedged degradation ladder                                           *)
-(* ------------------------------------------------------------------ *)
-
-let big_view =
-  lazy
-    (let p =
-       Cla_workload.Profile.scaled 0.08
-         (Option.get (Cla_workload.Profile.find "burlap"))
-     in
-     let files = Cla_workload.Genc.generate ~seed:7L p in
-     Pipeline.compile_link files)
-
-let baseline = lazy (Andersen.solve ~demand:false (Lazy.force big_view))
-
-let check_sound_superset base (sol : Solution.t) =
-  let ok = ref true in
-  for v = 0 to Array.length base.Solution.pts - 1 do
-    if Solution.is_program_var base v then
-      Lvalset.iter
-        (fun tgt ->
-          if not (Lvalset.mem tgt (Solution.points_to sol v)) then ok := false)
-        (Solution.points_to base v)
-  done;
-  !ok
-
-let test_hedge_zero_deadline_lands_on_final_rung () =
-  let view = Lazy.force big_view in
-  let base = (Lazy.force baseline).Andersen.solution in
-  let o =
-    Pipeline.points_to_ladder ~hedge:true ~deadline:(Deadline.of_ms 0) view
-  in
-  Alcotest.(check bool) "degraded" true o.Pipeline.lo_degraded;
-  Alcotest.(check string) "answered by the final rung" "steensgaard"
-    (Pipeline.algorithm_name o.Pipeline.lo_algorithm);
-  Alcotest.(check bool) "answer is a sound superset" true
-    (check_sound_superset base o.Pipeline.lo_solution)
-
-let test_hedge_generous_deadline_stays_exact () =
-  let view = Lazy.force big_view in
-  let base = (Lazy.force baseline).Andersen.solution in
-  let o =
-    Pipeline.points_to_ladder ~hedge:true
-      ~deadline:(Deadline.after ~seconds:120.)
-      view
-  in
-  Alcotest.(check bool) "not degraded" false o.Pipeline.lo_degraded;
-  Alcotest.(check string) "answered by the paper's rung" "pretransitive"
-    (Pipeline.algorithm_name o.Pipeline.lo_algorithm);
-  Alcotest.(check bool) "exact answer" true
-    (Solution.equal base o.Pipeline.lo_solution)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-sharded serving                                              *)
@@ -372,7 +307,6 @@ let () =
             test_task_can_cancel_peers;
           Alcotest.test_case "shared pool is persistent" `Quick
             test_shared_pool_is_persistent;
-          Alcotest.test_case "async future" `Quick test_async_future;
           Alcotest.test_case "telemetry published" `Quick
             test_pool_telemetry_published;
         ] );
@@ -392,13 +326,6 @@ let () =
             test_parallel_verify_matches_sequential;
           Alcotest.test_case "pooled verify catches corruption" `Quick
             test_parallel_verify_catches_corruption;
-        ] );
-      ( "hedge",
-        [
-          Alcotest.test_case "zero deadline lands on final rung" `Quick
-            test_hedge_zero_deadline_lands_on_final_rung;
-          Alcotest.test_case "generous deadline stays exact" `Quick
-            test_hedge_generous_deadline_stays_exact;
         ] );
       ( "serve",
         [

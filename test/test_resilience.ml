@@ -12,14 +12,25 @@ let view_of src =
   Objfile.view_of_string (Objfile.write (Compilep.compile_string ~file:"t.c" src))
 
 (* A workload big enough that tight deadlines actually interrupt it. *)
-let big_view =
+let big_files =
   lazy
     (let p =
        Cla_workload.Profile.scaled 0.08
          (Option.get (Cla_workload.Profile.find "burlap"))
      in
-     let files = Cla_workload.Genc.generate ~seed:7L p in
-     Pipeline.compile_link files)
+     Cla_workload.Genc.generate ~seed:7L p)
+
+let big_view = lazy (Pipeline.compile_link (Lazy.force big_files))
+
+(* The same workload linked open-world, plus one call into code that is
+   not there. *)
+let big_open_view =
+  lazy
+    (Pipeline.compile_link ~undefined:Linkp.Open_world
+       (( "ext.c",
+          "int *ext_p;\nvoid missing(int **q);\n\
+           void ext_start(void) { missing(&ext_p); }\n" )
+       :: Lazy.force big_files))
 
 let baseline = lazy (Andersen.solve ~demand:false (Lazy.force big_view))
 
@@ -135,9 +146,55 @@ let test_ladder_zero_deadline_lands_on_final_rung () =
   Alcotest.(check bool) "degraded" true o.Pipeline.lo_degraded;
   Alcotest.(check string) "answered by the final rung" "steensgaard"
     (Pipeline.algorithm_name o.Pipeline.lo_algorithm);
-  (* every earlier rung reported a timeout with its progress *)
-  Alcotest.(check int) "two rungs timed out" 2
-    (List.length o.Pipeline.lo_timeouts)
+  (* the paper's rung reported its timeout with its progress *)
+  Alcotest.(check (list string)) "one timeout, the paper's rung"
+    [ "pretransitive" ]
+    (List.map (fun (a, _) -> Pipeline.algorithm_name a) o.Pipeline.lo_timeouts)
+
+let test_ladder_generous_deadline_stays_exact () =
+  let view = Lazy.force big_view in
+  let base = (Lazy.force baseline).Andersen.solution in
+  let o =
+    Pipeline.points_to_ladder ~deadline:(Deadline.after ~seconds:120.) view
+  in
+  Alcotest.(check bool) "not degraded" false o.Pipeline.lo_degraded;
+  Alcotest.(check string) "answered by the paper's rung" "pretransitive"
+    (Pipeline.algorithm_name o.Pipeline.lo_algorithm);
+  Alcotest.(check bool) "exact answer" true
+    (Solution.equal base o.Pipeline.lo_solution)
+
+(* Steensgaard cannot analyze an open world, so the paper's solver is
+   the final rung there: it runs past an expired deadline and its exact
+   answer is not labeled degraded. *)
+let test_ladder_open_world_runs_to_completion () =
+  let view = Lazy.force big_open_view in
+  Alcotest.(check bool) "open-world view" true
+    (view.Objfile.ropenworld <> None);
+  let o = Pipeline.points_to_ladder ~deadline:(Deadline.of_ms 0) view in
+  Alcotest.(check string) "answered by the paper's rung" "pretransitive"
+    (Pipeline.algorithm_name o.Pipeline.lo_algorithm);
+  Alcotest.(check bool) "not degraded" false o.Pipeline.lo_degraded;
+  Alcotest.(check int) "no timeouts" 0 (List.length o.Pipeline.lo_timeouts);
+  Alcotest.(check bool) "exact answer" true
+    (Solution.equal (Pipeline.points_to view) o.Pipeline.lo_solution)
+
+let test_ladder_cancel_preset () =
+  List.iter
+    (fun (world, view) ->
+      List.iter
+        (fun (label, deadline) ->
+          let cancel = Cancel.create () in
+          Cancel.set cancel;
+          match Pipeline.points_to_ladder ~deadline ~cancel view with
+          | _ ->
+              Alcotest.failf "%s, %s: pre-set cancel token should abort the \
+                              ladder" world label
+          | exception Cancel.Cancelled _ -> ())
+        [ ("no deadline", Deadline.never); ("zero deadline", Deadline.of_ms 0) ])
+    [
+      ("closed world", Lazy.force big_view);
+      ("open world", Lazy.force big_open_view);
+    ]
 
 let test_ladder_strict_can_time_out () =
   let view = Lazy.force big_view in
@@ -179,31 +236,6 @@ let test_cancel_from_another_thread () =
          during the pass in flight when it was set — it never runs the
          solve to completion first *)
       Alcotest.(check bool) "aborted at a real pass" true (at_pass >= 0)
-
-(* ------------------------------------------------------------------ *)
-(* Degrade.run plumbing                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_degrade_order_and_attempts () =
-  let calls = ref [] in
-  let rung name result ~deadline =
-    calls := name :: !calls;
-    if Deadline.expired deadline then
-      raise (Deadline.Timed_out (Progress.make name))
-    else result
-  in
-  let o =
-    Degrade.run
-      ~deadline:(Deadline.of_ms 0)
-      ~rungs:[ ("a", rung "a" 1); ("b", rung "b" 2); ("c", rung "c" 3) ]
-      ()
-  in
-  (* a and b time out against the expired deadline; c runs exempt *)
-  Alcotest.(check (list string)) "call order" [ "a"; "b"; "c" ] (List.rev !calls);
-  Alcotest.(check int) "final rung answered" 3 o.Degrade.value;
-  Alcotest.(check string) "rung name" "c" o.Degrade.rung;
-  Alcotest.(check bool) "degraded" true o.Degrade.degraded;
-  Alcotest.(check int) "two failed attempts" 2 (List.length o.Degrade.attempts)
 
 let test_algorithm_of_string_case_insensitive () =
   List.iter
@@ -912,8 +944,12 @@ let () =
             test_ladder_zero_deadline_lands_on_final_rung;
           Alcotest.test_case "strict ladder can time out" `Quick
             test_ladder_strict_can_time_out;
-          Alcotest.test_case "degrade order and attempts" `Quick
-            test_degrade_order_and_attempts;
+          Alcotest.test_case "generous deadline stays exact" `Quick
+            test_ladder_generous_deadline_stays_exact;
+          Alcotest.test_case "open world runs to completion" `Quick
+            test_ladder_open_world_runs_to_completion;
+          Alcotest.test_case "pre-set cancel aborts the ladder" `Quick
+            test_ladder_cancel_preset;
           Alcotest.test_case "algorithm_of_string case-insensitive" `Quick
             test_algorithm_of_string_case_insensitive;
         ] );
