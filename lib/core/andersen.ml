@@ -162,6 +162,15 @@ let deref2_tnode st dst src =
       Hashtbl.replace st.deref2_tnodes (dst, src) n;
       n
 
+let new_complex st ckind ~ptr ~other ~origin =
+  st.complexes <-
+    { ckind; cptr = ptr; cother = other; corigin = origin; cseen = Lvalset.empty }
+    :: st.complexes;
+  st.n_complex <- st.n_complex + 1
+
+(* [load_block] translates block [v] whole; [add_record] is its
+   per-record rule, which the delta path also applies to a record added
+   to a block that is already resident. *)
 let rec activate st v =
   if Bytes.get st.active v = '\000' then begin
     Bytes.set st.active v '\001';
@@ -169,149 +178,46 @@ let rec activate st v =
   end
 
 and load_block st v =
-  let prims = Loader.block st.loader v in
-  let kept = ref [] in
-  List.iter
-    (fun (p : Objfile.prim_rec) ->
-      if Loader.relevant_to_points_to p then
-        match p.Objfile.pkind with
-        | Objfile.Paddr -> () (* lives in the static section *)
-        | Objfile.Pcopy ->
-            (* x = v: edge x -> v, then x's consumers matter too.  The
-               record itself is discarded (the edge carries it). *)
-            ignore (add_edge st (node_of st p.Objfile.pdst) (node_of st v));
-            activate st p.Objfile.pdst
-        | Objfile.Pload ->
-            (* x = *v *)
-            let d = deref_node st v in
-            ignore (add_edge st (node_of st p.Objfile.pdst) d);
-            st.complexes <-
-              {
-                ckind = Kload;
-                cptr = node_of st v;
-                cother = d;
-                corigin = v;
-                cseen = Lvalset.empty;
-              }
-              :: st.complexes;
-            st.n_complex <- st.n_complex + 1;
-            kept := p :: !kept;
-            Loader.retain st.loader ~src:v 1;
-            activate st p.Objfile.pdst
-        | Objfile.Pstore ->
-            (* *x = v *)
-            st.complexes <-
-              {
-                ckind = Kstore;
-                cptr = node_of st p.Objfile.pdst;
-                cother = node_of st v;
-                corigin = v;
-                cseen = Lvalset.empty;
-              }
-              :: st.complexes;
-            st.n_complex <- st.n_complex + 1;
-            kept := p :: !kept;
-            Loader.retain st.loader ~src:v 1
-        | Objfile.Pderef2 ->
-            (* *x = *v, split through node t: [*x = t; t = *v] *)
-            kept := p :: !kept;
-            let tnode = deref2_tnode st p.Objfile.pdst v in
-            let d = deref_node st v in
-            ignore (add_edge st tnode d);
-            st.complexes <-
-              {
-                ckind = Kload;
-                cptr = node_of st v;
-                cother = d;
-                corigin = v;
-                cseen = Lvalset.empty;
-              }
-              :: {
-                   ckind = Kstore;
-                   cptr = node_of st p.Objfile.pdst;
-                   cother = tnode;
-                   corigin = v;
-                   cseen = Lvalset.empty;
-                 }
-              :: st.complexes;
-            st.n_complex <- st.n_complex + 2;
-            Loader.retain st.loader ~src:v 2)
-    prims;
-  if !kept <> [] then Hashtbl.replace st.retained_by_block v (List.rev !kept)
+  let kept = List.filter (add_record st) (Loader.block st.loader v) in
+  if kept <> [] then Hashtbl.replace st.retained_by_block v kept
 
-(* Inject ONE added dynamic-section record whose block is already
-   resident — the delta-solve path.  A block that was loaded before the
-   delta will not be re-read (the old records' constraints are already
-   in the graph), so its added records are translated here, mirroring
-   [load_block]'s per-kind logic for a single record, including the
-   retained-record bookkeeping the dependence analysis flattens. *)
-let inject st (p : Objfile.prim_rec) =
-  if Loader.relevant_to_points_to p then begin
-    let v = p.Objfile.psrc in
-    let keep () =
-      let prev =
-        Option.value ~default:[] (Hashtbl.find_opt st.retained_by_block v)
-      in
-      Hashtbl.replace st.retained_by_block v (prev @ [ p ])
-    in
-    match p.Objfile.pkind with
-    | Objfile.Paddr -> ()
-    | Objfile.Pcopy ->
-        ignore (add_edge st (node_of st p.Objfile.pdst) (node_of st v));
-        activate st p.Objfile.pdst
-    | Objfile.Pload ->
-        let d = deref_node st v in
-        ignore (add_edge st (node_of st p.Objfile.pdst) d);
-        st.complexes <-
-          {
-            ckind = Kload;
-            cptr = node_of st v;
-            cother = d;
-            corigin = v;
-            cseen = Lvalset.empty;
-          }
-          :: st.complexes;
-        st.n_complex <- st.n_complex + 1;
-        keep ();
-        Loader.retain st.loader ~src:v 1;
-        activate st p.Objfile.pdst
-    | Objfile.Pstore ->
-        st.complexes <-
-          {
-            ckind = Kstore;
-            cptr = node_of st p.Objfile.pdst;
-            cother = node_of st v;
-            corigin = v;
-            cseen = Lvalset.empty;
-          }
-          :: st.complexes;
-        st.n_complex <- st.n_complex + 1;
-        keep ();
-        Loader.retain st.loader ~src:v 1
-    | Objfile.Pderef2 ->
-        keep ();
-        let tnode = deref2_tnode st p.Objfile.pdst v in
-        let d = deref_node st v in
-        ignore (add_edge st tnode d);
-        st.complexes <-
-          {
-            ckind = Kload;
-            cptr = node_of st v;
-            cother = d;
-            corigin = v;
-            cseen = Lvalset.empty;
-          }
-          :: {
-               ckind = Kstore;
-               cptr = node_of st p.Objfile.pdst;
-               cother = tnode;
-               corigin = v;
-               cseen = Lvalset.empty;
-             }
-          :: st.complexes;
-        st.n_complex <- st.n_complex + 2;
-        Loader.retain st.loader ~src:v 2
-  end
+(* Turn one dynamic-section record [p] (source [v = p.psrc]) into graph
+   constraints.  Returns [true] iff the record is a complex assignment
+   kept in core (Section 6's discard strategy); [x = v] is discarded
+   once its edge is in. *)
+and add_record st (p : Objfile.prim_rec) =
+  let v = p.Objfile.psrc and x = p.Objfile.pdst in
+  Loader.relevant_to_points_to p
+  &&
+  match p.Objfile.pkind with
+  | Objfile.Paddr -> false (* lives in the static section *)
+  | Objfile.Pcopy ->
+      (* x = v: edge x -> v, then x's consumers matter too *)
+      ignore (add_edge st (node_of st x) (node_of st v));
+      activate st x;
+      false
+  | Objfile.Pload ->
+      (* x = *v *)
+      let d = deref_node st v in
+      ignore (add_edge st (node_of st x) d);
+      new_complex st Kload ~ptr:(node_of st v) ~other:d ~origin:v;
+      Loader.retain st.loader ~src:v 1;
+      activate st x;
+      true
+  | Objfile.Pstore ->
+      (* *x = v *)
+      new_complex st Kstore ~ptr:(node_of st x) ~other:(node_of st v) ~origin:v;
+      Loader.retain st.loader ~src:v 1;
+      true
+  | Objfile.Pderef2 ->
+      (* *x = *v, split through node t: [*x = t; t = *v] *)
+      let tnode = deref2_tnode st x v in
+      let d = deref_node st v in
+      ignore (add_edge st tnode d);
+      new_complex st Kstore ~ptr:(node_of st x) ~other:tnode ~origin:v;
+      new_complex st Kload ~ptr:(node_of st v) ~other:d ~origin:v;
+      Loader.retain st.loader ~src:v 2;
+      true
 
 (* Apply evictions the loader signalled since the last pass boundary:
    drop the evicted blocks' complexes and retained records from core and
@@ -352,6 +258,33 @@ let reload_evicted st =
     List.iter (fun v -> load_block st v) vs
   end
 
+(* A record added to a block that was resident before the delta: the
+   block will not be re-read, so the record is translated on its own and
+   appended to the block's retained list. *)
+let inject st (p : Objfile.prim_rec) =
+  let v = p.Objfile.psrc in
+  if add_record st p then
+    Hashtbl.replace st.retained_by_block v
+      (Option.value ~default:[] (Hashtbl.find_opt st.retained_by_block v)
+      @ [ p ])
+
+(* The steps [init] and [resume] share: register the FUNDEFs that
+   indirect-call linking binds through, seed the static section's base
+   elements (in demand mode each activates its owner's block), and
+   without demand loading read every block from [first_var] on. *)
+let add_sections st ~fundefs ~statics ~first_var =
+  Objfile.add_fundefs st.fundef_by_var fundefs;
+  Seq.iter
+    (fun (p : Objfile.prim_rec) ->
+      add_base st (node_of st p.Objfile.pdst) p.Objfile.psrc;
+      if st.demand then activate st p.Objfile.pdst)
+    statics;
+  if not st.demand then
+    for v = first_var to Objfile.n_vars st.view - 1 do
+      Bytes.set st.active v '\001';
+      load_block st v
+    done
+
 let init ?(config = Pretrans.default_config) ?(demand = true) ?budget
     ?(deadline = Cla_resilience.Deadline.never) ?cancel view =
   let nvars = Objfile.n_vars view in
@@ -389,21 +322,11 @@ let init ?(config = Pretrans.default_config) ?(demand = true) ?budget
     Pretrans.set_interrupt st.g (Some (fun () -> check_tokens st));
   Loader.set_on_evict st.loader (fun v ->
       st.pending_evict <- v :: st.pending_evict);
-  Array.iter
-    (fun (f : Objfile.fund_rec) ->
-      Hashtbl.replace st.fundef_by_var f.Objfile.ffvar f)
-    view.Objfile.rfundefs;
   (* the static section is always loaded *)
-  Array.iter
-    (fun (p : Objfile.prim_rec) ->
-      add_base st p.Objfile.pdst p.Objfile.psrc;
-      if demand then activate st p.Objfile.pdst)
-    (Loader.statics st.loader);
-  if not demand then
-    for v = 0 to nvars - 1 do
-      Bytes.set st.active v '\001';
-      load_block st v
-    done;
+  add_sections st
+    ~fundefs:(Array.to_seq view.Objfile.rfundefs)
+    ~statics:(Array.to_seq (Loader.statics st.loader))
+    ~first_var:0;
   apply_evictions st;
   st
 
@@ -470,28 +393,11 @@ let pass ?(keep_memos = false) st =
               if not (Hashtbl.mem st.linked key) then begin
                 Hashtbl.replace st.linked key ();
                 changed := true;
-                let n = min r.Objfile.inargs fd.Objfile.farity in
-                for i = 0 to n - 1 do
-                  let garg = fd.Objfile.fargs.(i) and parg = r.Objfile.iargs.(i) in
-                  if garg >= 0 && parg >= 0 then begin
-                    (* g@i = f@i *)
-                    ignore (add_edge st (node_of st garg) (node_of st parg));
+                Objfile.iter_call_copies fd r (fun ~dst ~src ->
+                    ignore (add_edge st (node_of st dst) (node_of st src));
                     st.linked_copies <-
-                      (garg, parg, r.Objfile.iiloc) :: st.linked_copies;
-                    if st.demand then activate st garg
-                  end
-                done;
-                if r.Objfile.iret >= 0 && fd.Objfile.fret >= 0 then begin
-                  (* f@ret = g@ret *)
-                  ignore
-                    (add_edge st
-                       (node_of st r.Objfile.iret)
-                       (node_of st fd.Objfile.fret));
-                  st.linked_copies <-
-                    (r.Objfile.iret, fd.Objfile.fret, r.Objfile.iiloc)
-                    :: st.linked_copies;
-                  if st.demand then activate st r.Objfile.iret
-                end
+                      (dst, src, r.Objfile.iiloc) :: st.linked_copies;
+                    if st.demand then activate st dst)
               end);
       st.iseen.(idx) <- lv
       end)
@@ -528,21 +434,21 @@ type result = {
           solver bench divides by query count *)
 }
 
-(** Publish a result into the metrics registry: [analyze.passes], the
-    [analyze.pretrans.*] graph counters, the [load.blocks.*] residency
-    counters, and the per-pass convergence series [analyze.pass.*]
-    (Figure 5's loop, one entry per pass). *)
-let publish_result ?reg (r : result) =
-  Cla_obs.Metrics.set ?reg "analyze.passes" r.passes;
-  Cla_obs.Metrics.setf ?reg "analyze.alloc_bytes" r.alloc_bytes;
-  Cla_obs.Metrics.set ?reg "analyze.complex.retained"
+(* Publish a result into the metrics registry: [analyze.passes], the
+   [analyze.pretrans.*] graph counters, the [load.blocks.*] residency
+   counters, and the per-pass convergence series [analyze.pass.*]
+   (Figure 5's loop, one entry per pass). *)
+let publish_result (r : result) =
+  Cla_obs.Metrics.set "analyze.passes" r.passes;
+  Cla_obs.Metrics.setf "analyze.alloc_bytes" r.alloc_bytes;
+  Cla_obs.Metrics.set "analyze.complex.retained"
     (List.length r.retained);
-  Cla_obs.Metrics.set ?reg "analyze.indirect.linked_copies"
+  Cla_obs.Metrics.set "analyze.indirect.linked_copies"
     (List.length r.linked_copies);
-  Pretrans.publish_stats ?reg r.graph_stats;
-  Loader.publish_stats ?reg r.loader_stats;
+  Pretrans.publish_stats r.graph_stats;
+  Loader.publish_stats r.loader_stats;
   let series f name =
-    Cla_obs.Metrics.set_series ?reg ("analyze.pass." ^ name)
+    Cla_obs.Metrics.set_series ("analyze.pass." ^ name)
       (List.map f r.pass_log)
   in
   series (fun p -> p.ps_edges_added) "edges_added";
@@ -581,22 +487,7 @@ let extract st a0 : result =
   }
 
 (** Run the analysis to fixpoint and extract points-to sets for every
-    program variable. *)
-let solve ?config ?demand ?budget ?deadline ?cancel view : result =
-  Cla_obs.Obs.with_span "analyze" @@ fun () ->
-  let a0 = Gc.allocated_bytes () in
-  let st =
-    Cla_obs.Obs.with_span "analyze.init" (fun () ->
-        init ?config ?demand ?budget ?deadline ?cancel view)
-  in
-  while pass st do
-    ()
-  done;
-  let r = extract st a0 in
-  publish_result r;
-  r
-
-(** Like {!solve}, but also return the iteration state so a later
+    program variable; also return the iteration state, so a later
     constraint delta can be solved incrementally with {!resume}. *)
 let solve_state ?config ?demand ?budget ?deadline ?cancel view :
     t * result =
@@ -612,6 +503,9 @@ let solve_state ?config ?demand ?budget ?deadline ?cancel view :
   let r = extract st a0 in
   publish_result r;
   (st, r)
+
+let solve ?config ?demand ?budget ?deadline ?cancel view : result =
+  snd (solve_state ?config ?demand ?budget ?deadline ?cancel view)
 
 (* Resume an already-solved state over a pure-add constraint delta —
    the delta-solve path.  The previous fixpoint's graph, complexes,
@@ -639,7 +533,7 @@ let resume st ~(view : Objfile.view) ~(delta : Linkp.delta) :
     None
   in
   let old_nvars = delta.Linkp.d_old_nvars in
-  if delta.Linkp.d_full_relink || not (Linkp.delta_is_pure_add delta) then
+  if not (Linkp.delta_is_pure_add delta) then
     fallback "removal"
   else if old_nvars <> Objfile.n_vars st.view then fallback "state_mismatch"
   else if Loader.budget st.loader <> None then fallback "budgeted"
@@ -659,8 +553,6 @@ let resume st ~(view : Objfile.view) ~(delta : Linkp.delta) :
        above); the old loader is dropped wholesale *)
     st.view <- view;
     st.loader <- Loader.create view;
-    Loader.set_on_evict st.loader (fun v ->
-        st.pending_evict <- v :: st.pending_evict);
     let was_active = st.active in
     let active = Bytes.make (max 1 new_nvars) '\000' in
     Bytes.blit was_active 0 active 0
@@ -687,24 +579,14 @@ let resume st ~(view : Objfile.view) ~(delta : Linkp.delta) :
       Array.blit st.iseen 0 ni 0 (Array.length st.iseen);
       st.iseen <- ni
     end;
-    List.iter
-      (fun (f : Objfile.fund_rec) ->
-        Hashtbl.replace st.fundef_by_var f.Objfile.ffvar f)
-      delta.Linkp.d_added_fundefs;
     (* apply the delta with seed logging on: every fresh edge origin and
        base addition is an invalidation seed *)
     let seeds = ref [] in
     st.seed_log <- Some seeds;
-    List.iter
-      (fun (p : Objfile.prim_rec) ->
-        add_base st (node_of st p.Objfile.pdst) p.Objfile.psrc;
-        if st.demand then activate st p.Objfile.pdst)
-      delta.Linkp.d_added_statics;
-    if not st.demand then
-      for v = old_nvars to new_nvars - 1 do
-        Bytes.set st.active v '\001';
-        load_block st v
-      done;
+    add_sections st
+      ~fundefs:(List.to_seq delta.Linkp.d_added_fundefs)
+      ~statics:(List.to_seq delta.Linkp.d_added_statics)
+      ~first_var:old_nvars;
     (* added dynamic records: a block resident BEFORE the delta will not
        be re-read, so its additions are injected one by one; a block
        activated during this application (or later) is read whole from

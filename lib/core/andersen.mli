@@ -130,17 +130,13 @@ type result = {
           [analyze.alloc_bytes] *)
 }
 
-(** Publish a result into the metrics registry (default
-    {!Cla_obs.Metrics.default}): [analyze.passes], [analyze.alloc_bytes],
-    [analyze.pretrans.*], [analyze.pool.*], [load.blocks.*], and the
-    per-pass convergence series [analyze.pass.*].  {!solve} calls this
-    itself. *)
-val publish_result : ?reg:Cla_obs.Metrics.t -> result -> unit
-
 (** Run to fixpoint and extract the points-to set of every variable.
     Recorded as an ["analyze"] span (children ["analyze.init"], one
     ["analyze.pass"] per pass, ["analyze.extract"]); the result is
-    published into the metrics registry. *)
+    published into the metrics registry: [analyze.passes],
+    [analyze.alloc_bytes], [analyze.pretrans.*], [analyze.pool.*],
+    [load.blocks.*], and the per-pass convergence series
+    [analyze.pass.*]. *)
 val solve :
   ?config:Pretrans.config ->
   ?demand:bool ->
@@ -150,7 +146,7 @@ val solve :
   Objfile.view ->
   result
 
-(** Like {!solve}, but also return the iteration state so a later
+(** {!solve} that also returns the iteration state, so a later
     constraint delta can be solved incrementally with {!resume}. *)
 val solve_state :
   ?config:Pretrans.config ->

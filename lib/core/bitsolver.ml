@@ -114,10 +114,7 @@ let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?pool
   let nnodes = !nnodes in
   let pts = Array.init nnodes (fun _ -> Bits.create nlocs) in
   List.iter (fun (x, li) -> Bits.set pts.(x) li) !bases;
-  let fundef_by_var = Hashtbl.create 64 in
-  Array.iter
-    (fun (f : Objfile.fund_rec) -> Hashtbl.replace fundef_by_var f.Objfile.ffvar f)
-    view.Objfile.rfundefs;
+  let fundef_by_var = Objfile.fundef_table view.Objfile.rfundefs in
   let constraints = Array.of_list !constraints in
   let loc_of = Dynarr.to_array locs in
   (* The sequential tail of every round: [Cstore] constraints and
@@ -150,16 +147,9 @@ let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?pool
             match Hashtbl.find_opt fundef_by_var gv with
             | None -> ()
             | Some fd ->
-                let n = min r.Objfile.inargs fd.Objfile.farity in
-                for i = 0 to n - 1 do
-                  let garg = fd.Objfile.fargs.(i) and parg = r.Objfile.iargs.(i) in
-                  if garg >= 0 && parg >= 0 then
-                    if Bits.union_into ~dst:pts.(garg) ~src:pts.(parg) then
-                      Bits.set dirty garg
-                done;
-                if r.Objfile.iret >= 0 && fd.Objfile.fret >= 0 then
-                  if Bits.union_into ~dst:pts.(r.Objfile.iret) ~src:pts.(fd.Objfile.fret)
-                  then Bits.set dirty r.Objfile.iret)
+                Objfile.iter_call_copies fd r (fun ~dst ~src ->
+                    if Bits.union_into ~dst:pts.(dst) ~src:pts.(src) then
+                      Bits.set dirty dst))
           pts.(r.Objfile.iptr))
       view.Objfile.rindirects
   in

@@ -152,8 +152,8 @@ let db_of_prog ?(source_lines = 0) ?(preproc_lines = 0) (p : Prog.t) : Objfile.d
    database, for the TU content hash and the direct key.  [virtual_fs]
    is omitted — its effect is captured by the preprocessed text (and by
    the include manifest's digests); [drop_bodies] is a function and
-   cannot be rendered, so callers that use it must bypass the compile
-   cache. *)
+   cannot be rendered, so callers that use it must not reuse units by
+   key. *)
 let render_options (o : options) =
   let b = Buffer.create 64 in
   Buffer.add_string b
@@ -254,24 +254,3 @@ let compile_file_result ?(options = default_options) path :
     (Objfile.db, Diag.t) result =
   Diag.capture ~file:path ~phase:Diag.Compile (fun () ->
       compile_file ~options path)
-
-(** Compile a batch of files.  Failures are recorded as diagnostics
-    (bumping [compile.errors]); with [keep_going] the remaining files are
-    still compiled, without it the first failure raises {!Diag.Fail}.
-    Returns the units that did compile, in input order, with their
-    paths. *)
-let compile_many ?(options = default_options) ?(keep_going = false) paths :
-    (string * Objfile.db) list * Diag.t list =
-  let c = Diag.collector () in
-  let dbs =
-    List.filter_map
-      (fun path ->
-        match compile_file_result ~options path with
-        | Ok db -> Some (path, db)
-        | Error d ->
-            Diag.add c d;
-            if not keep_going then raise (Diag.Fail d);
-            None)
-      paths
-  in
-  (dbs, Diag.to_list c)

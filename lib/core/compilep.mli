@@ -25,11 +25,11 @@ val db_of_prog :
 (** Content-hash a translation unit without parsing it: preprocessed
     source plus a canonical rendering of the options (mode, defines,
     include dirs).  Equals the [Objfile.tuhash] that {!compile_string}
-    records for the same input; {!Pipeline}'s object cache and
-    [cla compile] probe with it.  It costs a preprocessor run — the
-    incremental driver probes with {!direct_key} and {!manifest_holds}
-    instead.  Note [drop_bodies] is not part of the hash (it is a
-    function); callers using it must not rely on hash equality. *)
+    records for the same input; [cla compile]'s up-to-date check
+    probes with it.  It costs a preprocessor run — the incremental
+    driver probes with {!direct_key} and {!manifest_holds} instead.
+    Note [drop_bodies] is not part of the hash (it is a function);
+    callers using it must not rely on hash equality. *)
 val tu_hash : ?options:options -> file:string -> string -> string
 
 (** The direct-mode key: a digest of the rendered options, the file name
@@ -67,14 +67,3 @@ val compile_to : ?options:options -> output:string -> string -> unit
     missing file) as a structured {!Diag.t} instead of an exception. *)
 val compile_file_result :
   ?options:options -> string -> (Objfile.db, Diag.t) result
-
-(** Compile a batch of files.  Failures are recorded as diagnostics
-    (bumping [compile.errors]); with [keep_going] the remaining files
-    are still compiled, without it the first failure raises
-    {!Diag.Fail}.  Returns the units that did compile, in input order,
-    with their paths. *)
-val compile_many :
-  ?options:options ->
-  ?keep_going:bool ->
-  string list ->
-  (string * Objfile.db) list * Diag.t list

@@ -1,10 +1,10 @@
 (** The incremental compile–link–analyze driver.
 
     Holds the three persistent states of the pipeline — the per-unit
-    compile cache (TU content hash -> compiled unit view), the delta
-    linker ({!Linkp.state}), and the solver's iteration state
-    ({!Andersen.t}) — and threads an edited source set through all
-    three:
+    compile cache (file -> direct-mode key, include manifest and
+    compiled unit view), the delta linker ({!Linkp.state}), and the
+    solver's iteration state ({!Andersen.t}) — and threads an edited
+    source set through all three:
 
     - unchanged units are detected in direct mode — the
       {!Compilep.direct_key} of the raw source plus a replay of the
@@ -60,8 +60,7 @@ type stats = {
 }
 
 (* [drop_bodies] is a function and cannot be part of the key (see
-   {!Compilep.direct_key}); a non-default one disables unit reuse the
-   same way {!Pipeline}'s object cache bypasses itself. *)
+   {!Compilep.direct_key}); a non-default one disables unit reuse. *)
 let cacheable options =
   options.Compilep.drop_bodies == Compilep.default_options.Compilep.drop_bodies
 
@@ -213,22 +212,9 @@ let update t ?(units = []) sources =
       unchanged with
       relinked = true;
       resumed;
-      delta_pure =
-        Linkp.delta_is_pure_add delta && not delta.Linkp.d_full_relink;
+      delta_pure = Linkp.delta_is_pure_add delta;
       delta_added = Linkp.delta_size_added delta;
       delta_removed = Linkp.delta_size_removed delta;
       wall_link_s;
       wall_solve_s;
     }
-
-let pp_stats ppf s =
-  Fmt.pf ppf
-    "%d sources (%d cached, %d compiled), delta %s+%d/-%d, %s, \
-     compile %.3fs link %.3fs solve %.3fs"
-    s.sources s.cache_hits s.cache_misses
-    (if s.delta_pure then "pure-add " else "")
-    s.delta_added s.delta_removed
-    (if not s.relinked then "unchanged"
-     else if s.resumed then "resumed solve"
-     else "scratch solve")
-    s.wall_compile_s s.wall_link_s s.wall_solve_s

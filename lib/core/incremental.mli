@@ -72,5 +72,3 @@ val result : t -> Andersen.result
 
 (** The current linked view. *)
 val view : t -> Objfile.view
-
-val pp_stats : Format.formatter -> stats -> unit

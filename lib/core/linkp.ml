@@ -21,6 +21,78 @@ type stats = {
     {!Openworld} havoc constraints and attaches the summary section. *)
 type undef_policy = Ignore | Error | Open_world
 
+(* Per-record remaps from a unit's uids to linked ids; [-1] (no
+   argument or return variable) stays [-1]. *)
+let map_opt map a = if a >= 0 then map.(a) else -1
+
+let remap_prim map (p : Objfile.prim_rec) =
+  { p with Objfile.pdst = map.(p.Objfile.pdst); psrc = map.(p.Objfile.psrc) }
+
+let remap_fundef map (f : Objfile.fund_rec) =
+  {
+    f with
+    Objfile.ffvar = map.(f.Objfile.ffvar);
+    fret = map_opt map f.Objfile.fret;
+    fargs = Array.map (map_opt map) f.Objfile.fargs;
+  }
+
+let remap_indirect map (i : Objfile.indir_rec) =
+  {
+    i with
+    Objfile.iptr = map.(i.Objfile.iptr);
+    iret = map_opt map i.Objfile.iret;
+    iargs = Array.map (map_opt map) i.Objfile.iargs;
+  }
+
+(* The per-variable passes over a linked variable table, given each
+   unit's view and uid -> linked-id map: a declaration with a type wins
+   over one without (the same extern may be declared with and without
+   type info in different units), and a merged object is defined iff
+   any unit defines it — one definition satisfies every extern
+   declaration of the same key. *)
+let refresh_vars vars (units : (Objfile.view * int array) list) =
+  List.iter
+    (fun ((v : Objfile.view), map) ->
+      Array.iteri
+        (fun uid id ->
+          let vi = v.Objfile.rvars.(uid) in
+          if vars.(id).Objfile.vtyp = "" && vi.Objfile.vtyp <> "" then
+            vars.(id) <- vi)
+        map)
+    units;
+  let defined = Array.make (Array.length vars) false in
+  List.iter
+    (fun ((v : Objfile.view), map) ->
+      Array.iteri
+        (fun uid id ->
+          if v.Objfile.rvars.(uid).Objfile.vdefined then defined.(id) <- true)
+        map)
+    units;
+  Array.iteri
+    (fun id vi ->
+      if vi.Objfile.vdefined <> defined.(id) then
+        vars.(id) <- { vi with Objfile.vdefined = defined.(id) })
+    vars
+
+(* Table 2 statistics and provenance, summed over the units. *)
+let meta_of_views (views : Objfile.view list) : Objfile.meta =
+  let files = ref [] and src = ref 0 and pre = ref 0 in
+  let counts = ref Prim.zero_counts in
+  List.iter
+    (fun (v : Objfile.view) ->
+      let m = v.Objfile.rmeta in
+      files := List.rev_append m.Objfile.mfiles !files;
+      src := !src + m.Objfile.msource_lines;
+      pre := !pre + m.Objfile.mpreproc_lines;
+      counts := Prim.add_counts !counts m.Objfile.mcounts)
+    views;
+  {
+    Objfile.mfiles = List.rev !files;
+    msource_lines = !src;
+    mpreproc_lines = !pre;
+    mcounts = !counts;
+  }
+
 (** Link several object-file views into a single database.  Extern objects
     with the same canonical key are unified; unit-private objects are
     renumbered.  Also returns the per-unit uid → linked-id maps and the
@@ -79,45 +151,13 @@ let link_views_full (views : Objfile.view list) :
   List.iteri
     (fun i vi -> vars.(nvars - 1 - i) <- vi)
     !out_vars;
-  (* prefer a declaration that has a type over one that does not (the same
-     extern may be declared with and without type info in different units) *)
-  List.iter
-    (fun ((v : Objfile.view), map) ->
-      Array.iteri
-        (fun uid id ->
-          let vi = v.Objfile.rvars.(uid) in
-          if vars.(id).Objfile.vtyp = "" && vi.Objfile.vtyp <> "" then
-            vars.(id) <- vi)
-        map)
-    unit_maps;
-  (* a merged object is defined iff any unit defines it — one definition
-     satisfies every extern declaration of the same key *)
-  let defined = Array.make nvars false in
-  List.iter
-    (fun ((v : Objfile.view), map) ->
-      Array.iteri
-        (fun uid id ->
-          if v.Objfile.rvars.(uid).Objfile.vdefined then defined.(id) <- true)
-        map)
-    unit_maps;
-  Array.iteri
-    (fun id vi ->
-      if vi.Objfile.vdefined <> defined.(id) then
-        vars.(id) <- { vi with Objfile.vdefined = defined.(id) })
-    vars;
-  let remap_prim map (p : Objfile.prim_rec) =
-    { p with Objfile.pdst = map.(p.pdst); psrc = map.(p.psrc) }
-  in
+  refresh_vars vars unit_maps;
   let statics = ref [] in
   let blocks = Array.make nvars [] in
   let fundefs = ref [] in
   let seen_fun = Hashtbl.create 64 in
   let indirects = ref [] in
   let consts = ref [] in
-  let files = ref [] in
-  let src_lines = ref 0 in
-  let pre_lines = ref 0 in
-  let counts = ref Prim.zero_counts in
   List.iter
     (fun ((v : Objfile.view), map) ->
       Array.iter
@@ -135,36 +175,15 @@ let link_views_full (views : Objfile.view list) :
           let id = map.(f.ffvar) in
           if not (Hashtbl.mem seen_fun id) then begin
             Hashtbl.replace seen_fun id ();
-            fundefs :=
-              {
-                f with
-                Objfile.ffvar = id;
-                fret = (if f.fret >= 0 then map.(f.fret) else -1);
-                fargs =
-                  Array.map (fun a -> if a >= 0 then map.(a) else -1) f.fargs;
-              }
-              :: !fundefs
+            fundefs := remap_fundef map f :: !fundefs
           end)
         v.Objfile.rfundefs;
       Array.iter
-        (fun (i : Objfile.indir_rec) ->
-          indirects :=
-            {
-              i with
-              Objfile.iptr = map.(i.iptr);
-              iret = (if i.iret >= 0 then map.(i.iret) else -1);
-              iargs =
-                Array.map (fun a -> if a >= 0 then map.(a) else -1) i.iargs;
-            }
-            :: !indirects)
+        (fun i -> indirects := remap_indirect map i :: !indirects)
         v.Objfile.rindirects;
       List.iter
         (fun (var, c) -> consts := (map.(var), c) :: !consts)
-        v.Objfile.rconsts;
-      files := List.rev_append v.Objfile.rmeta.Objfile.mfiles !files;
-      src_lines := !src_lines + v.Objfile.rmeta.Objfile.msource_lines;
-      pre_lines := !pre_lines + v.Objfile.rmeta.Objfile.mpreproc_lines;
-      counts := Prim.add_counts !counts v.Objfile.rmeta.Objfile.mcounts)
+        v.Objfile.rconsts)
     unit_maps;
   let db =
     {
@@ -177,13 +196,7 @@ let link_views_full (views : Objfile.view list) :
       consts = List.rev !consts;
       openworld = None;
       tuhash = None;
-      meta =
-        {
-          mfiles = List.rev !files;
-          msource_lines = !src_lines;
-          mpreproc_lines = !pre_lines;
-          mcounts = !counts;
-        };
+      meta = meta_of_views views;
     }
   in
   ( db,
@@ -338,7 +351,6 @@ type state = {
 }
 
 let state_view st = st.s_view
-let state_db st = st.s_db
 
 let empty_db : Objfile.db =
   {
@@ -372,41 +384,20 @@ let empty_contrib =
   { c_statics = []; c_prims = []; c_fundefs = []; c_indirects = [] }
 
 let contrib_of (v : Objfile.view) (map : int array) : contrib =
-  let remap (p : Objfile.prim_rec) =
-    { p with Objfile.pdst = map.(p.Objfile.pdst); psrc = map.(p.Objfile.psrc) }
-  in
-  let map_opt a = if a >= 0 then map.(a) else -1 in
   let prims = ref [] in
   for uid = Objfile.n_vars v - 1 downto 0 do
     if Objfile.has_block v uid then
       prims :=
         List.rev_append
-          (List.rev_map remap (Objfile.read_block v uid))
+          (List.rev_map (remap_prim map) (Objfile.read_block v uid))
           !prims
   done;
+  let remap_all f a = List.map (f map) (Array.to_list a) in
   {
-    c_statics = List.map remap (Array.to_list v.Objfile.rstatics);
+    c_statics = remap_all remap_prim v.Objfile.rstatics;
     c_prims = !prims;
-    c_fundefs =
-      List.map
-        (fun (f : Objfile.fund_rec) ->
-          {
-            f with
-            Objfile.ffvar = map.(f.Objfile.ffvar);
-            fret = map_opt f.Objfile.fret;
-            fargs = Array.map map_opt f.Objfile.fargs;
-          })
-        (Array.to_list v.Objfile.rfundefs);
-    c_indirects =
-      List.map
-        (fun (i : Objfile.indir_rec) ->
-          {
-            i with
-            Objfile.iptr = map.(i.Objfile.iptr);
-            iret = map_opt i.Objfile.iret;
-            iargs = Array.map map_opt i.Objfile.iargs;
-          })
-        (Array.to_list v.Objfile.rindirects);
+    c_fundefs = remap_all remap_fundef v.Objfile.rfundefs;
+    c_indirects = remap_all remap_indirect v.Objfile.rindirects;
   }
 
 (* Multiset diff of two record lists under a projection [key] (location
@@ -461,54 +452,6 @@ let fund_key (f : Objfile.fund_rec) =
 let indir_key (i : Objfile.indir_rec) =
   (i.Objfile.iptr, i.Objfile.inargs, i.Objfile.iret,
    Array.to_list i.Objfile.iargs)
-
-(* Recompute the per-var metadata passes of [link_views_full] (typed
-   declaration wins; defined iff any unit defines) over the current unit
-   set.  Cheap — O(total vars) — so the patch path reruns it instead of
-   tracking per-field provenance. *)
-let refresh_vars vars units =
-  let nvars = Array.length vars in
-  List.iter
-    (fun ue ->
-      Array.iteri
-        (fun uid id ->
-          let vi = ue.ue_view.Objfile.rvars.(uid) in
-          if vars.(id).Objfile.vtyp = "" && vi.Objfile.vtyp <> "" then
-            vars.(id) <- vi)
-        ue.ue_map)
-    units;
-  let defined = Array.make nvars false in
-  List.iter
-    (fun ue ->
-      Array.iteri
-        (fun uid id ->
-          if ue.ue_view.Objfile.rvars.(uid).Objfile.vdefined then
-            defined.(id) <- true)
-        ue.ue_map)
-    units;
-  Array.iteri
-    (fun id vi ->
-      if vi.Objfile.vdefined <> defined.(id) then
-        vars.(id) <- { vi with Objfile.vdefined = defined.(id) })
-    vars
-
-let meta_of_units units : Objfile.meta =
-  let files = ref [] and src = ref 0 and pre = ref 0 in
-  let counts = ref Prim.zero_counts in
-  List.iter
-    (fun ue ->
-      let m = ue.ue_view.Objfile.rmeta in
-      files := List.rev_append m.Objfile.mfiles !files;
-      src := !src + m.Objfile.msource_lines;
-      pre := !pre + m.Objfile.mpreproc_lines;
-      counts := Prim.add_counts !counts m.Objfile.mcounts)
-    units;
-  {
-    Objfile.mfiles = List.rev !files;
-    msource_lines = !src;
-    mpreproc_lines = !pre;
-    mcounts = !counts;
-  }
 
 (** Re-link after some units changed.  Units are matched to the previous
     set by name; a unit whose [rtuhash] is unchanged is not even
@@ -654,7 +597,8 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
           if id < old_nvars then st.s_db.Objfile.vars.(id)
           else fresh.(id - old_nvars))
     in
-    refresh_vars vars new_entries;
+    refresh_vars vars
+      (List.map (fun ue -> (ue.ue_view, ue.ue_map)) new_entries);
     let blocks = Array.make nvars [] in
     Array.blit st.s_db.Objfile.blocks 0 blocks 0 old_nvars;
     let by_src = Hashtbl.create 64 in
@@ -702,7 +646,7 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
         consts = List.rev !consts;
         openworld = None;
         tuhash = None;
-        meta = meta_of_units new_entries;
+        meta = meta_of_views (List.map (fun ue -> ue.ue_view) new_entries);
       }
     in
     st.s_db <- db;

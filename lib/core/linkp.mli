@@ -99,8 +99,6 @@ type state
     every {!relink}, so block reads see the patched sections). *)
 val state_view : state -> Objfile.view
 
-val state_db : state -> Objfile.db
-
 (** Fresh delta-linker state over an initial unit set — (name, per-unit
     view) pairs, names unique.  The returned delta is everything-added. *)
 val state_create : (string * Objfile.view) list -> state * delta

@@ -91,6 +91,20 @@ type indir_rec = {
   iiloc : Loc.t;
 }
 
+let add_fundefs tbl fds = Seq.iter (fun f -> Hashtbl.replace tbl f.ffvar f) fds
+
+let fundef_table fds =
+  let tbl = Hashtbl.create 256 in
+  add_fundefs tbl (Array.to_seq fds);
+  tbl
+
+let iter_call_copies fd r f =
+  for i = 0 to min r.inargs fd.farity - 1 do
+    let garg = fd.fargs.(i) and parg = r.iargs.(i) in
+    if garg >= 0 && parg >= 0 then f ~dst:garg ~src:parg
+  done;
+  if r.iret >= 0 && fd.fret >= 0 then f ~dst:r.iret ~src:fd.fret
+
 type meta = {
   mfiles : string list;  (** source files linked into this database *)
   msource_lines : int;  (** non-blank, non-# source lines *)

@@ -72,6 +72,27 @@ type indir_rec = {
   iiloc : Loc.t;
 }
 
+(** {2 Analysis-time call binding}
+
+    One rule for every solver: an indirect call reaching a function
+    object binds through that object's FUNDEF. *)
+
+(** FUNDEF records keyed by their function object ([ffvar]). *)
+val fundef_table : fund_rec array -> (int, fund_rec) Hashtbl.t
+
+(** Add FUNDEF records to such a table; a later record for the same
+    function object replaces an earlier one. *)
+val add_fundefs : (int, fund_rec) Hashtbl.t -> fund_rec Seq.t -> unit
+
+(** [iter_call_copies fd r f] calls [f ~dst ~src] for each copy the
+    indirect call [r] makes when it reaches the function of [fd]: the
+    [i]-th parameter gets the [i]-th actual ([g@i = f@i]) for every [i]
+    below both arities where both sides exist, then the call's result
+    gets the callee's return value ([f@ret = g@ret]) when both exist.
+    Extra actuals and a missing return bind nothing. *)
+val iter_call_copies :
+  fund_rec -> indir_rec -> (dst:int -> src:int -> unit) -> unit
+
 type meta = {
   mfiles : string list;
   msource_lines : int;  (** non-blank, non-# source lines (Table 2) *)

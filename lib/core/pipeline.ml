@@ -61,70 +61,16 @@ let pool_of_jobs jobs =
       let j = Cla_par.Pool.resolve_jobs j in
       if j <= 1 then None else Some (Cla_par.Pool.shared ~jobs:j)
 
-(* Process-wide compile cache: TU content hash -> serialized object
-   bytes.  {!compile_link} probes it with the cheap {!Compilep.tu_hash}
-   (preprocess + digest) before paying for parse / normalize /
-   serialize.  Entries are the exact bytes a fresh compile would emit,
-   so a hit is indistinguishable from a recompile.  A mutex guards the
-   table because the compile fan-out probes from worker domains; the
-   table is content-addressed, so a stale entry is impossible — only
-   growth is bounded (reset past [compile_cache_cap] entries). *)
-let compile_cache : (string, string) Hashtbl.t = Hashtbl.create 64
-let compile_cache_mutex = Mutex.create ()
-let compile_cache_cap = 4096
-
-let compile_obj ~options (file, src) : string =
-  (* [drop_bodies] is a function and cannot be part of the content hash;
-     a caller that replaced the default no-op (the deletion harness)
-     must bypass the cache entirely or stale objects would defeat its
-     soundness gate.  Every cache-friendly caller builds options with
-     [{ Compilep.default_options with ... }], which preserves the
-     default closure physically. *)
-  if options.Compilep.drop_bodies
-     != Compilep.default_options.Compilep.drop_bodies
-  then Objfile.write (Compilep.compile_string ~options ~file src)
-  else begin
-  let h = Compilep.tu_hash ~options ~file src in
-  Mutex.lock compile_cache_mutex;
-  let cached = Hashtbl.find_opt compile_cache h in
-  Mutex.unlock compile_cache_mutex;
-  match cached with
-  | Some bytes ->
-      Cla_obs.Metrics.incr "compile.cache.hits";
-      bytes
-  | None ->
-      Cla_obs.Metrics.incr "compile.cache.misses";
-      let bytes =
-        Objfile.write (Compilep.compile_string ~options ~file src)
-      in
-      Mutex.lock compile_cache_mutex;
-      if Hashtbl.length compile_cache >= compile_cache_cap then
-        Hashtbl.reset compile_cache;
-      Hashtbl.replace compile_cache h bytes;
-      Mutex.unlock compile_cache_mutex;
-      bytes
-  end
-
 (** Compile each (name, source) pair and link the results, all in memory.
     [jobs > 1] compiles translation units across a domain pool; the
-    linked database is byte-identical to a sequential run.  Units whose
-    TU content hash was compiled before are served from the process-wide
-    compile cache ([compile.cache.hits]/[compile.cache.misses]). *)
+    linked database is byte-identical to a sequential run. *)
 let compile_link ?(options = Compilep.default_options) ?(jobs = 1) ?undefined
     (sources : (string * string) list) : Objfile.view =
-  let objs = compile_units ~jobs (compile_obj ~options) sources in
-  let views = List.map Objfile.view_of_string objs in
-  let db, _stats = Linkp.link_views ?undefined views in
-  Objfile.view_of_string (Objfile.write db)
-
-(** Compile-link from disk paths.  Shares {!compile_link}'s content-
-    addressed compile cache. *)
-let compile_link_files ?(options = Compilep.default_options) ?(jobs = 1)
-    ?undefined paths : Objfile.view =
   let objs =
     compile_units ~jobs
-      (fun path -> compile_obj ~options (path, Binio.read_file path))
-      paths
+      (fun (file, src) ->
+        Objfile.write (Compilep.compile_string ~options ~file src))
+      sources
   in
   let views = List.map Objfile.view_of_string objs in
   let db, _stats = Linkp.link_views ?undefined views in

@@ -41,15 +41,6 @@ val compile_link :
   (string * string) list ->
   Objfile.view
 
-(** Compile and link C files from disk; [jobs]/[undefined] as in
-    {!compile_link}. *)
-val compile_link_files :
-  ?options:Compilep.options ->
-  ?jobs:int ->
-  ?undefined:Linkp.undef_policy ->
-  string list ->
-  Objfile.view
-
 (** Run the selected points-to analysis over a linked view.  [budget]
     bounds the retained assignments kept in core (pre-transitive solver
     only; see {!Loader.create}).  [deadline]/[cancel] make the solve

@@ -128,10 +128,7 @@ let process ?(tick = fun () -> ()) st =
       (Loader.block loader v)
   done;
   (* indirect calls: iterate because unification can reveal new callees *)
-  let fundef_by_var = Hashtbl.create 64 in
-  Array.iter
-    (fun (f : Objfile.fund_rec) -> Hashtbl.replace fundef_by_var f.Objfile.ffvar f)
-    st.view.Objfile.rfundefs;
+  let fundef_by_var = Objfile.fundef_table st.view.Objfile.rfundefs in
   let funcs =
     Array.to_list st.view.Objfile.rfundefs
     |> List.map (fun (f : Objfile.fund_rec) -> f.Objfile.ffvar)
@@ -151,19 +148,10 @@ let process ?(tick = fun () -> ()) st =
               if not (Hashtbl.mem linked key) then begin
                 Hashtbl.replace linked key ();
                 changed := true;
-                let fd = Hashtbl.find fundef_by_var gv in
-                let n = min r.Objfile.inargs fd.Objfile.farity in
-                for i = 0 to n - 1 do
-                  let garg = fd.Objfile.fargs.(i) and parg = r.Objfile.iargs.(i) in
-                  if garg >= 0 && parg >= 0 then begin
-                    union st (deref st garg) (deref st parg);
-                    settle st
-                  end
-                done;
-                if r.Objfile.iret >= 0 && fd.Objfile.fret >= 0 then begin
-                  union st (deref st r.Objfile.iret) (deref st fd.Objfile.fret);
-                  settle st
-                end
+                Objfile.iter_call_copies (Hashtbl.find fundef_by_var gv) r
+                  (fun ~dst ~src ->
+                    union st (deref st dst) (deref st src);
+                    settle st)
               end
             end)
           funcs)

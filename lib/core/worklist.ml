@@ -117,15 +117,11 @@ let create (view : Objfile.view) =
       edge_tbl = Intset.create 4096;
       queue = Queue.create ();
       inqueue = Bytes.make cap '\000';
-      fundef_by_var = Hashtbl.create 256;
+      fundef_by_var = Objfile.fundef_table view.Objfile.rfundefs;
       indirect_subs = Hashtbl.create 256;
       linked = Hashtbl.create 256;
     }
   in
-  Array.iter
-    (fun (f : Objfile.fund_rec) ->
-      Hashtbl.replace st.fundef_by_var f.Objfile.ffvar f)
-    view.Objfile.rfundefs;
   Array.iteri
     (fun idx (r : Objfile.indir_rec) ->
       let prev =
@@ -168,13 +164,7 @@ let link_indirect st idx r gv =
       let key = (idx, gv) in
       if not (Hashtbl.mem st.linked key) then begin
         Hashtbl.replace st.linked key ();
-        let n = min r.Objfile.inargs fd.Objfile.farity in
-        for i = 0 to n - 1 do
-          let garg = fd.Objfile.fargs.(i) and parg = r.Objfile.iargs.(i) in
-          if garg >= 0 && parg >= 0 then add_copy st ~dst:garg ~src:parg
-        done;
-        if r.Objfile.iret >= 0 && fd.Objfile.fret >= 0 then
-          add_copy st ~dst:r.Objfile.iret ~src:fd.Objfile.fret
+        Objfile.iter_call_copies fd r (add_copy st)
       end
 
 let propagate ?(tick = fun () -> ()) st =

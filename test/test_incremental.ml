@@ -187,6 +187,66 @@ let test_update_noop () =
   Alcotest.(check bool) "solution unchanged" true
     (Solution.equal before (Incremental.solution t))
 
+(* A hand-written pure-add edit: one record of each dynamic kind, all
+   in blocks that were resident before the edit (so the resume
+   translates them one by one instead of reading their block), plus one
+   indirect call.  Beyond [Solution.equal], the retained complex
+   assignments and the analysis-time call copies — which the dependence
+   analysis consumes — must match a from-scratch solve as multisets. *)
+let test_resume_each_kind () =
+  let base =
+    "int a, b;\n\
+     int *p, *q, *r, **pp, **qq;\n\
+     int *id(int *x) { return x; }\n\
+     int *(*fp)(int *);\n\
+     void setup(void) { p = &a; q = &b; pp = &p; qq = &q; fp = id; }\n"
+  in
+  let edit =
+    base
+    ^ "void edit(void) { r = q; r = *pp; *pp = q; *pp = *qq; r = fp(p); }\n"
+  in
+  let inc, _ = Incremental.create [ ("e.c", base) ] in
+  let before = Incremental.view inc in
+  let st, _ = Andersen.solve_state before in
+  List.iter
+    (fun name ->
+      match Objfile.find_targets before name with
+      | [ v ] ->
+          Alcotest.(check bool) (name ^ "'s block resident before the edit")
+            true
+            (Bytes.get st.Andersen.active v = '\001')
+      | _ -> Alcotest.fail ("no unique variable " ^ name))
+    [ "q"; "pp"; "qq" ];
+  let s = Incremental.update inc [ ("e.c", edit) ] in
+  Alcotest.(check bool) "pure-add delta" true s.Incremental.delta_pure;
+  Alcotest.(check bool) "solver resumed" true s.Incremental.resumed;
+  let kinds =
+    List.sort_uniq compare
+      (List.map
+         (fun (p : Objfile.prim_rec) -> p.Objfile.pkind)
+         (List.concat_map
+            (fun v -> Objfile.read_block (Incremental.view inc) v)
+            (List.concat_map
+               (Objfile.find_targets (Incremental.view inc))
+               [ "q"; "pp"; "qq" ])))
+  in
+  Alcotest.(check int) "edit reaches all four dynamic kinds" 4
+    (List.length
+       (List.filter (fun k -> k <> Objfile.Paddr) kinds));
+  let inc_r = Incremental.result inc in
+  let scratch = Andersen.solve (Incremental.view inc) in
+  Alcotest.(check bool) "incremental == scratch" true
+    (Solution.equal inc_r.Andersen.solution scratch.Andersen.solution);
+  let same msg a b =
+    Alcotest.(check bool) msg true
+      (List.sort compare a = List.sort compare b)
+  in
+  same "retained multiset" inc_r.Andersen.retained scratch.Andersen.retained;
+  same "linked copies multiset" inc_r.Andersen.linked_copies
+    scratch.Andersen.linked_copies;
+  Alcotest.(check bool) "the call was linked" true
+    (inc_r.Andersen.linked_copies <> [])
+
 (* ------------------------------------------------------------------ *)
 (* Direct-mode probe: source digest + include-manifest replay          *)
 (* ------------------------------------------------------------------ *)
@@ -531,6 +591,8 @@ let () =
           Alcotest.test_case "stream with removals" `Quick
             test_stream_with_removals;
           Alcotest.test_case "no-op update" `Quick test_update_noop;
+          Alcotest.test_case "resume adds each record kind" `Quick
+            test_resume_each_kind;
         ] );
       ( "direct-probe",
         [

@@ -257,9 +257,31 @@ let pin_bytes files =
   let view = Objfile.view_of_string linked in
   (List.hd objs, linked, view, Snapshot.freeze ~view (Pipeline.points_to_ladder view))
 
+(* The databases the delta linker writes over [pin_sources]: a pure-add
+   edit of b.c patches the linked database, and taking the edit back
+   out is a removal, which rebuilds it by a full merge. *)
+let relink_bytes () =
+  let unit (file, src) =
+    ( file,
+      Objfile.view_of_string (Objfile.write (Compilep.compile_string ~file src)) )
+  in
+  let a, b = (List.nth pin_sources 0, List.nth pin_sources 1) in
+  let st, _ = Linkp.state_create [ unit a; unit b ] in
+  let b_add =
+    ( fst b,
+      snd b ^ "int w, *r;\nvoid k(void) { r = &w; q = r; *sv.fld = *q; }\n" )
+  in
+  let d = Linkp.relink st [ unit a; unit b_add ] in
+  Alcotest.(check bool) "edit is pure-add" true (Linkp.delta_is_pure_add d);
+  let added = (Linkp.state_view st).Objfile.data in
+  let d = Linkp.relink st [ unit a; unit b ] in
+  Alcotest.(check bool) "undo is a full relink" true d.Linkp.d_full_relink;
+  (added, (Linkp.state_view st).Objfile.data)
+
+let digest s = Digest.to_hex (Digest.string s)
+
 let test_format_bytes_pinned () =
   let check name (o, l, _, s) (obj, linked, snap) =
-    let digest s = Digest.to_hex (Digest.string s) in
     Alcotest.(check string) (name ^ " unit object") obj (digest o);
     Alcotest.(check string) (name ^ " linked database") linked (digest l);
     Alcotest.(check string) (name ^ " snapshot") snap (digest s)
@@ -278,7 +300,13 @@ let test_format_bytes_pinned () =
   check "vortex" vortex
     ( "73adabcafdac2174dd5bd1c588cc8681",
       "43d89b5015ef32ef6e507a43dbcf7afe",
-      "9b79253f4e3821a06ed6a48d8ae7ee08" )
+      "9b79253f4e3821a06ed6a48d8ae7ee08" );
+  (* the removal's full merge is the tiny linked database again *)
+  let added, removed = relink_bytes () in
+  Alcotest.(check string) "relinked database, pure add"
+    "8ab08ce8caf3ece08005c2994a974d66" (digest added);
+  Alcotest.(check string) "relinked database, removal"
+    "ed7815179716b82b6604cb772d8acf23" (digest removed)
 
 let () =
   Alcotest.run "objfile"

@@ -146,6 +146,62 @@ let test_indirect_call_resolution () =
   let sol = Pipeline.points_to (view_of src) in
   Alcotest.(check (list string)) "fp resolves" [ "f"; "h" ] (pts_of sol "fp")
 
+(* An indirect call binds min(actuals, parameters) arguments and the
+   return only when both sides have one: extra actuals, missing
+   actuals and a void callee's "result" bind nothing. *)
+let test_indirect_arity_mismatch () =
+  let src =
+    "int a, b, c;\n\
+     int *r1, *r2, *r3;\n\
+     int *one(int *x) { return x; }\n\
+     int *two(int *x, int *y) { return y; }\n\
+     void none(int *x) { }\n\
+     int *(*fp1)(); int *(*fp2)(); int *(*fp3)();\n\
+     void m(void) {\n\
+     \  fp1 = one; r1 = fp1(&a, &b);\n\
+     \  fp2 = two; r2 = fp2(&c);\n\
+     \  fp3 = none; r3 = fp3(&b);\n\
+     }"
+  in
+  let v = view_of src in
+  let solve algorithm = Pipeline.points_to ~algorithm v in
+  let pre = solve Pipeline.Pretransitive in
+  (* the standardized [f@i]/[f@ret] variables are temporaries, which the
+     target section does not index *)
+  let var_id name =
+    match
+      List.find_opt
+        (fun i -> v.Objfile.rvars.(i).Objfile.vname = name)
+        (List.init (Objfile.n_vars v) Fun.id)
+    with
+    | Some i -> i
+    | None -> Alcotest.fail ("no variable " ^ name)
+  in
+  List.iter
+    (fun (var, want) ->
+      Alcotest.(check (list string)) var want
+        (List.map (Solution.var_name pre)
+           (Lvalset.to_list (Solution.points_to pre (var_id var)))))
+    [
+      ("one@1", [ "a" ]); ("r1", [ "a" ]);
+      ("two@1", [ "c" ]); ("two@2", []); ("r2", []);
+      ("none@1", [ "b" ]); ("r3", []);
+    ];
+  List.iter
+    (fun (label, algorithm) ->
+      Alcotest.(check bool) (label ^ " equals pretransitive") true
+        (Solution.equal pre (solve algorithm)))
+    [ ("worklist", Pipeline.Worklist); ("bitvector", Pipeline.Bitvector) ];
+  let steens = solve Pipeline.Steensgaard in
+  for var = 0 to Objfile.n_vars v - 1 do
+    Lvalset.iter
+      (fun z ->
+        if not (Lvalset.mem z (Solution.points_to steens var)) then
+          Alcotest.failf "steensgaard misses %s -> %s" (Solution.var_name pre var)
+            (Solution.var_name pre z))
+      (Solution.points_to pre var)
+  done
+
 let test_fresh_nodes_grow () =
   let g = Pretrans.create ~nodes:2 () in
   let ids = List.init 100 (fun _ -> Pretrans.fresh_node g) in
@@ -271,6 +327,8 @@ let () =
           Alcotest.test_case "edge dedup" `Quick test_pretrans_edges_dedup;
           Alcotest.test_case "unification dedup" `Quick test_pretrans_unification_dedup;
           Alcotest.test_case "indirect calls" `Quick test_indirect_call_resolution;
+          Alcotest.test_case "indirect call arity mismatch" `Quick
+            test_indirect_arity_mismatch;
           Alcotest.test_case "node growth" `Quick test_fresh_nodes_grow;
         ] );
       ( "lvalset",
