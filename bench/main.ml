@@ -746,15 +746,16 @@ let bechamel () =
 
 (* v2 methodology.  For each --units entry, synthesize a corpus of that
    many compile units (Genc over a scaled nethack profile); for each
-   --jobs entry (0 = auto) on that corpus: compile across the shared
-   pool, byte-compare every object and the linked database against the
+   --jobs entry (0 = auto) on that corpus: compile across the pool,
+   byte-compare every object and the linked database against the
    corpus's fresh -j1 baseline, time the pooled CRC verify, then run
    the row-parallel bit-vector solver (the one solver with a parallel
    path) and require [Solution.equal] against the -j1 solve.  Any
    divergence, bytes or solution, in any cell fails the [identical]
    gate; --inject perturbs one j>=2 solution to prove it fires.
 
-   Domains are spawned once (Pool.shared), and the timed gate asserts
+   The pool's worker domains are spawned once per process and parked
+   between batches, and the timed gate asserts
    solve_bitvector_speedup_vs_j1 > 1.0 at the LARGEST unit count, where
    there is enough work to amortize chunking (--quick's few small units
    cannot, and on a 1-core box j>=2 resolves to 1 domain). *)
@@ -785,15 +786,12 @@ let parallel () =
       let compile_one (file, src) =
         Objfile.write (Compilep.compile_string ~options ~file src)
       in
-      let compile_all = function
-        | None -> List.map compile_one files
-        | Some pool -> Cla_par.Pool.map pool compile_one files
-      in
+      let compile_all jobs = Cla_par.Pool.map ~jobs compile_one files in
       let link objs =
         Objfile.write (fst (Linkp.link_views (List.map Objfile.view_of_string objs)))
       in
       (* per-corpus -j1 baseline: bytes and the exact solution *)
-      let base_objs, base_compile_s = timed (fun () -> compile_all None) in
+      let base_objs, base_compile_s = timed (fun () -> compile_all 1) in
       let base_db = link base_objs in
       let base_bv, base_bv_s =
         timed (fun () -> Bitsolver.solve (Objfile.view_of_string base_db))
@@ -801,16 +799,14 @@ let parallel () =
       List.iter
         (fun jobs_requested ->
           let jobs = Cla_par.Pool.resolve_jobs jobs_requested in
-          let pool = if jobs > 1 then Some (Cla_par.Pool.shared ~jobs) else None in
-          let objs, compile_s = timed (fun () -> compile_all pool) in
+          let objs, compile_s = timed (fun () -> compile_all jobs) in
           let db, link_s = timed (fun () -> link objs) in
           let view, verify_s =
             timed (fun () ->
-                match pool with
-                | None -> Objfile.view_of_string db
-                | Some pool -> Loader.view_par ~pool db)
+                if jobs <= 1 then Objfile.view_of_string db
+                else Loader.view_par ~jobs db)
           in
-          let bv, bv_s = timed (fun () -> Bitsolver.solve ?pool view) in
+          let bv, bv_s = timed (fun () -> Bitsolver.solve ~jobs view) in
           let bv = if !inject && jobs >= 2 then perturb view bv else bv in
           let bytes_ok =
             List.equal String.equal objs base_objs && String.equal db base_db

@@ -1,8 +1,10 @@
 #!/bin/sh
 # Parallelism smoke test: the bench --jobs sweep must report identical
 # bytes for every job count (and write a parseable BENCH_parallel.json),
-# `cla compile -j2` must produce objects byte-identical to -j1, and a
-# negative job count must be a clean usage error, not a crash.
+# `cla compile -j2` and `-j4` must produce objects byte-identical to -j1
+# (-j4 oversubscribes a 2-core host, where a lost wakeup or a mis-split
+# chunk would show), and a negative job count must be a clean usage
+# error, not a crash.
 # Wired into `dune runtest` (see bench/dune); takes the cla binary as $1
 # and the bench binary as $2.
 set -eu
@@ -36,19 +38,23 @@ if grep -q '"identical": false' BENCH_parallel.json; then
   exit 1
 fi
 
-# 2. cla compile -j2 object bytes must match -j1 exactly.  Compile the
-#    same sources twice (objects embed the source path, so the paths
-#    must not change between runs), stashing the -j1 outputs in between.
+# 2. cla compile -j2 and -j4 object bytes must match -j1 exactly.
+#    Compile the same sources each time (objects embed the source path,
+#    so the paths must not change between runs), stashing the -j1
+#    outputs in between.
 "$cla" gen nethack --scale 0.05 --dir srcA >/dev/null
 "$cla" compile -j 1 srcA/*.c >/dev/null
 mkdir j1 && mv srcA/*.clo j1/
-"$cla" compile -j 2 srcA/*.c >/dev/null
-for a in srcA/*.clo; do
-  b=j1/$(basename "$a")
-  cmp -s "$a" "$b" || {
-    echo "par_smoke.sh: $a and $b differ (-j2 vs -j1)" >&2
-    exit 1
-  }
+for j in 2 4; do
+  "$cla" compile -j "$j" srcA/*.c >/dev/null
+  for a in srcA/*.clo; do
+    b=j1/$(basename "$a")
+    cmp -s "$a" "$b" || {
+      echo "par_smoke.sh: $a and $b differ (-j$j vs -j1)" >&2
+      exit 1
+    }
+  done
+  rm srcA/*.clo
 done
 
 # 3. Negative job counts are a usage error (exit 2), not a crash.

@@ -43,29 +43,20 @@ let to_exit = function
       code
 
 (* Open a database, turning corruption into a one-line diagnostic that
-   names the offending file. *)
-let load_view path =
+   names the offending file.  [jobs > 1] ([cla analyze -j N]) verifies
+   the section checksums up front across [jobs] domains instead of
+   lazily at first section open. *)
+let load_view ?(jobs = 1) path =
   Cla_obs.Obs.with_span "load" ~label:path @@ fun () ->
-  match Objfile.load_result path with
+  let loaded =
+    if jobs <= 1 then Objfile.load_result path
+    else Loader.load_file_par ~jobs path
+  in
+  match loaded with
   | Ok v -> v
   | Error d ->
       Cla_obs.Metrics.incr (Diag.metric_of_phase d.Diag.phase);
       raise (Diag.Fail d)
-
-(* Like [load_view], with the per-section checksum sweep fanned out
-   across [jobs] domains ([cla analyze -j N]).  The domains come from
-   the process-wide persistent pool, so the solve that follows reuses
-   the same parked workers. *)
-let load_view_jobs ~jobs path =
-  if jobs <= 1 then load_view path
-  else
-    Cla_obs.Obs.with_span "load" ~label:path @@ fun () ->
-    let pool = Cla_par.Pool.shared ~jobs in
-    match Loader.load_file_par ~pool path with
-    | Ok v -> v
-    | Error d ->
-        Cla_obs.Metrics.incr (Diag.metric_of_phase d.Diag.phase);
-        raise (Diag.Fail d)
 
 let keep_going_arg =
   Arg.(
@@ -457,19 +448,10 @@ let analyze_cmd =
              single solve.  A degraded solution is refused — a snapshot \
              must never pin reduced precision.")
   in
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | c when Char.code c < 32 -> Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
   let print_json sol =
+    let name z =
+      Cla_obs.Json.(to_string ~indent:false (Str (Solution.var_name sol z)))
+    in
     Fmt.pr "{@.";
     let first = ref true in
     for v = 0 to Array.length sol.Solution.pts - 1 do
@@ -477,12 +459,8 @@ let analyze_cmd =
       if Lvalset.cardinal pts > 0 && Solution.is_program_var sol v then begin
         if not !first then Fmt.pr ",@.";
         first := false;
-        let targets =
-          Lvalset.to_list pts
-          |> List.map (fun z -> Fmt.str "%S" (json_escape (Solution.var_name sol z)))
-        in
-        Fmt.pr "  \"%s\": [%s]" (json_escape (Solution.var_name sol v))
-          (String.concat ", " targets)
+        Fmt.pr "  %s: [%s]" (name v)
+          (String.concat ", " (List.map name (Lvalset.to_list pts)))
       end
     done;
     Fmt.pr "@.}@."
@@ -531,7 +509,7 @@ let analyze_cmd =
                         (Pipeline.algorithm_name algorithm)));
             Cla_obs.Metrics.set_str "analyze.algorithm"
               (Pipeline.algorithm_name algorithm);
-            let view = load_view_jobs ~jobs db in
+            let view = load_view ~jobs db in
             let* () =
               if open_world && view.Objfile.ropenworld = None then
                 err_input
@@ -1208,7 +1186,6 @@ let serve_cmd =
             max_inflight;
             max_queue;
             default_deadline_ms = default_deadline;
-            max_deadline_ms = 60_000;
             watchdog_grace_ms = watchdog_grace;
             allow_sleep;
             shards;
@@ -1220,7 +1197,6 @@ let serve_cmd =
             heartbeat_grace_ms = max 1 heartbeat_grace;
             restart_budget = max 1 restart_budget;
             restart_window_ms = max 1 restart_window;
-            watch_dir = watch;
             watch_poll_ms = max 10 watch_poll;
             save_snapshot;
           }

@@ -50,7 +50,7 @@ type constraint_ =
   | Cload of int * int  (* dst ⊇ *src *)
   | Cstore of int * int  (* *dst ⊇ src *)
 
-let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?pool
+let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?(jobs = 1)
     (view : Objfile.view) : Solution.t =
   let t_start = Cla_resilience.Deadline.now_s () in
   let rounds = ref 0 in
@@ -119,7 +119,7 @@ let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?pool
   let loc_of = Dynarr.to_array locs in
   (* The sequential tail of every round: [Cstore] constraints and
      indirect calls write {e arbitrary} rows, so they stay on one domain
-     regardless of the pool width.  Marks changed rows in [dirty]. *)
+     regardless of [jobs].  Marks changed rows in [dirty]. *)
   let apply_seq dirty c =
     tick ();
     match c with
@@ -153,9 +153,7 @@ let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?pool
           pts.(r.Objfile.iptr))
       view.Objfile.rindirects
   in
-  let width =
-    match pool with Some p when Cla_par.Pool.jobs p > 1 -> Cla_par.Pool.jobs p | _ -> 1
-  in
+  let width = max 1 jobs in
   let dirty = Bits.create nnodes in
   if width = 1 then begin
     (* sequential baseline: one domain applies everything, in order *)
@@ -170,7 +168,6 @@ let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?pool
     done
   end
   else begin
-    let pool = Option.get pool in
     (* Row-parallel rounds.  [Ccopy]/[Cload] write only their [dst] row,
        so sorting them by [dst] and cutting chunks on group boundaries
        makes every row's writes exclusive to one chunk: no lost updates,
@@ -238,8 +235,10 @@ let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?pool
       incr rounds;
       check ();
       Bits.clear dirty;
-      (* phase A: row-owned constraints across the pool *)
-      let counts = Cla_par.Pool.map_array ?cancel pool run_chunk chunk_ids in
+      (* phase A: row-owned constraints across [width] domains *)
+      let counts =
+        Cla_par.Pool.map_array ?cancel ~jobs:width run_chunk chunk_ids
+      in
       Array.iter (fun n -> applied := !applied + n) counts;
       (* pass barrier: merge the per-domain dirty bitmaps *)
       Array.iter (fun d -> ignore (Bits.union_into ~dst:dirty ~src:d)) chunk_dirty;

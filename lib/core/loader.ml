@@ -177,24 +177,24 @@ let publish_stats ?reg (s : stats) =
 (* ---------------- parallel integrity verification ---------------- *)
 
 (** Open a database from bytes with the per-section CRC sweep fanned out
-    across [pool] instead of running lazily at first section open.  The
-    header (magic, table bounds, table checksum) is validated on the
-    calling domain first; section payload checksums — the dominant cost
-    on a large linked database — then run as one pool task per section,
-    and the view is built from the same opened container, which
-    remembers that every section has been checked.  A corrupt section
-    raises {!Binio.Corrupt} exactly as the sequential path does; the
-    pool cancels the remaining in-flight checksums via the batch token. *)
-let view_par ~pool (data : string) : Objfile.view =
+    across [jobs] domains instead of running lazily at first section
+    open.  The header (magic, table bounds, table checksum) is validated
+    on the calling domain first; section payload checksums — the
+    dominant cost on a large linked database — then run as one pool item
+    per section, and the view is built from the same opened container,
+    which remembers that every section has been checked.  A corrupt
+    section raises {!Binio.Corrupt} exactly as the sequential path does;
+    sections not yet started when it fails are skipped. *)
+let view_par ~jobs (data : string) : Objfile.view =
   let s = Sectioned.of_string Objfile.format data in
-  ignore (Cla_par.Pool.map pool (Sectioned.verify s) (Sectioned.entries s));
+  ignore (Cla_par.Pool.map ~jobs (Sectioned.verify s) (Sectioned.entries s));
   Objfile.view_of_sections s
 
 (** Like {!Objfile.load_result}, but verifying section checksums across
-    [pool]. *)
-let load_file_par ~pool path : (Objfile.view, Diag.t) result =
+    [jobs] domains. *)
+let load_file_par ~jobs path : (Objfile.view, Diag.t) result =
   Diag.capture ~file:path ~phase:Diag.Load (fun () ->
-      view_par ~pool (Binio.read_file path))
+      view_par ~jobs (Binio.read_file path))
 
 (* ------------------------------------------------------------------ *)
 (* Cached file loads (the watch / incremental path)                     *)

@@ -61,15 +61,16 @@ val stats : t -> stats
 val publish_stats : ?reg:Cla_obs.Metrics.t -> stats -> unit
 
 (** Open a database from bytes with the per-section CRC sweep fanned
-    out across a domain pool, instead of lazily at first section open.
-    Raises {!Binio.Corrupt} on a bad header or section, exactly like
-    {!Objfile.view_of_string}; a corrupt section cancels the remaining
-    in-flight checksums. *)
-val view_par : pool:Cla_par.Pool.t -> string -> Objfile.view
+    out across [jobs] domains ({!Cla_par.Pool.map}), instead of lazily
+    at first section open.  Raises {!Binio.Corrupt} on a bad header or
+    section, exactly like {!Objfile.view_of_string}; a corrupt section
+    skips the sections not yet started (a checksum already running
+    finishes). *)
+val view_par : jobs:int -> string -> Objfile.view
 
 (** Like {!Objfile.load_result}, but verifying section checksums across
-    the pool. *)
-val load_file_par : pool:Cla_par.Pool.t -> string -> (Objfile.view, Diag.t) result
+    [jobs] domains. *)
+val load_file_par : jobs:int -> string -> (Objfile.view, Diag.t) result
 
 (** Like {!Objfile.load_result} through a process-wide path-keyed cache.
     Every probe revalidates the cached view against the file's current

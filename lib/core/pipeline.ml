@@ -33,33 +33,21 @@ let algorithm_of_string s =
   | "steensgaard" | "steens" -> Some Steensgaard
   | _ -> None
 
-(* Map [compile] over the translation units, fanning out across a domain
-   pool when [jobs > 1].  Compilation is file-local (per-invocation
+(* Map [compile] over the translation units, fanning out across [jobs]
+   domains when [jobs > 1].  Compilation is file-local (per-invocation
    front-end state, no shared mutable tables), so units are independent
-   tasks; [Pool.map] preserves input order and each unit's output bytes
+   items; [Pool.map] preserves input order and each unit's output bytes
    do not depend on scheduling — [-j N] object bytes are byte-identical
    to [-j 1].  The main domain wraps the whole fan-out in one
-   ["compile"] span (worker domains skip span recording).  Domains come
-   from the process-wide persistent pool ({!Cla_par.Pool.shared}), so
-   repeated compile-link calls — and the analyze fan-out after them —
-   reuse the same parked workers instead of re-spawning. *)
+   ["compile"] span (worker domains skip span recording).  The pool's
+   workers are process-wide, so repeated compile-link calls — and the
+   analyze fan-out after them — reuse the same parked domains. *)
 let compile_units ~jobs compile units =
   let jobs = Cla_par.Pool.resolve_jobs jobs in
   if jobs <= 1 then List.map compile units
   else
     Cla_obs.Obs.with_span "compile" ~label:(Fmt.str "fan-out -j%d" jobs)
-      (fun () ->
-        let pool = Cla_par.Pool.shared ~jobs in
-        Cla_par.Pool.map pool compile units)
-
-(* The shared pool for the bit-vector solver, when the caller asked for
-   parallelism; [None] keeps it on its strictly sequential code path. *)
-let pool_of_jobs jobs =
-  match jobs with
-  | None -> None
-  | Some j ->
-      let j = Cla_par.Pool.resolve_jobs j in
-      if j <= 1 then None else Some (Cla_par.Pool.shared ~jobs:j)
+      (fun () -> Cla_par.Pool.map ~jobs compile units)
 
 (** Compile each (name, source) pair and link the results, all in memory.
     [jobs > 1] compiles translation units across a domain pool; the
@@ -81,7 +69,7 @@ let compile_link ?(options = Compilep.default_options) ?(jobs = 1) ?undefined
     own, with per-pass children).  [deadline]/[cancel] abort with the
     typed {!Cla_resilience} exceptions — never a partial solution. *)
 let points_to ?(algorithm = Pretransitive) ?config ?demand ?budget ?deadline
-    ?cancel ?jobs (view : Objfile.view) : Solution.t =
+    ?cancel ?(jobs = 1) (view : Objfile.view) : Solution.t =
   match algorithm with
   | Pretransitive ->
       (Andersen.solve ?config ?demand ?budget ?deadline ?cancel view)
@@ -91,7 +79,8 @@ let points_to ?(algorithm = Pretransitive) ?config ?demand ?budget ?deadline
           Worklist.solve ?deadline ?cancel view)
   | Bitvector ->
       Cla_obs.Obs.with_span "analyze" ~label:"bitvector" (fun () ->
-          Bitsolver.solve ?deadline ?cancel ?pool:(pool_of_jobs jobs) view)
+          Bitsolver.solve ?deadline ?cancel
+            ~jobs:(Cla_par.Pool.resolve_jobs jobs) view)
   | Steensgaard ->
       (* Unification would put the blob in one equivalence class with
          every escaping object — a degenerate "everything aliases

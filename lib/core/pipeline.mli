@@ -20,9 +20,9 @@ val algorithm_names : string list
 val algorithm_of_string : string -> algorithm option
 
 (** [compile_units ~jobs compile units] maps [compile] over the
-    translation units in input order.  [jobs > 1] fans out across the
-    process-wide pool ({!Cla_par.Pool.shared}) under one ["compile"]
-    span; [jobs = 0] means auto ({!Cla_par.Pool.resolve_jobs}).  Units
+    translation units in input order.  [jobs > 1] fans out across
+    [jobs] domains ({!Cla_par.Pool.map}) under one ["compile"] span;
+    [jobs = 0] means auto ({!Cla_par.Pool.resolve_jobs}).  Units
     are file-local, so the results do not depend on [jobs]. *)
 val compile_units : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
@@ -52,9 +52,9 @@ val compile_link :
     (unification would collapse the blob with every escaping object);
     the other algorithms treat havoc constraints like ordinary ones.
 
-    [jobs >= 2] ([0] = auto) runs the bit-vector solver on the
-    process-wide persistent domain pool ({!Cla_par.Pool.shared}),
-    partitioning variable rows per pass; its solution is byte-identical
+    [jobs >= 2] ([0] = auto) runs the bit-vector solver across [jobs]
+    domains ({!Cla_par.Pool.map_array}), partitioning variable rows per
+    pass; its solution is byte-identical
     to a sequential run at any width.  The other algorithms ignore
     [jobs]: the pre-transitive solver is the paper's single-threaded
     pass loop, and [Worklist] and [Steensgaard] are sequential too. *)

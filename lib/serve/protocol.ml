@@ -221,14 +221,6 @@ let status_name = function
   | S_bye -> "bye"
   | S_malformed -> "malformed"
 
-let degraded_of_line l =
-  match Json.of_string l with
-  | exception Json.Parse_error _ -> false
-  | j -> (
-      match Json.member "degraded" j with
-      | Some (Json.Bool b) -> b
-      | _ -> false)
-
 let retry_after_ms_of_line l =
   match Json.of_string l with
   | exception Json.Parse_error _ -> None

@@ -95,5 +95,4 @@ type status = S_ok | S_shed | S_timeout | S_error | S_bye | S_malformed
 
 val status_of_line : string -> status
 val status_name : status -> string
-val degraded_of_line : string -> bool
 val retry_after_ms_of_line : string -> int option

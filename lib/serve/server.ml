@@ -40,7 +40,6 @@ type config = {
   max_inflight : int;  (** queries executing at once *)
   max_queue : int;  (** queries allowed to wait; beyond -> shed *)
   default_deadline_ms : int;  (** when the request names none *)
-  max_deadline_ms : int;  (** cap on client-requested deadlines *)
   watchdog_grace_ms : int;  (** cancel fires this long after the deadline *)
   allow_sleep : bool;  (** enable the debug [sleep] op (load tests) *)
   shards : int;  (** solver shards, each a supervised domain *)
@@ -56,11 +55,6 @@ type config = {
       (** a busy shard whose heartbeat is older than this is wedged *)
   restart_budget : int;  (** circuit breaker: max restarts per window *)
   restart_window_ms : int;  (** the breaker's sliding window *)
-  watch_dir : string option;
-      (** serve a directory of [.c] / [.clo] files instead of a linked
-          database: poll for changes, recompile only edited units (TU
-          content hash), delta-link, delta-solve, and atomically swap
-          the served solution ([run_watch] sets this) *)
   watch_poll_ms : int;  (** watch-mode poll period *)
   save_snapshot : string option;
       (** rewrite this snapshot after every non-degraded swap, so the
@@ -68,13 +62,15 @@ type config = {
           file read even as the watched tree evolves *)
 }
 
+(* The cap on client-requested deadlines. *)
+let max_deadline_ms = 60_000
+
 let default_config =
   {
     socket_path = "cla.sock";
     max_inflight = 4;
     max_queue = 16;
     default_deadline_ms = 2000;
-    max_deadline_ms = 60_000;
     watchdog_grace_ms = 200;
     allow_sleep = false;
     shards = 1;
@@ -86,7 +82,6 @@ let default_config =
     heartbeat_grace_ms = 30_000;
     restart_budget = 5;
     restart_window_ms = 60_000;
-    watch_dir = None;
     watch_poll_ms = 500;
     save_snapshot = None;
   }
@@ -1176,7 +1171,7 @@ let handle_line t line =
         else
           let dl_ms =
             match req.Protocol.r_deadline_ms with
-            | Some d -> max 1 (min d t.cfg.max_deadline_ms)
+            | Some d -> max 1 (min d max_deadline_ms)
             | None -> t.cfg.default_deadline_ms
           in
           let deadline = R.Deadline.of_ms dl_ms in
@@ -1499,7 +1494,6 @@ let run ?(config = default_config) ?(on_ready = fun _ -> ()) view : stats =
 
 let run_watch ?(config = default_config) ?(on_ready = fun _ -> ()) dir : stats
     =
-  let config = { config with watch_dir = Some dir } in
   let w = watch_boot dir in
   let t = create ~config (Incremental.view w.wa_inc) in
   t.watcher <- Some w;

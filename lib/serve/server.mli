@@ -23,8 +23,9 @@ type config = {
   socket_path : string;
   max_inflight : int;  (** queries executing at once *)
   max_queue : int;  (** queries allowed to wait; beyond -> shed *)
-  default_deadline_ms : int;  (** when the request names none *)
-  max_deadline_ms : int;  (** cap on client-requested deadlines *)
+  default_deadline_ms : int;
+      (** when the request names none; a named deadline is capped at
+          60 s *)
   watchdog_grace_ms : int;  (** cancel fires this long after the deadline *)
   allow_sleep : bool;  (** enable the debug [sleep] op (load tests) *)
   shards : int;
@@ -63,18 +64,6 @@ type config = {
           [restart_window_ms] the shard stays down and dispatch routes
           around it *)
   restart_window_ms : int;  (** the breaker's sliding window *)
-  watch_dir : string option;
-      (** serve a directory of [.c] / [.clo] files instead of a fixed
-          linked database ({!run_watch} sets this): a poll thread stats
-          the directory's [.c] / [.clo] / [.h] files every
-          [watch_poll_ms]; on change it recompiles only the edited units
-          (direct-mode probe — [compile.cache.hits]), delta-links,
-          delta-solves ({!Cla_core.Incremental}) and atomically swaps the
-          served solution.  The [reanalyze] protocol op always rescans,
-          stat signature or not, so it also sees an edited header
-          outside the directory; a rescan that finds nothing changed
-          swaps nothing.  A broken edit (unparsable source) keeps the
-          last consistent solution serving. *)
   watch_poll_ms : int;  (** watch-mode poll period *)
   save_snapshot : string option;
       (** rewrite this snapshot sidecar after every non-degraded swap
@@ -135,7 +124,15 @@ val run : ?config:config -> ?on_ready:(t -> unit) -> Cla_core.Objfile.view -> st
 
 (** Like {!run}, but over a watched directory of [.c] / [.clo] files
     instead of a pre-linked database: compile-link-analyze it once,
-    serve, and keep the served solution in sync with edits through the
-    incremental pipeline (see [watch_dir]).  Raises [Sys_error] when
-    the directory holds nothing to analyze. *)
+    serve, and keep the served solution in sync with edits.  A poll
+    thread stats the directory's [.c] / [.clo] / [.h] files every
+    [watch_poll_ms]; on change it recompiles only the edited units
+    (direct-mode probe — [compile.cache.hits]), delta-links,
+    delta-solves ({!Cla_core.Incremental}) and atomically swaps the
+    served solution.  The [reanalyze] protocol op always rescans, stat
+    signature or not, so it also sees an edited header outside the
+    directory; a rescan that finds nothing changed swaps nothing.  A
+    broken edit (unparsable source) keeps the last consistent solution
+    serving.  Raises [Sys_error] when the directory holds nothing to
+    analyze. *)
 val run_watch : ?config:config -> ?on_ready:(t -> unit) -> string -> stats

@@ -110,6 +110,40 @@ let ladder_tests =
         Alcotest.(check int) ("usage error\n" ^ out) 124 code);
   ]
 
+(* [--json] output is JSON: a heap object named after a non-ASCII file
+   parses back with its UTF-8 name intact. *)
+let json_utf8_test =
+  Alcotest.test_case "analyze json keeps UTF-8 names" `Quick (fun () ->
+      write_file "café.c" "int *p;\nvoid f(void) {\n  p = malloc(4);\n}\n";
+      let setup =
+        Fmt.str "%s compile %s && %s link %s -o %s" cla
+          (q (in_tmp "café.c")) cla (q (in_tmp "café.clo")) (q (in_tmp "cafe.cla"))
+      in
+      let code, out = run_capture setup in
+      Alcotest.(check int) ("compile and link\n" ^ out) 0 code;
+      let code, out =
+        run_capture (Fmt.str "%s analyze %s --json" cla (q (in_tmp "cafe.cla")))
+      in
+      Alcotest.(check int) ("exit code\n" ^ out) 0 code;
+      let module Json = Cla_obs.Json in
+      let targets =
+        match Json.of_string out with
+        | Json.Obj fields -> (
+            match List.assoc_opt "p" fields with
+            | Some (Json.Arr ts) ->
+                List.filter_map (function Json.Str s -> Some s | _ -> None) ts
+            | _ -> Alcotest.fail ("no targets for p in:\n" ^ out))
+        | _ -> Alcotest.fail ("not an object:\n" ^ out)
+        | exception Json.Parse_error e ->
+            Alcotest.fail (Fmt.str "invalid JSON (%s):\n%s" e out)
+      in
+      Alcotest.(check bool)
+        (Fmt.str "p -> malloc@café.c:... in %s" (String.concat ", " targets))
+        true
+        (List.exists
+           (fun t -> String.starts_with ~prefix:"malloc@café.c:" t)
+           targets))
+
 let () =
   Alcotest.run "cli"
     [
@@ -130,6 +164,7 @@ let () =
           check_run "analyze json"
             (Fmt.str "%s analyze %s --json" cla (q (in_tmp "prog.cla")))
             [ "\"y\": [\"x\"]"; "\"z\": [\"y\"]" ];
+          json_utf8_test;
           check_run "analyze worklist"
             (Fmt.str "%s analyze %s --algo worklist" cla (q (in_tmp "prog.cla")))
             [ "worklist:" ];

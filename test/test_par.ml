@@ -20,80 +20,181 @@ let test_resolve_jobs () =
   | exception Invalid_argument _ -> ()
 
 let test_map_preserves_order () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let xs = List.init 100 Fun.id in
-      let ys =
-        Pool.map pool
-          (fun i ->
-            (* jitter the schedule so order preservation is earned *)
-            if i mod 7 = 0 then Unix.sleepf 0.001;
-            i * i)
-          xs
-      in
-      Alcotest.(check (list int))
-        "results in input order"
-        (List.map (fun i -> i * i) xs)
-        ys)
+  let xs = List.init 100 Fun.id in
+  let ys =
+    Pool.map ~jobs:4
+      (fun i ->
+        (* jitter the schedule so order preservation is earned *)
+        if i mod 7 = 0 then Unix.sleepf 0.001;
+        i * i)
+      xs
+  in
+  Alcotest.(check (list int))
+    "results in input order"
+    (List.map (fun i -> i * i) xs)
+    ys
 
-(* Two tasks fail; index 5 finishes *after* index 12 (it sleeps first),
+(* Two items fail; index 5 finishes *after* index 12 (it sleeps first),
    yet the batch must re-raise the lowest-index error — error choice
    depends on input position, never on scheduling. *)
 let test_first_error_is_lowest_index () =
-  Pool.with_pool ~jobs:4 (fun pool ->
-      match
-        Pool.map pool
-          (fun i ->
-            if i = 12 then failwith "12";
-            if i = 5 then begin
-              Unix.sleepf 0.01;
-              failwith "5"
-            end;
-            i)
-          (List.init 20 Fun.id)
-      with
-      | _ -> Alcotest.fail "batch with failing tasks should raise"
-      | exception Failure msg ->
-          Alcotest.(check string) "lowest failing index wins" "5" msg)
+  match
+    Pool.map ~jobs:4
+      (fun i ->
+        if i = 12 then failwith "12";
+        if i = 5 then begin
+          Unix.sleepf 0.01;
+          failwith "5"
+        end;
+        i)
+      (List.init 20 Fun.id)
+  with
+  | _ -> Alcotest.fail "batch with failing items should raise"
+  | exception Failure msg ->
+      Alcotest.(check string) "lowest failing index wins" "5" msg
 
 let test_preset_cancel_aborts_batch () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let cancel = Cancel.create () in
-      Cancel.set cancel;
-      match Pool.map ~cancel pool Fun.id [ 1; 2; 3 ] with
-      | _ -> Alcotest.fail "pre-set cancel token should abort the batch"
-      | exception Cancel.Cancelled _ -> ())
+  let cancel = Cancel.create () in
+  Cancel.set cancel;
+  match Pool.map ~cancel ~jobs:2 Fun.id [ 1; 2; 3 ] with
+  | _ -> Alcotest.fail "pre-set cancel token should abort the batch"
+  | exception Cancel.Cancelled _ -> ()
 
-(* A task body that trips the batch token (without raising) cancels the
-   rest of the batch. *)
-let test_task_can_cancel_peers () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      match
-        Pool.map_token pool
-          (fun batch i ->
-            if i = 0 then Cancel.set batch;
-            Unix.sleepf 0.002;
-            i)
-          (List.init 8 Fun.id)
-      with
-      | _ -> Alcotest.fail "batch-token cancellation should raise"
-      | exception Cancel.Cancelled _ -> ())
+(* The lanes the pool has published: 1 (the submitter) plus every
+   worker spawned so far. *)
+let lanes () =
+  match Cla_obs.Metrics.get_series "par.lane.busy_us" with
+  | Some l -> List.length l
+  | None -> 0
 
-let test_shared_pool_is_persistent () =
-  let p1 = Pool.shared ~jobs:2 in
-  let p2 = Pool.shared ~jobs:2 in
-  Alcotest.(check bool) "same pool instance" true (p1 == p2);
-  let p3 = Pool.shared ~jobs:1 in
-  Alcotest.(check bool) "narrower request reuses the wide pool" true (p1 == p3);
-  Alcotest.(check int) "width kept" 2 (Pool.jobs p3)
+(* The distinct domains that ran the items of one batch. *)
+let domains_of ~jobs n =
+  Pool.map ~jobs
+    (fun _ ->
+      Unix.sleepf 0.002;
+      (Domain.self () :> int))
+    (List.init n Fun.id)
+  |> List.sort_uniq compare
+
+let test_jobs1_spawns_no_domain () =
+  let before = lanes () in
+  let self = (Domain.self () :> int) in
+  Alcotest.(check (list int)) "every item ran on the caller" [ self ]
+    (domains_of ~jobs:1 8);
+  Alcotest.(check int) "no worker spawned" (max 1 before) (lanes ())
+
+(* Workers are spawned once and kept: a narrower batch neither shuts
+   them down nor respawns them, so every [~jobs:3] / [~jobs:2] batch
+   draws from the same three domains (submitter + workers 1 and 2). *)
+let test_workers_reused_not_narrowed () =
+  let seen =
+    List.concat_map
+      (fun jobs -> domains_of ~jobs 24)
+      [ 3; 3; 2; 3; 2; 3 ]
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check bool)
+    (Fmt.str "at most 3 domains across the batches (saw %d)" (List.length seen))
+    true
+    (List.length seen <= 3);
+  Alcotest.(check bool) "width kept after a narrower batch" true (lanes () >= 3)
+
+(* An external token set while the batch runs: the lane that set it
+   stops at its next item, the other lane after its current one, and no
+   unstarted chunk runs. *)
+let test_cancel_mid_batch () =
+  let cancel = Cancel.create () in
+  let ran = Atomic.make 0 in
+  let n = 64 in
+  (match
+     Pool.map ~cancel ~jobs:2
+       (fun i ->
+         Atomic.incr ran;
+         if i = 0 then Cancel.set cancel;
+         Unix.sleepf 0.001;
+         i)
+       (List.init n Fun.id)
+   with
+  | _ -> Alcotest.fail "a token set mid-batch should raise"
+  | exception Cancel.Cancelled _ -> ());
+  Alcotest.(check bool)
+    (Fmt.str "unstarted items skipped (%d of %d ran)" (Atomic.get ran) n)
+    true
+    (Atomic.get ran < 3 * n / 4)
+
+(* A failing item 0 skips every item above it that has not started:
+   exactly one item runs at [~jobs:1], and at [~jobs:2] the other lane
+   stops after its current item, so most of the batch never runs. *)
+let test_failing_item0_skips_rest () =
+  List.iter
+    (fun (jobs, bound) ->
+      let ran = Atomic.make 0 in
+      let n = 64 in
+      (match
+         Pool.map ~jobs
+           (fun i ->
+             Atomic.incr ran;
+             if i = 0 then failwith "0";
+             Unix.sleepf 0.001;
+             i)
+           (List.init n Fun.id)
+       with
+      | _ -> Alcotest.fail "a failing item should raise"
+      | exception Failure msg -> Alcotest.(check string) "item 0's error" "0" msg);
+      Alcotest.(check bool)
+        (Fmt.str "j%d: %d of %d items ran (bound %d)" jobs (Atomic.get ran) n bound)
+        true
+        (Atomic.get ran <= bound))
+    [ (1, 1); (2, 3 * 64 / 4) ]
+
+(* Two systhreads submit at once; batches queue and both see
+   [List.map]'s answer. *)
+let test_concurrent_submitters () =
+  let xs = List.init 40 Fun.id in
+  let f i = (i * 7) + 1 in
+  let ok = Array.make 2 false in
+  let submitter k =
+    Thread.create
+      (fun () ->
+        ok.(k) <-
+          List.for_all
+            (fun _ -> Pool.map ~jobs:2 f xs = List.map f xs)
+            (List.init 20 Fun.id))
+      ()
+  in
+  List.iter Thread.join [ submitter 0; submitter 1 ];
+  Alcotest.(check (array bool)) "both submitters" [| true; true |] ok
+
+(* Back-to-back batches across widths, sizes (0 included) and failing
+   items, each checked against [List.map]: a lost wakeup or a dead
+   worker shows up here as a hang. *)
+let test_stress_batches () =
+  let rng = Random.State.make [| 21 |] in
+  for b = 0 to 499 do
+    let jobs = [| 1; 2; 4 |].(b mod 3) in
+    let n = Random.State.int rng 51 in
+    let bad = if n > 0 && b mod 7 = 0 then Random.State.int rng n else -1 in
+    let f i = if i = bad then failwith (string_of_int i) else (i * i) - b in
+    let xs = List.init n Fun.id in
+    match Pool.map ~jobs f xs with
+    | ys ->
+        if bad >= 0 then Alcotest.failf "batch %d: item %d should fail" b bad;
+        if ys <> List.map f xs then Alcotest.failf "batch %d: wrong results" b
+    | exception Failure msg ->
+        Alcotest.(check string) (Fmt.str "batch %d error" b) (string_of_int bad) msg
+  done
 
 let test_pool_telemetry_published () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      ignore (Pool.map pool (fun i -> i + 1) (List.init 64 Fun.id)));
+  ignore (Pool.map ~jobs:1000 (fun i -> i + 1) [ 1; 2 ]);
+  Alcotest.(check (option int)) "par.jobs is the clamped width" (Some 64)
+    (Cla_obs.Metrics.get_int "par.jobs");
+  ignore (Pool.map ~jobs:3 (fun i -> i + 1) (List.init 64 Fun.id));
   let has name = Cla_obs.Metrics.find name <> None in
-  Alcotest.(check bool) "par.steals exported" true (has "par.steals");
   Alcotest.(check bool) "par.lane.busy_us exported" true (has "par.lane.busy_us");
   Alcotest.(check bool) "par.lane.idle_us exported" true (has "par.lane.idle_us");
-  Alcotest.(check bool) "par.queue_wait_us exported" true (has "par.queue_wait_us")
+  Alcotest.(check bool) "par.queue_wait_us exported" true (has "par.queue_wait_us");
+  Alcotest.(check bool) "par.batches counted" true
+    (Option.value ~default:0 (Cla_obs.Metrics.get_int "par.batches") >= 2)
 
 (* ------------------------------------------------------------------ *)
 (* Byte-identical parallel compilation                                 *)
@@ -107,8 +208,7 @@ let corpus =
 
 let compile_bytes ~jobs files =
   let compile (file, src) = Objfile.write (Compilep.compile_string ~file src) in
-  if jobs <= 1 then List.map compile files
-  else Pool.with_pool ~jobs (fun pool -> Pool.map pool compile files)
+  if jobs <= 1 then List.map compile files else Pool.map ~jobs compile files
 
 let link_bytes objs =
   let views = List.map Objfile.view_of_string objs in
@@ -133,7 +233,7 @@ let linked_db = lazy (link_bytes (compile_bytes ~jobs:1 (Lazy.force corpus)))
 let test_parallel_verify_matches_sequential () =
   let bytes = Lazy.force linked_db in
   let seq = Objfile.view_of_string bytes in
-  let par = Pool.with_pool ~jobs:4 (fun pool -> Loader.view_par ~pool bytes) in
+  let par = Loader.view_par ~jobs:4 bytes in
   Alcotest.(check bool) "same solution from both views" true
     (Solution.equal (Pipeline.points_to seq) (Pipeline.points_to par))
 
@@ -149,10 +249,9 @@ let test_parallel_verify_catches_corruption () =
   let pos = e.Sectioned.off + (e.Sectioned.size / 2) in
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xff));
   let corrupt = Bytes.to_string b in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      match Loader.view_par ~pool corrupt with
-      | _ -> Alcotest.fail "corrupt section must fail verification"
-      | exception Binio.Corrupt _ -> ())
+  match Loader.view_par ~jobs:4 corrupt with
+  | _ -> Alcotest.fail "corrupt section must fail verification"
+  | exception Binio.Corrupt _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Parallel solve oracle                                               *)
@@ -183,12 +282,11 @@ let test_solvers_byte_identical_across_jobs () =
       check_pool_canonicality (shape ^ " j1") base_r.Andersen.graph_stats;
       List.iter
         (fun jobs ->
-          Pool.with_pool ~jobs (fun pool ->
-              let bv = Bitsolver.solve ~pool view in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: bitvector j%d = j1" shape jobs)
-                true
-                (Solution.equal base_bv bv)))
+          let bv = Bitsolver.solve ~jobs view in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: bitvector j%d = j1" shape jobs)
+            true
+            (Solution.equal base_bv bv))
         [ 2; 4 ])
     (Lazy.force shaped_views)
 
@@ -296,6 +394,8 @@ let () =
     [
       ( "pool",
         [
+          Alcotest.test_case "jobs 1 spawns no domain" `Quick
+            test_jobs1_spawns_no_domain;
           Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
           Alcotest.test_case "map preserves order" `Quick
             test_map_preserves_order;
@@ -303,10 +403,16 @@ let () =
             test_first_error_is_lowest_index;
           Alcotest.test_case "pre-set cancel aborts batch" `Quick
             test_preset_cancel_aborts_batch;
-          Alcotest.test_case "task can cancel peers" `Quick
-            test_task_can_cancel_peers;
-          Alcotest.test_case "shared pool is persistent" `Quick
-            test_shared_pool_is_persistent;
+          Alcotest.test_case "cancel mid-batch skips unstarted" `Quick
+            test_cancel_mid_batch;
+          Alcotest.test_case "failing item 0 skips the rest" `Quick
+            test_failing_item0_skips_rest;
+          Alcotest.test_case "workers reused, never narrowed" `Quick
+            test_workers_reused_not_narrowed;
+          Alcotest.test_case "concurrent submitters" `Quick
+            test_concurrent_submitters;
+          Alcotest.test_case "500 back-to-back batches" `Quick
+            test_stress_batches;
           Alcotest.test_case "telemetry published" `Quick
             test_pool_telemetry_published;
         ] );
