@@ -1,6 +1,7 @@
 #!/bin/sh
 # Parallelism smoke test: the bench --jobs sweep must report identical
-# bytes for every job count (and write a parseable BENCH_parallel.json),
+# bytes for every job count (and write a parseable BENCH_parallel.json)
+# and, proven via --inject, fail when one object diverges;
 # `cla compile -j2` and `-j4` must produce objects byte-identical to -j1
 # (-j4 oversubscribes a 2-core host, where a lost wakeup or a mis-split
 # chunk would show), and a negative job count must be a clean usage
@@ -24,10 +25,10 @@ dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT INT TERM
 cd "$dir"
 
-# 1. Tiny sweep: exits 1 on any divergence (bytes or solution) from
-#    -j1 and writes BENCH_parallel.json.
+# 1. Tiny sweep: exits 1 on any divergence in object or linked bytes
+#    from -j1 and writes BENCH_parallel.json.
 "$bench" parallel --jobs=1,2 --units=2 --quick >/dev/null
-grep -q 'cla\.bench\.parallel/v2' BENCH_parallel.json || {
+grep -q 'cla\.bench\.parallel/v3' BENCH_parallel.json || {
   echo "par_smoke.sh: schema missing from BENCH_parallel.json" >&2
   cat BENCH_parallel.json >&2
   exit 1
@@ -38,7 +39,23 @@ if grep -q '"identical": false' BENCH_parallel.json; then
   exit 1
 fi
 
-# 2. cla compile -j2 and -j4 object bytes must match -j1 exactly.
+# 2. The gate can actually fail: --inject flips one byte of one j>=2
+#    object and the sweep must exit 1 and say the bytes diverged.
+rc=0
+"$bench" parallel --jobs=1,2 --units=2 --quick --inject \
+  >/dev/null 2>err.txt || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "par_smoke.sh: injected divergence exited $rc, want 1" >&2
+  cat err.txt >&2
+  exit 1
+fi
+grep -q 'diverged' err.txt || {
+  echo "par_smoke.sh: missing divergence message" >&2
+  cat err.txt >&2
+  exit 1
+}
+
+# 3. cla compile -j2 and -j4 object bytes must match -j1 exactly.
 #    Compile the same sources each time (objects embed the source path,
 #    so the paths must not change between runs), stashing the -j1
 #    outputs in between.
@@ -57,7 +74,7 @@ for j in 2 4; do
   rm srcA/*.clo
 done
 
-# 3. Negative job counts are a usage error (exit 2), not a crash.
+# 4. Negative job counts are a usage error (exit 2), not a crash.
 rc=0
 "$cla" compile --jobs=-2 srcA/*.c >/dev/null 2>err.txt || rc=$?
 if [ "$rc" -ne 2 ]; then
@@ -71,7 +88,7 @@ grep -q 'invalid job count' err.txt || {
   exit 1
 }
 
-# 4. The regression check reads any bench file, not just the solver's:
+# 5. The regression check reads any bench file, not just the solver's:
 #    re-run the sweep against its own BENCH_parallel.json and require a
 #    verdict.  The verdict compares wall times, so it is only reported.
 "$bench" parallel --jobs=1,2 --units=2 --quick \

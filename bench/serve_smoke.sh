@@ -13,7 +13,8 @@
 #      uptime, per-shard latency percentiles, and the query counters
 #      the run just generated;
 #   5. SIGTERM drains gracefully: the server exits 0 and prints its
-#      final counters.
+#      final counters;
+#   6. a shard count past the host's capacity is refused (exit 2).
 # Wired into `dune runtest` (see bench/dune); takes the cla binary as $1.
 set -eu
 
@@ -153,6 +154,21 @@ fi
 grep -q 'drained\.' serve.log || {
   echo "serve_smoke.sh: no drain summary in server log" >&2
   cat serve.log >&2
+  exit 1
+}
+
+# 6. shard counts past the host's capacity are refused with exit 2
+#    (oversubscription), not accepted.
+rc=0
+"$cla" serve prog.cla --shards 4096 >/dev/null 2>err.txt || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "serve_smoke.sh: serve --shards 4096 exited $rc, want 2" >&2
+  cat err.txt >&2
+  exit 1
+fi
+grep -q 'invalid shard count' err.txt || {
+  echo "serve_smoke.sh: missing shard-cap message" >&2
+  cat err.txt >&2
   exit 1
 }
 

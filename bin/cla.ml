@@ -43,16 +43,11 @@ let to_exit = function
       code
 
 (* Open a database, turning corruption into a one-line diagnostic that
-   names the offending file.  [jobs > 1] ([cla analyze -j N]) verifies
-   the section checksums up front across [jobs] domains instead of
-   lazily at first section open. *)
-let load_view ?(jobs = 1) path =
-  Cla_obs.Obs.with_span "load" ~label:path @@ fun () ->
-  let loaded =
-    if jobs <= 1 then Objfile.load_result path
-    else Loader.load_file_par ~jobs path
-  in
-  match loaded with
+   names the offending file.  Section checksums are verified lazily, at
+   first section open. *)
+let load_view path =
+  Cla_obs.Span.with_span "load" ~label:path @@ fun () ->
+  match Objfile.load_result path with
   | Ok v -> v
   | Error d ->
       Cla_obs.Metrics.incr (Diag.metric_of_phase d.Diag.phase);
@@ -71,12 +66,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Use $(docv) worker domains for the parallel phases (unit \
-           compilation, section checksum verification, and the \
-           row-parallel bit-vector passes; the pre-transitive solver is \
-           the paper's single-threaded pass loop at any $(docv)).  0 \
-           means auto: one domain per core.  Output is byte-identical \
-           regardless of $(docv).")
+          "Compile translation units on $(docv) worker domains.  0 \
+           means auto: one domain per core, less one.  Object bytes are \
+           identical regardless of $(docv).")
 
 (* Resolve a [-j N] request once per run, publishing the requested and
    resolved widths so [--stats-json] records what actually ran.  A
@@ -141,7 +133,7 @@ let obs_term =
    result. *)
 let with_obs o f =
   let active = o.o_stats || o.o_stats_json <> None || o.o_trace <> None in
-  if active then Cla_obs.Obs.enable ();
+  if active then Cla_obs.Span.set_enabled true;
   let r = f () in
   if not active then r
   else begin
@@ -466,10 +458,9 @@ let analyze_cmd =
     Fmt.pr "@.}@."
   in
   let run db algo print_sets json no_cache no_cycle budget deadline_ms ladder
-      strict_deadline save_snapshot open_world jobs obs =
+      strict_deadline save_snapshot open_world obs =
     with_obs obs (fun () ->
         handle_errors (fun () ->
-            let* jobs = resolve_jobs jobs in
             let* algorithm =
               match Pipeline.algorithm_of_string algo with
               | Some a -> Ok a
@@ -509,7 +500,7 @@ let analyze_cmd =
                         (Pipeline.algorithm_name algorithm)));
             Cla_obs.Metrics.set_str "analyze.algorithm"
               (Pipeline.algorithm_name algorithm);
-            let view = load_view ~jobs db in
+            let view = load_view db in
             let* () =
               if open_world && view.Objfile.ropenworld = None then
                 err_input
@@ -575,9 +566,7 @@ let analyze_cmd =
                             None )
                     | exception Cla_resilience.Deadline.Timed_out p -> Error p)
                 | _ -> (
-                    match
-                      Pipeline.points_to ~algorithm ~deadline ~jobs view
-                    with
+                    match Pipeline.points_to ~algorithm ~deadline view with
                     | sol -> Ok (sol, algorithm, "", None)
                     | exception Cla_resilience.Deadline.Timed_out p -> Error p)
             in
@@ -636,7 +625,7 @@ let analyze_cmd =
     Term.(
       const run $ db $ algo $ print_sets $ json $ no_cache $ no_cycle $ budget
       $ deadline_ms $ ladder $ strict_deadline $ save_snapshot
-      $ open_world_arg $ jobs_arg $ obs_term)
+      $ open_world_arg $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* depend                                                              *)

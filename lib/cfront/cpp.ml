@@ -740,8 +740,3 @@ let manifest_holds ?include_dirs ?virtual_fs (m : manifest) =
       Option.equal Digest.equal l.digest
         (Option.map Digest.string (read_source t l.name ~from_dir:l.from_dir)))
     m
-
-(** Preprocess a file from disk. *)
-let preprocess_file ?include_dirs ?virtual_fs ?defines path =
-  let content = In_channel.with_open_bin path In_channel.input_all in
-  preprocess_string ?include_dirs ?virtual_fs ?defines ~file:path content

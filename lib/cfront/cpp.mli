@@ -53,11 +53,3 @@ val manifest_holds :
   ?virtual_fs:(string * string) list ->
   manifest ->
   bool
-
-(** Preprocess a file from disk. *)
-val preprocess_file :
-  ?include_dirs:string list ->
-  ?virtual_fs:(string * string) list ->
-  ?defines:(string * string) list ->
-  string ->
-  string

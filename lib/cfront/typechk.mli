@@ -20,9 +20,6 @@ val resolve : env -> typ -> typ
 
 val field_type : env -> string -> string -> typ option
 
-(** Tag of the composite a type denotes, after resolution. *)
-val comp_tag : env -> typ -> string option
-
 val typeof : env -> expr -> typ option
 
 (** Tag of the struct/union that [e.f] (resp. [e->f]) accesses. *)

@@ -344,7 +344,7 @@ let pass ?(keep_memos = false) st =
   check_tokens st;
   let t0 = Cla_resilience.Deadline.now_s () in
   st.passes <- st.passes + 1;
-  Cla_obs.Obs.with_span "analyze.pass" ~label:(string_of_int st.passes)
+  Cla_obs.Span.with_span "analyze.pass" ~label:(string_of_int st.passes)
   @@ fun () ->
   (* bounded-memory mode: blocks evicted since the last boundary come
      back first, so every pass checks the complete constraint set — the
@@ -460,7 +460,7 @@ let publish_result (r : result) =
    variable of the current view (cheap at the end thanks to cycle
    elimination and caching — the paper's observation in Section 5). *)
 let extract st a0 : result =
-  Cla_obs.Obs.with_span "analyze.extract" @@ fun () ->
+  Cla_obs.Span.with_span "analyze.extract" @@ fun () ->
   (* the extraction sweep below issues one [get_lvals] per variable;
      the interrupt hook keeps it abortable too *)
   check_tokens st;
@@ -491,10 +491,10 @@ let extract st a0 : result =
     constraint delta can be solved incrementally with {!resume}. *)
 let solve_state ?config ?demand ?budget ?deadline ?cancel view :
     t * result =
-  Cla_obs.Obs.with_span "analyze" @@ fun () ->
+  Cla_obs.Span.with_span "analyze" @@ fun () ->
   let a0 = Gc.allocated_bytes () in
   let st =
-    Cla_obs.Obs.with_span "analyze.init" (fun () ->
+    Cla_obs.Span.with_span "analyze.init" (fun () ->
         init ?config ?demand ?budget ?deadline ?cancel view)
   in
   while pass st do
@@ -543,7 +543,7 @@ let resume st ~(view : Objfile.view) ~(delta : Linkp.delta) :
       delta.Linkp.d_added_fundefs
   then fallback "fundef_existing_var"
   else begin
-    Cla_obs.Obs.with_span "analyze.resume" @@ fun () ->
+    Cla_obs.Span.with_span "analyze.resume" @@ fun () ->
     let a0 = Gc.allocated_bytes () in
     let new_nvars = delta.Linkp.d_new_nvars in
     (* reverse adjacency must cover the pre-delta edges; from here on

@@ -50,7 +50,7 @@ type constraint_ =
   | Cload of int * int  (* dst ⊇ *src *)
   | Cstore of int * int  (* *dst ⊇ src *)
 
-let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?(jobs = 1)
+let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel
     (view : Objfile.view) : Solution.t =
   let t_start = Cla_resilience.Deadline.now_s () in
   let rounds = ref 0 in
@@ -117,10 +117,9 @@ let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?(jobs = 1)
   let fundef_by_var = Objfile.fundef_table view.Objfile.rfundefs in
   let constraints = Array.of_list !constraints in
   let loc_of = Dynarr.to_array locs in
-  (* The sequential tail of every round: [Cstore] constraints and
-     indirect calls write {e arbitrary} rows, so they stay on one domain
-     regardless of [jobs].  Marks changed rows in [dirty]. *)
-  let apply_seq dirty c =
+  (* rows changed in the current round *)
+  let dirty = Bits.create nnodes in
+  let apply c =
     tick ();
     match c with
     | Ccopy (dst, src) ->
@@ -138,7 +137,7 @@ let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?(jobs = 1)
             if Bits.union_into ~dst:pts.(z) ~src:pts.(src) then Bits.set dirty z)
           pts.(dst)
   in
-  let apply_indirects dirty =
+  let apply_indirects () =
     Array.iter
       (fun (r : Objfile.indir_rec) ->
         Bits.iter
@@ -153,103 +152,15 @@ let solve ?(deadline = Cla_resilience.Deadline.never) ?cancel ?(jobs = 1)
           pts.(r.Objfile.iptr))
       view.Objfile.rindirects
   in
-  let width = max 1 jobs in
-  let dirty = Bits.create nnodes in
-  if width = 1 then begin
-    (* sequential baseline: one domain applies everything, in order *)
-    let changed = ref true in
-    while !changed do
-      incr rounds;
-      check ();
-      Bits.clear dirty;
-      Array.iter (apply_seq dirty) constraints;
-      apply_indirects dirty;
-      changed := not (Bits.is_empty dirty)
-    done
-  end
-  else begin
-    (* Row-parallel rounds.  [Ccopy]/[Cload] write only their [dst] row,
-       so sorting them by [dst] and cutting chunks on group boundaries
-       makes every row's writes exclusive to one chunk: no lost updates,
-       so a round's change detection is exact for the rows it owns.
-       Reads of {e other} rows may race with their owner's writes — a
-       stale read is benign (rows only gain bits; monotone iteration
-       converges to the same unique least fixpoint), and it cannot cause
-       early termination: a round that reads anything stale is a round
-       in which some owner wrote, and that owner's own dirty bitmap
-       forces another round.  [Cstore] and indirect calls write rows
-       they do not own, so they run single-threaded after the barrier. *)
-    let is_rowpar = function Ccopy _ | Cload _ -> true | Cstore _ -> false in
-    let rowpar =
-      Array.of_list (List.filter is_rowpar (Array.to_list constraints))
-    in
-    let stores =
-      Array.of_list
-        (List.filter (fun c -> not (is_rowpar c)) (Array.to_list constraints))
-    in
-    let dst_of = function Ccopy (d, _) | Cload (d, _) | Cstore (d, _) -> d in
-    Array.sort (fun a b -> compare (dst_of a) (dst_of b)) rowpar;
-    let nrp = Array.length rowpar in
-    (* chunk bounds: ~equal constraint counts, never splitting a dst group *)
-    let bounds = Dynarr.create ~capacity:(width + 1) () in
-    let target = (nrp + width - 1) / max 1 width in
-    let i = ref 0 in
-    while !i < nrp do
-      Dynarr.push bounds !i;
-      let stop = min nrp (!i + target) in
-      let j = ref stop in
-      while !j < nrp && dst_of rowpar.(!j) = dst_of rowpar.(!j - 1) do
-        incr j
-      done;
-      i := !j
-    done;
-    Dynarr.push bounds nrp;
-    let nchunks = Dynarr.length bounds - 1 in
-    let chunk_dirty = Array.init nchunks (fun _ -> Bits.create nnodes) in
-    let chunk_ids = Array.init nchunks Fun.id in
-    let run_chunk ci =
-      let lo = Dynarr.get bounds ci and hi = Dynarr.get bounds (ci + 1) in
-      let d = chunk_dirty.(ci) in
-      Bits.clear d;
-      let napplied = ref 0 in
-      for k = lo to hi - 1 do
-        incr napplied;
-        (* deadline/cancel poll: raising here propagates through the
-           pool's lowest-index-error rule to the caller *)
-        if !napplied land 255 = 0 then check ();
-        match rowpar.(k) with
-        | Ccopy (dst, src) ->
-            if Bits.union_into ~dst:pts.(dst) ~src:pts.(src) then Bits.set d dst
-        | Cload (dst, src) ->
-            Bits.iter
-              (fun li ->
-                let z = loc_of.(li) in
-                if Bits.union_into ~dst:pts.(dst) ~src:pts.(z) then Bits.set d dst)
-              pts.(src)
-        | Cstore _ -> assert false
-      done;
-      !napplied
-    in
-    let changed = ref true in
-    while !changed do
-      incr rounds;
-      check ();
-      Bits.clear dirty;
-      (* phase A: row-owned constraints across [width] domains *)
-      let counts =
-        Cla_par.Pool.map_array ?cancel ~jobs:width run_chunk chunk_ids
-      in
-      Array.iter (fun n -> applied := !applied + n) counts;
-      (* pass barrier: merge the per-domain dirty bitmaps *)
-      Array.iter (fun d -> ignore (Bits.union_into ~dst:dirty ~src:d)) chunk_dirty;
-      (* phase B: cross-row writers, single-threaded *)
-      Array.iter (apply_seq dirty) stores;
-      apply_indirects dirty;
-      changed := not (Bits.is_empty dirty)
-    done;
-    Cla_obs.Metrics.set "bitsolver.par.chunks" nchunks;
-    Cla_obs.Metrics.set "bitsolver.par.rounds" !rounds
-  end;
+  let changed = ref true in
+  while !changed do
+    incr rounds;
+    check ();
+    Bits.clear dirty;
+    Array.iter apply constraints;
+    apply_indirects ();
+    changed := not (Bits.is_empty dirty)
+  done;
   let pool = Lvalset.create_pool () in
   (* one reusable buffer: [of_dyn] never retains it *)
   let acc = Dynarr.create ~capacity:64 () in

@@ -210,7 +210,7 @@ let manifest_holds ?(options = default_options) manifest =
     file) and published as [compile.*] metrics. *)
 let compile_recorded ?(options = default_options) ~file source :
     Objfile.db * Cpp.manifest =
-  Cla_obs.Obs.with_span "compile" ~label:file (fun () ->
+  Cla_obs.Span.with_span "compile" ~label:file (fun () ->
       let preprocessed, manifest =
         Cpp.preprocess_recorded ~include_dirs:options.include_dirs
           ~virtual_fs:options.virtual_fs ~defines:options.defines ~file source

@@ -57,9 +57,6 @@ val compile_recorded :
 (** {!compile_recorded} without the manifest. *)
 val compile_string : ?options:options -> file:string -> string -> Objfile.db
 
-(** Compile a C file from disk. *)
-val compile_file : ?options:options -> string -> Objfile.db
-
 (** Compile and serialize to an object file on disk (like [cc -c]). *)
 val compile_to : ?options:options -> output:string -> string -> unit
 

@@ -129,4 +129,3 @@ let exit_ok = 0
 let exit_input = 2
 let exit_internal = 3
 let exit_deadline = 4
-let exit_usage = 124

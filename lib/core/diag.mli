@@ -25,8 +25,6 @@ type t = {
     renders it as a one-line diagnostic with a distinct exit code. *)
 exception Fail of t
 
-val phase_name : phase -> string
-
 (** The metrics-registry counter bumped when an error in this phase is
     recorded ([Load] errors are corruption: [load.corrupt]). *)
 val metric_of_phase : phase -> string
@@ -60,11 +58,6 @@ val error_count : collector -> int
 
 (** {1 Exception capture} *)
 
-(** Classify an exception as an input-level failure of [phase]:
-    front-end parse/cpp/lex errors, {!Binio.Corrupt}, {!Fail},
-    [Sys_error].  [None] means an internal error that should escape. *)
-val diag_of_exn : ?file:string -> phase:phase -> exn -> t option
-
 (** Run [f], turning input-level exceptions into [Error d]; internal
     errors still escape. *)
 val capture : ?file:string -> phase:phase -> (unit -> 'a) -> ('a, t) result
@@ -87,5 +80,3 @@ val exit_internal : int
 val exit_deadline : int
 (** 4 — the analysis deadline expired (or a served query was refused
     for capacity) and no fallback was allowed to answer *)
-
-val exit_usage : int  (** 124 — cmdliner usage error, unchanged *)

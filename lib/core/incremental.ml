@@ -147,7 +147,7 @@ let relink_and_solve t linked =
   (delta, resumed, t1 -. t0, now () -. t1)
 
 let update t ?(units = []) sources =
-  Cla_obs.Obs.with_span "incremental.update" @@ fun () ->
+  Cla_obs.Span.with_span "incremental.update" @@ fun () ->
   Cla_obs.Metrics.incr "incremental.updates";
   let t0 = now () in
   let hits = ref 0 and misses = ref 0 in

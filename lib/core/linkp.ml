@@ -245,7 +245,7 @@ let apply_policy undefined (db, stats) =
 
 (* Shadow the raw implementation with the instrumented entry point. *)
 let link_views ?(undefined = Ignore) views =
-  Cla_obs.Obs.with_span "link"
+  Cla_obs.Span.with_span "link"
     ~label:(string_of_int (List.length views) ^ " unit(s)")
     (fun () ->
       let db, stats = apply_policy undefined (link_views views) in
@@ -463,7 +463,7 @@ let indir_key (i : Objfile.indir_rec) =
     [d_full_relink] set), which the solver answers with a from-scratch
     solve.  Publishes [link.delta.*] metrics. *)
 let relink (st : state) (units : (string * Objfile.view) list) : delta =
-  Cla_obs.Obs.with_span "link" ~label:"delta" (fun () ->
+  Cla_obs.Span.with_span "link" ~label:"delta" (fun () ->
   let old_nvars = Array.length st.s_db.Objfile.vars in
   let old_by_name = Hashtbl.create 16 in
   List.iter (fun ue -> Hashtbl.replace old_by_name ue.ue_name ue) st.s_units;

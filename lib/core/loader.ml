@@ -174,28 +174,6 @@ let publish_stats ?reg (s : stats) =
   set "reloads" s.s_reloads;
   Cla_obs.Metrics.set ?reg "load.evictions" s.s_evictions
 
-(* ---------------- parallel integrity verification ---------------- *)
-
-(** Open a database from bytes with the per-section CRC sweep fanned out
-    across [jobs] domains instead of running lazily at first section
-    open.  The header (magic, table bounds, table checksum) is validated
-    on the calling domain first; section payload checksums — the
-    dominant cost on a large linked database — then run as one pool item
-    per section, and the view is built from the same opened container,
-    which remembers that every section has been checked.  A corrupt
-    section raises {!Binio.Corrupt} exactly as the sequential path does;
-    sections not yet started when it fails are skipped. *)
-let view_par ~jobs (data : string) : Objfile.view =
-  let s = Sectioned.of_string Objfile.format data in
-  ignore (Cla_par.Pool.map ~jobs (Sectioned.verify s) (Sectioned.entries s));
-  Objfile.view_of_sections s
-
-(** Like {!Objfile.load_result}, but verifying section checksums across
-    [jobs] domains. *)
-let load_file_par ~jobs path : (Objfile.view, Diag.t) result =
-  Diag.capture ~file:path ~phase:Diag.Load (fun () ->
-      view_par ~jobs (Binio.read_file path))
-
 (* ------------------------------------------------------------------ *)
 (* Cached file loads (the watch / incremental path)                     *)
 (* ------------------------------------------------------------------ *)

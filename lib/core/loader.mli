@@ -60,18 +60,6 @@ val stats : t -> stats
     block-residency accounting — plus [load.evictions]. *)
 val publish_stats : ?reg:Cla_obs.Metrics.t -> stats -> unit
 
-(** Open a database from bytes with the per-section CRC sweep fanned
-    out across [jobs] domains ({!Cla_par.Pool.map}), instead of lazily
-    at first section open.  Raises {!Binio.Corrupt} on a bad header or
-    section, exactly like {!Objfile.view_of_string}; a corrupt section
-    skips the sections not yet started (a checksum already running
-    finishes). *)
-val view_par : jobs:int -> string -> Objfile.view
-
-(** Like {!Objfile.load_result}, but verifying section checksums across
-    [jobs] domains. *)
-val load_file_par : jobs:int -> string -> (Objfile.view, Diag.t) result
-
 (** Like {!Objfile.load_result} through a process-wide path-keyed cache.
     Every probe revalidates the cached view against the file's current
     (size, mtime): an untouched file is served from memory and counted

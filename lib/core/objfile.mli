@@ -173,10 +173,6 @@ type view = {
     allocation. *)
 val view_of_string : string -> view
 
-(** Like {!view_of_string} over an already opened container — e.g. one
-    whose section CRCs {!Loader.view_par} has verified across a pool. *)
-val view_of_sections : Sectioned.t -> view
-
 (** Decode the dynamic block of an object: the assignments in which it is
     the source.  Re-reads the underlying bytes on every call — callers are
     free to discard results and ask again. *)

@@ -13,10 +13,6 @@
     edges exactly like source-level ones.  The {!Objfile.ow} summary
     attached to the database records what was synthesized and why. *)
 
-(** Parameters the unknown external caller havocs on escaped callbacks;
-    callbacks with more parameters keep the extras unhavocked. *)
-val havoc_arity : int
-
 type report = {
   undefined : string list;  (** declared-but-undefined functions, sorted *)
   escaping : int list;

@@ -40,13 +40,13 @@ let algorithm_of_string s =
    do not depend on scheduling — [-j N] object bytes are byte-identical
    to [-j 1].  The main domain wraps the whole fan-out in one
    ["compile"] span (worker domains skip span recording).  The pool's
-   workers are process-wide, so repeated compile-link calls — and the
-   analyze fan-out after them — reuse the same parked domains. *)
+   workers are process-wide, so repeated compile-link calls reuse the
+   same parked domains. *)
 let compile_units ~jobs compile units =
   let jobs = Cla_par.Pool.resolve_jobs jobs in
   if jobs <= 1 then List.map compile units
   else
-    Cla_obs.Obs.with_span "compile" ~label:(Fmt.str "fan-out -j%d" jobs)
+    Cla_obs.Span.with_span "compile" ~label:(Fmt.str "fan-out -j%d" jobs)
       (fun () -> Cla_par.Pool.map ~jobs compile units)
 
 (** Compile each (name, source) pair and link the results, all in memory.
@@ -69,18 +69,17 @@ let compile_link ?(options = Compilep.default_options) ?(jobs = 1) ?undefined
     own, with per-pass children).  [deadline]/[cancel] abort with the
     typed {!Cla_resilience} exceptions — never a partial solution. *)
 let points_to ?(algorithm = Pretransitive) ?config ?demand ?budget ?deadline
-    ?cancel ?(jobs = 1) (view : Objfile.view) : Solution.t =
+    ?cancel (view : Objfile.view) : Solution.t =
   match algorithm with
   | Pretransitive ->
       (Andersen.solve ?config ?demand ?budget ?deadline ?cancel view)
         .Andersen.solution
   | Worklist ->
-      Cla_obs.Obs.with_span "analyze" ~label:"worklist" (fun () ->
+      Cla_obs.Span.with_span "analyze" ~label:"worklist" (fun () ->
           Worklist.solve ?deadline ?cancel view)
   | Bitvector ->
-      Cla_obs.Obs.with_span "analyze" ~label:"bitvector" (fun () ->
-          Bitsolver.solve ?deadline ?cancel
-            ~jobs:(Cla_par.Pool.resolve_jobs jobs) view)
+      Cla_obs.Span.with_span "analyze" ~label:"bitvector" (fun () ->
+          Bitsolver.solve ?deadline ?cancel view)
   | Steensgaard ->
       (* Unification would put the blob in one equivalence class with
          every escaping object — a degenerate "everything aliases
@@ -91,7 +90,7 @@ let points_to ?(algorithm = Pretransitive) ?config ?demand ?budget ?deadline
           "steensgaard cannot analyze an open-world database (unification \
            collapses the blob with every escaping object); supported \
            algorithms: pretransitive, worklist, bitvector";
-      Cla_obs.Obs.with_span "analyze" ~label:"steensgaard" (fun () ->
+      Cla_obs.Span.with_span "analyze" ~label:"steensgaard" (fun () ->
           Steensgaard.solve ?deadline ?cancel view)
 
 (* ------------------------------------------------------------------ *)

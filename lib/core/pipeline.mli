@@ -51,13 +51,7 @@ val compile_link :
     [Steensgaard] on an open-world database raises {!Diag.Fail}
     (unification would collapse the blob with every escaping object);
     the other algorithms treat havoc constraints like ordinary ones.
-
-    [jobs >= 2] ([0] = auto) runs the bit-vector solver across [jobs]
-    domains ({!Cla_par.Pool.map_array}), partitioning variable rows per
-    pass; its solution is byte-identical
-    to a sequential run at any width.  The other algorithms ignore
-    [jobs]: the pre-transitive solver is the paper's single-threaded
-    pass loop, and [Worklist] and [Steensgaard] are sequential too. *)
+    Every algorithm runs single-threaded. *)
 val points_to :
   ?algorithm:algorithm ->
   ?config:Pretrans.config ->
@@ -65,7 +59,6 @@ val points_to :
   ?budget:int ->
   ?deadline:Cla_resilience.Deadline.t ->
   ?cancel:Cla_resilience.Cancel.t ->
-  ?jobs:int ->
   Objfile.view ->
   Solution.t
 

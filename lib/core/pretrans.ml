@@ -263,8 +263,6 @@ let enable_pred_tracking t =
     done
   end
 
-let pred_tracking t = t.track_preds
-
 (** Invalidate the reachability memo of every node that can reach one of
     [seeds] — i.e. every node whose points-to set may grow because
     [seeds]' sets grew (a new base element or a new out-edge).  This is

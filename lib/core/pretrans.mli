@@ -76,8 +76,6 @@ val get_lvals : t -> int -> Lvalset.t
     invalidation. *)
 val enable_pred_tracking : t -> unit
 
-val pred_tracking : t -> bool
-
 (** [invalidate_reaching t seeds] clears the pass memo of every node
     that can reach any seed (including the seeds), by reverse BFS over
     the predecessor lists.  Returns the number of memo entries dropped.

@@ -61,7 +61,6 @@ let write fmt sections =
 type t = {
   fmt : format;
   data : string;
-  entries : entry list;
   by_id : entry option array;  (** ids are one byte *)
   checked : bool array;  (** payload CRC already verified *)
 }
@@ -110,10 +109,9 @@ let of_string fmt data =
          e.off + e.size)
        header_end
        (List.sort (fun a b -> compare a.off b.off) entries));
-  { fmt; data; entries; by_id; checked = Array.make 256 false }
+  { fmt; data; by_id; checked = Array.make 256 false }
 
 let data t = t.data
-let entries t = t.entries
 
 let verify t e =
   if not t.checked.(e.id) then begin

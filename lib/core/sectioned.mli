@@ -13,8 +13,7 @@
 
     This module is the only one that builds or parses a section table.
     Opening validates the header eagerly; each section's CRC is checked
-    lazily, the first time that section is opened (or up front through
-    {!verify}).  Every malformed input raises {!Binio.Corrupt}. *)
+    lazily, the first time that section is opened.  Every malformed input raises {!Binio.Corrupt}. *)
 
 type format = {
   magic : string;  (** exactly 4 bytes *)
@@ -31,8 +30,6 @@ val write : format -> (int * Buffer.t) list -> string
 
 (** {1 Opening} *)
 
-type entry = { id : int; off : int; size : int; crc : int }
-
 type t
 
 (** Validate magic, version, table bounds, non-overlap and the table
@@ -40,13 +37,6 @@ type t
 val of_string : format -> string -> t
 
 val data : t -> string
-
-(** The validated table, in file order. *)
-val entries : t -> entry list
-
-(** Checksum one entry's payload and remember it as verified.  Entries
-    of the same container may be verified from concurrent domains. *)
-val verify : t -> entry -> unit
 
 (** A reader bounded to section [id], CRC-checked on first open.  Raises
     {!Binio.Corrupt} if the section is missing. *)

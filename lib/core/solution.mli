@@ -48,9 +48,6 @@ val n_relations : t -> int
 (** Resolve a variable by display name (first match). *)
 val find : t -> string -> int option
 
-val pp_var : t -> Format.formatter -> int -> unit
-val pp_entry : t -> Format.formatter -> int -> unit
-
 (** Print every non-empty set, one line each. *)
 val pp : Format.formatter -> t -> unit
 

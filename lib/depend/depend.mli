@@ -67,11 +67,8 @@ val constants_of : t -> int -> int64 list
     which dependents must grow with it? *)
 val check_narrowing : t -> report -> new_type:string -> narrowing list
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 (** {1 Printing (Figure 1's chain format)} *)
 
-val pp_obj : t -> Format.formatter -> int -> unit
 val pp_dependent : t -> Format.formatter -> dependent -> unit
 val pp_report : t -> Format.formatter -> report -> unit
 

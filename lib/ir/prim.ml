@@ -14,8 +14,6 @@ type opinfo = {
   strength : Strength.t;  (** Table 1 strength of this argument position *)
 }
 
-let pure_copy = None
-
 let opinfo op pos = Some { op; strength = Strength.classify op pos }
 
 type kind =

@@ -13,8 +13,6 @@ type opinfo = {
   strength : Strength.t;
 }
 
-val pure_copy : opinfo option
-
 (** [opinfo op pos] tags a copy with [op], classifying the strength of
     argument position [pos] per Table 1. *)
 val opinfo : string -> Strength.position -> opinfo option
@@ -51,7 +49,6 @@ type counts = {
 }
 
 val zero_counts : counts
-val count_one : counts -> t -> counts
 val count_list : t list -> counts
 val total : counts -> int
 val add_counts : counts -> counts -> counts

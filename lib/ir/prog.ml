@@ -37,13 +37,6 @@ let counts t = Prim.count_list t.assigns
 let n_assigns t = List.length t.assigns
 let n_vars t = Array.length t.vars
 
-(** Number of source-program objects (Table 2's "program variables"
-    column): every variable except normalizer temporaries. *)
-let n_program_vars t =
-  Array.fold_left
-    (fun n v -> if Var.kind v = Var.Temp then n else n + 1)
-    0 t.vars
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>unit %s: %d vars, %d assigns@," t.file (n_vars t)
     (n_assigns t);

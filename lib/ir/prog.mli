@@ -24,8 +24,4 @@ val counts : t -> Prim.counts
 val n_assigns : t -> int
 val n_vars : t -> int
 
-(** Source-program objects: everything except normalizer temporaries
-    (Table 2's "program variables"). *)
-val n_program_vars : t -> int
-
 val pp : Format.formatter -> t -> unit

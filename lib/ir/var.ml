@@ -78,9 +78,4 @@ let hash a = a.uid
 
 let pp ppf v = Fmt.string ppf (display v)
 
-(* Figure 1 prints objects as "w/short <eg1.c:3>". *)
-let pp_qualified ppf v =
-  if v.typ = "" then Fmt.pf ppf "%s %a" (display v) Loc.pp v.loc
-  else Fmt.pf ppf "%s/%s %a" (display v) v.typ Loc.pp v.loc
-
 let to_string v = Fmt.str "%a" pp v

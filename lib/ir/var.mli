@@ -55,7 +55,4 @@ val compare : t -> t -> int
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
-(** Figure 1's qualified form: [w/short <eg1.c:3>]. *)
-val pp_qualified : Format.formatter -> t -> unit
-
 val to_string : t -> string

@@ -2,7 +2,6 @@
     table ([--stats]) or a machine-readable JSON document
     ([--stats-json]). *)
 
-val metric_json : Metrics.value -> Json.t
 val span_json : Span.t -> Json.t
 
 (** The full export: [{"metrics": {...}, "spans": [...]}], metrics sorted

@@ -15,9 +15,6 @@
 
 type t
 
-(** Number of buckets every histogram carries. *)
-val n_buckets : int
-
 (** Values below this are counted exactly (bucket width 1). *)
 val linear_limit : int
 

@@ -15,7 +15,6 @@
     re-raised by the submitter once the batch settles, so the observed
     error does not depend on scheduling. *)
 
-module Cancel = Cla_resilience.Cancel
 module Deadline = Cla_resilience.Deadline
 module Metrics = Cla_obs.Metrics
 
@@ -174,12 +173,13 @@ let publish_lanes () =
    items. *)
 let chunks_per_lane = 4
 
-let map_array ?cancel ~jobs f (xs : 'a array) : 'b array =
+let map ~jobs f xs =
+  let xs = Array.of_list xs in
   let n = Array.length xs in
   let jobs = clamp jobs in
   if n = 0 then begin
     Metrics.incr "par.batches";
-    [||]
+    []
   end
   else begin
     let results = Array.make n None in
@@ -200,12 +200,9 @@ let map_array ?cancel ~jobs f (xs : 'a array) : 'b array =
       in
       cas_min ()
     in
-    let ext_set () =
-      match cancel with Some c -> Cancel.is_set c | None -> false
-    in
     (* skipped items leave both cells empty; the caller raises for the
        whole batch, so a hole is never read as a result *)
-    let skip k = ext_set () || Atomic.get min_err < k in
+    let skip k = Atomic.get min_err < k in
     let nchunks = if jobs = 1 then 1 else min n (jobs * chunks_per_lane) in
     let run c =
       let lo = c * n / nchunks and hi = (c + 1) * n / nchunks in
@@ -237,13 +234,9 @@ let map_array ?cancel ~jobs f (xs : 'a array) : 'b array =
     Metrics.incr ~by:n "par.tasks";
     if !errs > 0 then Metrics.incr ~by:!errs "par.task_errors";
     if !skipped > 0 then Metrics.incr ~by:!skipped "par.tasks_skipped";
-    Option.iter Cancel.check cancel;
     (match Atomic.get min_err with
     | k when k < n -> raise (Option.get errors.(k))
     | _ -> ());
-    (* no error and no cancel: nothing was skipped *)
-    Array.map Option.get results
+    (* no error: nothing was skipped *)
+    Array.to_list (Array.map Option.get results)
   end
-
-let map ?cancel ~jobs f xs =
-  Array.to_list (map_array ?cancel ~jobs f (Array.of_list xs))

@@ -1,6 +1,5 @@
-(** One flat, order-preserving parallel map for the parallel phases of
-    the pipeline (per-unit compilation, per-section integrity checks,
-    row-parallel bit-vector solving).
+(** One flat, order-preserving parallel map for the one parallel phase
+    of the pipeline: per-unit compilation ([cla compile -j N]).
 
     A batch runs on the submitting domain plus up to [jobs - 1] worker
     domains, so [~jobs:1] spawns no domain and runs every item inline,
@@ -37,16 +36,8 @@
     If any item raises, unstarted items above it are skipped and — once
     every running item has settled — the exception of the
     {e lowest-indexed} failed item is re-raised, making the error
-    deterministic regardless of scheduling.
-
-    [cancel] aborts the whole batch from outside: unstarted items are
-    skipped and {!Cla_resilience.Cancel.Cancelled} is raised. *)
-val map : ?cancel:Cla_resilience.Cancel.t -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** Array variant of {!map} — same ordering, error and cancellation
-    contract, without the list-to-array shuffling. *)
-val map_array :
-  ?cancel:Cla_resilience.Cancel.t -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
+    deterministic regardless of scheduling. *)
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** The automatic width: [Domain.recommended_domain_count () - 1]
     (at least 1) — one core is reserved for the systhreads the serve

@@ -1,9 +1,11 @@
 (** Client side of the [cla serve] protocol: one-shot round trips and a
     retrying wrapper with exponential backoff and equal jitter.
 
-    Retries cover the transient outcomes only — {!retryable} connection
-    failures (the server is starting, restarting after a crash, or
-    draining), torn connections, and ["shed"]/["bye"] responses.
+    Retries cover the transient outcomes only — connection failures
+    that clear up ([ECONNREFUSED]/[ENOENT] while the server is starting,
+    restarting after a crash, or draining; [ECONNRESET]/[EAGAIN]/[EINTR]),
+    torn connections, and ["shed"]/["bye"] responses; other connect
+    errnos ([EACCES], ...) fail fast.
     ["timeout"] and ["error"] are final: retrying a timed-out query
     would just burn another deadline, and a malformed query never
     becomes well-formed. *)
@@ -15,13 +17,6 @@ type attempt_error =
   | Io_failed of string
 
 val describe : attempt_error -> string
-
-(** Transient, worth another attempt: [ECONNREFUSED]/[ENOENT] (a
-    restart window — stale socket or the replacement not yet bound),
-    [ECONNRESET]/[EAGAIN]/[EINTR], and any torn i/o.  Other connect
-    errnos ([EACCES], ...) fail identically forever, so {!with_retry}
-    fails fast on them. *)
-val retryable : attempt_error -> bool
 
 (** Connect, send one request line, read one response line, close. *)
 val round_trip : socket:string -> string -> (string, attempt_error) result

@@ -16,9 +16,6 @@ type query = { q_id : int; q_kind : kind; q_line : string }
 type mix = { m_good : int; m_poison : int; m_slow : int }
 (** Relative weights; they need not sum to anything in particular. *)
 
-(** 6 good : 2 poison : 2 slow. *)
-val default_mix : mix
-
 (** The first 32 named, non-temporary program variables of [view], in
     variable order: the targets of good queries when the caller names
     none. *)

@@ -4,7 +4,6 @@
    the --stats-json export content. *)
 
 open Cla_core
-module Obs = Cla_obs.Obs
 module Span = Cla_obs.Span
 module Metrics = Cla_obs.Metrics
 module Json = Cla_obs.Json
@@ -14,8 +13,9 @@ module Trace = Cla_obs.Trace
 (* Every test drives the process-wide recorder; start from a clean
    slate and leave recording off. *)
 let fresh () =
-  Obs.disable ();
-  Obs.reset ()
+  Span.set_enabled false;
+  Span.reset ();
+  Metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -23,12 +23,12 @@ let fresh () =
 
 let test_span_nesting () =
   fresh ();
-  Obs.enable ();
-  Obs.with_span "outer" (fun () ->
-      Obs.with_span "first" (fun () -> ignore (Sys.opaque_identity 1));
-      Obs.with_span "second" ~label:"x" (fun () ->
-          Obs.with_span "inner" (fun () -> ())));
-  Obs.disable ();
+  Span.set_enabled true;
+  Span.with_span "outer" (fun () ->
+      Span.with_span "first" (fun () -> ignore (Sys.opaque_identity 1));
+      Span.with_span "second" ~label:"x" (fun () ->
+          Span.with_span "inner" (fun () -> ())));
+  Span.set_enabled false;
   match Span.roots () with
   | [ outer ] ->
       Alcotest.(check string) "root name" "outer" outer.Span.name;
@@ -53,25 +53,25 @@ let test_span_nesting () =
 
 let test_span_sibling_order () =
   fresh ();
-  Obs.enable ();
-  List.iter (fun n -> Obs.with_span n (fun () -> ())) [ "a"; "b"; "c" ];
-  Obs.disable ();
+  Span.set_enabled true;
+  List.iter (fun n -> Span.with_span n (fun () -> ())) [ "a"; "b"; "c" ];
+  Span.set_enabled false;
   Alcotest.(check (list string))
     "roots in execution order" [ "a"; "b"; "c" ]
     (List.map (fun s -> s.Span.name) (Span.roots ()))
 
 let test_span_disabled_is_noop () =
   fresh ();
-  let v = Obs.with_span "ghost" (fun () -> 42) in
+  let v = Span.with_span "ghost" (fun () -> 42) in
   Alcotest.(check int) "value passes through" 42 v;
   Alcotest.(check int) "nothing recorded" 0 (List.length (Span.roots ()))
 
 let test_span_survives_exception () =
   fresh ();
-  Obs.enable ();
-  (try Obs.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
-  Obs.with_span "after" (fun () -> ());
-  Obs.disable ();
+  Span.set_enabled true;
+  (try Span.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
+  Span.with_span "after" (fun () -> ());
+  Span.set_enabled false;
   Alcotest.(check (list string))
     "span closed on exception, recorder still consistent" [ "boom"; "after" ]
     (List.map (fun s -> s.Span.name) (Span.roots ()))
@@ -383,9 +383,9 @@ let test_json_number_kinds () =
 
 let test_export_roundtrip () =
   fresh ();
-  Obs.enable ();
-  Obs.with_span "phase" (fun () -> Obs.with_span "sub" (fun () -> ()));
-  Obs.disable ();
+  Span.set_enabled true;
+  Span.with_span "phase" (fun () -> Span.with_span "sub" (fun () -> ()));
+  Span.set_enabled false;
   Metrics.set "m.count" 7;
   Metrics.set_series "m.series" [ 3; 2; 1 ];
   let parsed = Json.of_string (Json.to_string (Export.to_json ())) in
@@ -489,7 +489,7 @@ let test_points_to_guards () =
 
 let test_pipeline_stats_export () =
   fresh ();
-  Obs.enable ();
+  Span.set_enabled true;
   let view =
     Pipeline.compile_link
       [
@@ -498,7 +498,7 @@ let test_pipeline_stats_export () =
       ]
   in
   let r = Andersen.solve view in
-  Obs.disable ();
+  Span.set_enabled false;
   let parsed = Json.of_string (Json.to_string (Export.to_json ())) in
   let metrics = Option.get (Json.member "metrics" parsed) in
   let metric name = Option.bind (Json.member name metrics) Json.to_int in

@@ -209,6 +209,27 @@ let test_fresh_nodes_grow () =
   Alcotest.(check bool) "ids distinct" true
     (List.length (List.sort_uniq compare ids) = 100)
 
+(* On the sparse/dense/cyclic Genir shapes: the sharing pool's
+   canonicality invariant — every pool miss builds exactly one canonical
+   set, stored as either a small sorted array or a dense bitmap — and
+   the bit-vector oracle's agreement with the pre-transitive solve. *)
+let test_shaped_views () =
+  List.iter
+    (fun sh ->
+      let name = Cla_workload.Genir.shape_name sh in
+      let view = Cla_workload.Genir.shaped ~scale:0.3 sh 11L in
+      let r = Andersen.solve ~demand:false view in
+      let s = r.Andersen.graph_stats in
+      Alcotest.(check int)
+        (name ^ ": pool misses = small + dense sets")
+        s.Pretrans.pool_misses
+        (s.Pretrans.pool_small + s.Pretrans.pool_dense);
+      Alcotest.(check bool)
+        (name ^ ": bitvector = pretransitive")
+        true
+        (Solution.equal r.Andersen.solution (Bitsolver.solve view)))
+    Cla_workload.Genir.all_shapes
+
 (* ------------------------------------------------------------------ *)
 (* Lvalset                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -330,6 +351,8 @@ let () =
           Alcotest.test_case "indirect call arity mismatch" `Quick
             test_indirect_arity_mismatch;
           Alcotest.test_case "node growth" `Quick test_fresh_nodes_grow;
+          Alcotest.test_case "shaped views: pool canonical, oracle agrees" `Quick
+            test_shaped_views;
         ] );
       ( "lvalset",
         [
