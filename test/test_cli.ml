@@ -108,6 +108,15 @@ let ladder_tests =
                (q (in_tmp "prog.cla")))
         in
         Alcotest.(check int) ("usage error\n" ^ out) 124 code);
+    (* -j selects unit compilation only; analyze has no parallel path *)
+    Alcotest.test_case "analyze -j is an unknown option" `Quick (fun () ->
+        let code, out =
+          run_capture
+            (Fmt.str "%s analyze %s -j 2" cla (q (in_tmp "prog.cla")))
+        in
+        Alcotest.(check int) ("usage error\n" ^ out) 124 code;
+        Alcotest.(check bool) ("names -j\n" ^ out) true
+          (contains ~affix:"unknown option '-j'" out));
   ]
 
 (* [--json] output is JSON: a heap object named after a non-ASCII file

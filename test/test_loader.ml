@@ -93,6 +93,29 @@ let test_discard_strategy_counts () =
   (* exactly the store and the load are kept in core *)
   Alcotest.(check int) "in core = complex retained" 2 s.Loader.s_in_core
 
+(* Loading has one path: a database read back from disk, directly or
+   through the revalidating cache, answers exactly like the view over
+   the same bytes in memory. *)
+let test_file_load_matches_view () =
+  let db =
+    Compilep.compile_string ~file:"t.c"
+      "int x, y, *p, *q, **pp;\n\
+       void f(void) { p = &x; pp = &q; *pp = p; }\n\
+       void g(void) { q = &y; p = q; }"
+  in
+  let path = Filename.temp_file "cla_loader" ".cla" in
+  Objfile.save path db;
+  let want = Pipeline.points_to (Objfile.view_of_string (Objfile.write db)) in
+  let check what = function
+    | Ok v ->
+        Alcotest.(check bool) (what ^ ": same solution") true
+          (Solution.equal want (Pipeline.points_to v))
+    | Error d -> Alcotest.fail (what ^ ": " ^ Diag.to_string d)
+  in
+  check "load_result" (Objfile.load_result path);
+  check "load_file_cached" (Loader.load_file_cached path);
+  Sys.remove path
+
 let () =
   Alcotest.run "loader"
     [
@@ -104,6 +127,8 @@ let () =
           Alcotest.test_case "in-file total" `Quick test_in_file_total;
           Alcotest.test_case "loaded < in-file" `Quick test_demand_loads_less_than_file;
           Alcotest.test_case "discard strategy" `Quick test_discard_strategy_counts;
+          Alcotest.test_case "file load solves like in-memory view" `Quick
+            test_file_load_matches_view;
         ] );
       ( "relevance",
         [

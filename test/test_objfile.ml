@@ -110,6 +110,43 @@ let test_corrupt_detection () =
        false
      with Binio.Corrupt _ -> true)
 
+(* Each section's payload CRC is checked when that section is first
+   opened, not when the file is: a flipped payload byte leaves the
+   header valid, fails the one section that holds it, and leaves every
+   other section readable. *)
+let test_section_crc_checked_at_open () =
+  let data = Objfile.write (mk_db ()) in
+  let pos, nsec = Option.get (Sectioned.table Objfile.format data) in
+  let entries =
+    List.init nsec (fun i ->
+        let r = Binio.reader ~pos:(pos + (i * Sectioned.entry_size)) data in
+        let id = Binio.ru8 r in
+        let off = Binio.ru32 r in
+        let size = Binio.ru32 r in
+        (id, off, size))
+  in
+  let flipped = List.filter (fun (_, _, size) -> size > 0) entries in
+  Alcotest.(check bool) "several non-empty sections" true
+    (List.length flipped >= 3);
+  List.iter
+    (fun (id, off, size) ->
+      let b = Bytes.of_string data in
+      let at = off + (size / 2) in
+      Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0xff));
+      let t = Sectioned.of_string Objfile.format (Bytes.to_string b) in
+      List.iter
+        (fun (other, _, _) ->
+          let opened =
+            match Sectioned.section t other with
+            | _ -> true
+            | exception Binio.Corrupt _ -> false
+          in
+          Alcotest.(check bool)
+            (Fmt.str "byte in section %d: section %d opens" id other)
+            (other <> id) opened)
+        entries)
+    flipped
+
 let test_save_load_disk () =
   let db = mk_db () in
   let path = Filename.temp_file "cla_test" ".clo" in
@@ -325,6 +362,8 @@ let () =
           Alcotest.test_case "blocks re-readable" `Quick test_block_rereadable;
           Alcotest.test_case "target lookup" `Quick test_find_targets;
           Alcotest.test_case "corruption" `Quick test_corrupt_detection;
+          Alcotest.test_case "section CRC checked at first open" `Quick
+            test_section_crc_checked_at_open;
           Alcotest.test_case "format bytes pinned" `Quick
             test_format_bytes_pinned;
         ] );
