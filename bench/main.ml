@@ -789,6 +789,11 @@ let parallel () =
         (fun jobs_requested ->
           let jobs = Cla_par.Pool.resolve_jobs jobs_requested in
           let objs, compile_s = timed (fun () -> compile_all jobs) in
+          (* the width the compile batch actually ran at, as the pool
+             published it *)
+          let jobs =
+            Option.value ~default:jobs (Cla_obs.Metrics.get_int "par.jobs")
+          in
           let db, link_s = timed (fun () -> link objs) in
           (* the fault --inject feeds the gate, after the link so the
              flipped object is only compared, never decoded *)

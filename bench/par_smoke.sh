@@ -3,9 +3,10 @@
 # bytes for every job count (and write a parseable BENCH_parallel.json)
 # and, proven via --inject, fail when one object diverges;
 # `cla compile -j2` and `-j4` must produce objects byte-identical to -j1
-# (-j4 oversubscribes a 2-core host, where a lost wakeup or a mis-split
-# chunk would show), and a negative job count must be a clean usage
-# error, not a crash.
+# (-j4 is capped at the core count; test_par drives the pool itself
+# wider than the host, where a lost wakeup or a mis-split chunk would
+# show), and a negative job count must be a clean usage error, not a
+# crash.
 # Wired into `dune runtest` (see bench/dune); takes the cla binary as $1
 # and the bench binary as $2.
 set -eu

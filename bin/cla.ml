@@ -66,8 +66,9 @@ let jobs_arg =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Compile translation units on $(docv) worker domains.  0 \
-           means auto: one domain per core, less one.  Object bytes are \
+          "Compile translation units on $(docv) worker domains, at most \
+           one per core (a larger $(docv) is capped).  0 means auto: one \
+           domain per core, less one.  Object bytes are \
            identical regardless of $(docv).")
 
 (* Resolve a [-j N] request once per run, publishing the requested and

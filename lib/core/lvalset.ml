@@ -50,14 +50,36 @@ let popcount32 w =
   let w = (w + (w lsr 4)) land 0x0F0F0F0F in
   ((w * 0x01010101) lsr 24) land 0xFF
 
-(* visit the set bits of one word in ascending order *)
+(* Index of the single set bit of [low] (a power of two below 2^32): a
+   de Bruijn multiply puts a distinct pattern in the top five bits of
+   the low 32, which the table maps back to the index. *)
+let debruijn_index =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let bit_index low =
+  Array.unsafe_get debruijn_index
+    (((low * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+let full_word = 0xFFFFFFFF
+
+(* Visit the set bits of one word in ascending order, one step per set
+   bit: [w land (-w)] isolates the lowest bit, [bit_index] names it and
+   [lxor] clears it.  A full word (common in dense sets) is a plain
+   count. *)
 let iter_word f base w =
-  let w = ref w and bit = ref 0 in
-  while !w <> 0 do
-    if !w land 1 = 1 then f (base + !bit);
-    w := !w lsr 1;
-    incr bit
-  done
+  if w = full_word then
+    for x = base to base + word_bits - 1 do
+      f x
+    done
+  else begin
+    let w = ref w in
+    while !w <> 0 do
+      let low = !w land - !w in
+      f (base + bit_index low);
+      w := !w lxor low
+    done
+  end
 
 let mem x s =
   match s.repr with
@@ -206,6 +228,10 @@ type pool = {
   mutable misses : int;
   mutable small_sets : int;
   mutable dense_sets : int;
+  (* [union_many]'s merge scratch, grown on demand and reused by every
+     call; its contents are always copied out before interning *)
+  mutable scratch_a : int array;
+  mutable scratch_b : int array;
 }
 
 type pool_stats = {
@@ -226,6 +252,8 @@ let create_pool ?dense_threshold () =
     misses = 0;
     small_sets = 0;
     dense_sets = 0;
+    scratch_a = [||];
+    scratch_b = [||];
   }
 
 let flush_pool p = p.tbl <- Hashtbl.create 256
@@ -389,11 +417,10 @@ let intern_words p (words : int array) card =
 let share pool (a : int array) : t =
   intern_prefix pool ~copy:false a (Array.length a)
 
-(** Sort + dedup a scratch buffer of candidate members into a shared
-    set.  The first [len] cells of [buf] are clobbered (sorted in
-    place), but [buf] is never retained — callers may reuse it. *)
-let of_dyn pool (buf : int array) (len : int) : t =
-  if len = 0 then empty
+(* Sort the first [len] cells of [buf] and squeeze out duplicates in
+   place; returns the length of the sorted, duplicate-free prefix. *)
+let sort_dedup (buf : int array) len =
+  if len = 0 then 0
   else begin
     Intsort.sort buf len;
     let w = ref 1 in
@@ -403,8 +430,14 @@ let of_dyn pool (buf : int array) (len : int) : t =
         incr w
       end
     done;
-    intern_prefix pool ~copy:true buf !w
+    !w
   end
+
+(** Sort + dedup a scratch buffer of candidate members into a shared
+    set.  The first [len] cells of [buf] are clobbered (sorted in
+    place), but [buf] is never retained — callers may reuse it. *)
+let of_dyn pool (buf : int array) (len : int) : t =
+  intern_prefix pool ~copy:true buf (sort_dedup buf len)
 
 let of_list pool l =
   let a = Array.of_list l in
@@ -434,6 +467,30 @@ let max_elem s =
   | Arr a -> a.(Array.length a - 1)
   | Bits b -> ((Array.length b.words - 1) lsl word_shift) + word_bits - 1
 
+(* Merge the sorted dup-free prefixes [x.(0..nx)] and [y.(0..ny)] into
+   [out]; returns the length of the union. *)
+let merge_into (x : int array) nx (y : int array) ny (out : int array) =
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < nx && !j < ny do
+    let xv = Array.unsafe_get x !i and yv = Array.unsafe_get y !j in
+    if xv <= yv then begin
+      Array.unsafe_set out !k xv;
+      incr i;
+      if xv = yv then incr j
+    end
+    else begin
+      Array.unsafe_set out !k yv;
+      incr j
+    end;
+    incr k
+  done;
+  let rest = nx - !i in
+  Array.blit x !i out !k rest;
+  let k = !k + rest in
+  let rest = ny - !j in
+  Array.blit y !j out k rest;
+  k + rest
+
 (** Merge-union of two shared sets; returns one of its arguments
     physically when the other is a subset.  Bitmap pairs are word-ORs. *)
 let union pool (a : t) (b : t) : t =
@@ -445,19 +502,10 @@ let union pool (a : t) (b : t) : t =
     | Arr x, Arr y ->
         let nx = Array.length x and ny = Array.length y in
         let out = Array.make (nx + ny) 0 in
-        let i = ref 0 and j = ref 0 and k = ref 0 in
-        while !i < nx && !j < ny do
-          let xv = x.(!i) and yv = y.(!j) in
-          if xv < yv then (out.(!k) <- xv; incr i)
-          else if yv < xv then (out.(!k) <- yv; incr j)
-          else (out.(!k) <- xv; incr i; incr j);
-          incr k
-        done;
-        while !i < nx do out.(!k) <- x.(!i); incr i; incr k done;
-        while !j < ny do out.(!k) <- y.(!j); incr j; incr k done;
-        if !k = nx then a
-        else if !k = ny then b
-        else intern_prefix pool ~copy:false out !k
+        let k = merge_into x nx y ny out in
+        if k = nx then a
+        else if k = ny then b
+        else intern_prefix pool ~copy:false out k
     | Bits x, Bits y ->
         let nx = Array.length x.words and ny = Array.length y.words in
         let words = Array.make (max nx ny) 0 in
@@ -477,20 +525,50 @@ let union pool (a : t) (b : t) : t =
         if card = big.card then if cardinal a > cardinal b then a else b
         else intern_words pool words card
 
-(** N-way union of [n] shared sets plus a raw element buffer, built in a
-    single pass — the reachability walk's SCC-result construction.  The
-    buffer may be unsorted and contain duplicates; it is clobbered. *)
+(* Grow both scratch buffers to hold at least [need] cells. *)
+let reserve_scratch p need =
+  if Array.length p.scratch_a < need then begin
+    let cap = max need (2 * Array.length p.scratch_a) in
+    p.scratch_a <- Array.make cap 0;
+    p.scratch_b <- Array.make cap 0
+  end
+
+(* A merge step (compare, store, advance) costs about a quarter of what
+   the accumulator spends per word or element (allocate, OR, popcount,
+   unpack, hash): on FB gimp the merges win, on the solver bench's
+   small-universe shapes with a hundred inputs the accumulator does. *)
+let merge_factor = 4
+
+(* The first of [sets.(0..n)] whose cardinality is [card]: every input
+   is a subset of the union, so such an input IS the union. *)
+let winner (sets : t array) n card =
+  let rec go i =
+    if i = n then None
+    else if cardinal sets.(i) = card then Some sets.(i)
+    else go (i + 1)
+  in
+  go 0
+
+(** N-way union of [n] shared sets plus a raw element buffer — the
+    reachability walk's SCC-result construction.  The buffer may be
+    unsorted and contain duplicates; it is clobbered.  Three paths (see
+    the interface): small gather, scratch merge, word accumulator. *)
 let union_many pool (sets : t array) n (buf : int array) len : t =
   if n = 0 then of_dyn pool buf len
   else if n = 1 && len = 0 then sets.(0)
   else begin
-    let total = ref len in
+    (* [merge_cost] bounds the cells the pairwise merges write: input
+       [i]'s merge writes at most the raw elements plus inputs [0 .. i] *)
+    let total = ref len and any_bits = ref false and merge_cost = ref 0 in
     for i = 0 to n - 1 do
-      total := !total + cardinal sets.(i)
+      total := !total + cardinal sets.(i);
+      merge_cost := !merge_cost + !total;
+      if is_bitmap sets.(i) then any_bits := true
     done;
     if !total <= pool.threshold then begin
       (* everything is small: gather, sort, dedup *)
-      let gather = Array.make !total 0 in
+      reserve_scratch pool !total;
+      let gather = pool.scratch_a in
       let k = ref 0 in
       for i = 0 to n - 1 do
         iter
@@ -503,7 +581,6 @@ let union_many pool (sets : t array) n (buf : int array) len : t =
       of_dyn pool gather !total
     end
     else begin
-      (* bitmap accumulator sized to the widest input *)
       let maxe = ref 0 in
       for i = 0 to n - 1 do
         if cardinal sets.(i) > 0 then maxe := max !maxe (max_elem sets.(i))
@@ -511,22 +588,41 @@ let union_many pool (sets : t array) n (buf : int array) len : t =
       for i = 0 to len - 1 do
         maxe := max !maxe buf.(i)
       done;
-      let words = Array.make (words_for !maxe) 0 in
-      for i = 0 to n - 1 do
-        match sets.(i).repr with
-        | Bits b -> or_words ~dst:words b.words
-        | Arr a -> Array.iter (fun e -> set_bit words e) a
-      done;
-      for i = 0 to len - 1 do
-        set_bit words buf.(i)
-      done;
-      let card = popcount_words words in
-      (* physical fast path: an input set of the same cardinality IS the
-         union (every input is a subset of the union) *)
-      let winner = ref None in
-      for i = 0 to n - 1 do
-        if !winner = None && cardinal sets.(i) = card then winner := Some sets.(i)
-      done;
-      match !winner with Some s -> s | None -> intern_words pool words card
+      let nwords = words_for !maxe in
+      if (not !any_bits) && !merge_cost <= merge_factor * (nwords + !total)
+      then begin
+        (* sort + dedup the raw elements, then fold the inputs in by
+           merges that alternate between the two scratch buffers *)
+        reserve_scratch pool !total;
+        let cur = ref buf and cur_len = ref (sort_dedup buf len) in
+        for i = 0 to n - 1 do
+          match sets.(i).repr with
+          | Arr a ->
+              let out =
+                if !cur == pool.scratch_a then pool.scratch_b else pool.scratch_a
+              in
+              cur_len := merge_into !cur !cur_len a (Array.length a) out;
+              cur := out
+          | Bits _ -> assert false
+        done;
+        match winner sets n !cur_len with
+        | Some s -> s
+        | None -> intern_prefix pool ~copy:true !cur !cur_len
+      end
+      else begin
+        let words = Array.make nwords 0 in
+        for i = 0 to n - 1 do
+          match sets.(i).repr with
+          | Bits b -> or_words ~dst:words b.words
+          | Arr a -> Array.iter (fun e -> set_bit words e) a
+        done;
+        for i = 0 to len - 1 do
+          set_bit words buf.(i)
+        done;
+        let card = popcount_words words in
+        match winner sets n card with
+        | Some s -> s
+        | None -> intern_words pool words card
+      end
     end
   end

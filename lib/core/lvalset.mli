@@ -106,9 +106,29 @@ val of_list : pool -> int list -> t
 val union : pool -> t -> t -> t
 
 (** [union_many pool sets n buf len] unions the first [n] sets of [sets]
-    with the first [len] raw elements of [buf] in a single pass (the
-    reachability walk's SCC-result construction: one bitmap fill + one
-    popcount instead of n-1 pairwise merges).  [buf] may be unsorted and
-    contain duplicates; its first [len] cells are clobbered.  Returns an
-    input set physically when it already equals the union. *)
+    with the first [len] raw elements of [buf] (the reachability walk's
+    SCC-result construction).  [buf] may be unsorted and contain
+    duplicates; its first [len] cells are clobbered.
+
+    A small union (total input cardinality at most the threshold) is
+    gathered, sorted and interned like {!of_dyn}.  A larger one takes
+    one of two paths:
+    - {b merge}: the sorted, deduplicated raw elements are merged with
+      the inputs one at a time.  Taken when every input is a sorted
+      array and the merges' bounded cost (the growing prefix, summed
+      over the inputs) stays within a constant factor of the
+      accumulator's;
+    - {b accumulator}: the union is OR-ed into a word bitmap sized to
+      the largest element, popcounted, and unpacked by walking only the
+      set bits when the result is not dense.  Taken when some input is
+      a bitmap, or when many inputs over a small element range would
+      make the merges quadratic.
+    Both return an input physically when its cardinality equals the
+    union's; otherwise the result is interned under the canonical rule,
+    so it is the same object {!of_list} would give.
+
+    The merges run in two scratch buffers owned by [pool] and reused by
+    every call.  A result never aliases them: it is copied out before it
+    is interned.  The pool must therefore not be shared between domains
+    (it never is: one pool per solver). *)
 val union_many : pool -> t array -> int -> int array -> int -> t

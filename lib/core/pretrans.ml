@@ -84,6 +84,22 @@ type t = {
   mutable n_cache_hits : int;
 }
 
+(* The adjacency list of every node that has none yet: one shared,
+   never-pushed empty list.  A node gets its own list at its first push
+   ([push_adj]), so set-up allocates nothing per edge-less node.  Its
+   data array is empty, so a push that bypassed [push_adj] would fail
+   loudly instead of sharing elements between nodes. *)
+let no_adj : Dynarr.t = { Dynarr.data = [||]; len = 0 }
+
+let push_adj (lists : Dynarr.t array) i x =
+  let d = lists.(i) in
+  if d == no_adj then begin
+    let d = Dynarr.create ~capacity:2 () in
+    lists.(i) <- d;
+    Dynarr.push d x
+  end
+  else Dynarr.push d x
+
 let create ?(config = default_config) ?dense_threshold ~nodes () =
   Intset.check_node_bound (max 0 (nodes - 1));
   let cap = max 16 nodes in
@@ -92,8 +108,8 @@ let create ?(config = default_config) ?dense_threshold ~nodes () =
     pool = Lvalset.create_pool ?dense_threshold ();
     n = nodes;
     skip = Array.make cap (-1);
-    succ = Array.init cap (fun _ -> Dynarr.create ~capacity:2 ());
-    base = Array.init cap (fun _ -> Dynarr.create ~capacity:2 ());
+    succ = Array.make cap no_adj;
+    base = Array.make cap no_adj;
     mark = Array.make cap (-1);
     result = Array.make cap Lvalset.empty;
     disc = Array.make cap 0;
@@ -153,25 +169,15 @@ let grow t needed =
       a'
     in
     t.skip <- extend t.skip (-1);
-    let succ' = Array.init cap' (fun i -> if i < cap then t.succ.(i) else Dynarr.create ~capacity:2 ()) in
-    t.succ <- succ';
-    let base' = Array.init cap' (fun i -> if i < cap then t.base.(i) else Dynarr.create ~capacity:2 ()) in
-    t.base <- base';
+    t.succ <- extend t.succ no_adj;
+    t.base <- extend t.base no_adj;
     t.mark <- extend t.mark (-1);
-    let r' = Array.make cap' Lvalset.empty in
-    Array.blit t.result 0 r' 0 cap;
-    t.result <- r';
+    t.result <- extend t.result Lvalset.empty;
     t.disc <- extend t.disc 0;
     t.low <- extend t.low 0;
     t.qid <- extend t.qid (-1);
     t.onstk <- extend t.onstk (-1);
-    if t.track_preds then begin
-      let preds' =
-        Array.init cap' (fun i ->
-            if i < cap then t.preds.(i) else Dynarr.create ~capacity:2 ())
-      in
-      t.preds <- preds'
-    end
+    if t.track_preds then t.preds <- extend t.preds no_adj
   end
 
 (** Allocate a fresh node (used for [*x = *y] splitting and [n_*y] deref
@@ -202,8 +208,8 @@ let add_edge t a b =
   else begin
     let key = Intset.pair_key a b in
     if Intset.add t.edge_tbl key then begin
-      Dynarr.push t.succ.(a) b;
-      if t.track_preds then Dynarr.push t.preds.(b) a;
+      push_adj t.succ a b;
+      if t.track_preds then push_adj t.preds b a;
       t.n_edges <- t.n_edges + 1;
       true
     end
@@ -214,7 +220,7 @@ let add_edge t a b =
 let add_base t x z =
   let x = deskip t x in
   let key = Intset.pair_key x z in
-  if Intset.add t.base_tbl key then Dynarr.push t.base.(x) z
+  if Intset.add t.base_tbl key then push_adj t.base x z
 
 (** Start a new pass over the complex assignments: flush the reachability
     cache and the lval-set sharing pool. *)
@@ -237,12 +243,12 @@ let unify_into t m rep =
     (* edges into [m] now semantically target [rep]; keeping the merged
        list (stale ids and all) over-approximates, which is sound for
        invalidation *)
-    Dynarr.iter (fun p -> Dynarr.push t.preds.(rep) p) t.preds.(m);
-    t.preds.(m) <- Dynarr.create ~capacity:1 ()
+    Dynarr.iter (fun p -> push_adj t.preds rep p) t.preds.(m);
+    t.preds.(m) <- no_adj
   end;
   (* free the merged node's storage *)
-  t.succ.(m) <- Dynarr.create ~capacity:1 ();
-  t.base.(m) <- Dynarr.create ~capacity:1 ()
+  t.succ.(m) <- no_adj;
+  t.base.(m) <- no_adj
 
 (* ------------------------------------------------------------------ *)
 (* Delta invalidation                                                  *)
@@ -254,12 +260,10 @@ let unify_into t m rep =
 let enable_pred_tracking t =
   if not t.track_preds then begin
     let cap = Array.length t.skip in
-    t.preds <- Array.init cap (fun _ -> Dynarr.create ~capacity:2 ());
+    t.preds <- Array.make cap no_adj;
     t.track_preds <- true;
     for a = 0 to t.n - 1 do
-      Dynarr.iter
-        (fun raw -> Dynarr.push t.preds.(deskip t raw) a)
-        t.succ.(a)
+      Dynarr.iter (fun raw -> push_adj t.preds (deskip t raw) a) t.succ.(a)
     done
   end
 

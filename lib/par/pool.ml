@@ -29,12 +29,15 @@ let clamp jobs = if jobs < 1 then 1 else if jobs > max_width then max_width else
    accept loop; a pool as wide as the machine would starve them). *)
 let auto_cap () = max 1 (Domain.recommended_domain_count () - 1)
 
+(* A request wider than the machine only adds lanes that contend for
+   the same cores (a 2-core host compiled slower at [-j 4] than at
+   [-j 1]), so a positive request is capped at the core count. *)
 let resolve_jobs n =
   if n < 0 then
     invalid_arg
       (Printf.sprintf "job count must be >= 0 (got %d; 0 means auto)" n)
   else if n = 0 then auto_cap ()
-  else n
+  else min n (Domain.recommended_domain_count ())
 
 (* A posted batch as the workers see it. *)
 type batch = {

@@ -46,5 +46,7 @@ val auto_cap : unit -> int
 
 (** Resolve a [-j N] request: [0] means "auto" — {!auto_cap} — and
     anything negative raises [Invalid_argument] (CLI layers turn that
-    into a clean [Diag]).  Positive values pass through unchanged. *)
+    into a clean [Diag]).  A positive value is capped at
+    [Domain.recommended_domain_count ()]: lanes beyond the core count
+    only contend for the same cores.  Spawns no domain. *)
 val resolve_jobs : int -> int

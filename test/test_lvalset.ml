@@ -65,6 +65,119 @@ let union_many_matches =
       let expect = IS.union (model (part 0)) (IS.union (model (part 1)) (model (part 2))) in
       Lvalset.to_list u = IS.elements expect)
 
+(* 0-12 input sets plus a raw buffer that is unsorted and repeats its
+   elements — the shape of one SCC result in the reachability walk *)
+let many_inputs =
+  QCheck.(
+    pair (list_of_size Gen.(0 -- 12) elems) (list_of_size Gen.(0 -- 40) (int_bound 400)))
+
+let union_many_inputs pool (ls, raw) =
+  let sets = Array.of_list (List.map (mk pool) ls) in
+  let buf = Array.of_list (raw @ List.rev raw) in
+  Lvalset.union_many pool sets (Array.length sets) buf (Array.length buf)
+
+let many_per_threshold name prop =
+  List.map
+    (fun (tn, th) ->
+      QCheck.Test.make ~count:200 ~name:(Fmt.str "%s [%s]" name tn) many_inputs
+        (fun input -> prop th (Lvalset.create_pool ~dense_threshold:th ()) input))
+    thresholds
+
+let union_many_model =
+  many_per_threshold "union_many of 0-12 sets matches the model"
+    (fun _ pool ((ls, raw) as input) ->
+      let u = union_many_inputs pool input in
+      let expect = List.fold_left (fun m l -> IS.union m (model l)) (model raw) ls in
+      Lvalset.to_list u = IS.elements expect
+      && Lvalset.cardinal u = IS.cardinal expect)
+
+let union_many_canonical =
+  many_per_threshold "union_many result is canonical" (fun _ pool input ->
+      let u = union_many_inputs pool input in
+      u == mk pool (Lvalset.to_list u))
+
+(* An input that already is the union comes back physically — built in
+   another pool, so canonical interning cannot be what makes it so.
+   Only a small total (at most the threshold) is re-interned, like
+   [of_dyn]. *)
+let union_many_winner =
+  many_per_threshold "union_many returns an input equal to the union"
+    (fun th pool (ls, raw) ->
+      let all = List.concat (raw :: ls) in
+      let whole = mk (Lvalset.create_pool ~dense_threshold:th ()) all in
+      let sets = Array.of_list (whole :: List.map (mk pool) ls) in
+      let buf = Array.of_list raw in
+      let u = Lvalset.union_many pool sets (Array.length sets) buf (Array.length buf) in
+      let total =
+        Array.fold_left (fun n s -> n + Lvalset.cardinal s) (Array.length buf) sets
+      in
+      if total <= th then u == mk pool all else u == whole)
+
+(* [union_many] builds its result in scratch owned by the pool; a result
+   must never alias it.  Disjoint, sparse inputs make the union exactly
+   as long as the freshly sized scratch, which is when interning the
+   scratch uncopied would keep it as the set's backing store. *)
+let union_many_scratch_not_retained =
+  many_per_threshold "union_many never retains its scratch" (fun th _ (ls, raw) ->
+      let pool = Lvalset.create_pool ~dense_threshold:th () in
+      let spread k l = List.sort_uniq compare (List.map (fun x -> (x * 100) + k) l) in
+      let sets = Array.of_list (List.mapi (fun i l -> mk pool (spread (i + 1) l)) ls) in
+      let buf = Array.of_list (spread 0 raw) in
+      let u = Lvalset.union_many pool sets (Array.length sets) buf (Array.length buf) in
+      let before = Lvalset.to_list u in
+      let sets' = Array.map (fun s -> mk pool (List.map succ (Lvalset.to_list s))) sets in
+      let buf' = Array.of_list (List.map succ (spread 0 raw)) in
+      ignore (Lvalset.union_many pool sets' (Array.length sets') buf' (Array.length buf'));
+      Lvalset.to_list u = before)
+
+(* Bitmap walks at word boundaries: elements on bit 31 of each 32-bit
+   word (the top bit) and words with every bit set, as bitmaps
+   (threshold 4).  Every walk is ascending and matches the model. *)
+let word_boundary_sets =
+  [
+    ("bit 31 of every word", List.init 40 (fun w -> (w * 32) + 31));
+    ("all-ones words", List.init 32 Fun.id @ List.init 32 (fun i -> 64 + i));
+    ( "mixed",
+      [ 31; 63; 95 ] @ List.init 32 (fun i -> 128 + i) @ [ 191; 223; 255; 256 ] );
+  ]
+
+let test_word_boundaries () =
+  let pool = Lvalset.create_pool ~dense_threshold:4 () in
+  let elements s =
+    let seen = ref [] in
+    Lvalset.iter (fun x -> seen := x :: !seen) s;
+    List.rev !seen
+  in
+  List.iter
+    (fun (name, l) ->
+      let s = mk pool l and m = IS.elements (model l) in
+      Alcotest.(check bool) (name ^ ": is a bitmap") true (Lvalset.is_bitmap s);
+      Alcotest.(check (list int)) (name ^ ": iter") m (elements s);
+      Alcotest.(check (list int)) (name ^ ": to_list") m (Lvalset.to_list s);
+      Alcotest.(check (list int)) (name ^ ": fold") m
+        (List.rev (Lvalset.fold (fun acc x -> x :: acc) [] s));
+      (* the diff against every other element, against the lower half
+         (a bitmap too: the word-ANDNOT path), and against nothing *)
+      let diff p =
+        let seen = ref [] in
+        Lvalset.iter_diff ~prev:p s (fun x -> seen := x :: !seen);
+        List.rev !seen
+      in
+      let keep f = List.filteri (fun i _ -> f i) m in
+      Alcotest.(check (list int)) (name ^ ": iter_diff")
+        (keep (fun i -> i mod 2 = 1))
+        (diff (mk pool (keep (fun i -> i mod 2 = 0))));
+      let half = List.length m / 2 in
+      let lower = mk pool (keep (fun i -> i < half)) in
+      Alcotest.(check bool) (name ^ ": lower half is a bitmap") true
+        (Lvalset.is_bitmap lower);
+      Alcotest.(check (list int)) (name ^ ": iter_diff of bitmaps")
+        (keep (fun i -> i >= half))
+        (diff lower);
+      Alcotest.(check (list int)) (name ^ ": iter_diff from empty") m
+        (diff Lvalset.empty))
+    word_boundary_sets
+
 let diff_matches =
   per_threshold "iter_diff visits exactly cur minus prev" (fun pool l ->
       let n = List.length l / 2 in
@@ -148,6 +261,7 @@ let unit_tests =
         let a = Lvalset.share pool [| 1; 5; 9 |] in
         let b = Lvalset.of_list pool [ 9; 1; 5 ] in
         check bool "physical" true (a == b));
+    test_case "bitmap walks at word boundaries" `Quick test_word_boundaries;
   ]
 
 let () =
@@ -157,9 +271,10 @@ let () =
       ( "model properties",
         List.map QCheck_alcotest.to_alcotest
           (contents_match @ iter_ascending @ union_matches @ union_many_matches
-         @ diff_matches) );
+         @ union_many_model @ diff_matches) );
       ( "sharing and canonicality",
         List.map QCheck_alcotest.to_alcotest
-          (physically_shared @ union_canonical
+          (physically_shared @ union_canonical @ union_many_canonical
+         @ union_many_winner @ union_many_scratch_not_retained
           @ [ cross_representation_equal; of_dyn_no_retention ]) );
     ]

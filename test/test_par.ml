@@ -11,7 +11,13 @@ module Pool = Cla_par.Pool
 (* ------------------------------------------------------------------ *)
 
 let test_resolve_jobs () =
-  Alcotest.(check int) "positive passes through" 7 (Pool.resolve_jobs 7);
+  let cores = Domain.recommended_domain_count () in
+  Alcotest.(check int) "positive is capped at the core count" (min 7 cores)
+    (Pool.resolve_jobs 7);
+  Alcotest.(check int) "one stays one" 1 (Pool.resolve_jobs 1);
+  (* a pure call: resolving a huge request starts no domain *)
+  Alcotest.(check bool) "4096 is at most the core count" true
+    (Pool.resolve_jobs 4096 <= cores);
   Alcotest.(check bool) "auto is at least 1" true (Pool.resolve_jobs 0 >= 1);
   match Pool.resolve_jobs (-3) with
   | _ -> Alcotest.fail "negative job count should be rejected"

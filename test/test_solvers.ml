@@ -209,6 +209,97 @@ let test_fresh_nodes_grow () =
   Alcotest.(check bool) "ids distinct" true
     (List.length (List.sort_uniq compare ids) = 100)
 
+(* Adjacency lists are allocated on a node's first push; every other
+   node shares one empty list.  Touch some nodes — including a fresh
+   node past the initial capacity and nodes unified into a cycle's
+   representative, then extended through their old ids — and check
+   every node against a reachability model: untouched nodes stay empty
+   and no node sees another's edges or base elements. *)
+let test_shared_empty_adjacency () =
+  let g = Pretrans.create ~nodes:16 () in
+  let fresh = List.init 20 (fun _ -> Pretrans.fresh_node g) in
+  let far = List.nth fresh 19 in
+  let edges = ref [] and bases = ref [] in
+  let edge a b =
+    edges := (a, b) :: !edges;
+    ignore (Pretrans.add_edge g a b)
+  in
+  let base x z =
+    bases := (x, z) :: !bases;
+    Pretrans.add_base g x z
+  in
+  (* a cycle 1 -> 2 -> 3 -> 1 hanging off 0, and a chain through [far] *)
+  edge 0 1;
+  edge 1 2;
+  edge 2 3;
+  edge 3 1;
+  edge 3 4;
+  base 4 100;
+  edge 5 far;
+  base far 101;
+  edge far 6;
+  base 6 102;
+  Pretrans.new_pass g;
+  ignore (Pretrans.get_lvals g 0);
+  Alcotest.(check bool) "the cycle was unified" true
+    ((Pretrans.stats g).Pretrans.unified >= 2);
+  (* extend the unified nodes through their old ids *)
+  edge 2 7;
+  base 7 103;
+  base 3 104;
+  Pretrans.enable_pred_tracking g;
+  edge 8 far;
+  let model n =
+    let seen = Hashtbl.create 16 in
+    let rec go n =
+      if not (Hashtbl.mem seen n) then begin
+        Hashtbl.add seen n ();
+        List.iter (fun (a, b) -> if a = n then go b) !edges
+      end
+    in
+    go n;
+    List.filter (fun (x, _) -> Hashtbl.mem seen x) !bases
+    |> List.map snd |> List.sort_uniq compare
+  in
+  Pretrans.new_pass g;
+  for n = 0 to Pretrans.n_nodes g - 1 do
+    Alcotest.(check (list int))
+      (Fmt.str "node %d" n) (model n)
+      (Lvalset.to_list (Pretrans.get_lvals g n))
+  done;
+  Alcotest.(check (list int)) "an untouched fresh node is empty" []
+    (Lvalset.to_list (Pretrans.get_lvals g (List.nth fresh 3)));
+  (* predecessor lists start shared too: 5 and 8 reach [far] *)
+  Alcotest.(check int) "invalidation reaches exactly far's ancestors" 3
+    (Pretrans.invalidate_reaching g [ far ])
+
+(* The same, end to end: a program with more variables than the graph's
+   initial capacity, dereference nodes allocated past it, a unified copy
+   cycle and variables that are never assigned.  Every answer equals
+   the worklist solver's, and the untouched variables point nowhere. *)
+let test_shared_empty_adjacency_program () =
+  let unused = List.init 20 (Fmt.str "u%d") in
+  let src =
+    Fmt.str
+      "int a, b, c, %s;
+       int *p, *q, *r, *s, *lonely, **pp, **qq;
+       void f(void) {
+      \  p = &a; q = p; r = q; p = r;
+      \  s = &b; pp = &p; *pp = s;
+      \  qq = pp; r = *qq; q = &c;
+       }
+"
+      (String.concat ", " unused)
+  in
+  let v = view_of src in
+  let pre = Pipeline.points_to v in
+  Alcotest.(check bool) "pretransitive = worklist" true
+    (Solution.equal pre (Worklist.solve v));
+  List.iter
+    (fun name -> Alcotest.(check (list string)) name [] (pts_of pre name))
+    ("lonely" :: unused);
+  Alcotest.(check (list string)) "p" [ "a"; "b"; "c" ] (pts_of pre "p")
+
 (* On the sparse/dense/cyclic Genir shapes: the sharing pool's
    canonicality invariant — every pool miss builds exactly one canonical
    set, stored as either a small sorted array or a dense bitmap — and
@@ -351,6 +442,10 @@ let () =
           Alcotest.test_case "indirect call arity mismatch" `Quick
             test_indirect_arity_mismatch;
           Alcotest.test_case "node growth" `Quick test_fresh_nodes_grow;
+          Alcotest.test_case "shared empty adjacency" `Quick
+            test_shared_empty_adjacency;
+          Alcotest.test_case "shared empty adjacency, end to end" `Quick
+            test_shared_empty_adjacency_program;
           Alcotest.test_case "shaped views: pool canonical, oracle agrees" `Quick
             test_shaped_views;
         ] );
