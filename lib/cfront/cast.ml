@@ -139,22 +139,37 @@ type tunit = {
 (* Printing (used by error messages, tests and the dump tool)          *)
 (* ------------------------------------------------------------------ *)
 
-let rec pp_typ ppf = function
-  | Tvoid -> Fmt.string ppf "void"
-  | Tint s | Tfloat s -> Fmt.string ppf s
-  | Tptr t -> Fmt.pf ppf "%a*" pp_typ t
-  | Tarray (t, _) -> Fmt.pf ppf "%a[]" pp_typ t
+(* The one spelling of a type: [int*], [char[]], [int(char*,...)],
+   [struct s].  It is recorded as each variable's type, so it reaches
+   object bytes. *)
+let rec add_typ b = function
+  | Tvoid -> Buffer.add_string b "void"
+  | Tint s | Tfloat s | Tnamed s -> Buffer.add_string b s
+  | Tptr t -> add_typ b t; Buffer.add_char b '*'
+  | Tarray (t, _) -> add_typ b t; Buffer.add_string b "[]"
   | Tfun (r, ps, va) ->
-      Fmt.pf ppf "%a(%a%s)" pp_typ r
-        (Fmt.list ~sep:(Fmt.any ",") (fun ppf p -> pp_typ ppf p.ptyp))
-        ps
-        (if va then ",..." else "")
-  | Tnamed n -> Fmt.string ppf n
-  | Tcomp (false, tag) -> Fmt.pf ppf "struct %s" tag
-  | Tcomp (true, tag) -> Fmt.pf ppf "union %s" tag
-  | Tenum tag -> Fmt.pf ppf "enum %s" tag
+      add_typ b r;
+      Buffer.add_char b '(';
+      List.iteri
+        (fun i p ->
+          if i > 0 then Buffer.add_char b ',';
+          add_typ b p.ptyp)
+        ps;
+      if va then Buffer.add_string b ",...";
+      Buffer.add_char b ')'
+  | Tcomp (false, tag) -> Buffer.add_string b "struct "; Buffer.add_string b tag
+  | Tcomp (true, tag) -> Buffer.add_string b "union "; Buffer.add_string b tag
+  | Tenum tag -> Buffer.add_string b "enum "; Buffer.add_string b tag
 
-let typ_to_string t = Fmt.str "%a" pp_typ t
+let typ_to_string = function
+  | Tvoid -> "void"
+  | Tint s | Tfloat s | Tnamed s -> s
+  | t ->
+      let b = Buffer.create 32 in
+      add_typ b t;
+      Buffer.contents b
+
+let pp_typ ppf t = Fmt.string ppf (typ_to_string t)
 
 let rec pp_expr ppf e =
   match e.edesc with
@@ -193,4 +208,3 @@ let rec pp_expr ppf e =
 let expr_to_string e = Fmt.str "%a" pp_expr e
 
 let mk_expr ?(loc = Loc.none) edesc = { edesc; eloc = loc }
-let mk_stmt ?(loc = Loc.none) sdesc = { sdesc; sloc = loc }

@@ -263,7 +263,7 @@ let rec token sc p =
     | '~' -> single sc p TILDE
     | c -> unexpected sc c p
 
-let scan ?(file = "<string>") src =
+let scan_untrimmed ?(file = "<string>") src =
   let sc =
     {
       src; len = String.length src; pos = 0; line = 1; bol = 0; file;
@@ -286,7 +286,11 @@ let scan ?(file = "<string>") src =
     if tok == EOF then n + 1 else go (n + 1)
   in
   let n = go 0 in
-  if n = !cap then { toks = !toks; locs = !locs }
-  else { toks = Array.sub !toks 0 n; locs = Array.sub !locs 0 n }
+  (!toks, !locs, n)
+
+let scan ?file src =
+  let toks, locs, n = scan_untrimmed ?file src in
+  if n = Array.length toks then { toks; locs }
+  else { toks = Array.sub toks 0 n; locs = Array.sub locs 0 n }
 
 let tokens_of_string ?file s = Array.to_list (scan ?file s).toks

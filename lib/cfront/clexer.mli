@@ -16,5 +16,10 @@ type t = { toks : Ctoken.t array; locs : Cla_ir.Loc.t array }
     the first line marker. *)
 val scan : ?file:string -> string -> t
 
+(** {!scan} without its final copy: [(toks, locs, n)] where the first
+    [n] entries are [scan]'s and the arrays may run on past them. *)
+val scan_untrimmed :
+  ?file:string -> string -> Ctoken.t array * Cla_ir.Loc.t array * int
+
 (** The tokens alone, ending with [EOF]. *)
 val tokens_of_string : ?file:string -> string -> Ctoken.t list

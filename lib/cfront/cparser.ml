@@ -33,6 +33,10 @@ let err st fmt =
   let loc = st.locs.(st.pos) in
   Fmt.kstr (fun m -> raise (Parse_error (m, loc))) fmt
 
+(* Nodes at a known location ([Cast.mk_expr ~loc] boxes the option). *)
+let expr_at eloc edesc = { edesc; eloc }
+let stmt_at sloc sdesc = { sdesc; sloc }
+
 (* ------------------------------------------------------------------ *)
 (* Token-stream helpers                                                *)
 (* ------------------------------------------------------------------ *)
@@ -424,9 +428,9 @@ and parse_param_list st : param list * bool =
 and parse_primary st : expr =
   let l = loc st in
   match peek st with
-  | T.INTLIT (v, s) -> advance st; mk_expr ~loc:l (Eint (v, s))
-  | T.FLOATLIT s -> advance st; mk_expr ~loc:l (Efloat s)
-  | T.CHARLIT c -> advance st; mk_expr ~loc:l (Echar c)
+  | T.INTLIT (v, s) -> advance st; expr_at l (Eint (v, s))
+  | T.FLOATLIT s -> advance st; expr_at l (Efloat s)
+  | T.CHARLIT c -> advance st; expr_at l (Echar c)
   | T.STRLIT s ->
       advance st;
       (* adjacent string literals concatenate *)
@@ -438,8 +442,8 @@ and parse_primary st : expr =
         | _ -> ()
       in
       more ();
-      mk_expr ~loc:l (Estring (Buffer.contents b))
-  | T.IDENT x -> advance st; mk_expr ~loc:l (Eident x)
+      expr_at l (Estring (Buffer.contents b))
+  | T.IDENT x -> advance st; expr_at l (Eident x)
   | T.LPAREN ->
       advance st;
       let e = parse_expr st in
@@ -463,32 +467,32 @@ and parse_postfix st : expr =
                argument; represent it as a (pointer-free) sizeof *)
             (if starts_type st then
                let t = parse_type_name st in
-               args := mk_expr ~loc:(loc st) (Esizeof_typ t) :: !args
+               args := expr_at (loc st) (Esizeof_typ t) :: !args
              else args := parse_assign_expr st :: !args);
             if T.equal (peek st) T.COMMA then advance st else more := false
           done
         end;
         eat st T.RPAREN;
-        e := mk_expr ~loc:l (Ecall (!e, List.rev !args))
+        e := expr_at l (Ecall (!e, List.rev !args))
     | T.LBRACKET ->
         advance st;
         let i = parse_expr st in
         eat st T.RBRACKET;
-        e := mk_expr ~loc:l (Eindex (!e, i))
+        e := expr_at l (Eindex (!e, i))
     | T.DOT ->
         advance st;
         let f = eat_ident st in
-        e := mk_expr ~loc:l (Emember (!e, f))
+        e := expr_at l (Emember (!e, f))
     | T.ARROW ->
         advance st;
         let f = eat_ident st in
-        e := mk_expr ~loc:l (Earrow (!e, f))
+        e := expr_at l (Earrow (!e, f))
     | T.PLUSPLUS ->
         advance st;
-        e := mk_expr ~loc:l (Eunop ("++post", !e))
+        e := expr_at l (Eunop ("++post", !e))
     | T.MINUSMINUS ->
         advance st;
-        e := mk_expr ~loc:l (Eunop ("--post", !e))
+        e := expr_at l (Eunop ("--post", !e))
     | _ -> continue := false
   done;
   !e
@@ -498,16 +502,16 @@ and parse_unary st : expr =
   match peek st with
   | T.PLUSPLUS ->
       advance st;
-      mk_expr ~loc:l (Eunop ("++pre", parse_unary st))
+      expr_at l (Eunop ("++pre", parse_unary st))
   | T.MINUSMINUS ->
       advance st;
-      mk_expr ~loc:l (Eunop ("--pre", parse_unary st))
-  | T.AMP -> advance st; mk_expr ~loc:l (Eaddrof (parse_cast_expr st))
-  | T.STAR -> advance st; mk_expr ~loc:l (Ederef (parse_cast_expr st))
-  | T.PLUS -> advance st; mk_expr ~loc:l (Eunop ("u+", parse_cast_expr st))
-  | T.MINUS -> advance st; mk_expr ~loc:l (Eunop ("u-", parse_cast_expr st))
-  | T.TILDE -> advance st; mk_expr ~loc:l (Eunop ("~", parse_cast_expr st))
-  | T.BANG -> advance st; mk_expr ~loc:l (Eunop ("!", parse_cast_expr st))
+      expr_at l (Eunop ("--pre", parse_unary st))
+  | T.AMP -> advance st; expr_at l (Eaddrof (parse_cast_expr st))
+  | T.STAR -> advance st; expr_at l (Ederef (parse_cast_expr st))
+  | T.PLUS -> advance st; expr_at l (Eunop ("u+", parse_cast_expr st))
+  | T.MINUS -> advance st; expr_at l (Eunop ("u-", parse_cast_expr st))
+  | T.TILDE -> advance st; expr_at l (Eunop ("~", parse_cast_expr st))
+  | T.BANG -> advance st; expr_at l (Eunop ("!", parse_cast_expr st))
   | T.KW_SIZEOF ->
       advance st;
       if T.equal (peek st) T.LPAREN && starts_type_after_lparen st then begin
@@ -515,9 +519,9 @@ and parse_unary st : expr =
         let t = parse_type_name st in
         eat st T.RPAREN;
         (* sizeof(T){...} is a compound literal being sized; tolerate *)
-        mk_expr ~loc:l (Esizeof_typ t)
+        expr_at l (Esizeof_typ t)
       end
-      else mk_expr ~loc:l (Esizeof_expr (parse_unary st))
+      else expr_at l (Esizeof_expr (parse_unary st))
   | _ -> parse_postfix st
 
 and starts_type_after_lparen st =
@@ -539,9 +543,9 @@ and parse_cast_expr st : expr =
     if T.equal (peek st) T.LBRACE then begin
       (* compound literal *)
       let init = parse_initializer st in
-      mk_expr ~loc:l (Ecompound (t, init))
+      expr_at l (Ecompound (t, init))
     end
-    else mk_expr ~loc:l (Ecast (t, parse_cast_expr st))
+    else expr_at l (Ecast (t, parse_cast_expr st))
   end
   else parse_unary st
 
@@ -572,7 +576,7 @@ and parse_binary st level : expr =
       let l = loc st in
       advance st;
       let rhs = parse_binary st (p + 1) in
-      lhs := mk_expr ~loc:l (Ebinop (T.to_string tok, !lhs, rhs))
+      lhs := expr_at l (Ebinop (T.to_string tok, !lhs, rhs))
     end
     else continue := false
   done;
@@ -586,7 +590,7 @@ and parse_cond_expr st : expr =
     let a = parse_expr st in
     eat st T.COLON;
     let b = parse_cond_expr st in
-    mk_expr ~loc:l (Econd (c, a, b))
+    expr_at l (Econd (c, a, b))
   end
   else c
 
@@ -596,7 +600,7 @@ and parse_assign_expr st : expr =
   let mk op =
     advance st;
     let rhs = parse_assign_expr st in
-    mk_expr ~loc:l (Eassign (op, lhs, rhs))
+    expr_at l (Eassign (op, lhs, rhs))
   in
   match peek st with
   | T.EQ -> mk None
@@ -618,7 +622,7 @@ and parse_expr st : expr =
     let l = loc st in
     advance st;
     let rest = parse_expr st in
-    mk_expr ~loc:l (Ecomma (e, rest))
+    expr_at l (Ecomma (e, rest))
   end
   else e
 
@@ -670,12 +674,12 @@ and parse_designator_opt st : string option =
 and parse_stmt st : stmt =
   let l = loc st in
   match peek st with
-  | T.SEMI -> advance st; mk_stmt ~loc:l Snull
+  | T.SEMI -> advance st; stmt_at l Snull
   | T.LBRACE ->
       enter_scope st;
       let stmts = parse_block st in
       leave_scope st;
-      mk_stmt ~loc:l (Sblock stmts)
+      stmt_at l (Sblock stmts)
   | T.KW_IF ->
       advance st;
       eat st T.LPAREN;
@@ -689,13 +693,13 @@ and parse_stmt st : stmt =
         end
         else None
       in
-      mk_stmt ~loc:l (Sif (c, then_, else_))
+      stmt_at l (Sif (c, then_, else_))
   | T.KW_WHILE ->
       advance st;
       eat st T.LPAREN;
       let c = parse_expr st in
       eat st T.RPAREN;
-      mk_stmt ~loc:l (Swhile (c, parse_stmt st))
+      stmt_at l (Swhile (c, parse_stmt st))
   | T.KW_DO ->
       advance st;
       let body = parse_stmt st in
@@ -704,7 +708,7 @@ and parse_stmt st : stmt =
       let c = parse_expr st in
       eat st T.RPAREN;
       eat st T.SEMI;
-      mk_stmt ~loc:l (Sdo (body, c))
+      stmt_at l (Sdo (body, c))
   | T.KW_FOR ->
       advance st;
       eat st T.LPAREN;
@@ -731,45 +735,45 @@ and parse_stmt st : stmt =
       eat st T.RPAREN;
       let body = parse_stmt st in
       leave_scope st;
-      mk_stmt ~loc:l (Sfor (init, cond, step, body))
+      stmt_at l (Sfor (init, cond, step, body))
   | T.KW_RETURN ->
       advance st;
       let e = if T.equal (peek st) T.SEMI then None else Some (parse_expr st) in
       eat st T.SEMI;
-      mk_stmt ~loc:l (Sreturn e)
-  | T.KW_BREAK -> advance st; eat st T.SEMI; mk_stmt ~loc:l Sbreak
-  | T.KW_CONTINUE -> advance st; eat st T.SEMI; mk_stmt ~loc:l Scontinue
+      stmt_at l (Sreturn e)
+  | T.KW_BREAK -> advance st; eat st T.SEMI; stmt_at l Sbreak
+  | T.KW_CONTINUE -> advance st; eat st T.SEMI; stmt_at l Scontinue
   | T.KW_SWITCH ->
       advance st;
       eat st T.LPAREN;
       let e = parse_expr st in
       eat st T.RPAREN;
-      mk_stmt ~loc:l (Sswitch (e, parse_stmt st))
+      stmt_at l (Sswitch (e, parse_stmt st))
   | T.KW_CASE ->
       advance st;
       let e = parse_cond_expr st in
       eat st T.COLON;
-      mk_stmt ~loc:l (Scase (e, parse_stmt st))
+      stmt_at l (Scase (e, parse_stmt st))
   | T.KW_DEFAULT ->
       advance st;
       eat st T.COLON;
-      mk_stmt ~loc:l (Sdefault (parse_stmt st))
+      stmt_at l (Sdefault (parse_stmt st))
   | T.KW_GOTO ->
       advance st;
       let lbl = eat_ident st in
       eat st T.SEMI;
-      mk_stmt ~loc:l (Sgoto lbl)
+      stmt_at l (Sgoto lbl)
   | T.IDENT name when T.equal (peek2 st) T.COLON && not (is_typedef_name st name) ->
       advance st;
       advance st;
-      mk_stmt ~loc:l (Slabel (name, parse_stmt st))
+      stmt_at l (Slabel (name, parse_stmt st))
   | _ when starts_type st ->
       let ds = parse_declaration st in
-      mk_stmt ~loc:l (Sdecl ds)
+      stmt_at l (Sdecl ds)
   | _ ->
       let e = parse_expr st in
       eat st T.SEMI;
-      mk_stmt ~loc:l (Sexpr e)
+      stmt_at l (Sexpr e)
 
 and parse_block st : stmt list =
   eat st T.LBRACE;
@@ -958,12 +962,12 @@ type result = { tunit : tunit; typedefs : (string, typ) Hashtbl.t }
 
 (** Parse preprocessed text (with optional [# line "file"] markers). *)
 let parse_string ?(file = "<string>") text : result =
-  let { Clexer.toks; locs } = Clexer.scan ~file text in
+  let toks, locs, n = Clexer.scan_untrimmed ~file text in
   let st =
     {
       toks;
       locs;
-      last = Array.length toks - 1;
+      last = n - 1;
       pos = 0;
       scopes = [ Scope.create 64 ];
       typedefs = Hashtbl.create 64;

@@ -36,6 +36,23 @@ let is_id_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_id_char c = is_id_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
+let is_blank c = c = ' ' || c = '\t' || c = '\r'
+
+(* The end of the pp-number starting at [i]: digits, letters, dots and
+   exponent signs. *)
+let ppnum_end s i n =
+  let j = ref i in
+  while
+    !j < n
+    && (is_id_char s.[!j] || s.[!j] = '.'
+       || ((s.[!j] = '+' || s.[!j] = '-')
+          && !j > i
+          && (match s.[!j - 1] with 'e' | 'E' | 'p' | 'P' -> true | _ -> false)))
+  do
+    incr j
+  done;
+  !j
+
 (* Scan one logical line into ptoks.  Comments were removed earlier. *)
 let scan_line ~file ~line s =
   let n = String.length s in
@@ -44,8 +61,8 @@ let scan_line ~file ~line s =
   let push t = toks := t :: !toks in
   while !i < n do
     let c = s.[!i] in
-    if c = ' ' || c = '\t' || c = '\r' then begin
-      while !i < n && (s.[!i] = ' ' || s.[!i] = '\t' || s.[!i] = '\r') do incr i done;
+    if is_blank c then begin
+      while !i < n && is_blank s.[!i] do incr i done;
       push Ws
     end
     else if is_id_start c then begin
@@ -55,19 +72,9 @@ let scan_line ~file ~line s =
       i := !j
     end
     else if is_digit c || (c = '.' && !i + 1 < n && is_digit s.[!i + 1]) then begin
-      (* pp-number: digits, letters, dots, exponent signs *)
-      let j = ref !i in
-      while
-        !j < n
-        && (is_id_char s.[!j] || s.[!j] = '.'
-           || ((s.[!j] = '+' || s.[!j] = '-')
-              && !j > !i
-              && (match s.[!j - 1] with 'e' | 'E' | 'p' | 'P' -> true | _ -> false)))
-      do
-        incr j
-      done;
-      push (Num (String.sub s !i (!j - !i)));
-      i := !j
+      let j = ppnum_end s !i n in
+      push (Num (String.sub s !i (j - !i)));
+      i := j
     end
     else if c = '"' || c = '\'' then begin
       let quote = c in
@@ -132,34 +139,62 @@ type manifest = lookup list
 
 type t = {
   defines : (string, macro) Hashtbl.t;
+  seen : Bytes.t;
+      (* marks the {!name_hash} bucket of every name ever defined: an
+         unmarked bucket proves an identifier is no macro without
+         allocating *)
   mutable sources : source list;  (* search order *)
   mutable included : string list;  (* stack, for cycle detection *)
   out : Buffer.t;
+  line : Buffer.t;  (* one output line, rendered before its marker *)
+  strip : Buffer.t;  (* a logical line with its comments removed *)
   mutable out_file : string;  (* current marker state *)
   mutable out_line : int;
   mutable max_depth : int;
   mutable lookups : lookup list;  (* the run's manifest, reversed *)
 }
 
-let create ?(include_dirs = []) ?(virtual_fs = []) ?(defines = []) () =
+let seen_buckets = 4096
+
+(* Hash of [s.[i..j)] into [0, seen_buckets). *)
+let name_hash s i j =
+  let h = ref 0 in
+  for k = i to j - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get s k)
+  done;
+  !h land (seen_buckets - 1)
+
+let define t name m =
+  Bytes.unsafe_set t.seen (name_hash name 0 (String.length name)) '\001';
+  Hashtbl.replace t.defines name m
+
+(* [#undef] leaves the name's bucket marked: a stale mark only sends the
+   lookup on to the table. *)
+let names_macro t s i j =
+  Bytes.unsafe_get t.seen (name_hash s i j) <> '\000'
+  && Hashtbl.mem t.defines (String.sub s i (j - i))
+
+let create ?(include_dirs = []) ?(virtual_fs = []) ?(defines = []) ?(size = 4096) () =
   let t =
     {
       defines = Hashtbl.create 64;
+      seen = Bytes.make seen_buckets '\000';
       sources = [ Virtual virtual_fs; Disk include_dirs ];
       included = [];
-      out = Buffer.create 4096;
+      out = Buffer.create size;
+      line = Buffer.create 256;
+      strip = Buffer.create 256;
       out_file = "";
       out_line = 0;
       max_depth = 200;
       lookups = [];
     }
   in
-  Hashtbl.replace t.defines "__CLA__" (Obj [ Num "1" ]);
-  Hashtbl.replace t.defines "__STDC__" (Obj [ Num "1" ]);
+  define t "__CLA__" (Obj [ Num "1" ]);
+  define t "__STDC__" (Obj [ Num "1" ]);
   List.iter
     (fun (name, body) ->
-      Hashtbl.replace t.defines name
-        (Obj (scan_line ~file:"<cmdline>" ~line:0 body)))
+      define t name (Obj (scan_line ~file:"<cmdline>" ~line:0 body)))
     defines;
   t
 
@@ -441,18 +476,17 @@ let eval_if_expr ~file ~line toks =
 (* Driver: logical lines, comment removal, directives                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Remove comments, tracking multi-line /* */ state.  Returns the cleaned
-   line and the new state. *)
-let strip_comments ~in_comment line =
-  let n = String.length line in
-  let b = Buffer.create n in
-  let i = ref 0 in
+(* Remove the comments of [s.[i..j)] into [b], tracking multi-line
+   /* */ state; returns the new state. *)
+let strip_comments b ~in_comment s i j =
+  Buffer.clear b;
+  let i = ref i in
   let in_c = ref in_comment in
   let quote = ref ' ' in
-  while !i < n do
-    let c = line.[!i] in
+  while !i < j do
+    let c = s.[!i] in
     if !in_c then begin
-      if c = '*' && !i + 1 < n && line.[!i + 1] = '/' then begin
+      if c = '*' && !i + 1 < j && s.[!i + 1] = '/' then begin
         in_c := false;
         Buffer.add_char b ' ';
         i := !i + 2
@@ -461,8 +495,8 @@ let strip_comments ~in_comment line =
     end
     else if !quote <> ' ' then begin
       Buffer.add_char b c;
-      if c = '\\' && !i + 1 < n then begin
-        Buffer.add_char b line.[!i + 1];
+      if c = '\\' && !i + 1 < j then begin
+        Buffer.add_char b s.[!i + 1];
         i := !i + 2
       end
       else begin
@@ -475,8 +509,8 @@ let strip_comments ~in_comment line =
       Buffer.add_char b c;
       incr i
     end
-    else if c = '/' && !i + 1 < n && line.[!i + 1] = '/' then i := n
-    else if c = '/' && !i + 1 < n && line.[!i + 1] = '*' then begin
+    else if c = '/' && !i + 1 < j && s.[!i + 1] = '/' then i := j
+    else if c = '/' && !i + 1 < j && s.[!i + 1] = '*' then begin
       in_c := true;
       i := !i + 2
     end
@@ -485,7 +519,50 @@ let strip_comments ~in_comment line =
       incr i
     end
   done;
-  (Buffer.contents b, !in_c)
+  !in_c
+
+(* Render [s.[k..j)] into [t.line] for {!plain_line}; [s.[from..k)] is
+   still to be copied verbatim, once a blank or the end shows up. *)
+let rec plain_from t ~file ~line s j from k =
+  let b = t.line in
+  if k >= j then (Buffer.add_substring b s from (k - from); true)
+  else
+    let c = String.unsafe_get s k in
+    if is_blank c then begin
+      Buffer.add_substring b s from (k - from);
+      Buffer.add_char b ' ';
+      let k = ref (k + 1) in
+      while !k < j && is_blank (String.unsafe_get s !k) do incr k done;
+      plain_from t ~file ~line s j !k !k
+    end
+    else if is_id_start c then begin
+      let e = ref (k + 1) in
+      while !e < j && is_id_char (String.unsafe_get s !e) do incr e done;
+      (not (names_macro t s k !e)) && plain_from t ~file ~line s j from !e
+    end
+    else if is_digit c || (c = '.' && k + 1 < j && is_digit s.[k + 1]) then
+      plain_from t ~file ~line s j from (ppnum_end s k j)
+    else if c = '"' || c = '\'' then begin
+      let e = ref (k + 1) in
+      while !e < j && s.[!e] <> c do
+        if s.[!e] = '\\' && !e + 1 < j then e := !e + 2 else incr e
+      done;
+      if !e >= j then error file line "unterminated %s literal"
+          (if c = '"' then "string" else "character");
+      plain_from t ~file ~line s j from (!e + 1)
+    end
+    else plain_from t ~file ~line s j from (k + 1)
+
+(* The plain-line path.  A line in which no identifier names a macro
+   expands to itself, so [render (expand (scan_line line))] is the line
+   with each run of blanks outside literals collapsed to one space.
+   Render [s.[i..j)] so into [t.line] and return [true], or return
+   [false] at the first identifier that names a macro: only the ptok
+   path can expand it.  Raises [scan_line]'s unterminated-literal
+   error. *)
+let plain_line t ~file ~line s i j =
+  Buffer.clear t.line;
+  plain_from t ~file ~line s j i i
 
 type cond = { mutable active : bool; mutable taken : bool; parent_active : bool }
 
@@ -525,62 +602,89 @@ let lookup_source t name ~from_dir =
 
 let emit_marker t file line =
   if t.out_file <> file || t.out_line <> line then begin
-    Buffer.add_string t.out (Fmt.str "# %d \"%s\"\n" line file);
+    Buffer.add_string t.out "# ";
+    Buffer.add_string t.out (string_of_int line);
+    Buffer.add_string t.out " \"";
+    Buffer.add_string t.out file;
+    Buffer.add_string t.out "\"\n";
     t.out_file <- file;
     t.out_line <- line
   end
 
-let emit_line t file line text =
+(* Emit the rendered [t.line] as line [line] of [file]. *)
+let emit_line t file line =
   emit_marker t file line;
-  Buffer.add_string t.out text;
+  Buffer.add_buffer t.out t.line;
   Buffer.add_char t.out '\n';
   t.out_line <- line + 1
+
+(* The first [c] in [s.[i..j)], or [j]. *)
+let rec index_in s i j c =
+  if i < j && String.unsafe_get s i <> c then index_in s (i + 1) j c else i
+
+(* [String.trim]'s blanks: a logical line made of them alone is empty. *)
+let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
 
 let rec process_string t ~file content =
   if List.length t.included > t.max_depth then
     error file 0 "#include nesting too deep (cycle?)";
   t.included <- file :: t.included;
-  let lines = String.split_on_char '\n' content in
   let conds : cond list ref = ref [] in
   let active () = List.for_all (fun c -> c.active) !conds in
   let in_comment = ref false in
   let lineno = ref 0 in
-  let pending = Buffer.create 80 in
+  let pending = Buffer.create 80 in  (* a line continued with '\\' *)
   let pending_start = ref 0 in
-  let flush_logical raw_line =
-    (* raw_line is the completed logical line (continuations joined) *)
+  (* The logical line [s.[i..j)] (continuations joined), read in place
+     unless it holds a comment. *)
+  let rec flush_logical s i j =
+    if (not !in_comment) && index_in s i j '/' = j then logical s i j
+    else begin
+      in_comment := strip_comments t.strip ~in_comment:!in_comment s i j;
+      logical (Buffer.contents t.strip) 0 (Buffer.length t.strip)
+    end
+  and logical s i j =
     let line0 = !pending_start in
-    let cleaned, c' = strip_comments ~in_comment:!in_comment raw_line in
-    in_comment := c';
-    let trimmed = String.trim cleaned in
-    if String.length trimmed > 0 && trimmed.[0] = '#' then
-      directive t ~file ~line:line0 conds active trimmed
-    else if active () && trimmed <> "" then begin
-      let toks = scan_line ~file ~line:line0 cleaned in
-      let expanded = expand t ~file ~line:line0 ~hide:Sset.empty toks in
-      emit_line t file line0 (render expanded)
+    let k = ref i in
+    while !k < j && is_space (String.unsafe_get s !k) do incr k done;
+    if !k = j then ()
+    else if s.[!k] = '#' then
+      directive t ~file ~line:line0 conds active
+        (String.trim (String.sub s !k (j - !k)))
+    else if active () then begin
+      if not (plain_line t ~file ~line:line0 s i j) then begin
+        let toks = scan_line ~file ~line:line0 (String.sub s i (j - i)) in
+        Buffer.clear t.line;
+        List.iter
+          (fun tok -> Buffer.add_string t.line (ptok_text tok))
+          (expand t ~file ~line:line0 ~hide:Sset.empty toks)
+      end;
+      emit_line t file line0
     end
   in
-  List.iter
-    (fun line ->
-      incr lineno;
-      if Buffer.length pending = 0 then pending_start := !lineno;
-      let len = String.length line in
-      let line =
-        if len > 0 && line.[len - 1] = '\r' then String.sub line 0 (len - 1)
-        else line
-      in
-      let len = String.length line in
-      if len > 0 && line.[len - 1] = '\\' then
-        Buffer.add_string pending (String.sub line 0 (len - 1))
-      else begin
-        Buffer.add_string pending line;
-        let logical = Buffer.contents pending in
-        Buffer.clear pending;
-        flush_logical logical
-      end)
-    lines;
-  if Buffer.length pending > 0 then flush_logical (Buffer.contents pending);
+  (* Physical lines as [String.split_on_char '\n'] cuts them. *)
+  let n = String.length content in
+  let rec physical start =
+    let e = index_in content start n '\n' in
+    incr lineno;
+    if Buffer.length pending = 0 then pending_start := !lineno;
+    let stop = if e > start && content.[e - 1] = '\r' then e - 1 else e in
+    if stop > start && content.[stop - 1] = '\\' then
+      Buffer.add_substring pending content start (stop - 1 - start)
+    else if Buffer.length pending = 0 then flush_logical content start stop
+    else begin
+      Buffer.add_substring pending content start (stop - start);
+      let logical = Buffer.contents pending in
+      Buffer.clear pending;
+      flush_logical logical 0 (String.length logical)
+    end;
+    if e < n then physical (e + 1)
+  in
+  physical 0;
+  if Buffer.length pending > 0 then begin
+    let logical = Buffer.contents pending in
+    flush_logical logical 0 (String.length logical)
+  end;
   (match !conds with
   | [] -> ()
   | _ -> error file !lineno "unterminated #if");
@@ -673,10 +777,10 @@ and directive t ~file ~line conds active text =
               let body_toks =
                 match body_toks with Ws :: l -> l | l -> l
               in
-              Hashtbl.replace t.defines mname (Fn (ps, variadic, body_toks))
+              define t mname (Fn (ps, variadic, body_toks))
           | body_toks ->
               let body_toks = match body_toks with Ws :: l -> l | l -> l in
-              Hashtbl.replace t.defines mname (Obj body_toks))
+              define t mname (Obj body_toks))
       | _ -> error file line "#define: expected macro name")
   | "undef" -> (
       match drop_ws (scan_line ~file ~line rest) with
@@ -723,7 +827,9 @@ and directive t ~file ~line conds active text =
     markers, ready for {!Clexer}, and the run's include lookups in the
     order it made them. *)
 let preprocess_recorded ?include_dirs ?virtual_fs ?defines ~file content =
-  let t = create ?include_dirs ?virtual_fs ?defines () in
+  (* the output is about as long as the input *)
+  let size = String.length content + 4096 in
+  let t = create ?include_dirs ?virtual_fs ?defines ~size () in
   process_string t ~file content;
   (Buffer.contents t.out, List.rev t.lookups)
 

@@ -19,7 +19,17 @@ type mode = Field_based | Field_independent
 (* Environment                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type scope = { sname : string; bindings : (string, Var.t * typ) Hashtbl.t }
+(* A file, function or block scope.  A block's name ["f#3"] is the
+   [scope] of its locals' keys; it and the bindings table are made at
+   the block's first declaration, as most blocks declare nothing. *)
+type scope = {
+  mutable sname : string;  (* a block's function until {!scope_name} *)
+  mutable sblock : int;  (* a block's number until named, else [-1] *)
+  mutable bindings : (string, Var.t * typ) Hashtbl.t;
+}
+
+(* Every scope's table until its first binding; never written. *)
+let no_bindings : (string, Var.t * typ) Hashtbl.t = Hashtbl.create 1
 
 type env = {
   vt : Vartab.t;
@@ -44,8 +54,8 @@ let alloc_names =
 
 let emit env p = env.assigns <- p :: env.assigns
 
-let push_scope env name =
-  env.scopes <- { sname = name; bindings = Hashtbl.create 16 } :: env.scopes
+let push_scope ?(block = -1) env name =
+  env.scopes <- { sname = name; sblock = block; bindings = no_bindings } :: env.scopes
 
 let pop_scope env =
   match env.scopes with
@@ -55,16 +65,28 @@ let pop_scope env =
 let fresh_block_scope env =
   let id = env.block_id in
   env.block_id <- id + 1;
-  let base = match env.cur_fun with Some f -> f | None -> "" in
-  push_scope env (Fmt.str "%s#%d" base id)
+  push_scope ~block:id env (match env.cur_fun with Some f -> f | None -> "")
+
+let scope_name s =
+  if s.sblock >= 0 then begin
+    s.sname <- s.sname ^ "#" ^ string_of_int s.sblock;
+    s.sblock <- -1
+  end;
+  s.sname
+
+let bind s name b =
+  if s.bindings == no_bindings then s.bindings <- Hashtbl.create 16;
+  Hashtbl.replace s.bindings name b
 
 let find_binding env name =
   let rec go = function
     | [] -> None
     | s :: rest -> (
-        match Hashtbl.find_opt s.bindings name with
-        | Some b -> Some b
-        | None -> go rest)
+        if Hashtbl.length s.bindings = 0 then go rest
+        else
+          match Hashtbl.find_opt s.bindings name with
+          | Some b -> Some b
+          | None -> go rest)
   in
   go env.scopes
 
@@ -78,8 +100,6 @@ let lookup_type env name =
 (* Variable creation                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let typ_str t = Cast.typ_to_string t
-
 (* Declare an object in the current scope and return its variable.  An
    [extern] declaration without initializer does not define the object:
    the open-world linker treats externs never defined by any unit as
@@ -91,17 +111,14 @@ let declare ?(defined = true) env ~loc name typ storage =
       match storage with
       | Sstatic -> (Var.Filelocal, "", Some Var.Intern)
       | _ -> (Var.Global, "", None)
-    else
-      let sname = (List.hd env.scopes).sname in
-      (Var.Filelocal, sname, Some Var.Intern)
+    else (Var.Filelocal, scope_name (List.hd env.scopes), Some Var.Intern)
   in
   let v =
-    Vartab.intern env.vt ~kind ~name ~scope ~typ:(typ_str typ) ~loc ?linkage
-      ~defined ()
+    Vartab.intern env.vt ~kind ~name ~scope
+      ~typ:(fun () -> Cast.typ_to_string typ)
+      ~loc ?linkage ~defined ()
   in
-  (match env.scopes with
-  | s :: _ -> Hashtbl.replace s.bindings name (v, typ)
-  | [] -> ());
+  (match env.scopes with s :: _ -> bind s name (v, typ) | [] -> ());
   v
 
 (* The variable for a struct field in field-based mode.  [tag] may be
@@ -110,19 +127,17 @@ let declare ?(defined = true) env ~loc name typ storage =
 let field_var env ~loc tag fname ftyp =
   let tag = match tag with Some t -> t | None -> "?" in
   let name = tag ^ "." ^ fname in
-  let typ = match ftyp with Some t -> typ_str t | None -> "" in
-  Vartab.intern env.vt ~kind:Var.Field ~name ~typ ~loc ()
+  let typ = Option.map (fun t () -> Cast.typ_to_string t) ftyp in
+  Vartab.intern env.vt ~kind:Var.Field ~name ?typ ~loc ()
 
 let func_var env ~loc name =
   let linkage =
     if Hashtbl.mem env.static_funcs name then Some Var.Intern else None
   in
   let typ =
-    match Hashtbl.find_opt env.funcs name with
-    | Some t -> typ_str t
-    | None -> ""
+    Option.map (fun t () -> Cast.typ_to_string t) (Hashtbl.find_opt env.funcs name)
   in
-  Vartab.intern env.vt ~kind:Var.Func ~name ~typ ~loc ?linkage ()
+  Vartab.intern env.vt ~kind:Var.Func ~name ?typ ~loc ?linkage ()
 
 let arg_var env ~loc fname i =
   let linkage =
@@ -141,19 +156,22 @@ let ret_var env ~loc fname =
    the primitive assignments f1 = x, f2 = y"). *)
 let iarg_var env ~loc p i =
   Vartab.intern env.vt ~kind:(Var.Arg i)
-    ~name:(Fmt.str "ip%d" (Var.uid p))
+    ~name:("ip" ^ string_of_int (Var.uid p))
     ~loc ~linkage:Var.Intern ()
 
 let iret_var env ~loc p =
   Vartab.intern env.vt ~kind:Var.Ret
-    ~name:(Fmt.str "ip%d" (Var.uid p))
+    ~name:("ip" ^ string_of_int (Var.uid p))
     ~loc ~linkage:Var.Intern ()
 
 let heap_var env ~loc callee =
   let n = env.heap_count in
   env.heap_count <- n + 1;
   Vartab.intern env.vt ~kind:Var.Heap
-    ~name:(Fmt.str "%s@%s:%d#%d" callee (Filename.basename loc.Loc.file) loc.Loc.line n)
+    ~name:
+      (String.concat ""
+         [ callee; "@"; Filename.basename loc.Loc.file; ":";
+           string_of_int loc.Loc.line; "#"; string_of_int n ])
     ~loc ~linkage:Var.Intern ()
 
 (* Resolve an identifier appearing in an expression. *)
@@ -173,11 +191,11 @@ let resolve_ident env ~loc name =
            implicitly declare it as a global int; its definition, if any,
            lives outside this unit *)
         let v =
-          Vartab.intern env.vt ~kind:Var.Global ~name ~typ:"int" ~loc
+          Vartab.intern env.vt ~kind:Var.Global ~name ~typ:(fun () -> "int") ~loc
             ~defined:false ()
         in
         (match List.rev env.scopes with
-        | file_scope :: _ -> Hashtbl.replace file_scope.bindings name (v, Tint "int")
+        | file_scope :: _ -> bind file_scope name (v, Tint "int")
         | [] -> ());
         Robj (v, Tint "int")
       end
@@ -709,11 +727,9 @@ and local_decl env (d : decl) =
          defining it *)
       let v =
         Vartab.intern env.vt ~kind:Var.Global ~name:d.dname
-          ~typ:(typ_str d.dtyp) ~loc:d.dloc ~defined:false ()
+          ~typ:(fun () -> Cast.typ_to_string d.dtyp) ~loc:d.dloc ~defined:false ()
       in
-      (match env.scopes with
-      | s :: _ -> Hashtbl.replace s.bindings d.dname (v, d.dtyp)
-      | [] -> ())
+      (match env.scopes with s :: _ -> bind s d.dname (v, d.dtyp) | [] -> ())
   | _ ->
       if Typechk.is_function env.tenv d.dtyp then
         Hashtbl.replace env.funcs d.dname d.dtyp
@@ -818,7 +834,7 @@ let run ?(mode = Field_based) ?(drop_bodies = fun _ -> false)
       enum_consts;
       funcs = Hashtbl.create 64;
       static_funcs = Hashtbl.create 16;
-      scopes = [ { sname = ""; bindings = Hashtbl.create 64 } ];
+      scopes = [ { sname = ""; sblock = -1; bindings = Hashtbl.create 64 } ];
       cur_fun = None;
       block_id = 0;
       assigns = [];

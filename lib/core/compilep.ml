@@ -26,18 +26,26 @@ let default_options =
     drop_bodies = (fun _ -> false);
   }
 
-(* Non-blank, non-# lines — the paper's source line count metric. *)
+(* Non-blank, non-# lines — the paper's source line count metric: a
+   line counts when its first character that [String.trim] keeps is not
+   a '#'. *)
 let count_source_lines text =
-  let n = ref 0 in
-  List.iter
-    (fun line ->
-      let t = String.trim line in
-      if t <> "" && t.[0] <> '#' then incr n)
-    (String.split_on_char '\n' text);
+  let n = ref 0 and at_start = ref true in
+  String.iter
+    (function
+      | '\n' -> at_start := true
+      | ' ' | '\012' | '\r' | '\t' -> ()
+      | c ->
+          if !at_start && c <> '#' then incr n;
+          at_start := false)
+    text;
   !n
 
+(* The lines [String.split_on_char '\n'] would cut. *)
 let count_lines text =
-  List.length (String.split_on_char '\n' text)
+  let n = ref 1 in
+  String.iter (fun c -> if c = '\n' then incr n) text;
+  !n
 
 (** Lower a normalized translation unit to a serializable database. *)
 let db_of_prog ?(source_lines = 0) ?(preproc_lines = 0) (p : Prog.t) : Objfile.db
@@ -207,28 +215,34 @@ let manifest_holds ?(options = default_options) manifest =
 
 (** Compile C source text into a database, with the preprocessor's
     include manifest.  Recorded as a ["compile"] span (labelled with the
-    file) and published as [compile.*] metrics. *)
+    file) over one span per layer — ["cpp"], ["parse"], ["normalize"],
+    ["encode"], the perfbench ledger's names — and published as
+    [compile.*] metrics. *)
 let compile_recorded ?(options = default_options) ~file source :
     Objfile.db * Cpp.manifest =
-  Cla_obs.Span.with_span "compile" ~label:file (fun () ->
+  let span = Cla_obs.Span.with_span in
+  span "compile" ~label:file (fun () ->
       let preprocessed, manifest =
-        Cpp.preprocess_recorded ~include_dirs:options.include_dirs
-          ~virtual_fs:options.virtual_fs ~defines:options.defines ~file source
+        span "cpp" (fun () ->
+            Cpp.preprocess_recorded ~include_dirs:options.include_dirs
+              ~virtual_fs:options.virtual_fs ~defines:options.defines ~file
+              source)
       in
-      let tuhash = hash_of_preprocessed ~options preprocessed in
-      let parsed = Cparser.parse_string ~file preprocessed in
+      let parsed = span "parse" (fun () -> Cparser.parse_string ~file preprocessed) in
       let prog =
-        Normalize.run ~mode:options.mode ~drop_bodies:options.drop_bodies
-          parsed
+        span "normalize" (fun () ->
+            Normalize.run ~mode:options.mode ~drop_bodies:options.drop_bodies
+              parsed)
       in
       let db =
-        {
-          (db_of_prog
-             ~source_lines:(count_source_lines source)
-             ~preproc_lines:(count_lines preprocessed) prog)
-          with
-          Objfile.tuhash = Some tuhash;
-        }
+        span "encode" (fun () ->
+            {
+              (db_of_prog
+                 ~source_lines:(count_source_lines source)
+                 ~preproc_lines:(count_lines preprocessed) prog)
+              with
+              Objfile.tuhash = Some (hash_of_preprocessed ~options preprocessed);
+            })
       in
       Cla_obs.Metrics.incr "compile.units";
       Cla_obs.Metrics.incr ~by:db.Objfile.meta.Objfile.msource_lines

@@ -26,3 +26,16 @@ let iter f t =
 
 let unsafe_get t i = Array.unsafe_get t.data i
 let to_array t = Array.sub t.data 0 t.len
+
+(* Never pushed: its data array is empty, so a push that bypassed
+   [push_at] fails loudly instead of sharing elements between nodes. *)
+let empty = { data = [||]; len = 0 }
+
+let push_at lists i x =
+  let d = lists.(i) in
+  if d == empty then begin
+    let d = create ~capacity:2 () in
+    lists.(i) <- d;
+    push d x
+  end
+  else push d x

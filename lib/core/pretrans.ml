@@ -84,22 +84,6 @@ type t = {
   mutable n_cache_hits : int;
 }
 
-(* The adjacency list of every node that has none yet: one shared,
-   never-pushed empty list.  A node gets its own list at its first push
-   ([push_adj]), so set-up allocates nothing per edge-less node.  Its
-   data array is empty, so a push that bypassed [push_adj] would fail
-   loudly instead of sharing elements between nodes. *)
-let no_adj : Dynarr.t = { Dynarr.data = [||]; len = 0 }
-
-let push_adj (lists : Dynarr.t array) i x =
-  let d = lists.(i) in
-  if d == no_adj then begin
-    let d = Dynarr.create ~capacity:2 () in
-    lists.(i) <- d;
-    Dynarr.push d x
-  end
-  else Dynarr.push d x
-
 let create ?(config = default_config) ?dense_threshold ~nodes () =
   Intset.check_node_bound (max 0 (nodes - 1));
   let cap = max 16 nodes in
@@ -108,8 +92,8 @@ let create ?(config = default_config) ?dense_threshold ~nodes () =
     pool = Lvalset.create_pool ?dense_threshold ();
     n = nodes;
     skip = Array.make cap (-1);
-    succ = Array.make cap no_adj;
-    base = Array.make cap no_adj;
+    succ = Array.make cap Dynarr.empty;
+    base = Array.make cap Dynarr.empty;
     mark = Array.make cap (-1);
     result = Array.make cap Lvalset.empty;
     disc = Array.make cap 0;
@@ -169,15 +153,15 @@ let grow t needed =
       a'
     in
     t.skip <- extend t.skip (-1);
-    t.succ <- extend t.succ no_adj;
-    t.base <- extend t.base no_adj;
+    t.succ <- extend t.succ Dynarr.empty;
+    t.base <- extend t.base Dynarr.empty;
     t.mark <- extend t.mark (-1);
     t.result <- extend t.result Lvalset.empty;
     t.disc <- extend t.disc 0;
     t.low <- extend t.low 0;
     t.qid <- extend t.qid (-1);
     t.onstk <- extend t.onstk (-1);
-    if t.track_preds then t.preds <- extend t.preds no_adj
+    if t.track_preds then t.preds <- extend t.preds Dynarr.empty
   end
 
 (** Allocate a fresh node (used for [*x = *y] splitting and [n_*y] deref
@@ -208,8 +192,8 @@ let add_edge t a b =
   else begin
     let key = Intset.pair_key a b in
     if Intset.add t.edge_tbl key then begin
-      push_adj t.succ a b;
-      if t.track_preds then push_adj t.preds b a;
+      Dynarr.push_at t.succ a b;
+      if t.track_preds then Dynarr.push_at t.preds b a;
       t.n_edges <- t.n_edges + 1;
       true
     end
@@ -220,7 +204,7 @@ let add_edge t a b =
 let add_base t x z =
   let x = deskip t x in
   let key = Intset.pair_key x z in
-  if Intset.add t.base_tbl key then push_adj t.base x z
+  if Intset.add t.base_tbl key then Dynarr.push_at t.base x z
 
 (** Start a new pass over the complex assignments: flush the reachability
     cache and the lval-set sharing pool. *)
@@ -243,12 +227,12 @@ let unify_into t m rep =
     (* edges into [m] now semantically target [rep]; keeping the merged
        list (stale ids and all) over-approximates, which is sound for
        invalidation *)
-    Dynarr.iter (fun p -> push_adj t.preds rep p) t.preds.(m);
-    t.preds.(m) <- no_adj
+    Dynarr.iter (fun p -> Dynarr.push_at t.preds rep p) t.preds.(m);
+    t.preds.(m) <- Dynarr.empty
   end;
   (* free the merged node's storage *)
-  t.succ.(m) <- no_adj;
-  t.base.(m) <- no_adj
+  t.succ.(m) <- Dynarr.empty;
+  t.base.(m) <- Dynarr.empty
 
 (* ------------------------------------------------------------------ *)
 (* Delta invalidation                                                  *)
@@ -260,10 +244,10 @@ let unify_into t m rep =
 let enable_pred_tracking t =
   if not t.track_preds then begin
     let cap = Array.length t.skip in
-    t.preds <- Array.make cap no_adj;
+    t.preds <- Array.make cap Dynarr.empty;
     t.track_preds <- true;
     for a = 0 to t.n - 1 do
-      Dynarr.iter (fun raw -> push_adj t.preds (deskip t raw) a) t.succ.(a)
+      Dynarr.iter (fun raw -> Dynarr.push_at t.preds (deskip t raw) a) t.succ.(a)
     done
   end
 

@@ -37,7 +37,7 @@ let grow st needed =
       Array.init cap' (fun i -> if i < cap then st.pts.(i) else [||])
     in
     st.pts <- arr_arr;
-    let dyn old = Array.init cap' (fun i -> if i < cap then old.(i) else Dynarr.create ~capacity:2 ()) in
+    let dyn old = Array.init cap' (fun i -> if i < cap then old.(i) else Dynarr.empty) in
     st.delta <- dyn st.delta;
     st.copy_out <- dyn st.copy_out;
     st.load_subs <- dyn st.load_subs;
@@ -72,7 +72,7 @@ let add_elems st n (elems : int array) =
       if x < y then (out.(!k) <- x; incr i; incr k)
       else if y < x then begin
         out.(!k) <- y;
-        Dynarr.push st.delta.(n) y;
+        Dynarr.push_at st.delta n y;
         added := true;
         incr j; incr k
       end
@@ -81,7 +81,7 @@ let add_elems st n (elems : int array) =
     while !i < Array.length old do out.(!k) <- old.(!i); incr i; incr k done;
     while !j < Array.length elems do
       out.(!k) <- elems.(!j);
-      Dynarr.push st.delta.(n) elems.(!j);
+      Dynarr.push_at st.delta n elems.(!j);
       added := true;
       incr j; incr k
     done;
@@ -96,7 +96,7 @@ let add_one st n z = add_elems st n [| z |]
 (* m ⊇ n; on creation, everything already at n flows to m. *)
 let add_copy st ~dst:m ~src:n =
   if m <> n && Intset.add st.edge_tbl (Intset.pair_key m n) then begin
-    Dynarr.push st.copy_out.(n) m;
+    Dynarr.push_at st.copy_out n m;
     add_elems st m st.pts.(n)
   end
 
@@ -110,10 +110,10 @@ let create (view : Objfile.view) =
       nvars;
       nnodes = nvars;
       pts = Array.make cap [||];
-      delta = Array.init cap (fun _ -> Dynarr.create ~capacity:2 ());
-      copy_out = Array.init cap (fun _ -> Dynarr.create ~capacity:2 ());
-      load_subs = Array.init cap (fun _ -> Dynarr.create ~capacity:2 ());
-      store_subs = Array.init cap (fun _ -> Dynarr.create ~capacity:2 ());
+      delta = Array.make cap Dynarr.empty;
+      copy_out = Array.make cap Dynarr.empty;
+      load_subs = Array.make cap Dynarr.empty;
+      store_subs = Array.make cap Dynarr.empty;
       edge_tbl = Intset.create 4096;
       queue = Queue.create ();
       inqueue = Bytes.make cap '\000';
@@ -145,15 +145,15 @@ let load_all st =
           | Objfile.Pcopy -> add_copy st ~dst:p.Objfile.pdst ~src:v
           | Objfile.Pload ->
               (* x = *v: subscribe x on the pointer v *)
-              Dynarr.push st.load_subs.(v) p.Objfile.pdst
+              Dynarr.push_at st.load_subs v p.Objfile.pdst
           | Objfile.Pstore ->
               (* *x = v: subscribe the value v on the pointer x *)
-              Dynarr.push st.store_subs.(p.Objfile.pdst) v
+              Dynarr.push_at st.store_subs p.Objfile.pdst v
           | Objfile.Pderef2 ->
               (* *x = *v, split through t: t = *v; *x = t *)
               let tnode = fresh_node st in
-              Dynarr.push st.load_subs.(v) tnode;
-              Dynarr.push st.store_subs.(p.Objfile.pdst) tnode)
+              Dynarr.push_at st.load_subs v tnode;
+              Dynarr.push_at st.store_subs p.Objfile.pdst tnode)
       (Loader.block loader v)
   done
 

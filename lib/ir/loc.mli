@@ -9,7 +9,6 @@ type t = {
 
 val none : t
 val make : file:string -> line:int -> col:int -> t
-val is_none : t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

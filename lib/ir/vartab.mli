@@ -9,14 +9,15 @@ val create : unit -> t
 val size : t -> int
 
 (** Return the existing variable with the same canonical key, or create
-    one.  [typ] and [loc] are recorded on first creation only; [linkage]
+    one.  [typ] and [loc] are recorded on first creation only, and [typ]
+    (default [""]) is only called then; [linkage]
     defaults by kind (globals/fields/functions/args/rets extern, the rest
     intern).  [defined] (default [true]) marks whether this occurrence
     defines the object; definitions are sticky — an extern declaration
     ([defined:false]) never downgrades an object already defined. *)
 val intern :
   ?scope:string ->
-  ?typ:string ->
+  ?typ:(unit -> string) ->
   ?loc:Loc.t ->
   ?linkage:Var.linkage ->
   ?defined:bool ->
@@ -29,9 +30,5 @@ val intern :
 (** Fresh compiler temporary; never aliases an existing variable. *)
 val fresh_temp : ?loc:Loc.t -> t -> Var.t
 
-val find_opt : ?scope:string -> t -> kind:Var.kind -> name:string -> Var.t option
-
 (** All variables in increasing uid order. *)
 val to_array : t -> Var.t array
-
-val iter : (Var.t -> unit) -> t -> unit

@@ -198,6 +198,60 @@ let test_unterminated_if_fails () =
        false
      with Cpp.Cpp_error _ -> true)
 
+(* The plain-line path: a line naming no macro is copied with each blank
+   run outside literals collapsed to one space.  The expected texts are
+   the ptok path's output for the same lines. *)
+
+(* preprocess, dropping only the line markers: blanks stay as emitted *)
+let raw src =
+  Cpp.preprocess_string ~file:"t.c" src
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> not (String.length l > 0 && l.[0] = '#'))
+  |> String.concat "\n"
+
+let test_plain_literals_and_numbers () =
+  check str "macro names inside literals and pp-numbers"
+    "char *s = \"FOO  x\tFOO\";\nint c = 'FOO';\n\
+     double d = 1e+FOO + 0xFOO + 12FOO + .5FOO + x.1;\nint y = 1;\n"
+    (raw
+       "#define FOO 1\nchar *s = \"FOO  x\tFOO\";\nint c = 'FOO';\n\
+        double d = 1e+FOO + 0xFOO + 12FOO + .5FOO + x.FOO;\nint y = FOO;\n")
+
+let test_plain_blank_runs () =
+  check str "tab and CR runs"
+    "int a = 1;\nchar *s = \"a\t\tb  \r c\";\n x = 2; \nint \"\t\r\" = 3;\n"
+    (raw
+       "int\t\ta\t =  1;\r\nchar *s = \"a\t\tb  \r c\";\r\n  \t x\t\r\t=\r\r2;   \n\
+        #define M 3\nint\t\t\"\t\r\"\r = M;\n")
+
+let test_plain_fn_name_without_call () =
+  check str "function-like name not followed by ("
+    "int (*p)(int) = F;\nint q = ((2)+1);\nint r = F\n;\nint s = ((3)+1);\n"
+    (raw
+       "#define F(x) ((x)+1)\nint (*p)(int) = F;\nint q = F (2);\nint r = F\n;\n\
+        int s = F(3);\n")
+
+let test_plain_define_undef () =
+  check str "a line names a macro only between #define and #undef"
+    "int a = M;\nint b = 7;\nint c = M;\n"
+    (raw "int a = M;\n#define M 7\nint b = M;\n#undef M\nint c = M;\n")
+
+let test_unterminated_literals () =
+  let error src =
+    match Cpp.preprocess_string ~file:"t.c" src with
+    | _ -> None
+    | exception Cpp.Cpp_error (m, f, l) -> Some (m, f, l)
+  in
+  let err = Alcotest.(option (triple string string int)) in
+  check err "string" (Some ("unterminated string literal", "t.c", 2))
+    (error "int a;\nchar *s = \"abc;\n");
+  check err "character" (Some ("unterminated character literal", "t.c", 2))
+    (error "int a;\nint c = 'x;\n");
+  check err "escaped quote at the end" (Some ("unterminated string literal", "t.c", 1))
+    (error "int a; \"abc\\");
+  check err "on a macro line" (Some ("unterminated string literal", "t.c", 2))
+    (error "#define M 1\nint z = M; char *s = \"abc;\n")
+
 let () =
   Alcotest.run "cpp"
     [
@@ -237,5 +291,15 @@ let () =
           Alcotest.test_case "comments" `Quick test_comments;
           Alcotest.test_case "continuations" `Quick test_continuation;
           Alcotest.test_case "#error" `Quick test_error_directive;
+        ] );
+      ( "plain lines",
+        [
+          Alcotest.test_case "literals and pp-numbers" `Quick
+            test_plain_literals_and_numbers;
+          Alcotest.test_case "blank runs" `Quick test_plain_blank_runs;
+          Alcotest.test_case "bare function-like name" `Quick
+            test_plain_fn_name_without_call;
+          Alcotest.test_case "#define then #undef" `Quick test_plain_define_undef;
+          Alcotest.test_case "unterminated literals" `Quick test_unterminated_literals;
         ] );
     ]

@@ -531,6 +531,13 @@ let test_pipeline_stats_export () =
     List.map (fun s -> s.Span.name) (Span.roots ())
   in
   Alcotest.(check bool) "compile spans" true (List.mem "compile" span_names);
+  (* each unit's compile span splits into the perfbench ledger's layers *)
+  (match Span.find "compile" (Span.roots ()) with
+  | Some c ->
+      Alcotest.(check (list string))
+        "compile layer spans" [ "cpp"; "parse"; "normalize"; "encode" ]
+        (List.map (fun s -> s.Span.name) c.Span.children)
+  | None -> Alcotest.fail "compile span missing");
   Alcotest.(check bool) "link span" true (List.mem "link" span_names);
   match Span.find "analyze" (Span.roots ()) with
   | Some a ->

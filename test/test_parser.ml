@@ -234,6 +234,36 @@ let statement_tests =
     parse_fails "bad initializer" "int x = ;";
   ]
 
+(* The type spelling recorded as each variable's type reaches object
+   bytes; these are the spellings of the Fmt printer it replaced, one
+   per constructor, with the quirks ([int(,...)]) kept. *)
+let test_type_spelling () =
+  let p ?name t = { pname = name; ptyp = t } in
+  List.iter
+    (fun (want, t) ->
+      Alcotest.(check string) want want (typ_to_string t);
+      Alcotest.(check string) ("pp " ^ want) want (Fmt.str "%a" pp_typ t))
+    [
+      ("void", Tvoid);
+      ("unsigned long", Tint "unsigned long");
+      ("long double", Tfloat "long double");
+      ("int*", Tptr (Tint "int"));
+      ("char**", Tptr (Tptr (Tint "char")));
+      ("char[]", Tarray (Tint "char", None));
+      ("union u*[]", Tarray (Tptr (Tcomp (true, "u")), Some (mk_expr (Eint (3L, "3")))));
+      ("void()", Tfun (Tvoid, [], false));
+      ("int(,...)", Tfun (Tint "int", [], true));
+      ( "void(char*,int)",
+        Tfun (Tvoid, [ p (Tptr (Tint "char")); p ~name:"n" (Tint "int") ], false) );
+      ("int(int,...)", Tfun (Tint "int", [ p (Tint "int") ], true));
+      ( "int(struct s*)*",
+        Tptr (Tfun (Tint "int", [ p (Tptr (Tcomp (false, "s"))) ], false)) );
+      ("size_t", Tnamed "size_t");
+      ("struct s", Tcomp (false, "s"));
+      ("union $anon0@a.c", Tcomp (true, "$anon0@a.c"));
+      ("enum e", Tenum "e");
+    ]
+
 let () =
   Alcotest.run "parser"
     [
@@ -261,4 +291,5 @@ let () =
         ] );
       ("expressions", expr_tests);
       ("statements", statement_tests);
+      ("types", [ Alcotest.test_case "spelling" `Quick test_type_spelling ]);
     ]
