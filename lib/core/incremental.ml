@@ -6,10 +6,11 @@
     solver's iteration state ({!Andersen.t}) — and threads an edited
     source set through all three:
 
-    - unchanged units are detected in direct mode — the
-      {!Compilep.direct_key} of the raw source plus a replay of the
+    - unchanged units are detected in direct mode — the raw source
+      compared with the one last compiled (digested to its
+      {!Compilep.direct_key} only when it differs) plus a replay of the
       unit's include manifest ({!Compilep.manifest_holds}), one digest
-      per source and per include, no preprocessor run — and reused,
+      per include, no preprocessor run — and reused,
       counted in [compile.cache.hits]/[compile.cache.misses]; a miss
       compiles once, recording the new manifest;
     - an update in which no unit missed and the unit set is unchanged
@@ -31,7 +32,8 @@ let now = Cla_resilience.Deadline.now_s
 
 (* A compiled unit as the cache holds it. *)
 type entry = {
-  key : string;  (* Compilep.direct_key of the source it was built from *)
+  source : string;  (* the raw source it was built from ... *)
+  key : string;  (* ... and its Compilep.direct_key *)
   manifest : Cla_cfront.Cpp.manifest;  (* that build's include lookups *)
   uview : Objfile.view;
 }
@@ -67,9 +69,10 @@ let cacheable options =
 let compile_unit ~options file src =
   let db, manifest = Compilep.compile_recorded ~options ~file src in
   {
+    source = src;
     key = Compilep.direct_key ~options ~file src;
     manifest;
-    uview = Objfile.view_of_string (Objfile.write db);
+    uview = Objfile.encode db;
   }
 
 (* The unit set is the one last linked: same names in the same order,
@@ -128,11 +131,14 @@ let create ?(options = Compilep.default_options) ?(units = []) sources =
    the delta, whether it resumed, and the link and solve walls. *)
 let relink_and_solve t linked =
   let t0 = now () in
-  let delta = Linkp.relink t.lstate linked in
+  let delta =
+    Cla_obs.Span.with_span "incr.relink" (fun () -> Linkp.relink t.lstate linked)
+  in
   t.linked <- linked;
   let lview = Linkp.state_view t.lstate in
   let t1 = now () in
   let resumed, result =
+    Cla_obs.Span.with_span "incr.resume" @@ fun () ->
     match Andersen.resume t.solver ~view:lview ~delta with
     | Some r -> (true, r)
     | None ->
@@ -151,7 +157,13 @@ let update t ?(units = []) sources =
   Cla_obs.Metrics.incr "incremental.updates";
   let t0 = now () in
   let hits = ref 0 and misses = ref 0 in
+  (* the source compiled last time, or failing that its digest *)
+  let same_source e file src =
+    String.equal e.source src
+    || String.equal e.key (Compilep.direct_key ~options:t.options ~file src)
+  in
   let compiled =
+    Cla_obs.Span.with_span "incr.probe" @@ fun () ->
     List.map
       (fun (file, src) ->
         let reuse =
@@ -159,8 +171,7 @@ let update t ?(units = []) sources =
           else
             match Hashtbl.find_opt t.units file with
             | Some e
-              when String.equal e.key
-                     (Compilep.direct_key ~options:t.options ~file src)
+              when same_source e file src
                    && Compilep.manifest_holds ~options:t.options e.manifest ->
                 Some e.uview
             | _ -> None

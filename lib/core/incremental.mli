@@ -5,11 +5,13 @@
     keeping the three pieces of reusable state: the per-unit compile
     cache, the delta linker ({!Linkp.state}) and the solver's iteration
     state ({!Andersen.t}).  The compile cache is keyed in direct mode:
-    per file, the {!Compilep.direct_key} of the raw source and the
-    include manifest its last compile recorded.  Each {!update} probes
-    a unit by digesting its source and replaying the manifest's lookups
-    ({!Compilep.manifest_holds}) — no preprocessor run — and skips it on
-    a match ([compile.cache.hits]); a miss compiles it once.  It then
+    per file, the raw source of its last compile, that source's
+    {!Compilep.direct_key} and the include manifest the compile
+    recorded.  Each {!update} probes a unit by comparing its source with
+    the cached one (digesting it only when the text differs) and
+    replaying the manifest's lookups ({!Compilep.manifest_holds}) — no
+    preprocessor run — and skips it on a match ([compile.cache.hits]); a
+    miss compiles it once.  It then
     patches the linked view ({!Linkp.relink}) and — on a pure-add
     constraint delta — resumes the solver ({!Andersen.resume}) instead
     of re-solving.  Any delta the resume cannot handle soundly falls
@@ -37,8 +39,13 @@ type stats = {
   delta_added : int;  (** added constraints across sections *)
   delta_removed : int;
   wall_compile_s : float;
-  wall_link_s : float;
+      (** the probe of every unit {e and} the compile of each unit that
+          missed (on a one-file edit the compile is most of it); the
+          span [incr.probe] *)
+  wall_link_s : float;  (** the delta relink; the span [incr.relink] *)
   wall_solve_s : float;
+      (** the resume, or the from-scratch solve it fell back to; the span
+          [incr.resume] *)
 }
 
 (** [create ?options ?units sources] — full build of
@@ -58,7 +65,9 @@ val create :
 (** Re-sync to an edited source set.  Files absent from [sources] (and
     [units]) are unlinked (a removal — the solver falls back to
     scratch); new files are compiled and linked in; everything else is
-    probed in direct mode.  [units] follow {!create}'s contract; one
+    probed in direct mode.  Records the spans [incr.probe],
+    [incr.relink] and [incr.resume] under [incremental.update] (the
+    last two only when the update relinks).  [units] follow {!create}'s contract; one
     counts as unchanged when it is the same view as last time or
     carries the same TU hash. *)
 val update : t -> ?units:(string * Objfile.view) list -> (string * string) list -> stats

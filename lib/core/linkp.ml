@@ -44,6 +44,58 @@ let remap_indirect map (i : Objfile.indir_rec) =
     iargs = Array.map (map_opt map) i.Objfile.iargs;
   }
 
+(* Canonical linking key -> linked id.  Folding it gives [db.keys]; its
+   buckets are those of a polymorphic [Hashtbl] under the same
+   insertions, so the GLOBALS order is too. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let keys_of_table key_ids = Key_tbl.fold (fun key id acc -> (id, key) :: acc) key_ids []
+
+(* A unit's linking key per uid ([None] for unkeyed objects); a later
+   GLOBALS entry for the same uid wins. *)
+let unit_keys (v : Objfile.view) =
+  let keys = Array.make (Objfile.n_vars v) None in
+  List.iter (fun (uid, key) -> keys.(uid) <- Some key) v.Objfile.rkeys;
+  keys
+
+(* A unit's full contribution to the linked database, in linked ids. *)
+type contrib = {
+  c_statics : Objfile.prim_rec list;
+  c_prims : Objfile.prim_rec list;  (* dynamic blocks, flattened *)
+  c_fundefs : Objfile.fund_rec list;
+  c_indirects : Objfile.indir_rec list;
+}
+
+let empty_contrib =
+  { c_statics = []; c_prims = []; c_fundefs = []; c_indirects = [] }
+
+(* The contribution of a unit whose dynamic records, remapped and in uid
+   order, are [c_prims]. *)
+let contrib_with (v : Objfile.view) map c_prims =
+  let remap_all f a = Array.fold_right (fun x acc -> f map x :: acc) a [] in
+  {
+    c_statics = remap_all remap_prim v.Objfile.rstatics;
+    c_prims;
+    c_fundefs = remap_all remap_fundef v.Objfile.rfundefs;
+    c_indirects = remap_all remap_indirect v.Objfile.rindirects;
+  }
+
+let contrib_of (v : Objfile.view) (map : int array) : contrib =
+  let prims = ref [] in
+  for uid = Objfile.n_vars v - 1 downto 0 do
+    if Objfile.has_block v uid then
+      prims :=
+        List.rev_append
+          (List.rev_map (remap_prim map) (Objfile.read_block v uid))
+          !prims
+  done;
+  contrib_with v map !prims
+
 (* The per-variable passes over a linked variable table, given each
    unit's view and uid -> linked-id map: a declaration with a type wins
    over one without (the same extern may be declared with and without
@@ -96,11 +148,10 @@ let meta_of_views (views : Objfile.view list) : Objfile.meta =
 (** Link several object-file views into a single database.  Extern objects
     with the same canonical key are unified; unit-private objects are
     renumbered.  Also returns the per-unit uid → linked-id maps and the
-    canonical-key table, which the delta linker below snapshots. *)
-let link_views_full (views : Objfile.view list) :
-    Objfile.db * stats * (Objfile.view * int array) list * (string, int) Hashtbl.t
-    =
-  let key_ids : (string, int) Hashtbl.t = Hashtbl.create 1024 in
+    canonical-key table, which the delta linker below snapshots, and —
+    with [contribs] — each unit's {!contrib}. *)
+let link_views_full ?(contribs = false) (views : Objfile.view list) =
+  let key_ids = Key_tbl.create 1024 in
   let out_vars = ref [] in
   (* reversed *)
   let next = ref 0 in
@@ -114,24 +165,23 @@ let link_views_full (views : Objfile.view list) :
   let unit_maps =
     List.map
       (fun (v : Objfile.view) ->
-        let n = Objfile.n_vars v in
-        let keys = Hashtbl.create 64 in
-        List.iter (fun (uid, key) -> Hashtbl.replace keys uid key) v.Objfile.rkeys;
-        let map = Array.make n (-1) in
-        for uid = 0 to n - 1 do
-          let vi = v.Objfile.rvars.(uid) in
-          match Hashtbl.find_opt keys uid with
-          | Some key -> (
-              match Hashtbl.find_opt key_ids key with
-              | Some id ->
-                  incr merged;
-                  map.(uid) <- id
-              | None ->
-                  let id = alloc vi in
-                  Hashtbl.replace key_ids key id;
-                  map.(uid) <- id)
-          | None -> map.(uid) <- alloc vi
-        done;
+        let keys = unit_keys v in
+        let map =
+          Array.mapi
+            (fun uid vi ->
+              match keys.(uid) with
+              | Some key -> (
+                  match Key_tbl.find_opt key_ids key with
+                  | Some id ->
+                      incr merged;
+                      id
+                  | None ->
+                      let id = alloc vi in
+                      Key_tbl.replace key_ids key id;
+                      id)
+              | None -> alloc vi)
+            v.Objfile.rvars
+        in
         (v, map))
       views
   in
@@ -158,37 +208,43 @@ let link_views_full (views : Objfile.view list) :
   let seen_fun = Hashtbl.create 64 in
   let indirects = ref [] in
   let consts = ref [] in
-  List.iter
-    (fun ((v : Objfile.view), map) ->
-      Array.iter
-        (fun p -> statics := remap_prim map p :: !statics)
-        v.Objfile.rstatics;
-      for uid = 0 to Objfile.n_vars v - 1 do
-        if Objfile.has_block v uid then begin
-          let prims = List.map (remap_prim map) (Objfile.read_block v uid) in
-          let id = map.(uid) in
-          blocks.(id) <- List.rev_append (List.rev prims) blocks.(id)
-        end
-      done;
-      Array.iter
-        (fun (f : Objfile.fund_rec) ->
-          let id = map.(f.ffvar) in
-          if not (Hashtbl.mem seen_fun id) then begin
-            Hashtbl.replace seen_fun id ();
-            fundefs := remap_fundef map f :: !fundefs
-          end)
-        v.Objfile.rfundefs;
-      Array.iter
-        (fun i -> indirects := remap_indirect map i :: !indirects)
-        v.Objfile.rindirects;
-      List.iter
-        (fun (var, c) -> consts := (map.(var), c) :: !consts)
-        v.Objfile.rconsts)
-    unit_maps;
+  let unit_contribs =
+    List.map
+      (fun ((v : Objfile.view), map) ->
+        Array.iter
+          (fun p -> statics := remap_prim map p :: !statics)
+          v.Objfile.rstatics;
+        let unit_prims = ref [] (* reversed; kept for [contribs] only *) in
+        for uid = 0 to Objfile.n_vars v - 1 do
+          if Objfile.has_block v uid then begin
+            let prims = List.map (remap_prim map) (Objfile.read_block v uid) in
+            let id = map.(uid) in
+            blocks.(id) <- List.rev_append (List.rev prims) blocks.(id);
+            if contribs then unit_prims := List.rev_append prims !unit_prims
+          end
+        done;
+        Array.iter
+          (fun (f : Objfile.fund_rec) ->
+            let id = map.(f.ffvar) in
+            if not (Hashtbl.mem seen_fun id) then begin
+              Hashtbl.replace seen_fun id ();
+              fundefs := remap_fundef map f :: !fundefs
+            end)
+          v.Objfile.rfundefs;
+        Array.iter
+          (fun i -> indirects := remap_indirect map i :: !indirects)
+          v.Objfile.rindirects;
+        List.iter
+          (fun (var, c) -> consts := (map.(var), c) :: !consts)
+          v.Objfile.rconsts;
+        if contribs then contrib_with v map (List.rev !unit_prims)
+        else empty_contrib)
+      unit_maps
+  in
   let db =
     {
       Objfile.vars;
-      keys = Hashtbl.fold (fun key id acc -> (id, key) :: acc) key_ids [];
+      keys = keys_of_table key_ids;
       statics = List.rev !statics;
       blocks;
       fundefs = List.rev !fundefs;
@@ -207,15 +263,16 @@ let link_views_full (views : Objfile.view list) :
       n_undefined = 0;
     },
     unit_maps,
-    key_ids )
+    key_ids,
+    unit_contribs )
 
 let link_views views : Objfile.db * stats =
-  let db, stats, _, _ = link_views_full views in
+  let db, stats, _, _, _ = link_views_full views in
   (db, stats)
 
-(** Publish a stats record into the metrics registry under [link.*]. *)
-let publish_stats ?reg (s : stats) =
-  let set k v = Cla_obs.Metrics.set ?reg ("link." ^ k) v in
+(* Publish a stats record into the metrics registry under [link.*]. *)
+let publish_stats (s : stats) =
+  let set k v = Cla_obs.Metrics.set ("link." ^ k) v in
   set "units" s.n_units;
   set "extern_merged" s.n_extern_merged;
   set "vars_out" s.n_vars_out
@@ -334,6 +391,7 @@ type unit_entry = {
   mutable ue_hash : string option;  (** the unit's [rtuhash], if any *)
   mutable ue_view : Objfile.view;
   mutable ue_map : int array;  (** uid → linked id *)
+  mutable ue_contrib : contrib;  (** the unit's records under [ue_map] *)
 }
 
 (** Persistent linker state for delta mode: the unit set with its uid →
@@ -343,7 +401,7 @@ type unit_entry = {
     defeat id stability (callers wanting [--open-world] must re-link
     fully). *)
 type state = {
-  mutable s_key_ids : (string, int) Hashtbl.t;
+  mutable s_key_ids : int Key_tbl.t;
   mutable s_units : unit_entry list;  (** in link order *)
   mutable s_next : int;  (** next fresh linked id *)
   mutable s_db : Objfile.db;
@@ -372,96 +430,79 @@ let empty_db : Objfile.db =
       };
   }
 
-(* A unit's full contribution to the linked database, in linked ids. *)
-type contrib = {
-  c_statics : Objfile.prim_rec list;
-  c_prims : Objfile.prim_rec list;  (* dynamic blocks, flattened *)
-  c_fundefs : Objfile.fund_rec list;
-  c_indirects : Objfile.indir_rec list;
-}
+(* Multiset diff of two record lists under a key [key] (location fields
+   are excluded from identities — a line-number shift is not a semantic
+   change).  Returns (added, removed) with records drawn from the
+   respective sides, each in its side's order; a surplus key is removed
+   by its first occurrences. *)
+let multiset_diff (type k) (module T : Hashtbl.S with type key = k)
+    ~(key : 'a -> k) (old_l : 'a list) (new_l : 'a list) =
+  match (old_l, new_l) with
+  | [], _ -> (new_l, [])
+  | _, [] -> ([], old_l)
+  | _ ->
+      let counts = T.create 64 in
+      List.iter
+        (fun x ->
+          let k = key x in
+          match T.find_opt counts k with
+          | Some n -> incr n
+          | None -> T.add counts k (ref 1))
+        old_l;
+      (* take one old record of [x]'s key off the counts, if one is left *)
+      let take x =
+        match T.find_opt counts (key x) with
+        | Some n when !n > 0 ->
+            decr n;
+            true
+        | _ -> false
+      in
+      let added = List.filter (fun x -> not (take x)) new_l in
+      (* the old records left over are the removed ones *)
+      let removed = List.filter take old_l in
+      (added, removed)
 
-let empty_contrib =
-  { c_statics = []; c_prims = []; c_fundefs = []; c_indirects = [] }
+module Int_tbl = Hashtbl.Make (Int)
 
-let contrib_of (v : Objfile.view) (map : int array) : contrib =
-  let prims = ref [] in
-  for uid = Objfile.n_vars v - 1 downto 0 do
-    if Objfile.has_block v uid then
-      prims :=
-        List.rev_append
-          (List.rev_map (remap_prim map) (Objfile.read_block v uid))
-          !prims
-  done;
-  let remap_all f a = List.map (f map) (Array.to_list a) in
-  {
-    c_statics = remap_all remap_prim v.Objfile.rstatics;
-    c_prims = !prims;
-    c_fundefs = remap_all remap_fundef v.Objfile.rfundefs;
-    c_indirects = remap_all remap_indirect v.Objfile.rindirects;
-  }
+module Ints_tbl = Hashtbl.Make (struct
+  type t = int array
 
-(* Multiset diff of two record lists under a projection [key] (location
-   fields are excluded from identities — a line-number shift is not a
-   semantic change).  Returns (added, removed) with records drawn from
-   the respective sides. *)
-let multiset_diff ~key old_l new_l =
-  let counts = Hashtbl.create 64 in
-  let olds = Hashtbl.create 64 in
-  List.iter
-    (fun x ->
-      let k = key x in
-      Hashtbl.replace counts k
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts k));
-      Hashtbl.add olds k x)
-    old_l;
-  let added =
-    List.filter
-      (fun x ->
-        let k = key x in
-        match Hashtbl.find_opt counts k with
-        | Some n when n > 0 ->
-            Hashtbl.replace counts k (n - 1);
-            false
-        | _ -> true)
-      new_l
-  in
-  let removed =
-    Hashtbl.fold
-      (fun k n acc ->
-        if n <= 0 then acc
-        else
-          (* any [n] representatives of the surplus key will do *)
-          let rec take n = function
-            | x :: rest when n > 0 -> x :: take (n - 1) rest
-            | _ -> []
-          in
-          take n (Hashtbl.find_all olds k) @ acc)
-      counts []
-  in
-  (added, removed)
+  let equal (a : t) b = Array.length a = Array.length b && Array.for_all2 Int.equal a b
+  let hash (a : t) = Hashtbl.hash a
+end)
 
-let static_key (p : Objfile.prim_rec) = (p.Objfile.pdst, p.Objfile.psrc)
+(* Record identities packed into ints.  Linked ids stay far below 2^29
+   (a variable record alone takes tens of bytes), so the fields never
+   overlap. *)
+let static_key (p : Objfile.prim_rec) = (p.Objfile.pdst lsl 31) lor p.Objfile.psrc
 
 let prim_key (p : Objfile.prim_rec) =
-  (p.Objfile.pkind, p.Objfile.pdst, p.Objfile.psrc)
+  let kind =
+    match p.Objfile.pkind with
+    | Objfile.Pcopy -> 0
+    | Paddr -> 1
+    | Pstore -> 2
+    | Pderef2 -> 3
+    | Pload -> 4
+  in
+  (p.Objfile.pdst lsl 32) lor (p.Objfile.psrc lsl 3) lor kind
 
 let fund_key (f : Objfile.fund_rec) =
-  (f.Objfile.ffvar, f.Objfile.farity, f.Objfile.fret,
-   Array.to_list f.Objfile.fargs)
+  Array.append [| f.Objfile.ffvar; f.Objfile.farity; f.Objfile.fret |] f.Objfile.fargs
 
 let indir_key (i : Objfile.indir_rec) =
-  (i.Objfile.iptr, i.Objfile.inargs, i.Objfile.iret,
-   Array.to_list i.Objfile.iargs)
+  Array.append [| i.Objfile.iptr; i.Objfile.inargs; i.Objfile.iret |] i.Objfile.iargs
 
 (** Re-link after some units changed.  Units are matched to the previous
     set by name; a unit whose [rtuhash] is unchanged is not even
-    diffed.  When every change is an addition, the new database is built
-    by {e patching} the previous one — old linked ids are stable, old
-    section lists survive as exact prefixes (the solver's positional
-    caches depend on this) — and the returned delta is "pure add".  Any
-    constraint removal falls back to a full merge (ids reassigned,
-    [d_full_relink] set), which the solver answers with a from-scratch
-    solve.  Publishes [link.delta.*] metrics. *)
+    diffed, and a changed one is diffed against the contribution kept
+    from the last relink.  When every change is an addition, the new
+    database is built by {e patching} the previous one — old linked ids
+    are stable, old section lists survive as exact prefixes (the
+    solver's positional caches depend on this) — and the returned delta
+    is "pure add".  Any constraint removal falls back to a full merge
+    (ids reassigned, [d_full_relink] set), which the solver answers with
+    a from-scratch solve.  Publishes [link.delta.*] metrics. *)
 let relink (st : state) (units : (string * Objfile.view) list) : delta =
   Cla_obs.Span.with_span "link" ~label:"delta" (fun () ->
   let old_nvars = Array.length st.s_db.Objfile.vars in
@@ -469,7 +510,7 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
   List.iter (fun ue -> Hashtbl.replace old_by_name ue.ue_name ue) st.s_units;
   (* tentative fresh-id allocations: committed only on the patch path *)
   let next = ref st.s_next in
-  let new_keys : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let new_keys = Key_tbl.create 16 in
   let new_vars = ref [] (* reversed *) in
   let alloc vi =
     let id = !next in
@@ -478,14 +519,14 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
     id
   in
   let key_id key vi =
-    match Hashtbl.find_opt st.s_key_ids key with
+    match Key_tbl.find_opt st.s_key_ids key with
     | Some id -> id
     | None -> (
-        match Hashtbl.find_opt new_keys key with
+        match Key_tbl.find_opt new_keys key with
         | Some id -> id
         | None ->
             let id = alloc vi in
-            Hashtbl.replace new_keys key id;
+            Key_tbl.replace new_keys key id;
             id)
   in
   (* The stable-id map for a changed unit: keyed (extern) objects resolve
@@ -494,40 +535,26 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
      unkeyed object in the old unit (append-only edits always satisfy
      this); anything else gets a fresh id. *)
   let map_for (v : Objfile.view) (old : unit_entry option) : int array =
-    let n = Objfile.n_vars v in
-    let keys = Hashtbl.create 64 in
-    List.iter (fun (uid, k) -> Hashtbl.replace keys uid k) v.Objfile.rkeys;
-    let old_keys = Hashtbl.create 64 in
-    (match old with
-    | Some ue ->
-        List.iter
-          (fun (uid, k) -> Hashtbl.replace old_keys uid k)
-          ue.ue_view.Objfile.rkeys
-    | None -> ());
-    let map = Array.make n (-1) in
-    for uid = 0 to n - 1 do
-      let vi = v.Objfile.rvars.(uid) in
-      match Hashtbl.find_opt keys uid with
-      | Some key -> map.(uid) <- key_id key vi
-      | None ->
-          let stable =
+    let keys = unit_keys v in
+    let old_keys =
+      match old with Some ue -> unit_keys ue.ue_view | None -> [||]
+    in
+    Array.mapi
+      (fun uid (vi : Objfile.varinfo) ->
+        match keys.(uid) with
+        | Some key -> key_id key vi
+        | None -> (
             match old with
-            | Some ue
-              when uid < Objfile.n_vars ue.ue_view
-                   && not (Hashtbl.mem old_keys uid) ->
+            | Some ue when uid < Array.length old_keys && old_keys.(uid) = None ->
                 let ovi = ue.ue_view.Objfile.rvars.(uid) in
                 if
                   String.equal ovi.Objfile.vname vi.Objfile.vname
                   && ovi.Objfile.vkind = vi.Objfile.vkind
                   && String.equal ovi.Objfile.vowner vi.Objfile.vowner
-                then Some ue.ue_map.(uid)
-                else None
-            | _ -> None
-          in
-          map.(uid) <-
-            (match stable with Some id -> id | None -> alloc vi)
-    done;
-    map
+                then ue.ue_map.(uid)
+                else alloc vi
+            | _ -> alloc vi))
+      v.Objfile.rvars
   in
   let changed = ref 0 in
   let add_st = ref [] and rem_st = ref [] in
@@ -535,18 +562,15 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
   let add_fn = ref [] and rem_fn = ref [] in
   let add_in = ref [] and rem_in = ref [] in
   let accum oldc newc =
-    let a, r = multiset_diff ~key:static_key oldc.c_statics newc.c_statics in
-    add_st := a @ !add_st;
-    rem_st := r @ !rem_st;
-    let a, r = multiset_diff ~key:prim_key oldc.c_prims newc.c_prims in
-    add_pr := a @ !add_pr;
-    rem_pr := r @ !rem_pr;
-    let a, r = multiset_diff ~key:fund_key oldc.c_fundefs newc.c_fundefs in
-    add_fn := a @ !add_fn;
-    rem_fn := r @ !rem_fn;
-    let a, r = multiset_diff ~key:indir_key oldc.c_indirects newc.c_indirects in
-    add_in := a @ !add_in;
-    rem_in := r @ !rem_in
+    let diff tbl ~key old_l new_l acc_add acc_rem =
+      let a, r = multiset_diff tbl ~key old_l new_l in
+      acc_add := a @ !acc_add;
+      acc_rem := r @ !acc_rem
+    in
+    diff (module Int_tbl) ~key:static_key oldc.c_statics newc.c_statics add_st rem_st;
+    diff (module Int_tbl) ~key:prim_key oldc.c_prims newc.c_prims add_pr rem_pr;
+    diff (module Ints_tbl) ~key:fund_key oldc.c_fundefs newc.c_fundefs add_fn rem_fn;
+    diff (module Ints_tbl) ~key:indir_key oldc.c_indirects newc.c_indirects add_in rem_in
   in
   let new_entries =
     List.map
@@ -557,39 +581,55 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
         match old with
         | Some ue when hash <> None && ue.ue_hash = hash ->
             ue (* unchanged: same hash, not even diffed *)
-        | _ ->
+        | _ -> (
             incr changed;
             let map = map_for v old in
-            let oldc =
-              match old with
-              | None -> empty_contrib
-              | Some ue -> contrib_of ue.ue_view ue.ue_map
-            in
             let newc = contrib_of v map in
-            accum oldc newc;
-            (match old with
+            match old with
             | Some ue ->
+                accum ue.ue_contrib newc;
                 ue.ue_hash <- hash;
                 ue.ue_view <- v;
                 ue.ue_map <- map;
+                ue.ue_contrib <- newc;
                 ue
-            | None -> { ue_name = name; ue_hash = hash; ue_view = v; ue_map = map }))
+            | None ->
+                accum empty_contrib newc;
+                { ue_name = name; ue_hash = hash; ue_view = v; ue_map = map; ue_contrib = newc }))
       units
   in
   (* units dropped from the set: their whole contribution is removed *)
   Hashtbl.iter
     (fun _ ue ->
       incr changed;
-      accum (contrib_of ue.ue_view ue.ue_map) empty_contrib)
+      accum ue.ue_contrib empty_contrib)
     old_by_name;
   let has_removals =
     !rem_st <> [] || !rem_pr <> [] || !rem_fn <> [] || !rem_in <> []
+  in
+  let added_prims = List.rev !add_pr in
+  (* the FUNDEFs a patch appends: the first of a function stands, as in
+     the full merge, and the delta reports only those *)
+  let added_fundefs =
+    let seen_fun = Hashtbl.create 64 in
+    List.iter
+      (fun (f : Objfile.fund_rec) ->
+        Hashtbl.replace seen_fun f.Objfile.ffvar ())
+      st.s_db.Objfile.fundefs;
+    List.filter
+      (fun (f : Objfile.fund_rec) ->
+        if Hashtbl.mem seen_fun f.Objfile.ffvar then false
+        else begin
+          Hashtbl.replace seen_fun f.Objfile.ffvar ();
+          true
+        end)
+      (List.rev !add_fn)
   in
   if not has_removals then begin
     (* Patch path: append-only.  Old ids, old list prefixes, and old
        block order all survive — the solver resumes on top of them. *)
     st.s_next <- !next;
-    Hashtbl.iter (fun k id -> Hashtbl.replace st.s_key_ids k id) new_keys;
+    Key_tbl.iter (fun k id -> Key_tbl.replace st.s_key_ids k id) new_keys;
     let nvars = !next in
     let fresh = Array.of_list (List.rev !new_vars) in
     let vars =
@@ -601,32 +641,21 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
       (List.map (fun ue -> (ue.ue_view, ue.ue_map)) new_entries);
     let blocks = Array.make nvars [] in
     Array.blit st.s_db.Objfile.blocks 0 blocks 0 old_nvars;
-    let by_src = Hashtbl.create 64 in
+    (* each source's added records, appended in [!add_pr] order *)
+    let tails = Array.make nvars [] in
     List.iter
       (fun (p : Objfile.prim_rec) ->
-        Hashtbl.replace by_src p.Objfile.psrc
-          (p
-          :: Option.value ~default:[]
-               (Hashtbl.find_opt by_src p.Objfile.psrc)))
-      !add_pr;
-    Hashtbl.iter
-      (fun src ps -> blocks.(src) <- blocks.(src) @ List.rev ps)
-      by_src;
-    let seen_fun = Hashtbl.create 64 in
+        let src = p.Objfile.psrc in
+        tails.(src) <- p :: tails.(src))
+      added_prims;
     List.iter
-      (fun (f : Objfile.fund_rec) ->
-        Hashtbl.replace seen_fun f.Objfile.ffvar ())
-      st.s_db.Objfile.fundefs;
-    let added_fundefs =
-      List.filter
-        (fun (f : Objfile.fund_rec) ->
-          if Hashtbl.mem seen_fun f.Objfile.ffvar then false
-          else begin
-            Hashtbl.replace seen_fun f.Objfile.ffvar ();
-            true
-          end)
-        (List.rev !add_fn)
-    in
+      (fun (p : Objfile.prim_rec) ->
+        let src = p.Objfile.psrc in
+        if tails.(src) <> [] then begin
+          blocks.(src) <- blocks.(src) @ tails.(src);
+          tails.(src) <- []
+        end)
+      added_prims;
     let consts = ref [] in
     List.iter
       (fun ue ->
@@ -637,8 +666,7 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
     let db =
       {
         Objfile.vars;
-        keys =
-          Hashtbl.fold (fun key id acc -> (id, key) :: acc) st.s_key_ids [];
+        keys = keys_of_table st.s_key_ids;
         statics = st.s_db.Objfile.statics @ List.rev !add_st;
         blocks;
         fundefs = st.s_db.Objfile.fundefs @ added_fundefs;
@@ -650,23 +678,26 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
       }
     in
     st.s_db <- db;
-    st.s_view <- Objfile.view_of_string (Objfile.write db);
+    st.s_view <- Objfile.encode db;
     st.s_units <- new_entries
   end
   else begin
     (* Removal: rebuild by full merge.  Ids are reassigned; the caller's
        solver must start from scratch (d_full_relink tells it so). *)
     let views = List.map snd units in
-    let db, _stats, maps, key_ids = link_views_full views in
+    let db, _stats, maps, key_ids, contribs =
+      link_views_full ~contribs:true views
+    in
     st.s_key_ids <- key_ids;
     st.s_next <- Array.length db.Objfile.vars;
     st.s_units <-
       List.map2
-        (fun (name, v) (_, map) ->
-          { ue_name = name; ue_hash = v.Objfile.rtuhash; ue_view = v; ue_map = map })
-        units maps;
+        (fun ((name, v), (_, map)) ue_contrib ->
+          { ue_name = name; ue_hash = v.Objfile.rtuhash; ue_view = v; ue_map = map;
+            ue_contrib })
+        (List.combine units maps) contribs;
     st.s_db <- db;
-    st.s_view <- Objfile.view_of_string (Objfile.write db)
+    st.s_view <- Objfile.encode db
   end;
   let d =
     {
@@ -675,9 +706,9 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
       d_changed_units = !changed;
       d_added_statics = List.rev !add_st;
       d_removed_statics = List.rev !rem_st;
-      d_added_prims = List.rev !add_pr;
+      d_added_prims = added_prims;
       d_removed_prims = List.rev !rem_pr;
-      d_added_fundefs = List.rev !add_fn;
+      d_added_fundefs = (if has_removals then List.rev !add_fn else added_fundefs);
       d_removed_fundefs = List.rev !rem_fn;
       d_added_indirects = List.rev !add_in;
       d_removed_indirects = List.rev !rem_in;
@@ -698,11 +729,11 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
 let state_create (units : (string * Objfile.view) list) : state * delta =
   let st =
     {
-      s_key_ids = Hashtbl.create 1024;
+      s_key_ids = Key_tbl.create 1024;
       s_units = [];
       s_next = 0;
       s_db = empty_db;
-      s_view = Objfile.view_of_string (Objfile.write empty_db);
+      s_view = Objfile.encode empty_db;
     }
   in
   let d = relink st units in

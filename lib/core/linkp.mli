@@ -24,10 +24,6 @@ type stats = {
       [link.open_world.undefined] / [link.open_world.escaping] metrics. *)
 type undef_policy = Ignore | Error | Open_world
 
-(** Publish a stats record into the metrics registry (default
-    {!Cla_obs.Metrics.default}) under [link.*]. *)
-val publish_stats : ?reg:Cla_obs.Metrics.t -> stats -> unit
-
 (** Link several object-file views into a single database.  Extern objects
     with the same canonical key are unified; unit-private objects are
     renumbered; dynamic blocks of merged objects are concatenated; Table 2
@@ -95,8 +91,8 @@ val delta_size_removed : delta -> int
     the whole database and would defeat id stability. *)
 type state
 
-(** The current linked database / view (the view is re-serialized after
-    every {!relink}, so block reads see the patched sections). *)
+(** The current linked database / view (re-encoded after every
+    {!relink}, so block reads see the patched sections). *)
 val state_view : state -> Objfile.view
 
 (** Fresh delta-linker state over an initial unit set — (name, per-unit
@@ -105,7 +101,8 @@ val state_create : (string * Objfile.view) list -> state * delta
 
 (** Re-link after some units changed.  Units are matched to the previous
     set by name; a unit whose {!Objfile.view.rtuhash} is unchanged is
-    not even diffed.  When every change is an addition the database is
+    not even diffed, and a changed one is diffed against the records it
+    contributed at the last relink (kept, in linked ids, from then).  When every change is an addition the database is
     patched in place (old ids stable, old lists as prefixes) and the
     delta is pure-add; any removal falls back to a full merge with
     [d_full_relink] set.  Publishes [link.delta.*] metrics. *)

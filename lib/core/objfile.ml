@@ -198,8 +198,20 @@ let write_block_prim w st p =
   | None -> ());
   write_loc w st p.ploc
 
-(** Serialize a database to object-file bytes. *)
-let write (db : db) : string =
+(* What the encoder laid out: the sections in emission order, plus what
+   {!encode} needs to describe the bytes without reading them back. *)
+type layout = {
+  sections : (int * Binio.writer) list;
+  st : Strtab.t;
+  index : (int * int * int) list;
+      (* (object, blob-relative offset, record count) per block, in
+         object order *)
+  blob_pos : int;  (* offset of the blob inside the DYNAMIC payload *)
+  blob_size : int;
+  targets : int array;  (* TARGETS order *)
+}
+
+let layout (db : db) : layout =
   let st = Strtab.create () in
   (* Pre-intern everything so the string table can be emitted first;
      sections are built into their own buffers. *)
@@ -263,6 +275,7 @@ let write (db : db) : string =
       Binio.varint b_dynamic n)
     index;
   Binio.u32 b_dynamic (Binio.wpos b_blob);
+  let blob_pos = Binio.wpos b_dynamic in
   Buffer.add_buffer b_dynamic b_blob;
   let b_fundefs = Binio.writer () in
   Binio.u32 b_fundefs (List.length db.fundefs);
@@ -375,7 +388,10 @@ let write (db : db) : string =
     @ (match b_openworld with Some b -> [ (sec_openworld, b) ] | None -> [])
     @ match b_tuhash with Some b -> [ (sec_tuhash, b) ] | None -> []
   in
-  Sectioned.write format sections
+  { sections; st; index; blob_pos; blob_size = Binio.wpos b_blob; targets }
+
+(** Serialize a database to object-file bytes. *)
+let write (db : db) : string = Sectioned.write format (layout db).sections
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
@@ -624,6 +640,48 @@ let view_of_sections (s : Sectioned.t) : view =
   }
 
 let view_of_string data = view_of_sections (Sectioned.of_string format data)
+
+(* STATIC stores only destination, source and location: a record reads
+   back as a plain [Paddr]. *)
+let as_static p =
+  if p.pkind = Paddr && p.pop = None then p
+  else { p with pkind = Paddr; pop = None }
+
+(** Serialize [db] and describe the bytes from the records just encoded:
+    the view {!view_of_string} would decode from them, without the
+    decode.  Records (argument arrays included) are shared with [db];
+    the arrays holding them are the view's own. *)
+let encode (db : db) : view =
+  let nvars = Array.length db.vars in
+  if Array.length db.blocks <> nvars then
+    invalid_arg "Objfile.encode: one block list per object expected";
+  let l = layout db in
+  let data = Sectioned.write format l.sections in
+  let blob_start =
+    Sectioned.payload_offset format l.sections sec_dynamic + l.blob_pos
+  in
+  let block_index = Array.init (2 * nvars) (fun i -> if i land 1 = 0 then -1 else 0) in
+  List.iter
+    (fun (src, off, n) ->
+      block_index.(2 * src) <- blob_start + off;
+      block_index.((2 * src) + 1) <- n)
+    l.index;
+  {
+    data;
+    strings = Strtab.to_array l.st;
+    rvars = Array.copy db.vars;
+    rkeys = db.keys;
+    rstatics = Array.of_list (List.map as_static db.statics);
+    block_index;
+    blob_limit = blob_start + l.blob_size;
+    rfundefs = Array.of_list db.fundefs;
+    rindirects = Array.of_list db.indirects;
+    rtargets = Array.map (fun i -> (db.vars.(i).vname, i)) l.targets;
+    rconsts = db.consts;
+    ropenworld = db.openworld;
+    rtuhash = db.tuhash;
+    rmeta = db.meta;
+  }
 
 (** Decode the dynamic block of [src]: the primitive assignments in which
     [src] is the source.  Each call re-reads from the underlying bytes —

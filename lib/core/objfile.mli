@@ -173,6 +173,16 @@ type view = {
     allocation. *)
 val view_of_string : string -> view
 
+(** [encode db] is [view_of_string (write db)], built from the records
+    it has just encoded instead of by decoding the bytes again.  The
+    view shares [db]'s records, but the arrays holding them ([rvars],
+    [rstatics], ...) are its own, so a later write into [db.vars]
+    cannot reach it.  Every view of a
+    database built in memory comes from here; {!view_of_string} is for
+    bytes from outside.  Raises [Invalid_argument] unless [db.blocks]
+    has one list per object. *)
+val encode : db -> view
+
 (** Decode the dynamic block of an object: the assignments in which it is
     the source.  Re-reads the underlying bytes on every call — callers are
     free to discard results and ask again. *)

@@ -54,15 +54,14 @@ let compile_units ~jobs compile units =
     linked database is byte-identical to a sequential run. *)
 let compile_link ?(options = Compilep.default_options) ?(jobs = 1) ?undefined
     (sources : (string * string) list) : Objfile.view =
-  let objs =
+  let views =
     compile_units ~jobs
       (fun (file, src) ->
-        Objfile.write (Compilep.compile_string ~options ~file src))
+        Objfile.encode (Compilep.compile_string ~options ~file src))
       sources
   in
-  let views = List.map Objfile.view_of_string objs in
   let db, _stats = Linkp.link_views ?undefined views in
-  Objfile.view_of_string (Objfile.write db)
+  Objfile.encode db
 
 (** Run the selected points-to analysis over a linked view.  Each solver
     runs under an ["analyze"] span (the pre-transitive solver records its

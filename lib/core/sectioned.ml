@@ -19,11 +19,22 @@ let corrupt f = Fmt.kstr (fun m -> raise (Binio.Corrupt m)) f
 (* Writing                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Bytes before the first payload: magic, version, count, table and
+   table CRC. *)
+let header_size fmt nsec = count_pos fmt + 4 + (nsec * entry_size) + 4
+
+let payload_offset fmt sections id =
+  let rec go off = function
+    | [] -> invalid_arg "Sectioned.payload_offset: no such section"
+    | (i, b) :: rest -> if i = id then off else go (off + Buffer.length b) rest
+  in
+  go (header_size fmt (List.length sections)) sections
+
 (* One allocation of the final size: the header is written in place and
    each payload is blitted once, then checksummed where it lies. *)
 let write fmt sections =
   let table_pos = count_pos fmt + 4 in
-  let table_end = table_pos + (List.length sections * entry_size) in
+  let table_end = header_size fmt (List.length sections) - 4 in
   let total =
     List.fold_left
       (fun n (_, b) -> n + Buffer.length b)

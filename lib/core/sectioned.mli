@@ -28,6 +28,10 @@ val entry_size : int
     header for [format].  Ids must be distinct and below 256. *)
 val write : format -> (int * Buffer.t) list -> string
 
+(** The absolute offset at which {!write} lays out the payload of
+    section [id] among [sections]. *)
+val payload_offset : format -> (int * Buffer.t) list -> int -> int
+
 (** {1 Opening} *)
 
 type t

@@ -151,9 +151,8 @@ let generate ?(params = default_params) seed : Objfile.db =
       };
   }
 
-(** Generate and roundtrip through serialization (what the solvers see). *)
-let view ?params seed : Objfile.view =
-  Objfile.view_of_string (Objfile.write (generate ?params seed))
+(** Generate and encode (the view the solvers see). *)
+let view ?params seed : Objfile.view = Objfile.encode (generate ?params seed)
 
 (* ------------------------------------------------------------------ *)
 (* Shaped solver workloads                                             *)
@@ -340,4 +339,4 @@ let shaped ?(scale = 1.0) shape seed : Objfile.view =
               n_load = !n_load;
             }
   in
-  Objfile.view_of_string (Objfile.write db)
+  Objfile.encode db

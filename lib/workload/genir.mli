@@ -21,7 +21,7 @@ val default_params : params
 (** Generate a database deterministically from the seed. *)
 val generate : ?params:params -> int64 -> Cla_core.Objfile.db
 
-(** Generate and roundtrip through serialization (what solvers consume). *)
+(** Generate and encode ({!Cla_core.Objfile.encode}: the view solvers consume). *)
 val view : ?params:params -> int64 -> Cla_core.Objfile.view
 
 (** {2 Shaped solver workloads}

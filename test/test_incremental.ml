@@ -66,8 +66,7 @@ let compile_unit (file, src) =
    linker assigns different ids than a from-scratch merge (it appends
    where the full merge interleaves), but the named relation must
    match. *)
-let named_pts view =
-  let sol = Pipeline.points_to view in
+let named_of_solution sol view =
   let tbl = Hashtbl.create 256 in
   Array.iteri
     (fun v _ ->
@@ -80,8 +79,9 @@ let named_pts view =
     view.Objfile.rvars;
   tbl
 
-let check_same_named_pts msg va vb =
-  let a = named_pts va and b = named_pts vb in
+let named_pts view = named_of_solution (Pipeline.points_to view) view
+
+let check_same_named msg a b =
   Alcotest.(check int)
     (msg ^ ": same pointer count")
     (Hashtbl.length a) (Hashtbl.length b);
@@ -91,6 +91,10 @@ let check_same_named_pts msg va vb =
       | Some pts' -> Alcotest.(check (list string)) (msg ^ ": " ^ name) pts pts'
       | None -> Alcotest.fail (msg ^ ": " ^ name ^ " missing from oracle"))
     a
+
+let check_same_named_pts msg va vb = check_same_named msg (named_pts va) (named_pts vb)
+
+let full_merge units = Objfile.encode (fst (Linkp.link_views (List.map snd units)))
 
 let test_delta_link_pure_add () =
   let u1 = ("a.c", "int x; int *p; void f(void) { p = &x; }") in
@@ -109,7 +113,7 @@ let test_delta_link_pure_add () =
   Alcotest.(check bool) "no full relink" false d.Linkp.d_full_relink;
   Alcotest.(check bool) "constraints were added" true
     (Linkp.delta_size_added d > 0);
-  let oracle = Objfile.view_of_string (Objfile.write (fst (Linkp.link_views (List.map snd units')))) in
+  let oracle = full_merge units' in
   check_same_named_pts "patched view vs full merge" (Linkp.state_view st)
     oracle
 
@@ -123,9 +127,38 @@ let test_delta_link_removal_falls_back () =
   let d = Linkp.relink st units' in
   Alcotest.(check bool) "removal is not pure-add" false
     (Linkp.delta_is_pure_add d);
-  let oracle = Objfile.view_of_string (Objfile.write (fst (Linkp.link_views (List.map snd units')))) in
+  let oracle = full_merge units' in
   check_same_named_pts "post-removal view vs full merge" (Linkp.state_view st)
     oracle
+
+(* One update defines the same function in two units.  The linked
+   database keeps the first definition, as the full merge does; the
+   resumed solution must bind calls through that one too.  [params_b]
+   and [ret_b] are the second definition's parameters and result. *)
+let check_duplicate_fundef ~params_b ~ret_b () =
+  let a_base =
+    "int x, y, z; int *(*fp)(int *, int *); int *r;\n\
+     void use(void) { r = fp(&x, &y); }\n"
+  and b_base = "int w;\n" in
+  let a' = a_base ^ "int *g(int *p) { return p; }\n"
+  and b' =
+    b_base ^ Fmt.str "int *g(%s) { return %s; }\nvoid set(void) { fp = g; }\n"
+               params_b ret_b
+  in
+  let t, _ = Incremental.create [ ("a.c", a_base); ("b.c", b_base) ] in
+  let s = Incremental.update t [ ("a.c", a'); ("b.c", b') ] in
+  Alcotest.(check bool) "pure-add delta" true s.Incremental.delta_pure;
+  Alcotest.(check bool) "solver resumed" true s.Incremental.resumed;
+  let oracle = full_merge (List.map compile_unit [ ("a.c", a'); ("b.c", b') ]) in
+  check_same_named "resumed vs full merge"
+    (named_of_solution (Incremental.solution t) (Incremental.view t))
+    (named_pts oracle)
+
+let test_duplicate_fundef_arity =
+  check_duplicate_fundef ~params_b:"int *p, int *q" ~ret_b:"q"
+
+let test_duplicate_fundef_same_arity =
+  check_duplicate_fundef ~params_b:"int *p" ~ret_b:"p"
 
 (* ------------------------------------------------------------------ *)
 (* Incremental driver over edit streams                                *)
@@ -164,7 +197,12 @@ let run_stream ~p_remove ~steps ~seed () =
       Alcotest.(check bool)
         (Fmt.str "step %d: removal fell back" step.W.Editstream.snum)
         false s.Incremental.resumed;
-    let scratch = Andersen.solve (Incremental.view t) in
+    let view = Incremental.view t in
+    Viewcheck.check
+      (Fmt.str "step %d: encoded view" step.W.Editstream.snum)
+      view
+      (Objfile.view_of_string view.Objfile.data);
+    let scratch = Andersen.solve view in
     Alcotest.(check bool)
       (Fmt.str "step %d: incremental == scratch" step.W.Editstream.snum)
       true
@@ -593,6 +631,10 @@ let () =
           Alcotest.test_case "no-op update" `Quick test_update_noop;
           Alcotest.test_case "resume adds each record kind" `Quick
             test_resume_each_kind;
+          Alcotest.test_case "duplicate FUNDEF, other arity" `Quick
+            test_duplicate_fundef_arity;
+          Alcotest.test_case "duplicate FUNDEF, same arity" `Quick
+            test_duplicate_fundef_same_arity;
         ] );
       ( "direct-probe",
         [

@@ -265,6 +265,47 @@ let qcheck_double_serialize =
       let db = Cla_workload.Genir.generate (Int64.of_int seed) in
       String.equal (Objfile.write db) (Objfile.write db))
 
+(* ---------------- one encoder ---------------- *)
+
+(* [encode] describes the bytes it writes: the view equals the decoder's
+   view of those bytes in every field and every block. *)
+let qcheck_encode_view =
+  QCheck.Test.make ~count:50 ~name:"encode equals the decoded bytes"
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let db = Cla_workload.Genir.generate (Int64.of_int seed) in
+      Viewcheck.diff (Objfile.encode db) (Objfile.view_of_string (Objfile.write db)) = [])
+
+let test_encode_openworld_and_unit () =
+  let check msg db =
+    Viewcheck.check msg (Objfile.encode db) (Objfile.view_of_string (Objfile.write db))
+  in
+  (* a unit object: carries TUHASH *)
+  let unit =
+    Compilep.compile_string ~file:"a.c"
+      "int x, *p, **pp; int *f(int *a) { return a; }\n\
+       void g(void) { p = &x; pp = &p; *pp = f(p); }\n"
+  in
+  Alcotest.(check bool) "the unit carries a TU hash" true (unit.Objfile.tuhash <> None);
+  check "unit with TUHASH" unit;
+  (* an open-world database: OPENWORLD section and havoc records *)
+  let db, _ =
+    Linkp.link_views
+      [
+        Objfile.encode
+          (Compilep.compile_string ~file:"ow.c"
+             "extern int *ext; int x; int *lib(int *);
+              void f(void) { ext = lib(&x); }
+");
+      ]
+  in
+  let ow = Openworld.synthesize db (Openworld.detect db) in
+  Alcotest.(check bool) "open-world summary present" true (ow.Objfile.openworld <> None);
+  check "open-world database" ow;
+  (* the encoded view has its own arrays *)
+  let v = Objfile.encode db in
+  Alcotest.(check bool) "rvars not aliased" true (v.Objfile.rvars != db.Objfile.vars)
+
 (* ---------------- pinned format bytes ---------------- *)
 
 (* Every encode change must keep objects, databases and snapshots
@@ -366,6 +407,8 @@ let () =
             test_section_crc_checked_at_open;
           Alcotest.test_case "format bytes pinned" `Quick
             test_format_bytes_pinned;
+          Alcotest.test_case "encode: unit and open-world views" `Quick
+            test_encode_openworld_and_unit;
         ] );
       ( "binio",
         [
@@ -384,5 +427,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_double_serialize;
+          QCheck_alcotest.to_alcotest qcheck_encode_view;
         ] );
     ]

@@ -545,6 +545,25 @@ let test_pipeline_stats_export () =
         (List.exists (fun c -> c.Span.name = "analyze.pass") a.Span.children)
   | None -> Alcotest.fail "analyze span missing"
 
+(* An incremental update splits into the spans named after the perfbench
+   ledger's incr.*_ms metrics. *)
+let test_incremental_update_spans () =
+  fresh ();
+  let a = "int x, *p;\nvoid f(void) { p = &x; }\n" in
+  let b = "extern int *p; int *q;\nvoid g(void) { q = p; }\n" in
+  let t, _ = Incremental.create [ ("a.c", a); ("b.c", b) ] in
+  Span.set_enabled true;
+  ignore
+    (Incremental.update t
+       [ ("a.c", a); ("b.c", b ^ "int z;\nvoid h(void) { q = &z; }\n") ]);
+  Span.set_enabled false;
+  match Span.find "incremental.update" (Span.roots ()) with
+  | Some u ->
+      Alcotest.(check (list string))
+        "update layer spans" [ "incr.probe"; "incr.relink"; "incr.resume" ]
+        (List.map (fun s -> s.Span.name) u.Span.children)
+  | None -> Alcotest.fail "incremental.update span missing"
+
 let () =
   Alcotest.run "obs"
     [
@@ -590,5 +609,7 @@ let () =
         [
           Alcotest.test_case "stats export content" `Quick
             test_pipeline_stats_export;
+          Alcotest.test_case "incremental update spans" `Quick
+            test_incremental_update_spans;
         ] );
     ]
