@@ -44,7 +44,7 @@ type t = {
          re-load of the block reuses the node instead of growing the
          graph *)
   fundef_by_var : (int, Objfile.fund_rec) Hashtbl.t;
-  linked : (int, unit) Hashtbl.t;  (* (indirect idx, func var) pairs *)
+  linked : Edgeset.t;  (* indirect idx -> func vars linked through it *)
   mutable passes : int;
   retained_by_block : (int, Objfile.prim_rec list) Hashtbl.t;
       (* the complex assignments kept in core (Section 6's discard
@@ -300,7 +300,7 @@ let init ?(config = Pretrans.default_config) ?(demand = true) ?budget
       deref_nodes = Hashtbl.create 256;
       deref2_tnodes = Hashtbl.create 64;
       fundef_by_var = Hashtbl.create 256;
-      linked = Hashtbl.create 256;
+      linked = Edgeset.create ();
       passes = 0;
       retained_by_block = Hashtbl.create 256;
       linked_copies = [];
@@ -389,9 +389,7 @@ let pass ?(keep_memos = false) st =
           match Hashtbl.find_opt st.fundef_by_var gv with
           | None -> ()
           | Some fd ->
-              let key = Intset.pair_key idx gv in
-              if not (Hashtbl.mem st.linked key) then begin
-                Hashtbl.replace st.linked key ();
+              if Edgeset.add st.linked idx gv then begin
                 changed := true;
                 Objfile.iter_call_copies fd r (fun ~dst ~src ->
                     ignore (add_edge st (node_of st dst) (node_of st src));

@@ -34,7 +34,7 @@ type t = {
       (** memoized split nodes of [*x = *y], so re-loading an evicted
           block reuses nodes instead of growing the graph *)
   fundef_by_var : (int, Objfile.fund_rec) Hashtbl.t;
-  linked : (int, unit) Hashtbl.t;
+  linked : Edgeset.t;  (** indirect idx -> func vars linked through it *)
   mutable passes : int;
   retained_by_block : (int, Objfile.prim_rec list) Hashtbl.t;
       (** complex assignments kept in core, grouped by origin block *)

@@ -49,8 +49,8 @@ type t = {
   mutable low : int array;
   mutable qid : int array;
   mutable onstk : int array;  (* = query when the node is on the SCC stack *)
-  edge_tbl : Intset.t;
-  base_tbl : Intset.t;
+  edges : Edgeset.t;  (* dedup of [succ]: the de-skipped pairs added *)
+  bases : Edgeset.t;  (* dedup of [base] *)
   (* reverse adjacency for targeted invalidation (delta solving).  Off by
      default; [enable_pred_tracking] builds it from the live edges and
      [add_edge]/[unify_into] maintain it from then on.  Entries may be
@@ -85,7 +85,6 @@ type t = {
 }
 
 let create ?(config = default_config) ?dense_threshold ~nodes () =
-  Intset.check_node_bound (max 0 (nodes - 1));
   let cap = max 16 nodes in
   {
     cfg = config;
@@ -100,8 +99,8 @@ let create ?(config = default_config) ?dense_threshold ~nodes () =
     low = Array.make cap 0;
     qid = Array.make cap (-1);
     onstk = Array.make cap (-1);
-    edge_tbl = Intset.create 4096;
-    base_tbl = Intset.create 1024;
+    edges = Edgeset.create ();
+    bases = Edgeset.create ~inline:1 ();
     preds = [||];
     track_preds = false;
     stamp = 0;
@@ -143,9 +142,6 @@ let tick t =
 let grow t needed =
   let cap = Array.length t.skip in
   if needed > cap then begin
-    (* the packed edge keys hold 31 bits per endpoint; enforce the bound
-       once here so [Intset.pair_key] stays unchecked on the hot path *)
-    Intset.check_node_bound (needed - 1);
     let cap' = max needed (2 * cap) in
     let extend a fill =
       let a' = Array.make cap' fill in
@@ -185,26 +181,23 @@ let rec deskip t n =
   end
 
 (** Add edge [a -> b] ([pts(a) ⊇ pts(b)]).  Returns [true] if the edge is
-    new — the driver's [nochange] flag. *)
+    new — the driver's [nochange] flag.  The dedup is keyed by the pair
+    de-skipped at insertion, never by the path-compressed [succ] lists,
+    which the walk rewrites. *)
 let add_edge t a b =
   let a = deskip t a and b = deskip t b in
-  if a = b then false
+  if a = b || not (Edgeset.add t.edges a b) then false
   else begin
-    let key = Intset.pair_key a b in
-    if Intset.add t.edge_tbl key then begin
-      Dynarr.push_at t.succ a b;
-      if t.track_preds then Dynarr.push_at t.preds b a;
-      t.n_edges <- t.n_edges + 1;
-      true
-    end
-    else false
+    Dynarr.push_at t.succ a b;
+    if t.track_preds then Dynarr.push_at t.preds b a;
+    t.n_edges <- t.n_edges + 1;
+    true
   end
 
 (** Record [x = &z]: [z] joins [baseElements(x)]. *)
 let add_base t x z =
   let x = deskip t x in
-  let key = Intset.pair_key x z in
-  if Intset.add t.base_tbl key then Dynarr.push_at t.base x z
+  if Edgeset.add t.bases x z then Dynarr.push_at t.base x z
 
 (** Start a new pass over the complex assignments: flush the reachability
     cache and the lval-set sharing pool. *)
@@ -230,9 +223,12 @@ let unify_into t m rep =
     Dynarr.iter (fun p -> Dynarr.push_at t.preds rep p) t.preds.(m);
     t.preds.(m) <- Dynarr.empty
   end;
-  (* free the merged node's storage *)
+  (* free the merged node's storage: [m] is never a de-skipped source
+     again, so its dedup sets go too *)
   t.succ.(m) <- Dynarr.empty;
-  t.base.(m) <- Dynarr.empty
+  t.base.(m) <- Dynarr.empty;
+  Edgeset.clear t.edges m;
+  Edgeset.clear t.bases m
 
 (* ------------------------------------------------------------------ *)
 (* Delta invalidation                                                  *)

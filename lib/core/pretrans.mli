@@ -26,10 +26,7 @@ type t
     [0 .. nodes-1] are pre-allocated (conventionally the variable ids of a
     linked database); more nodes can be added with {!fresh_node}.
     [dense_threshold] is forwarded to the solver's lval-set pool (see
-    {!Lvalset.create_pool}); node ids are bounds-checked against
-    {!Intset.max_node_id} here and in {!fresh_node} so the packed edge
-    keys stay collision-free.
-    @raise Invalid_argument if [nodes - 1] exceeds [Intset.max_node_id]. *)
+    {!Lvalset.create_pool}). *)
 val create : ?config:config -> ?dense_threshold:int -> nodes:int -> unit -> t
 
 (** Number of nodes allocated so far. *)

@@ -30,19 +30,20 @@ let create () =
   }
 
 (* The slot of [s] (hash [h]): its id's slot, or the empty one it would
-   take. *)
+   take.  The probe loop is top-level so an intern allocates no
+   closure. *)
+let rec probe slots mask hashes strings s h i =
+  let id = Array.unsafe_get slots i in
+  if id < 0
+     || (Array.unsafe_get hashes id = h
+        && String.equal (Array.unsafe_get strings id) s)
+  then i
+  else probe slots mask hashes strings s h ((i + 1) land mask)
+
 let find_slot t s h =
   let slots = t.slots in
   let mask = Array.length slots - 1 in
-  let rec probe i =
-    let id = Array.unsafe_get slots i in
-    if id < 0
-       || (Array.unsafe_get t.hashes id = h
-          && String.equal (Array.unsafe_get t.strings id) s)
-    then i
-    else probe ((i + 1) land mask)
-  in
-  probe (h land mask)
+  probe slots mask t.hashes t.strings s h (h land mask)
 
 (* Double the slot array and re-place every id by its cached hash. *)
 let grow t =

@@ -17,21 +17,18 @@ type t = {
   mutable copy_out : Dynarr.t array;  (* n -> consumers m (m ⊇ n) *)
   mutable load_subs : Dynarr.t array;  (* n -> xs with x = *n *)
   mutable store_subs : Dynarr.t array;  (* n -> ys with *n = y *)
-  edge_tbl : Intset.t;
+  copies : Edgeset.t;  (* dedup of [copy_out] *)
   queue : int Queue.t;
   mutable inqueue : Bytes.t;
   fundef_by_var : (int, Objfile.fund_rec) Hashtbl.t;
   indirect_subs : (int, (int * Objfile.indir_rec) list) Hashtbl.t;
       (* by ptr; each record keeps its global index for link dedup *)
-  linked : (int * int, unit) Hashtbl.t;  (* (record index, func) *)
+  linked : Edgeset.t;  (* record index -> funcs linked through it *)
 }
 
 let grow st needed =
   let cap = Array.length st.pts in
   if needed > cap then begin
-    (* packed edge keys hold 31 bits per endpoint (see Intset.pair_key);
-       enforce the bound once, at node allocation *)
-    Intset.check_node_bound (needed - 1);
     let cap' = max needed (2 * cap) in
     let arr_arr =
       Array.init cap' (fun i -> if i < cap then st.pts.(i) else [||])
@@ -95,14 +92,13 @@ let add_one st n z = add_elems st n [| z |]
 
 (* m ⊇ n; on creation, everything already at n flows to m. *)
 let add_copy st ~dst:m ~src:n =
-  if m <> n && Intset.add st.edge_tbl (Intset.pair_key m n) then begin
+  if m <> n && Edgeset.add st.copies n m then begin
     Dynarr.push_at st.copy_out n m;
     add_elems st m st.pts.(n)
   end
 
 let create (view : Objfile.view) =
   let nvars = Objfile.n_vars view in
-  Intset.check_node_bound (max 0 (nvars - 1));
   let cap = max 16 nvars in
   let st =
     {
@@ -114,12 +110,12 @@ let create (view : Objfile.view) =
       copy_out = Array.make cap Dynarr.empty;
       load_subs = Array.make cap Dynarr.empty;
       store_subs = Array.make cap Dynarr.empty;
-      edge_tbl = Intset.create 4096;
+      copies = Edgeset.create ();
       queue = Queue.create ();
       inqueue = Bytes.make cap '\000';
       fundef_by_var = Objfile.fundef_table view.Objfile.rfundefs;
       indirect_subs = Hashtbl.create 256;
-      linked = Hashtbl.create 256;
+      linked = Edgeset.create ();
     }
   in
   Array.iteri
@@ -161,11 +157,8 @@ let link_indirect st idx r gv =
   match Hashtbl.find_opt st.fundef_by_var gv with
   | None -> ()
   | Some fd ->
-      let key = (idx, gv) in
-      if not (Hashtbl.mem st.linked key) then begin
-        Hashtbl.replace st.linked key ();
+      if Edgeset.add st.linked idx gv then
         Objfile.iter_call_copies fd r (add_copy st)
-      end
 
 let propagate ?(tick = fun () -> ()) st =
   while not (Queue.is_empty st.queue) do

@@ -373,55 +373,154 @@ let qcheck_iter_diff =
       List.rev !got = expect)
 
 (* ------------------------------------------------------------------ *)
-(* Intset                                                              *)
+(* Edgeset                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_intset () =
-  let s = Intset.create 4 in
-  Alcotest.(check bool) "add new" true (Intset.add s 42);
-  Alcotest.(check bool) "add dup" false (Intset.add s 42);
-  Alcotest.(check bool) "mem" true (Intset.mem s 42);
-  Alcotest.(check bool) "not mem" false (Intset.mem s 7);
-  Alcotest.(check bool) "zero key" true (Intset.add s 0);
-  Alcotest.(check bool) "zero mem" true (Intset.mem s 0);
-  for i = 1 to 1000 do
-    ignore (Intset.add s (i * 7))
+let tier_name = function
+  | Edgeset.Inline -> "inline"
+  | Edgeset.Table -> "table"
+  | Edgeset.Bitmap -> "bitmap"
+
+let check_tier what want s a =
+  Alcotest.(check string) what (tier_name want) (tier_name (Edgeset.tier s a))
+
+(* One node walked through every tier: 3 inline targets, a table from the
+   4th, a bitmap over ids up to ~100K once that is no larger than the
+   table (at 513 targets); then a target past the bitmap, sources past
+   the first chunk of 4096, and [clear]. *)
+let test_edgeset_tiers () =
+  let s = Edgeset.create () in
+  let target i = (i + 1) * 40_009 mod 100_003 in
+  let add_new i =
+    if not (Edgeset.add s 0 (target i)) then
+      Alcotest.failf "target %d reported present" (target i)
+  in
+  for i = 0 to 2 do add_new i done;
+  check_tier "3 targets" Edgeset.Inline s 0;
+  add_new 3;
+  check_tier "4 targets" Edgeset.Table s 0;
+  for i = 4 to 511 do add_new i done;
+  check_tier "512 targets" Edgeset.Table s 0;
+  add_new 512;
+  check_tier "513 targets" Edgeset.Bitmap s 0;
+  for i = 513 to 2999 do add_new i done;
+  Alcotest.(check int) "cardinal" 3000 (Edgeset.cardinal s 0);
+  for i = 0 to 2999 do
+    if Edgeset.add s 0 (target i) then Alcotest.failf "duplicate %d added" i
   done;
-  (* {42, 0} plus multiples of 7 up to 7000; 42 is already a multiple *)
-  Alcotest.(check int) "length after growth" 1001 (Intset.length s);
-  Alcotest.(check bool) "still mem" true (Intset.mem s (700 * 7))
+  Alcotest.(check bool) "absent" false (Edgeset.mem s 0 (target 3000));
+  Alcotest.(check bool) "beyond the bitmap" true (Edgeset.add s 0 5_000_000);
+  Alcotest.(check bool) "beyond, again" false (Edgeset.add s 0 5_000_000);
+  Alcotest.(check bool) "old member kept" true (Edgeset.mem s 0 (target 7));
+  (* with a small id range a set goes from inline straight to a bitmap *)
+  let small = Edgeset.create () in
+  for b = 0 to 7 do ignore (Edgeset.add small 1 b) done;
+  check_tier "small ids" Edgeset.Bitmap small 1;
+  Alcotest.(check bool) "small ids: member" true (Edgeset.mem small 1 7);
+  Alcotest.(check bool) "small ids: absent" false (Edgeset.mem small 1 8);
+  for b = 0 to 7 do ignore (Edgeset.add s 1 b) done;
+  check_tier "small ids beside large ones" Edgeset.Table s 1;
+  Alcotest.(check bool) "unseen source" false (Edgeset.mem s 10_000 9);
+  Alcotest.(check bool) "source in a later chunk" true (Edgeset.add s 10_000 9);
+  Alcotest.(check int) "sources between have no targets" 0 (Edgeset.cardinal s 5000);
+  Alcotest.(check bool) "sets kept across growth" true (Edgeset.mem s 0 5_000_000);
+  Alcotest.(check bool) "table kept across growth" true (Edgeset.mem s 1 7);
+  Edgeset.clear s 0;
+  Alcotest.(check int) "cleared" 0 (Edgeset.cardinal s 0);
+  check_tier "cleared" Edgeset.Inline s 0;
+  Alcotest.(check bool) "re-add after clear" true (Edgeset.add s 0 (target 7));
+  (* ids up to 2^30 keep a set of 40K targets in a table, past the
+     largest arena block; [clear] frees it for the next big table *)
+  let wide = Edgeset.create () in
+  let far i = (i * 26_843_543) land ((1 lsl 30) - 1) in
+  for round = 1 to 2 do
+    for i = 0 to 39_999 do
+      if not (Edgeset.add wide 0 (far i)) then
+        Alcotest.failf "round %d: far target %d reported present" round i
+    done;
+    check_tier "40K wide targets" Edgeset.Table wide 0;
+    Alcotest.(check int) "40K wide targets" 40_000 (Edgeset.cardinal wide 0);
+    for i = 0 to 39_999 do
+      if Edgeset.add wide 0 (far i) then Alcotest.failf "far duplicate %d" i
+    done;
+    Edgeset.clear wide 0
+  done
 
-(* Every edge into one node [c] packs to [pair_key a c] with the same
-   low 31 bits.  A hash that reads only the product's low bits puts all
-   of them in one probe cluster (2^16 keys -> one 2^16-slot run, and
-   quadratic insertion); the folded hash must keep every run short.
-   Counts slots, never times. *)
-let test_intset_pair_key_spread () =
-  List.iter
-    (fun c ->
-      let s = Intset.create 16 in
-      for a = 0 to (1 lsl 16) - 1 do
-        ignore (Intset.add s (Intset.pair_key a c))
-      done;
-      Alcotest.(check int) "all keys present" (1 lsl 16) (Intset.length s);
-      let run = Intset.longest_run s in
-      if run > 64 then
-        Alcotest.failf "edges into node %d: longest probe run %d > 64" c run)
-    [ 7; 0; Intset.max_node_id ]
+(* Random add/clear streams against a [Hashtbl] of pairs.  Sources 0-3
+   share a chunk and source 4 sits 5000 ids on, in the next, as
+   [fresh_node] and a resumed solve grow the graph after its sets exist.
+   A case draws its
+   targets from one id range, so the cases cross every tier: small ids
+   go from inline straight to a bitmap, medium ones through a table to
+   a bitmap, wide ones stay in tables; in some small-id cases a rare far
+   id makes the bitmaps that see it grow. *)
+let qcheck_edgeset =
+  QCheck.Test.make ~count:300 ~name:"edgeset agrees with a set of pairs"
+    QCheck.(
+      triple (int_bound 2) (int_bound 3)
+        (list_of_size Gen.(int_range 0 800)
+           (triple (int_bound 40) (int_bound 4) (int_bound 100_000))))
+    (fun (k, range, ops) ->
+      let inline = [| 1; 2; 3 |].(k) in
+      let far = range = 3 in
+      let range = [| 97; 5000; 100_000; 97 |].(range) in
+      let s = Edgeset.create ~inline () in
+      let model = Hashtbl.create 64 in
+      let ok = ref true in
+      List.iter
+        (fun (code, a, b) ->
+          let a = if a = 4 then 5004 else a in
+          if code = 0 then begin
+            Edgeset.clear s a;
+            Hashtbl.filter_map_inplace
+              (fun (a', _) () -> if a' = a then None else Some ())
+              model
+          end
+          else begin
+            let b = if far && code = 40 then 1_000_000 + b else b mod range in
+            let fresh = not (Hashtbl.mem model (a, b)) in
+            Hashtbl.replace model (a, b) ();
+            if Edgeset.add s a b <> fresh then ok := false
+          end)
+        ops;
+      Hashtbl.iter (fun (a, b) () -> if not (Edgeset.mem s a b) then ok := false) model;
+      List.iter (fun a ->
+        let n = Hashtbl.fold (fun (a', _) () n -> if a' = a then n + 1 else n) model 0 in
+        if Edgeset.cardinal s a <> n then ok := false;
+        List.iter
+          (fun b -> if Edgeset.mem s a b <> Hashtbl.mem model (a, b) then ok := false)
+          [ 0; 1; 96; 4999; 99_999; 1_000_000; 1 lsl 40 ])
+        [ 0; 1; 2; 3; 5; 5004; 5005 ];
+      !ok)
 
-let qcheck_intset =
-  QCheck.Test.make ~count:100 ~name:"intset behaves like a set"
-    QCheck.(list (int_bound 1000))
-    (fun xs ->
-      let s = Intset.create 8 in
-      let model = Hashtbl.create 16 in
-      List.for_all
-        (fun x ->
-          let fresh = not (Hashtbl.mem model x) in
-          Hashtbl.replace model x ();
-          Intset.add s x = fresh)
-        xs
-      && Hashtbl.fold (fun k () acc -> acc && Intset.mem s k) model true)
+(* Per-pass counters and final edge counts of three fixed solves (a
+   dense and a cyclic Genir shape, FI emacs).  Which pairs edge dedup
+   admits decides every one of them, so a change to its semantics fails
+   here even when the answers still agree. *)
+let test_counters_pinned () =
+  let check label view ~edges ~passes =
+    let r = Andersen.solve view in
+    Alcotest.(check int) (label ^ ": edges") edges r.Andersen.graph_stats.Pretrans.edges;
+    Alcotest.(check (list (list int)))
+      (label ^ ": per pass (edges added, unified, queries, lvals)")
+      passes
+      (List.map
+         (fun p ->
+           Andersen.[ p.ps_edges_added; p.ps_unified; p.ps_queries; p.ps_lvals_discovered ])
+         r.Andersen.pass_log)
+  in
+  let module W = Cla_workload in
+  check "dense" (W.Genir.shaped ~scale:1.0 W.Genir.Dense 42L) ~edges:2746
+    ~passes:[ [ 1848; 0; 16; 2112 ]; [ 0; 0; 16; 0 ] ];
+  check "cyclic" (W.Genir.shaped ~scale:0.25 W.Genir.Cyclic 42L) ~edges:120
+    ~passes:[ [ 63; 47; 4; 20 ]; [ 5; 7; 4; 0 ] ];
+  let options =
+    { Compilep.default_options with mode = Cla_cfront.Normalize.Field_independent }
+  in
+  let src = W.Genc.generate (W.Profile.scaled 0.1 (Option.get (W.Profile.find "emacs"))) in
+  check "emacs 0.1, field-independent" (Pipeline.compile_link ~options src)
+    ~edges:15060
+    ~passes:[ [ 11323; 154; 159; 15225 ]; [ 2367; 4; 180; 2379 ]; [ 0; 0; 180; 0 ] ]
 
 let () =
   Alcotest.run "solvers"
@@ -457,11 +556,10 @@ let () =
           Alcotest.test_case "iter_diff" `Quick test_lvalset_iter_diff;
           QCheck_alcotest.to_alcotest qcheck_iter_diff;
         ] );
-      ( "intset",
+      ( "edgeset",
         [
-          Alcotest.test_case "basic" `Quick test_intset;
-          Alcotest.test_case "pair keys into one node spread" `Quick
-            test_intset_pair_key_spread;
-          QCheck_alcotest.to_alcotest qcheck_intset;
+          Alcotest.test_case "tiers" `Quick test_edgeset_tiers;
+          QCheck_alcotest.to_alcotest qcheck_edgeset;
+          Alcotest.test_case "solver counters pinned" `Quick test_counters_pinned;
         ] );
     ]
