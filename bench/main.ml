@@ -1,38 +1,37 @@
-(* Benchmark harness: regenerates every table and figure of the paper.
+(* Benchmark harness: regenerates the paper's tables and experiments.
 
    Sections (all run by default; name one or more to run only those):
 
-     table2    benchmark characteristics (Table 2)
      table3    field-based analysis results + demand-loading stats (Table 3)
-     table4    field-based vs field-independent (Table 4)
-     ablation  caching / cycle-elimination ablation (Section 5's ">50K x")
-     solvers   pre-transitive vs worklist vs bit-vector vs Steensgaard
-     transforms offline variable substitution (reference [21])
-     figures   the worked examples (Figures 1, 3, 4)
-     bechamel  one Bechamel micro-benchmark per table
+     paper     per profile: Table 2's characteristics, Table 4's
+               field-based vs field-independent solves, and offline
+               variable substitution (a Section 4 transformer)
      parallel  -jN unit compilation + link vs -j1
                (--jobs=N,N,... x --units=N,N,...)
      solver    every solver and Pretrans.config cell vs the sorted-array
-               baseline on sparse/dense/cyclic workloads (--scale=F)
+               baseline on the sparse/dense/cyclic shapes and five C
+               profiles: Section 5's ablation and Section 6's comparison
      serve     shard count (--shards=N,...) x offered load (--load=N,...)
      openworld body-deletion soundness gate for open-world havoc
      chaos     self-healing serve gate: snapshots, shard kills and wedges
      incremental delta compile-link-solve vs from-scratch over a seeded
                edit stream (--steps=N, --p-remove=P, --seed=S)
 
-   Every table prints the paper's reported row next to the measured one.
-   Absolute times are not comparable (the paper used an 800MHz Pentium
-   III and hand-tuned C; we run synthetic workloads matched to Table 2 on
-   an OCaml implementation) — the *shape* is the claim: which
+   The paper's Figures 1, 3 and 4 are pinned by test_depend,
+   test_pipeline/test_solvers and test_objfile.
+
+   table3 and paper print the paper's reported row under each measured
+   one.  Absolute times are not comparable (the paper used an 800MHz
+   Pentium III and hand-tuned C; we run synthetic workloads matched to
+   Table 2 on an OCaml implementation) — the *shape* is the claim: which
    configuration wins, by roughly what factor, and where the blowups are.
 
-   The measured sections (table3, parallel, solver, serve, chaos,
-   incremental) share one harness (below): a row prints its table line
-   and becomes its JSON row, and [finish] writes BENCH_<section>.json
-   (table3: BENCH_pipeline.json) and enforces the gates.  Answer gates
-   hold every run; timed gates hold full runs on multi-core hosts and are
-   printed otherwise.  A failed gate exits 1.  --inject feeds each gated
-   section its one fault, which must fail it.
+   Every section but openworld writes through one harness (below): a row
+   prints its table line and becomes its JSON row, and [finish] writes
+   BENCH_<section>.json (table3: BENCH_pipeline.json) and enforces the
+   gates.  Answer gates hold every run; timed gates hold full runs on
+   multi-core hosts and are printed otherwise.  A failed gate exits 1.
+   --inject feeds each gated section its one fault, which must fail it.
 
    Usage:
      dune exec bench/main.exe                 # every section, full scale
@@ -41,7 +40,8 @@
      dune exec bench/main.exe -- --budget=N table3
                 # bound retained assignments in core (LRU block eviction)
      dune exec bench/main.exe -- --scale=0.5 solver
-                # scale the solver workloads (default 1.0; --quick: 0.25)
+                # scale the profiles and shapes of table3, paper, solver
+                # and incremental (solver default 1.0; --quick: 0.25)
      dune exec bench/main.exe -- --check-against=BENCH_serve.json serve
                 # report each *wall_s or *total_s over 25% slower than
                 # in a previous file of the same section (--check-hard:
@@ -62,7 +62,7 @@ let jobs_sweep = ref [ 1; 2; 4 ]
 let units_sweep = ref []
 let serve_shards = ref [ 1; 2; 4 ]
 let serve_load = ref [ 2; 8 ]
-let solver_scale = ref None
+let workload_scale = ref None
 let baseline = ref None (* --check-against: the file and its parse *)
 let check_hard = ref false
 let inject = ref false
@@ -71,13 +71,16 @@ let incr_seed = ref 1 (* seed 1's default stream includes a removal step *)
 let incr_p_remove = ref 0.2
 let host_cores = Domain.recommended_domain_count ()
 
-(* scale the two large profiles down in quick mode *)
+(* the eight profiles, scaled by --scale, or with the two large ones
+   scaled down in quick mode *)
 let profiles () =
   List.map
     (fun p ->
-      if !quick && (p.Profile.name = "gimp" || p.Profile.name = "lucent") then
-        Profile.scaled 0.25 p
-      else p)
+      match !workload_scale with
+      | Some f -> Profile.scaled f p
+      | None when !quick && (p.Profile.name = "gimp" || p.Profile.name = "lucent") ->
+          Profile.scaled 0.25 p
+      | None -> p)
     Profile.all
 
 let heap_mb () =
@@ -137,9 +140,6 @@ let banner fmt =
       Fmt.pr "%s@." title;
       hr ())
     fmt
-
-let k n =
-  if n >= 10_000 then Fmt.str "%dK" (n / 1000) else string_of_int n
 
 (* ------------------------------------------------------------------ *)
 (* The harness: one row, gate, writer and regression check             *)
@@ -336,8 +336,8 @@ let finish ?(v = 1) ?(meta = []) ?(gates = []) r =
   Fmt.pr "wrote %s (%d row(s))@." file (List.length rows);
   enforce r.section gates
 
-(* The solution fault --inject feeds the solver gate: one points-to set
-   flipped between empty and {0}. *)
+(* The solution fault --inject feeds the solver and paper gates: one
+   points-to set flipped between empty and {0}. *)
 let perturb v (sol : Solution.t) =
   let pts = Array.copy sol.Solution.pts in
   if Array.length pts > 0 then
@@ -361,31 +361,6 @@ let with_server view (config : Cla_serve.Server.config) body =
       Thread.join srv)
     (fun () -> body h config.Sv.socket_path)
 
-(* ------------------------------------------------------------------ *)
-(* Table 2: benchmark characteristics                                  *)
-(* ------------------------------------------------------------------ *)
-
-let table2 () =
-  banner "TABLE 2: benchmarks (m: measured on the synthetic workload, p: paper)";
-  Fmt.pr "%-10s %2s %10s %10s %9s %9s %8s %8s %8s %8s@." "bench" "" "obj bytes"
-    "variables" "x=y" "x=&y" "*x=y" "*x=*y" "x=*y" "LOC";
-  List.iter
-    (fun (p : Profile.t) ->
-      let v = compiled p in
-      let c = v.Objfile.rmeta.Objfile.mcounts in
-      let obj_bytes = String.length (Objfile.write (fst (Linkp.link_views [ v ]))) in
-      Fmt.pr "%-10s %2s %10d %10d %9d %9d %8d %8d %8d %8d@." p.Profile.name
-        "m:" obj_bytes (Objfile.n_vars v) c.Cla_ir.Prim.n_copy
-        c.Cla_ir.Prim.n_addr c.Cla_ir.Prim.n_store c.Cla_ir.Prim.n_deref2
-        c.Cla_ir.Prim.n_load v.Objfile.rmeta.Objfile.msource_lines;
-      let pc = p.Profile.counts in
-      Fmt.pr "%-10s %2s %10s %10d %9d %9d %8d %8d %8d %8s@." "" "p:" "-"
-        p.Profile.variables pc.Cla_ir.Prim.n_copy pc.Cla_ir.Prim.n_addr
-        pc.Cla_ir.Prim.n_store pc.Cla_ir.Prim.n_deref2 pc.Cla_ir.Prim.n_load
-        p.Profile.loc_display)
-    (profiles ())
-
-(* ------------------------------------------------------------------ *)
 (* ------------------------------------------------------------------ *)
 (* Table 3: analysis results                                           *)
 (* ------------------------------------------------------------------ *)
@@ -465,280 +440,113 @@ let table3 () =
   finish r
 
 (* ------------------------------------------------------------------ *)
-(* Table 4: field-based vs field-independent                           *)
+(* Paper: Table 2, Table 4 and variable substitution per profile       *)
 (* ------------------------------------------------------------------ *)
 
-let table4 () =
-  banner "TABLE 4: effect of a field-independent treatment of structs";
-  Fmt.pr "%-10s %2s | %8s %10s %8s | %8s %10s %8s %9s@." "bench" ""
-    "fb ptrs" "fb rel" "fb utime" "fi ptrs" "fi rel" "fi utime" "slowdown";
-  List.iter
-    (fun (p : Profile.t) ->
-      let run mode =
-        let v = compiled ~mode p in
-        let r, spans = with_recording (fun () -> Andersen.solve v) in
-        ( Solution.n_pointer_vars r.Andersen.solution,
-          Solution.n_relations r.Andersen.solution,
-          (analyze_span spans).Span.user_s )
-      in
-      let fb_p, fb_r, fb_t = run Cla_cfront.Normalize.Field_based in
-      let fi_p, fi_r, fi_t = run Cla_cfront.Normalize.Field_independent in
-      Fmt.pr "%-10s %2s | %8d %10s %7.2fs | %8d %10s %7.2fs %8.1fx@."
-        p.Profile.name "m:" fb_p (k fb_r) fb_t fi_p (k fi_r) fi_t
-        (if fb_t > 1e-4 then fi_t /. fb_t else Float.nan);
-      let t3 = p.Profile.table3 and t4 = p.Profile.table4 in
-      Fmt.pr "%-10s %2s | %8d %10s %7.2fs | %8d %10s %7.2fs %8.1fx@." "" "p:"
-        t3.Profile.t3_pointer_vars (k t3.Profile.t3_relations)
-        t3.Profile.t3_user_s t4.Profile.t4_pointer_vars
-        (k t4.Profile.t4_relations) t4.Profile.t4_user_s
-        (if t3.Profile.t3_user_s > 0. then
-           t4.Profile.t4_user_s /. t3.Profile.t3_user_s
-         else Float.nan))
-    (profiles ())
+(* One BENCH_paper.json row per profile, with three groups: [table2],
+   the compiled workload's characteristics; [table4], its field-based
+   and field-independent solves; [subst], offline variable substitution
+   (the paper's reference [21], one of Section 4's database-to-database
+   transformers) and the solve before and after it.  The paper's row
+   follows each measured one (its Table 2 counts scaled like the
+   workload; its Table 4 times are user seconds).
 
-(* ------------------------------------------------------------------ *)
-(* Ablation (Section 5): caching and cycle elimination                 *)
-(* ------------------------------------------------------------------ *)
-
-exception Timeout
-
-let run_ablation_config v config budget_s =
-  let t0 = Unix.gettimeofday () in
-  let deadline = t0 +. budget_s in
-  try
-    let st = Andersen.init ~config v in
-    let cont = ref true in
-    while !cont do
-      if Unix.gettimeofday () > deadline then raise Timeout;
-      cont := Andersen.pass st
-    done;
-    Pretrans.new_pass st.Andersen.g;
-    for var = 0 to Objfile.n_vars v - 1 do
-      if var land 63 = 0 && Unix.gettimeofday () > deadline then raise Timeout;
-      ignore (Pretrans.get_lvals st.Andersen.g var)
-    done;
-    Some (Unix.gettimeofday () -. t0)
-  with Timeout -> None
-
-let ablation_row label v budget =
-  let cell = function
-    | Some t -> Fmt.str "%11.3fs" t
-    | None -> Fmt.str "%11s" "t/o"
+   Two answer gates.  Genc generates the profile's x=&y, *x=y, *x=*y and
+   x=*y counts exactly; variables and x=y drift by a few percent and are
+   only reported.  Substitution keeps every variable's points-to set
+   through its mapping (the property test_transform checks on random
+   programs).  --inject perturbs the substituted solution. *)
+let paper () =
+  banner "PAPER: Table 2, Table 4 and variable substitution per profile";
+  let r = report ~key:[ "profile"; "scale" ] "paper" in
+  let profiles = profiles () in
+  let inexact = ref [] and unpreserved = ref [] in
+  let solve v = timed (fun () -> (Andersen.solve v).Andersen.solution) in
+  let slowdown fb fi = if fb > 1e-4 then fi /. fb else Float.nan in
+  let n_assigns (d : Objfile.db) =
+    List.length d.Objfile.statics
+    + Array.fold_left (fun a l -> a + List.length l) 0 d.Objfile.blocks
   in
-  let full = run_ablation_config v { Pretrans.cache = true; cycle_elim = true } budget in
-  let nc = run_ablation_config v { Pretrans.cache = false; cycle_elim = true } budget in
-  let ne = run_ablation_config v { Pretrans.cache = true; cycle_elim = false } budget in
-  let nn = run_ablation_config v { Pretrans.cache = false; cycle_elim = false } budget in
-  Fmt.pr "%-22s %12s %12s %12s %12s@." label (cell full) (cell nc) (cell ne)
-    (cell nn);
-  match (full, nn) with
-  | Some f, Some n when f > 1e-4 ->
-      Fmt.pr "%-22s neither/full slowdown: %.0fx@." "" (n /. f)
-  | Some f, None when f > 0. ->
-      Fmt.pr "%-22s neither/full slowdown: > %.0fx (timed out)@." ""
-        (budget /. f)
-  | _ -> ()
-
-let ablation () =
-  banner
-    "ABLATION (Section 5): caching of reachability + cycle elimination@.\
-     (the paper reports a > 50,000x slowdown on gimp with both off —@.\
-    \ 45,000s vs 0.8s.  The ablated configurations blow up superlinearly,@.\
-    \ so the sweep runs growing constraint graphs until timeout; the@.\
-    \ factor's growth is the claim)";
-  Fmt.pr "%-22s %12s %12s %12s %12s@." "workload" "full" "no cache"
-    "no cyc-elim" "neither";
-  (* dense random constraint graphs: the regime where reachability caching
-     and cycle collapsing carry the algorithm *)
-  List.iter
-    (fun n ->
-      let params =
-        {
-          Cla_workload.Genir.n_vars = n;
-          n_addr = n;
-          n_copy = 2 * n;
-          n_store = n / 2;
-          n_load = n / 2;
-          n_deref2 = n / 10;
-          n_funcs = 4;
-          n_indirect = 4;
-        }
-      in
-      let v = Cla_workload.Genir.view ~params 7L in
-      ablation_row (Fmt.str "dense graph n=%d" n) v 30.)
-    (if !quick then [ 250; 500 ] else [ 250; 500; 1000; 2000 ]);
-  (* and one realistic pipeline workload for reference *)
-  let p = Profile.scaled 0.05 Profile.gimp in
-  ablation_row "gimp x 0.05 (C code)" (compiled p) 30.
-
-(* ------------------------------------------------------------------ *)
-(* Solver comparison (Section 6's related-work discussion)             *)
-(* ------------------------------------------------------------------ *)
-
-let solvers () =
-  banner
-    "SOLVERS: pre-transitive vs transitively-closed vs bit-vector vs unification@.\
-     (the paper's positioning: subset-based precision at near-unification speed)";
-  Fmt.pr "%-10s %14s %14s %14s %14s@." "bench" "pretransitive" "worklist"
-    "bitvector" "steensgaard";
   List.iter
     (fun (p : Profile.t) ->
       let v = compiled p in
-      let pre = snd (timed (fun () -> Andersen.solve v)) in
-      let wl = snd (timed (fun () -> Worklist.solve v)) in
-      let bv = snd (timed (fun () -> Bitsolver.solve v)) in
-      let st = snd (timed (fun () -> Steensgaard.solve v)) in
-      Fmt.pr "%-10s %13.3fs %13.3fs %13.3fs %13.3fs@." p.Profile.name pre wl
-        bv st)
-    [ Profile.nethack; Profile.burlap; Profile.vortex; Profile.povray; Profile.gcc ]
-
-(* ------------------------------------------------------------------ *)
-(* Transformers: offline variable substitution (reference [21])        *)
-(* ------------------------------------------------------------------ *)
-
-let transforms () =
-  banner
-    "TRANSFORMERS: offline variable substitution before analysis@.\
-     (the paper's database-to-database optimizer hook, instantiated@.\
-    \ with Rountev-Chandra-style substitution — its PLDI'00 table is@.\
-    \ variables/assignments removed and the analysis-time effect)";
-  Fmt.pr "%-10s %10s %10s %10s %10s %10s %10s@." "bench" "vars" "vars'"
-    "assigns" "assigns'" "t before" "t after";
-  List.iter
-    (fun (p : Profile.t) ->
-      let v = compiled p in
+      let c = v.Objfile.rmeta.Objfile.mcounts and pc = p.Profile.counts in
+      let kinds (c : Cla_ir.Prim.counts) = [ c.n_addr; c.n_store; c.n_deref2; c.n_load ] in
+      if kinds c <> kinds pc then inexact := p.Profile.name :: !inexact;
+      let fb, fb_s = solve v in
+      let fi, fi_s = solve (compiled ~mode:Cla_cfront.Normalize.Field_independent p) in
+      (* both substitution solves run on encoded databases, whose ids
+         the mapping relates *)
       let db = fst (Linkp.link_views [ v ]) in
-      let n_assigns (d : Objfile.db) =
-        List.length d.Objfile.statics
-        + Array.fold_left (fun a l -> a + List.length l) 0 d.Objfile.blocks
+      let db', st = Transform.substitute_variables db in
+      let before, before_s = solve (Objfile.encode db) in
+      let v' = Objfile.encode db' in
+      let after, after_s = solve v' in
+      let after = if !inject then perturb v' after else after in
+      let m = st.Transform.mapping in
+      let preserves =
+        Seq.for_all
+          (fun var ->
+            let mapped =
+              List.map (fun z -> m.(z)) (Lvalset.to_list (Solution.points_to before var))
+            in
+            List.sort compare mapped = Lvalset.to_list (Solution.points_to after m.(var)))
+          (Seq.init (Array.length m) Fun.id)
       in
-      let t_before = snd (timed (fun () -> Andersen.solve v)) in
-      let db', _ = Transform.substitute_variables db in
-      let v' = Objfile.view_of_string (Objfile.write db') in
-      let t_after = snd (timed (fun () -> Andersen.solve v')) in
-      Fmt.pr "%-10s %10d %10d %10d %10d %9.3fs %9.3fs@." p.Profile.name
-        (Array.length db.Objfile.vars)
-        (Array.length db'.Objfile.vars)
-        (n_assigns db) (n_assigns db') t_before t_after)
-    [ Profile.nethack; Profile.burlap; Profile.vortex; Profile.gcc ]
-
-(* ------------------------------------------------------------------ *)
-(* Figures                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let figures () =
-  banner "FIGURES: the paper's worked examples";
-  (* Figure 3 *)
-  let v3 =
-    Pipeline.compile_link
-      [ ("fig3.c", "int x, *y;\nint **z;\nvoid main(void) { z = &y; *z = &x; }") ]
-  in
-  let s3 = Pipeline.points_to v3 in
-  let show sol name =
-    match Solution.find sol name with
-    | Some v ->
-        Fmt.str "%s -> {%s}" name
-          (String.concat ", "
-             (List.map (Solution.var_name sol)
-                (Lvalset.to_list (Solution.points_to sol v))))
-    | None -> name ^ " -> ?"
-  in
-  Fmt.pr "Figure 3 (expect y -> {x}):   %s ; %s@." (show s3 "y") (show s3 "z");
-  (* Figure 4: object file layout *)
-  let db4 =
-    Compilep.compile_string ~file:"a.c"
-      "int x, y, z, *p, *q;\n\
-       void f(void) { x = y; x = z; *p = z; p = q; q = &y; x = *p; }"
-  in
-  let v4 = Objfile.view_of_string (Objfile.write db4) in
-  Fmt.pr "Figure 4 (object file for a.c): %d bytes, %d static record(s), blocks:@."
-    (String.length (Objfile.write db4))
-    (Array.length v4.Objfile.rstatics);
-  for var = 0 to Objfile.n_vars v4 - 1 do
-    if Objfile.has_block v4 var then
-      Fmt.pr "  block %-4s: %d assignment(s)@."
-        v4.Objfile.rvars.(var).Objfile.vname
-        (List.length (Objfile.read_block v4 var))
-  done;
-  (* Figure 1: dependence chains *)
-  let v1 =
-    Pipeline.compile_link
+      if not preserves then unpreserved := p.Profile.name :: !unpreserved;
+      row r
+        [
+          ("profile", S p.Profile.name);
+          ("scale", F p.Profile.scale);
+          ( "table2",
+            O
+              [
+                ("variables", I (Objfile.n_vars v)); ("x=y", I c.n_copy);
+                ("x=&y", I c.n_addr); ("*x=y", I c.n_store); ("*x=*y", I c.n_deref2);
+                ("x=*y", I c.n_load); ("obj_bytes", I (String.length v.Objfile.data));
+                ("loc", I v.Objfile.rmeta.Objfile.msource_lines);
+              ] );
+          ( "table4",
+            O
+              [
+                ("fb_ptrs", I (Solution.n_pointer_vars fb));
+                ("fb_rel", I (Solution.n_relations fb)); ("fb_wall_s", F fb_s);
+                ("fi_ptrs", I (Solution.n_pointer_vars fi));
+                ("fi_rel", I (Solution.n_relations fi)); ("fi_wall_s", F fi_s);
+                ("slowdown", F (slowdown fb_s fi_s));
+              ] );
+          ( "subst",
+            O
+              [
+                ("merged_vars", I st.Transform.merged_vars); ("assigns", I (n_assigns db));
+                ("dropped", I st.Transform.dropped_assignments);
+                ("before_wall_s", F before_s); ("after_wall_s", F after_s);
+                ("preserves", B preserves);
+              ] );
+        ];
+      let t3 = p.Profile.table3 and t4 = p.Profile.table4 in
+      show r
+        (List.map
+           (fun v -> ("", v))
+           ([ S "(paper)"; S ""; I p.Profile.variables; I pc.n_copy; I pc.n_addr;
+              I pc.n_store; I pc.n_deref2; I pc.n_load; S "-"; S p.Profile.loc_display;
+              I t3.t3_pointer_vars; I t3.t3_relations; F t3.t3_user_s;
+              I t4.t4_pointer_vars; I t4.t4_relations; F t4.t4_user_s;
+              F (slowdown t3.t3_user_s t4.t4_user_s) ]
+           @ List.init 6 (fun _ -> S "-"))))
+    profiles;
+  let n = List.length profiles in
+  let names l = String.concat ", " (List.rev l) in
+  finish r
+    ~gates:
       [
-        ( "eg1.c",
-          "short target;\n\
-           struct S { short x; short y; };\n\
-           short u, *v, w;\n\
-           struct S s, t;\n\
-           void main(void) {\n\
-           v = &w;\n\
-           u = target;\n\
-           *v = u;\n\
-           s.x = w;\n\
-           }" );
+        gate "table2_exact_kinds" (!inexact = [])
+          "%d of %d profile(s) off their x=&y, *x=y, *x=*y, x=*y counts [%s]"
+          (List.length !inexact) n (names !inexact);
+        gate "subst_preserves" (!unpreserved = [])
+          "%d of %d profile(s) changed a points-to set through substitution [%s]"
+          (List.length !unpreserved) n (names !unpreserved);
       ]
-  in
-  let pta = Andersen.solve v1 in
-  let dep = Cla_depend.Depend.prepare v1 pta in
-  match Cla_depend.Depend.query_by_name dep "target" with
-  | Some r ->
-      Fmt.pr "Figure 1 (dependence chains for 'target'):@.%a"
-        (Cla_depend.Depend.pp_report dep) r
-  | None -> Fmt.pr "Figure 1: target not found?!@."
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table                  *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  banner "BECHAMEL: micro-benchmarks (one Test.make per table)";
-  let open Bechamel in
-  let p = Profile.scaled 0.1 Profile.nethack in
-  let files = Genc.generate p in
-  let view = Pipeline.compile_link files in
-  let view_fi =
-    Pipeline.compile_link
-      ~options:
-        {
-          Compilep.default_options with
-          Compilep.mode = Cla_cfront.Normalize.Field_independent;
-        }
-      files
-  in
-  let tests =
-    Test.make_grouped ~name:"cla"
-      [
-        (* Table 2's cost: the compile+link phases *)
-        Test.make ~name:"table2.compile_link"
-          (Staged.stage (fun () -> ignore (Pipeline.compile_link files)));
-        (* Table 3's cost: field-based demand-driven analysis *)
-        Test.make ~name:"table3.analyze_field_based"
-          (Staged.stage (fun () -> ignore (Andersen.solve view)));
-        (* Table 4's cost: field-independent analysis *)
-        Test.make ~name:"table4.analyze_field_independent"
-          (Staged.stage (fun () -> ignore (Andersen.solve view_fi)));
-        (* Table 1 drives the dependence ranking *)
-        Test.make ~name:"table1.dependence_query"
-          (Staged.stage (fun () ->
-               let pta = Andersen.solve view in
-               let dep = Cla_depend.Depend.prepare view pta in
-               match Objfile.find_targets view "g0_0" with
-               | t :: _ -> ignore (Cla_depend.Depend.query dep t)
-               | [] -> ()));
-      ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Fmt.pr "%-45s %12.3f ms/run@." name (est /. 1e6)
-      | _ -> Fmt.pr "%-45s (no estimate)@." name)
-    results
 
 (* ------------------------------------------------------------------ *)
 (* Parallel: compile + link sweep over units x job counts              *)
@@ -832,25 +640,29 @@ let parallel () =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* Solver micro-bench: hybrid lval-sets + allocation-free reachability *)
+(* Solver matrix: Section 5's ablation and Section 6's comparison      *)
 (* ------------------------------------------------------------------ *)
 
-(* Sweep the sparse/dense/cyclic Genir shapes over every solver and
-   every Pretrans.config cell, at the hybrid lval-set threshold and at
-   the sorted-array baseline (threshold = max_int).  The baseline
-   solution is the correctness oracle: any exact solver or configuration
-   that diverges from it fails the gate; Steensgaard is checked as a
-   sound superset.  Wall time, allocation per query, and the pool's
-   set-representation histogram land in BENCH_solver.json.  --inject
-   perturbs the worklist solution to prove the gate fires. *)
+(* Every solver and every Pretrans.config cell on every workload: the
+   sparse/dense/cyclic Genir shapes and five C profiles, all scaled by
+   --scale.  The pretrans/{nocache,nocycle,neither} cells against
+   pretrans/full are Section 5's ablation; worklist, bitvector and
+   steensgaard are Section 6's comparison.  Each workload first runs at
+   the sorted-array baseline (threshold = max_int), the correctness
+   oracle: any exact solver or configuration that diverges from it
+   fails the gate; Steensgaard is checked as a sound superset.  Wall
+   time, allocation per query, and the pool's set-representation
+   histogram land in BENCH_solver.json.  --inject perturbs the worklist
+   solution to prove the gate fires. *)
 let solver () =
-  let scale = Option.value !solver_scale ~default:(if !quick then 0.25 else 1.0) in
+  let scale = Option.value !workload_scale ~default:(if !quick then 0.25 else 1.0) in
   let saved_threshold = Lvalset.default_dense_threshold () in
-  banner "SOLVER: micro-bench over shaped workloads (scale %.2f, dense threshold %d)"
+  banner "SOLVER: every solver and configuration per workload (scale %.2f, dense threshold %d)"
     scale saved_threshold;
   let r = report ~key:[ "workload"; "cell" ] "solver" in
   let diverged = ref 0 in
   let dense_hybrid_t = ref None and dense_array_t = ref None in
+  let ablation = ref [] in
   let superset big small nvars =
     Seq.for_all
       (fun var ->
@@ -859,10 +671,14 @@ let solver () =
           true (Solution.points_to small var))
       (Seq.init nvars Fun.id)
   in
+  let workloads =
+    List.map (fun shape -> (Genir.shape_name shape, Genir.shaped ~scale shape 42L)) Genir.all_shapes
+    @ List.map
+        (fun p -> (p.Profile.name, compiled (Profile.scaled scale p)))
+        [ Profile.nethack; Profile.burlap; Profile.vortex; Profile.povray; Profile.gcc ]
+  in
   List.iter
-    (fun shape ->
-      let wname = Genir.shape_name shape in
-      let v = Genir.shaped ~scale shape 42L in
+    (fun (wname, v) ->
       (* time [solve], check its solution and emit the cell's row *)
       let cell name solve check =
         let a0 = Gc.allocated_bytes () in
@@ -924,19 +740,22 @@ let solver () =
           (fun () -> cell "pretrans/full/array" pretrans (fun _ -> true))
       in
       let exact sol = Solution.equal base sol in
-      if shape = Genir.Dense then dense_array_t := Some base_t;
+      if wname = "dense" then dense_array_t := Some base_t;
       (* pre-transitive ablation cells, hybrid sets *)
-      List.iter
-        (fun (name, config) ->
-          let _, t = cell name (pretrans ~config) exact in
-          if name = "pretrans/full" && shape = Genir.Dense then
-            dense_hybrid_t := Some t)
-        [
-          ("pretrans/full", { Pretrans.cache = true; cycle_elim = true });
-          ("pretrans/nocache", { Pretrans.cache = false; cycle_elim = true });
-          ("pretrans/nocycle", { Pretrans.cache = true; cycle_elim = false });
-          ("pretrans/neither", { Pretrans.cache = false; cycle_elim = false });
-        ];
+      let ablated =
+        List.map
+          (fun (name, config) -> (name, snd (cell name (pretrans ~config) exact)))
+          [
+            ("pretrans/full", { Pretrans.cache = true; cycle_elim = true });
+            ("pretrans/nocache", { Pretrans.cache = false; cycle_elim = true });
+            ("pretrans/nocycle", { Pretrans.cache = true; cycle_elim = false });
+            ("pretrans/neither", { Pretrans.cache = false; cycle_elim = false });
+          ]
+      in
+      let full = List.assoc "pretrans/full" ablated in
+      if wname = "dense" then dense_hybrid_t := Some full;
+      let neither = List.assoc "pretrans/neither" ablated in
+      ablation := (wname, F (if full > 1e-6 then neither /. full else Float.nan)) :: !ablation;
       (* the other exact solvers; --inject perturbs the worklist's *)
       ignore
         (cell "worklist"
@@ -949,7 +768,7 @@ let solver () =
       ignore
         (cell "steensgaard" (plain Steensgaard.solve) (fun sol ->
              superset sol base (Objfile.n_vars v))))
-    Genir.all_shapes;
+    workloads;
   let speedup =
     match (!dense_array_t, !dense_hybrid_t) with
     | Some a, Some h when h > 1e-6 -> a /. h
@@ -966,7 +785,12 @@ let solver () =
         ("scale", F scale);
         ("dense_threshold", I saved_threshold);
         ( "summary",
-          O [ ("dense_speedup_vs_array", F speedup); ("dense_speedup_target", F 1.5) ] );
+          O
+            [
+              ("dense_speedup_vs_array", F speedup);
+              ("dense_speedup_target", F 1.5);
+              ("neither_over_full", O (List.rev !ablation));
+            ] );
       ]
     ~gates:
       [
@@ -1356,7 +1180,7 @@ let incremental () =
   (* vortex, not burlap: unit count is what the compile cache leverages
      (Genc splits ~1200 variables per file), and vortex's 11.4K
      variables give 9 units at full scale where burlap gives 5 *)
-  let scale = Option.value !solver_scale ~default:(if !quick then 0.5 else 1.0) in
+  let scale = Option.value !workload_scale ~default:(if !quick then 0.5 else 1.0) in
   let steps = !incr_steps and p_remove = !incr_p_remove in
   let p = Profile.scaled scale Profile.vortex in
   banner "INCREMENTAL: %d-step edit stream over %s (scale %.2f, p_remove %.2f, seed %d)%s"
@@ -1465,11 +1289,9 @@ let incremental () =
 (* ------------------------------------------------------------------ *)
 
 let all_sections =
-  [ ("table2", table2); ("table3", table3); ("table4", table4);
-    ("ablation", ablation); ("solvers", solvers); ("transforms", transforms);
-    ("figures", figures); ("bechamel", bechamel); ("parallel", parallel);
-    ("solver", solver); ("openworld", openworld); ("serve", serve);
-    ("chaos", chaos); ("incremental", incremental) ]
+  [ ("table3", table3); ("paper", paper); ("parallel", parallel); ("solver", solver);
+    ("openworld", openworld); ("serve", serve); ("chaos", chaos);
+    ("incremental", incremental) ]
 
 let usage fmt =
   Fmt.kstr
@@ -1500,7 +1322,7 @@ let () =
         | "--quick" -> quick := true
         | "--check-hard" -> check_hard := true
         | "--inject" -> inject := true
-        | "--scale=" -> solver_scale := Some (num float_of_string_opt (fun f -> f > 0.) arg v)
+        | "--scale=" -> workload_scale := Some (num float_of_string_opt (fun f -> f > 0.) arg v)
         | "--budget=" -> budget := Some (num int_of_string_opt (fun n -> n > 0) arg v)
         | "--check-against=" ->
             let read () = Json.of_string (In_channel.with_open_bin v In_channel.input_all) in

@@ -1,8 +1,10 @@
 #!/bin/sh
-# Solver micro-bench smoke test: a tiny --scale sweep must report zero
-# divergence and write a schema-tagged BENCH_solver.json whose regression
-# check re-reads it and prints a verdict, and --inject must
-# make the hard-fail path fire (exit 1) — proving the gate is live, not
+# Solver matrix and paper section smoke test: a tiny --scale sweep must
+# report zero divergence on every workload, the C profiles included, and
+# write a schema-tagged BENCH_solver.json whose regression check re-reads
+# it and prints a verdict; the paper section (Table 2, Table 4,
+# substitution) must hold both answer gates; and --inject must make each
+# hard-fail path fire (exit 1) — proving the gates are live, not
 # decorative.  Wired into `dune runtest` (see bench/dune); takes the
 # bench binary as $1.
 set -eu
@@ -34,6 +36,12 @@ if grep -q '"equal_to_baseline": false' BENCH_solver.json; then
   cat BENCH_solver.json >&2
   exit 1
 fi
+for w in sparse dense cyclic nethack burlap vortex povray gcc; do
+  grep -q "\"workload\": \"$w\"" BENCH_solver.json || {
+    echo "solver_smoke.sh: no $w rows in BENCH_solver.json" >&2
+    exit 1
+  }
+done
 
 # 2. The divergence gate must actually exit 1 when a solution is
 #    deliberately perturbed.
@@ -63,6 +71,29 @@ elif grep -q 'REGRESSION' check_err.txt; then
 else
   echo "solver_smoke.sh: self check-against printed no verdict" >&2
   cat check.txt check_err.txt >&2
+  exit 1
+fi
+
+# 4. The paper section: Table 2's exact kind counts and substitution's
+#    preserved points-to sets are answer gates, and --inject (a perturbed
+#    substituted solution) must fail the section.
+"$bench" --scale=0.05 paper >paper.txt
+grep -q 'cla\.bench\.paper/v1' BENCH_paper.json || {
+  echo "solver_smoke.sh: schema missing from BENCH_paper.json" >&2
+  cat BENCH_paper.json >&2
+  exit 1
+}
+for g in table2_exact_kinds subst_preserves; do
+  grep -q "\"$g\": true" BENCH_paper.json || {
+    echo "solver_smoke.sh: paper gate $g did not hold" >&2
+    cat paper.txt >&2
+    exit 1
+  }
+done
+rc=0
+"$bench" --scale=0.05 --inject paper >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "solver_smoke.sh: paper --inject exited $rc, want 1" >&2
   exit 1
 fi
 

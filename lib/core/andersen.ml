@@ -95,6 +95,9 @@ and pass_stats = {
   ps_wall_s : float;  (* wall-clock time of the pass *)
 }
 
+let loader st = st.loader
+let block_active st v = Bytes.get st.active v = '\001'
+
 (* Progress carried by a typed abort: the pass we were in plus the last
    completed pass's convergence line from [pass_log]. *)
 let progress st () =

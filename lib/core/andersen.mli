@@ -2,68 +2,21 @@
     loading from the CLA database — the paper's headline configuration.
 
     Most callers want {!solve}; {!init} and {!pass} expose the iteration
-    (Figure 5's outer loop) for benchmarks that meter each pass. *)
+    (Figure 5's outer loop) for callers that observe each pass. *)
 
-(** A retained complex assignment.  [Kstore]: for each new [&z] in
-    [getLvals(cptr)], add edge [z -> cother].  [Kload]: add
-    [cother -> z] ([cother] is the dereference node [n_*y]).  [cseen]
-    remembers the set processed last pass (difference propagation).
-    [corigin] is the block the record was decoded from — the unit of
-    eviction under a loader budget. *)
-type ckind = Kstore | Kload
+(** In-flight analysis state: the pre-transitive graph, the demand
+    loader and the complex assignments kept in core. *)
+type t
 
-type complex = {
-  ckind : ckind;
-  cptr : int;
-  cother : int;
-  corigin : int;
-  mutable cseen : Lvalset.t;
-}
+(** The state's demand loader (replaced wholesale by {!resume}). *)
+val loader : t -> Loader.t
 
-(** In-flight analysis state. *)
-type t = {
-  g : Pretrans.t;  (** the pre-transitive constraint graph *)
-  mutable loader : Loader.t;  (** replaced wholesale by {!resume} *)
-  mutable view : Objfile.view;
-  demand : bool;
-  mutable active : Bytes.t;
-  mutable complexes : complex list;  (** kept in core (Section 6) *)
-  mutable n_complex : int;
-  deref_nodes : (int, int) Hashtbl.t;
-  deref2_tnodes : (int * int, int) Hashtbl.t;
-      (** memoized split nodes of [*x = *y], so re-loading an evicted
-          block reuses nodes instead of growing the graph *)
-  fundef_by_var : (int, Objfile.fund_rec) Hashtbl.t;
-  linked : Edgeset.t;  (** indirect idx -> func vars linked through it *)
-  mutable passes : int;
-  retained_by_block : (int, Objfile.prim_rec list) Hashtbl.t;
-      (** complex assignments kept in core, grouped by origin block *)
-  mutable linked_copies : (int * int * Cla_ir.Loc.t) list;
-  mutable iseen : Lvalset.t array;
-      (** per indirect record, positional; {!resume} extends it — the
-          delta linker keeps the old indirect list as an exact prefix *)
-  mutable var_node : int array;
-      (** var id -> graph node; [[||]] = identity.  Populated by
-          {!resume} when the variable space grows (new var ids would
-          collide with the deref/split nodes past the old [nvars]).
-          Locations — base elements, lval-set members, {!Solution}
-          indices — always stay raw var ids; only node positions map. *)
-  mutable seed_log : int list ref option;
-      (** while a constraint delta is applied: structural-change seeds
-          for {!Pretrans.invalidate_reaching} *)
-  mutable pass_log : pass_stats list;
-      (** per-pass convergence counters, reverse order *)
-  mutable pending_evict : int list;
-      (** blocks evicted by the loader since the last pass boundary *)
-  evicted : (int, unit) Hashtbl.t;
-      (** blocks whose complexes are currently out of core *)
-  deadline : Cla_resilience.Deadline.t;
-  cancel : Cla_resilience.Cancel.t option;
-  t_start : float;  (** monotonic start, for abort progress reports *)
-}
+(** [block_active st v]: the solver has requested variable [v]'s block
+    (its points-to set may be non-empty). *)
+val block_active : t -> int -> bool
 
 (** Convergence counters for one pass of Figure 5's loop. *)
-and pass_stats = {
+type pass_stats = {
   ps_pass : int;  (** 1-based pass number *)
   ps_edges_added : int;
   ps_lvals_discovered : int;

@@ -38,6 +38,9 @@ let no_stamp = min_int
 let mk repr = { repr; stamp = no_stamp }
 let empty = mk (Arr [||])
 
+(* [stamp] is mutable scratch, so only the immutable [repr] is hashed. *)
+let hash s = Hashtbl.hash s.repr
+
 let cardinal s = match s.repr with Arr a -> Array.length a | Bits b -> b.card
 let is_bitmap s = match s.repr with Arr _ -> false | Bits _ -> true
 

@@ -39,6 +39,11 @@ val to_list : t -> int list
     still compare content-wise. *)
 val equal : t -> t -> bool
 
+(** A hash of the contents, bounded like [Hashtbl.hash]: it reads the
+    size and a prefix of the representation.  Physically equal sets hash
+    equal, so it keys tables that look sets up by physical identity. *)
+val hash : t -> int
+
 (** [iter_diff ~prev cur f] visits the elements of [cur] not in [prev].
     Points-to sets grow monotonically, so drivers remember the set they
     last processed and visit just the delta — difference propagation.

@@ -39,9 +39,19 @@ let sec_varsets = 3
 (* Freezing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Distinct-set table: sets are hash-consed per solver pool, so physical
-   identity catches most duplicates in O(1); the content key behind it
-   makes dedup exact even across pools. *)
+(* Sets seen so far, by physical identity.  Sets are hash-consed per
+   solver pool, so this finds almost every repeat without reading it. *)
+module Seen = Hashtbl.Make (struct
+  type t = Lvalset.t
+
+  let equal = ( == )
+  let hash = Lvalset.hash
+end)
+
+(* Distinct-set table: a set is looked up by physical identity first;
+   only the first sighting of a set converts it to a list, range-checks
+   it and looks up its content key, which makes dedup exact even across
+   pools. *)
 let freeze ~(view : Objfile.view) (o : Pipeline.ladder_outcome) : string =
   if o.Pipeline.lo_degraded then
     invalid_arg
@@ -52,34 +62,42 @@ let freeze ~(view : Objfile.view) (o : Pipeline.ladder_outcome) : string =
   let n_vars = Array.length pts in
   let nv_view = Objfile.n_vars view in
   (* distinct sets, in first-appearance order *)
+  let seen = Seen.create 256 in
   let by_content : (int list, int) Hashtbl.t = Hashtbl.create 256 in
   let sets = ref [] and n_sets = ref 0 in
-  let var_set = Array.make n_vars 0 in
-  Array.iteri
-    (fun v set ->
-      if Lvalset.cardinal set > 0 then begin
-        let elems = Lvalset.to_list set in
-        List.iter
-          (fun z ->
-            if z < 0 || z >= nv_view then
-              invalid_arg
-                (Fmt.str
-                   "Snapshot.freeze: set element %d outside the database's \
-                    %d objects"
-                   z nv_view))
-          elems;
-        let idx =
-          match Hashtbl.find_opt by_content elems with
+  let first_sighting set =
+    let elems = Lvalset.to_list set in
+    List.iter
+      (fun z ->
+        if z < 0 || z >= nv_view then
+          invalid_arg
+            (Fmt.str
+               "Snapshot.freeze: set element %d outside the database's %d \
+                objects"
+               z nv_view))
+      elems;
+    let idx =
+      match Hashtbl.find_opt by_content elems with
+      | Some i -> i
+      | None ->
+          incr n_sets;
+          Hashtbl.replace by_content elems !n_sets;
+          sets := elems :: !sets;
+          !n_sets
+    in
+    Seen.replace seen set idx;
+    idx
+  in
+  let var_set =
+    Array.map
+      (fun set ->
+        if Lvalset.cardinal set = 0 then 0
+        else
+          match Seen.find_opt seen set with
           | Some i -> i
-          | None ->
-              incr n_sets;
-              Hashtbl.replace by_content elems !n_sets;
-              sets := elems :: !sets;
-              !n_sets
-        in
-        var_set.(v) <- idx
-      end)
-    pts;
+          | None -> first_sighting set)
+      pts
+  in
   let sets = Array.of_list (List.rev !sets) in
   (* BINDING: the database these answers are about *)
   let b_bind = Binio.writer () in

@@ -204,7 +204,7 @@ let test_budget_bounded_throughout () =
   let budget = max 8 (ref_in_core / 4) in
   let st = Andersen.init ~budget view in
   let check_bound what =
-    let c = (Loader.stats st.Andersen.loader).Loader.s_in_core in
+    let c = (Loader.stats (Andersen.loader st)).Loader.s_in_core in
     Alcotest.(check bool)
       (Fmt.str "%s: in-core %d <= budget %d" what c budget)
       true (c <= budget)
@@ -217,7 +217,7 @@ let test_budget_bounded_throughout () =
   done;
   check_bound "at fixpoint";
   Alcotest.(check bool) "budget forced evictions" true
-    ((Loader.stats st.Andersen.loader).Loader.s_evictions > 0)
+    ((Loader.stats (Andersen.loader st)).Loader.s_evictions > 0)
 
 (* --- retained set survives eviction (dependence-analysis input) ------ *)
 

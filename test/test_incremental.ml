@@ -252,7 +252,7 @@ let test_resume_each_kind () =
       | [ v ] ->
           Alcotest.(check bool) (name ^ "'s block resident before the edit")
             true
-            (Bytes.get st.Andersen.active v = '\001')
+            (Andersen.block_active st v)
       | _ -> Alcotest.fail ("no unique variable " ^ name))
     [ "q"; "pp"; "qq" ];
   let s = Incremental.update inc [ ("e.c", edit) ] in

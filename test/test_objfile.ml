@@ -386,6 +386,38 @@ let test_format_bytes_pinned () =
   Alcotest.(check string) "relinked database, removal"
     "ed7815179716b82b6604cb772d8acf23" (digest removed)
 
+(* ---------------- Figure 4 ---------------- *)
+
+(* The paper's a.c: the STATIC section holds the one x = &y record, and
+   each object's block holds the assignments whose source it is; x is
+   never a source, so it has no block. *)
+let test_figure4 () =
+  let db =
+    Compilep.compile_string ~file:"a.c"
+      "int x, y, z, *p, *q;\n\
+       void f(void) { x = y; x = z; *p = z; p = q; q = &y; x = *p; }"
+  in
+  let v = Objfile.view_of_string (Objfile.write db) in
+  let name i = v.Objfile.rvars.(i).Objfile.vname in
+  Alcotest.(check (list (pair string string)))
+    "STATIC section" [ ("q", "y") ]
+    (List.map
+       (fun (p : Objfile.prim_rec) ->
+         Alcotest.(check bool) "static is x = &y" true (p.Objfile.pkind = Objfile.Paddr);
+         (name p.Objfile.pdst, name p.Objfile.psrc))
+       (Array.to_list v.Objfile.rstatics));
+  let blocks =
+    List.filter_map
+      (fun i ->
+        if Objfile.has_block v i then
+          Some (name i, List.length (Objfile.read_block v i))
+        else None)
+      (List.init (Objfile.n_vars v) Fun.id)
+  in
+  Alcotest.(check (list (pair string int)))
+    "blocks" [ ("p", 1); ("q", 1); ("y", 1); ("z", 2) ]
+    (List.sort compare blocks)
+
 let () =
   Alcotest.run "objfile"
     [
@@ -407,6 +439,7 @@ let () =
             test_section_crc_checked_at_open;
           Alcotest.test_case "format bytes pinned" `Quick
             test_format_bytes_pinned;
+          Alcotest.test_case "Figure 4: a.c's sections" `Quick test_figure4;
           Alcotest.test_case "encode: unit and open-world views" `Quick
             test_encode_openworld_and_unit;
         ] );
