@@ -27,9 +27,9 @@
    configuration wins, by roughly what factor, and where the blowups are.
 
    Every section but openworld writes through one harness (below): a row
-   prints its table line and becomes its JSON row, and [finish] writes
-   BENCH_<section>.json (table3: BENCH_pipeline.json) and enforces the
-   gates.  Answer gates hold every run; timed gates hold full runs on
+   adds its table line and becomes its JSON row, and [finish] prints the
+   table, writes BENCH_<section>.json (table3: BENCH_pipeline.json) and
+   enforces the gates.  Answer gates hold every run; timed gates hold full runs on
    multi-core hosts and are printed otherwise.  A failed gate exits 1.
    --inject feeds each gated section its one fault, which must fail it.
 
@@ -145,8 +145,8 @@ let banner fmt =
 (* The harness: one row, gate, writer and regression check             *)
 (* ------------------------------------------------------------------ *)
 
-(* A result row is one ordered list of named, typed fields.  It prints
-   the table line — an [O] group flattens into its columns, a [J] field
+(* A result row is one ordered list of named, typed fields.  It gives
+   a table line — an [O] group flattens into its columns, a [J] field
    is JSON-only — and becomes the JSON row. *)
 type value =
   | I of int
@@ -185,24 +185,27 @@ type report = {
   section : string;
   key : string list;
   mutable rows : (string * value) list list;
-  mutable widths : int list;
+  mutable lines : string list list;  (* table cells, header first; reversed *)
 }
 
-let report ?(key = []) section = { section; key; rows = []; widths = [] }
+let report ?(key = []) section = { section; key; rows = []; lines = [] }
 
-(* Print one table line; the section's first prints the header and
-   fixes the column widths. *)
+(* Add one table line; the section's first also adds the header. *)
 let show r fields =
   let cols = columns fields in
-  let line cells =
-    let width i = Option.value ~default:0 (List.nth_opt r.widths i) in
-    Fmt.pr "%s@." (String.concat " " (List.mapi (fun i -> Fmt.str "%*s" (width i)) cells))
-  in
-  if r.widths = [] then begin
-    r.widths <- List.map (fun (h, c) -> max (String.length h) (String.length c)) cols;
-    line (List.map fst cols)
-  end;
-  line (List.map snd cols)
+  if r.lines = [] then r.lines <- [ List.map fst cols ];
+  r.lines <- List.map snd cols :: r.lines
+
+(* Print the section's table, each column right-aligned to its widest
+   cell over every line. *)
+let print_table r =
+  let lines = List.rev r.lines in
+  let widths = Array.make (List.fold_left (fun n l -> max n (List.length l)) 0 lines) 0 in
+  List.iter (List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c))) lines;
+  List.iter
+    (fun cells ->
+      Fmt.pr "%s@." (String.concat " " (List.mapi (fun i -> Fmt.str "%*s" widths.(i)) cells)))
+    lines
 
 let row r fields =
   show r fields;
@@ -320,6 +323,7 @@ let regression_gates r schema rows =
    header, [meta], the rows and the enforced gates — and enforce every
    gate. *)
 let finish ?(v = 1) ?(meta = []) ?(gates = []) r =
+  print_table r;
   let schema = Fmt.str "cla.bench.%s/v%d" r.section v in
   let rows = List.rev_map (fun fields -> json_of (O fields)) r.rows in
   let gates = gates @ regression_gates r schema rows in

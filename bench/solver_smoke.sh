@@ -3,9 +3,9 @@
 # report zero divergence on every workload, the C profiles included, and
 # write a schema-tagged BENCH_solver.json whose regression check re-reads
 # it and prints a verdict; the paper section (Table 2, Table 4,
-# substitution) must hold both answer gates; and --inject must make each
-# hard-fail path fire (exit 1) — proving the gates are live, not
-# decorative.  Wired into `dune runtest` (see bench/dune); takes the
+# substitution) must hold both answer gates and print its table in
+# line; and --inject must make each hard-fail path fire (exit 1) —
+# proving the gates are live, not decorative.  Wired into `dune runtest` (see bench/dune); takes the
 # bench binary as $1.
 set -eu
 
@@ -90,6 +90,31 @@ for g in table2_exact_kinds subst_preserves; do
     exit 1
   }
 done
+# Every table line (from the header to the "wrote" line) is as wide as
+# the header and has a blank at each of the header's column boundaries:
+# no row's wider cell shifts the columns after it.
+awk '
+/^wrote / { t = 0 }
+t {
+  if (length($0) != length(h)) {
+    printf "line %d is %d wide, the header %d\n", NR, length($0), length(h); bad = 1
+  }
+  for (i = 1; i <= n; i++)
+    if (substr($0, b[i], 1) != " ") {
+      printf "line %d: no column boundary at %d\n", NR, b[i]; bad = 1
+    }
+}
+/^profile scale / {
+  h = $0; n = 0; t = 1
+  for (i = 1; i < length(h); i++)
+    if (substr(h, i, 1) != " " && substr(h, i + 1, 1) == " ") b[++n] = i + 1
+}
+END { if (!t && !n) { print "no table header"; bad = 1 }; exit bad }
+' paper.txt >align.txt || {
+  echo "solver_smoke.sh: paper table columns out of line" >&2
+  cat align.txt paper.txt >&2
+  exit 1
+}
 rc=0
 "$bench" --scale=0.05 --inject paper >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then

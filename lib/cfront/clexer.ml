@@ -1,7 +1,8 @@
-(* C lexer: one hand-written pass over preprocessed text into a flat
-   token array and a parallel location array.  Understands the GNU-style
-   line markers [# <line> "<file>"] that the mini preprocessor (Cpp)
-   emits, so tokens carry their original source locations.
+(* C lexer: one hand-written pass over preprocessed text, one token per
+   [next] call, so the parser pulls tokens as it needs them.  Understands
+   the GNU-style line markers [# <line> "<file>"] that the mini
+   preprocessor (Cpp) emits, so tokens carry their original source
+   locations.
 
    Every spelling rule below reaches object bytes (literal values and
    locations are encoded), so the rules are those of the ocamllex lexer
@@ -263,34 +264,21 @@ let rec token sc p =
     | '~' -> single sc p TILDE
     | c -> unexpected sc c p
 
-let scan_untrimmed ?(file = "<string>") src =
-  let sc =
-    {
-      src; len = String.length src; pos = 0; line = 1; bol = 0; file;
-      buf = Buffer.create 64;
-    }
-  in
-  let cap = ref ((sc.len / 3) + 16) in
-  let toks = ref (Array.make !cap EOF) in
-  let locs = ref (Array.make !cap Loc.none) in
-  let rec go n =
-    if n = !cap then begin
-      cap := 2 * !cap;
-      toks := Array.append !toks (Array.make n EOF);
-      locs := Array.append !locs (Array.make n Loc.none)
-    end;
-    let loc = Loc.make ~file:sc.file ~line:sc.line ~col:(sc.pos - sc.bol + 1) in
-    let tok = token sc sc.pos in
-    Array.unsafe_set !toks n tok;
-    Array.unsafe_set !locs n loc;
-    if tok == EOF then n + 1 else go (n + 1)
-  in
-  let n = go 0 in
-  (!toks, !locs, n)
+let scanner ?(file = "<string>") src =
+  { src; len = String.length src; pos = 0; line = 1; bol = 0; file; buf = Buffer.create 64 }
+
+let loc sc = here sc sc.pos
+let next sc = token sc sc.pos
 
 let scan ?file src =
-  let toks, locs, n = scan_untrimmed ?file src in
-  if n = Array.length toks then { toks; locs }
-  else { toks = Array.sub toks 0 n; locs = Array.sub locs 0 n }
+  let sc = scanner ?file src in
+  let rec go toks locs =
+    let l = loc sc in
+    match next sc with
+    | EOF -> (List.rev (EOF :: toks), List.rev (l :: locs))
+    | t -> go (t :: toks) (l :: locs)
+  in
+  let toks, locs = go [] [] in
+  { toks = Array.of_list toks; locs = Array.of_list locs }
 
 let tokens_of_string ?file s = Array.to_list (scan ?file s).toks

@@ -16,11 +16,16 @@ type binding = Btypedef | Bobject
 
 module Scope = Hashtbl.Make (String)
 
+(* The parser never backtracks and looks at most one token ahead, so it
+   pulls tokens from the lexer through a two-token window: the current
+   token and, once [peek2] has asked for it, the next. *)
 type state = {
-  toks : T.t array;
-  locs : Loc.t array;  (* parallel to [toks] *)
-  last : int;  (* index of the final [EOF] *)
-  mutable pos : int;
+  lex : Clexer.scanner;
+  mutable tok : T.t;
+  mutable tok_loc : Loc.t;
+  mutable ahead : T.t;  (* the token after [tok], when [has_ahead] *)
+  mutable ahead_loc : Loc.t;
+  mutable has_ahead : bool;
   mutable scopes : binding Scope.t list;
   typedefs : (string, typ) Hashtbl.t;  (* name -> definition *)
   mutable comps : compdef list;  (* collected struct/union defs, reversed *)
@@ -30,7 +35,7 @@ type state = {
 }
 
 let err st fmt =
-  let loc = st.locs.(st.pos) in
+  let loc = st.tok_loc in
   Fmt.kstr (fun m -> raise (Parse_error (m, loc))) fmt
 
 (* Nodes at a known location ([Cast.mk_expr ~loc] boxes the option). *)
@@ -41,11 +46,31 @@ let stmt_at sloc sdesc = { sdesc; sloc }
 (* Token-stream helpers                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* [pos] never passes [last], so these reads stay in bounds. *)
-let peek st = Array.unsafe_get st.toks st.pos
-let peek2 st = if st.pos < st.last then Array.unsafe_get st.toks (st.pos + 1) else T.EOF
-let loc st = Array.unsafe_get st.locs st.pos
-let advance st = if st.pos < st.last then st.pos <- st.pos + 1
+(* [EOF] is the last token: advancing past it, or peeking beyond it,
+   stays on it. *)
+let peek st = st.tok
+let loc st = st.tok_loc
+
+let peek2 st =
+  if st.has_ahead then st.ahead
+  else if st.tok == T.EOF then T.EOF
+  else begin
+    st.ahead_loc <- Clexer.loc st.lex;
+    st.ahead <- Clexer.next st.lex;
+    st.has_ahead <- true;
+    st.ahead
+  end
+
+let advance st =
+  if st.has_ahead then begin
+    st.tok <- st.ahead;
+    st.tok_loc <- st.ahead_loc;
+    st.has_ahead <- false
+  end
+  else if st.tok != T.EOF then begin
+    st.tok_loc <- Clexer.loc st.lex;
+    st.tok <- Clexer.next st.lex
+  end
 
 let eat st tok =
   if T.equal (peek st) tok then advance st
@@ -962,13 +987,17 @@ type result = { tunit : tunit; typedefs : (string, typ) Hashtbl.t }
 
 (** Parse preprocessed text (with optional [# line "file"] markers). *)
 let parse_string ?(file = "<string>") text : result =
-  let toks, locs, n = Clexer.scan_untrimmed ~file text in
+  let lex = Clexer.scanner ~file text in
+  let tok_loc = Clexer.loc lex in
+  let tok = Clexer.next lex in
   let st =
     {
-      toks;
-      locs;
-      last = n - 1;
-      pos = 0;
+      lex;
+      tok;
+      tok_loc;
+      ahead = T.EOF;
+      ahead_loc = tok_loc;
+      has_ahead = false;
       scopes = [ Scope.create 64 ];
       typedefs = Hashtbl.create 64;
       comps = [];
@@ -989,7 +1018,12 @@ let parse_string ?(file = "<string>") text : result =
         go ()
     | None -> ()
   in
-  go ();
+  (try go ()
+   with Parse_error _ as e ->
+     (* a lexing error anywhere in the text outranks a parse error, as
+        when the whole text was lexed before parsing began *)
+     while Clexer.next lex != T.EOF do () done;
+     raise e);
   let tunit =
     {
       file;

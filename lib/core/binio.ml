@@ -8,34 +8,62 @@
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type writer = Buffer.t
+(* A cursor over a growable byte array: a write past the end doubles
+   it, and [contents] copies out only the written prefix. *)
+type writer = { mutable buf : Bytes.t; mutable pos : int }
 
-(* Small to start: an object has a dozen sections, most of a few bytes;
-   the large ones grow by doubling. *)
-let writer () : writer = Buffer.create 256
-let wpos (b : writer) = Buffer.length b
+(* Small by default: an object has a dozen sections, most of a few
+   bytes; encoders that know their record counts say how much. *)
+let writer ?(size = 256) () : writer = { buf = Bytes.create (max size 16); pos = 0 }
+let wpos (w : writer) = w.pos
 
-let u8 b v = Buffer.add_char b (Char.unsafe_chr (v land 0xff))
+let grow w n =
+  let cap = ref (2 * Bytes.length w.buf) in
+  while !cap < w.pos + n do
+    cap := 2 * !cap
+  done;
+  let buf = Bytes.create !cap in
+  Bytes.blit w.buf 0 buf 0 w.pos;
+  w.buf <- buf
 
-let u32 b v =
-  u8 b v;
-  u8 b (v lsr 8);
-  u8 b (v lsr 16);
-  u8 b (v lsr 24)
+let[@inline] reserve w n = if w.pos + n > Bytes.length w.buf then grow w n
 
-let rec varint b v =
-  if v < 0 then invalid_arg "Binio.varint: negative";
-  if v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
+let u8 w v =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.pos (Char.unsafe_chr (v land 0xff));
+  w.pos <- w.pos + 1
+
+let u32 w v =
+  reserve w 4;
+  Bytes.set_int32_le w.buf w.pos (Int32.of_int v);
+  w.pos <- w.pos + 4
+
+let rec varint_slow w v =
+  if v < 0x80 then u8 w v
   else begin
-    u8 b (0x80 lor (v land 0x7f));
-    varint b (v lsr 7)
+    u8 w (0x80 lor (v land 0x7f));
+    varint_slow w (v lsr 7)
   end
 
-let bytes_ b s =
-  varint b (String.length s);
-  Buffer.add_string b s
+(* Most varints (ids, lines, columns, counts) take one byte: written in
+   place. *)
+let varint w v =
+  if v < 0 then invalid_arg "Binio.varint: negative";
+  if v < 0x80 && w.pos < Bytes.length w.buf then begin
+    Bytes.unsafe_set w.buf w.pos (Char.unsafe_chr v);
+    w.pos <- w.pos + 1
+  end
+  else varint_slow w v
 
-let contents (b : writer) = Buffer.contents b
+let bytes_ w s =
+  let n = String.length s in
+  varint w n;
+  reserve w n;
+  Bytes.unsafe_blit_string s 0 w.buf w.pos n;
+  w.pos <- w.pos + n
+
+let contents w = Bytes.sub_string w.buf 0 w.pos
+let blit w dst off = Bytes.blit w.buf 0 dst off w.pos
 
 (** Patch a previously-written u32 at [pos] (used for section tables whose
     offsets are only known after the sections are serialized). *)

@@ -3,9 +3,12 @@
 
 (** {1 Writer} *)
 
-type writer = Buffer.t
+(** A growable byte cursor. *)
+type writer
 
-val writer : unit -> writer
+(** An empty writer with room for [size] (default 256) bytes before it
+    first grows. *)
+val writer : ?size:int -> unit -> writer
 
 (** Current write position (section offsets). *)
 val wpos : writer -> int
@@ -19,7 +22,12 @@ val varint : writer -> int -> unit
 (** Length-prefixed bytes. *)
 val bytes_ : writer -> string -> unit
 
+(** The bytes written so far. *)
 val contents : writer -> string
+
+(** [blit w dst off] copies the bytes written so far into [dst] at
+    [off]. *)
+val blit : writer -> Bytes.t -> int -> unit
 
 (** Patch a previously-written u32 (section tables whose offsets are only
     known after serialization). *)

@@ -198,10 +198,82 @@ let write_block_prim w st p =
   | None -> ());
   write_loc w st p.ploc
 
+(* A name's first 7 bytes, big-endian and zero-padded: prefixes order
+   like the names they start. *)
+let prefix7 s =
+  let k = ref 0 in
+  for b = 0 to 6 do
+    k := (!k lsl 8) lor if b < String.length s then Char.code (String.unsafe_get s b) else 0
+  done;
+  !k
+
+(* [targets] (ascending object ids) in TARGETS order: by name, then by
+   id.  A stable LSD radix sort over the 7 prefix bytes, skipping any
+   byte all prefixes share, then a sort by whole name and id within each
+   run of equal prefixes. *)
+let sort_targets vars targets =
+  let n = Array.length targets in
+  let keys = Array.map (fun i -> prefix7 vars.(i).vname) targets in
+  let counts = Array.make (7 * 256) 0 in
+  Array.iter
+    (fun k ->
+      for d = 0 to 6 do
+        let c = (d lsl 8) lor ((k lsr (8 * d)) land 0xff) in
+        counts.(c) <- counts.(c) + 1
+      done)
+    keys;
+  let keys = ref keys and ids = ref targets in
+  let keys' = ref (Array.make n 0) and ids' = ref (Array.make n 0) in
+  for d = 0 to 6 do
+    let base = d lsl 8 in
+    if n > 0 && counts.(base lor ((!keys.(0) lsr (8 * d)) land 0xff)) < n then begin
+      (* bucket starts, then a scatter in input order *)
+      let at = ref 0 in
+      for b = 0 to 255 do
+        let c = counts.(base + b) in
+        counts.(base + b) <- !at;
+        at := !at + c
+      done;
+      let ks = !keys and is = !ids and ks' = !keys' and is' = !ids' in
+      for j = 0 to n - 1 do
+        let k = ks.(j) in
+        let c = base lor ((k lsr (8 * d)) land 0xff) in
+        let dst = counts.(c) in
+        counts.(c) <- dst + 1;
+        ks'.(dst) <- k;
+        is'.(dst) <- is.(j)
+      done;
+      keys := ks';
+      ids := is';
+      keys' := ks;
+      ids' := is
+    end
+  done;
+  let keys = !keys and ids = !ids in
+  let by_name i j =
+    match String.compare vars.(i).vname vars.(j).vname with
+    | 0 -> Int.compare i j
+    | c -> c
+  in
+  let j = ref 0 in
+  while !j < n do
+    let stop = ref (!j + 1) in
+    while !stop < n && keys.(!stop) = keys.(!j) do
+      incr stop
+    done;
+    if !stop - !j > 1 then begin
+      let run = Array.sub ids !j (!stop - !j) in
+      Array.stable_sort by_name run;
+      Array.blit run 0 ids !j (!stop - !j)
+    end;
+    j := !stop
+  done;
+  ids
+
 (* What the encoder laid out: the sections in emission order, plus what
    {!encode} needs to describe the bytes without reading them back. *)
 type layout = {
-  sections : (int * Binio.writer) list;
+  sections : (int * Binio.writer list) list;
   st : Strtab.t;
   index : (int * int * int) list;
       (* (object, blob-relative offset, record count) per block, in
@@ -211,14 +283,21 @@ type layout = {
   targets : int array;  (* TARGETS order *)
 }
 
+(* Writers are sized from record counts at a few bytes per record (one
+   or two per id, three or four per location), so most sections never
+   grow. *)
+let writer_for n bytes_per = Binio.writer ~size:(4 + (n * bytes_per)) ()
+
 let layout (db : db) : layout =
-  let st = Strtab.create () in
+  let nvars = Array.length db.vars and nkeys = List.length db.keys in
+  (* names, types and owners repeat: about one string per object *)
+  let st = Strtab.create ~size:(nvars + nkeys) () in
   (* Pre-intern everything so the string table can be emitted first;
-     sections are built into their own buffers. *)
-  let b_vars = Binio.writer () in
-  Binio.u32 b_vars (Array.length db.vars);
+     sections are built into their own writers. *)
+  let b_vars = writer_for nvars 10 in
+  Binio.u32 b_vars nvars;
   (* each var's name id, reused by TARGETS *)
-  let name_ids = Array.make (Array.length db.vars) 0 in
+  let name_ids = Array.make nvars 0 in
   Array.iteri
     (fun i v ->
       let name = Strtab.intern st v.vname in
@@ -238,23 +317,29 @@ let layout (db : db) : layout =
       Binio.varint b_vars (Strtab.intern st v.vowner);
       write_loc b_vars st v.vloc)
     db.vars;
-  let b_globals = Binio.writer () in
-  Binio.u32 b_globals (List.length db.keys);
+  let b_globals = writer_for nkeys 4 in
+  Binio.u32 b_globals nkeys;
   List.iter
     (fun (var, key) ->
       Binio.varint b_globals var;
       Binio.varint b_globals (Strtab.intern st key))
     db.keys;
-  let b_static = Binio.writer () in
-  Binio.u32 b_static (List.length db.statics);
+  let nstatics = List.length db.statics in
+  let b_static = writer_for nstatics 8 in
+  Binio.u32 b_static nstatics;
   List.iter
     (fun p ->
       Binio.varint b_static p.pdst;
       Binio.varint b_static p.psrc;
       write_loc b_static st p.ploc)
     db.statics;
-  (* dynamic: blob of blocks + index *)
-  let b_blob = Binio.writer () in
+  (* dynamic: blob of blocks + index; the blob is sized from the
+     per-kind counts of the records blocks hold (all but x = &y) *)
+  let c = db.meta.mcounts in
+  let b_blob =
+    writer_for (c.Prim.n_copy + c.Prim.n_store + c.Prim.n_deref2 + c.Prim.n_load) 7
+  in
+  let nblocks = ref 0 in
   let index = ref [] in
   Array.iteri
     (fun src prims ->
@@ -263,11 +348,12 @@ let layout (db : db) : layout =
       | prims ->
           let off = Binio.wpos b_blob in
           List.iter (fun p -> write_block_prim b_blob st p) prims;
-          index := (src, off, List.length prims) :: !index)
+          index := (src, off, List.length prims) :: !index;
+          incr nblocks)
     db.blocks;
-  let b_dynamic = Binio.writer () in
+  let b_dynamic = writer_for !nblocks 6 in
   let index = List.rev !index in
-  Binio.u32 b_dynamic (List.length index);
+  Binio.u32 b_dynamic !nblocks;
   List.iter
     (fun (src, off, n) ->
       Binio.varint b_dynamic src;
@@ -275,10 +361,12 @@ let layout (db : db) : layout =
       Binio.varint b_dynamic n)
     index;
   Binio.u32 b_dynamic (Binio.wpos b_blob);
+  (* the blob follows the index in the same section: {!Sectioned.write}
+     copies it straight into the file *)
   let blob_pos = Binio.wpos b_dynamic in
-  Buffer.add_buffer b_dynamic b_blob;
-  let b_fundefs = Binio.writer () in
-  Binio.u32 b_fundefs (List.length db.fundefs);
+  let nfundefs = List.length db.fundefs in
+  let b_fundefs = writer_for nfundefs 12 in
+  Binio.u32 b_fundefs nfundefs;
   List.iter
     (fun f ->
       Binio.varint b_fundefs f.ffvar;
@@ -287,8 +375,9 @@ let layout (db : db) : layout =
       Array.iter (fun a -> Binio.varint b_fundefs a) f.fargs;
       write_loc b_fundefs st f.ffloc)
     db.fundefs;
-  let b_indirect = Binio.writer () in
-  Binio.u32 b_indirect (List.length db.indirects);
+  let nindirects = List.length db.indirects in
+  let b_indirect = writer_for nindirects 12 in
+  Binio.u32 b_indirect nindirects;
   List.iter
     (fun i ->
       Binio.varint b_indirect i.iptr;
@@ -298,10 +387,8 @@ let layout (db : db) : layout =
       write_loc b_indirect st i.iiloc)
     db.indirects;
   (* targets: the named objects' indices, sorted by (name, index) for
-     binary search.  A name's first 7 bytes, big-endian and zero-padded,
-     order like the name; only equal prefixes compare whole names. *)
-  let b_targets = Binio.writer () in
-  let targets = Array.make (Array.length db.vars) 0 and ntargets = ref 0 in
+     binary search *)
+  let targets = Array.make nvars 0 and ntargets = ref 0 in
   Array.iteri
     (fun i v ->
       match v.vkind with
@@ -310,27 +397,8 @@ let layout (db : db) : layout =
           targets.(!ntargets) <- i;
           incr ntargets)
     db.vars;
-  let targets = Array.sub targets 0 !ntargets in
-  let prefix =
-    Array.map
-      (fun v ->
-        let s = v.vname in
-        let k = ref 0 in
-        for b = 0 to 6 do
-          k := (!k lsl 8) lor if b < String.length s then Char.code s.[b] else 0
-        done;
-        !k)
-      db.vars
-  in
-  Array.stable_sort
-    (fun i j ->
-      match Int.compare prefix.(i) prefix.(j) with
-      | 0 -> (
-          match String.compare db.vars.(i).vname db.vars.(j).vname with
-          | 0 -> Int.compare i j
-          | c -> c)
-      | c -> c)
-    targets;
+  let targets = sort_targets db.vars (Array.sub targets 0 !ntargets) in
+  let b_targets = writer_for (Array.length targets) 4 in
   Binio.u32 b_targets (Array.length targets);
   Array.iter
     (fun i ->
@@ -342,7 +410,6 @@ let layout (db : db) : layout =
   List.iter (fun f -> Binio.varint b_meta (Strtab.intern st f)) db.meta.mfiles;
   Binio.varint b_meta db.meta.msource_lines;
   Binio.varint b_meta db.meta.mpreproc_lines;
-  let c = db.meta.mcounts in
   Binio.varint b_meta c.Prim.n_copy;
   Binio.varint b_meta c.Prim.n_addr;
   Binio.varint b_meta c.Prim.n_store;
@@ -376,17 +443,17 @@ let layout (db : db) : layout =
       db.tuhash
   in
   (* strtab last to build, first to emit *)
-  let b_strtab = Binio.writer () in
-  Strtab.write b_strtab st;
+  let b_strtab = Strtab.write st in
   let sections =
     [
-      (sec_strtab, b_strtab); (sec_vars, b_vars); (sec_globals, b_globals);
-      (sec_static, b_static); (sec_dynamic, b_dynamic);
-      (sec_fundefs, b_fundefs); (sec_indirect, b_indirect);
-      (sec_targets, b_targets); (sec_meta, b_meta); (sec_consts, b_consts);
+      (sec_strtab, [ b_strtab ]); (sec_vars, [ b_vars ]);
+      (sec_globals, [ b_globals ]); (sec_static, [ b_static ]);
+      (sec_dynamic, [ b_dynamic; b_blob ]); (sec_fundefs, [ b_fundefs ]);
+      (sec_indirect, [ b_indirect ]); (sec_targets, [ b_targets ]);
+      (sec_meta, [ b_meta ]); (sec_consts, [ b_consts ]);
     ]
-    @ (match b_openworld with Some b -> [ (sec_openworld, b) ] | None -> [])
-    @ match b_tuhash with Some b -> [ (sec_tuhash, b) ] | None -> []
+    @ (match b_openworld with Some b -> [ (sec_openworld, [ b ]) ] | None -> [])
+    @ match b_tuhash with Some b -> [ (sec_tuhash, [ b ]) ] | None -> []
   in
   { sections; st; index; blob_pos; blob_size = Binio.wpos b_blob; targets }
 

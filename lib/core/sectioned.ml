@@ -23,21 +23,24 @@ let corrupt f = Fmt.kstr (fun m -> raise (Binio.Corrupt m)) f
    table CRC. *)
 let header_size fmt nsec = count_pos fmt + 4 + (nsec * entry_size) + 4
 
+let payload_size parts = List.fold_left (fun n w -> n + Binio.wpos w) 0 parts
+
 let payload_offset fmt sections id =
   let rec go off = function
     | [] -> invalid_arg "Sectioned.payload_offset: no such section"
-    | (i, b) :: rest -> if i = id then off else go (off + Buffer.length b) rest
+    | (i, parts) :: rest -> if i = id then off else go (off + payload_size parts) rest
   in
   go (header_size fmt (List.length sections)) sections
 
 (* One allocation of the final size: the header is written in place and
-   each payload is blitted once, then checksummed where it lies. *)
+   each part is copied once, then each payload is checksummed where it
+   lies. *)
 let write fmt sections =
   let table_pos = count_pos fmt + 4 in
   let table_end = header_size fmt (List.length sections) - 4 in
   let total =
     List.fold_left
-      (fun n (_, b) -> n + Buffer.length b)
+      (fun n (_, parts) -> n + payload_size parts)
       (table_end + 4) sections
   in
   let bytes = Bytes.create total in
@@ -49,14 +52,20 @@ let write fmt sections =
   Binio.patch_u32 bytes ~pos:(table_pos - 4) (List.length sections);
   ignore
     (List.fold_left
-       (fun (e, off) (id, b) ->
-         let size = Buffer.length b in
-         Buffer.blit b 0 bytes off size;
+       (fun (e, off) (id, parts) ->
+         let stop =
+           List.fold_left
+             (fun at w ->
+               Binio.blit w bytes at;
+               at + Binio.wpos w)
+             off parts
+         in
+         let size = stop - off in
          Bytes.set_uint8 bytes e id;
          Binio.patch_u32 bytes ~pos:(e + 1) off;
          Binio.patch_u32 bytes ~pos:(e + 5) size;
          Binio.patch_u32 bytes ~pos:(e + 9) (Crc32.sub data ~pos:off ~len:size);
-         (e + entry_size, off + size))
+         (e + entry_size, stop))
        (table_pos, table_end + 4)
        sections);
   (* the table CRC covers version, count and entries: a flipped id,

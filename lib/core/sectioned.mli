@@ -24,13 +24,14 @@ type format = {
 (** Bytes per section-table entry (13). *)
 val entry_size : int
 
-(** Serialize [(id, payload)] sections, in the given order, behind a
-    header for [format].  Ids must be distinct and below 256. *)
-val write : format -> (int * Buffer.t) list -> string
+(** Serialize [(id, parts)] sections, in the given order, behind a
+    header for [format]; a section's payload is its parts' bytes, one
+    after the other.  Ids must be distinct and below 256. *)
+val write : format -> (int * Binio.writer list) list -> string
 
 (** The absolute offset at which {!write} lays out the payload of
     section [id] among [sections]. *)
-val payload_offset : format -> (int * Buffer.t) list -> int -> int
+val payload_offset : format -> (int * Binio.writer list) list -> int -> int
 
 (** {1 Opening} *)
 

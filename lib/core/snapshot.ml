@@ -129,8 +129,8 @@ let freeze ~(view : Objfile.view) (o : Pipeline.ladder_outcome) : string =
   Array.iter (fun i -> Binio.varint b_vs i) var_set;
   let sections =
     [
-      (sec_binding, b_bind); (sec_prov, b_prov); (sec_sets, b_sets);
-      (sec_varsets, b_vs);
+      (sec_binding, [ b_bind ]); (sec_prov, [ b_prov ]); (sec_sets, [ b_sets ]);
+      (sec_varsets, [ b_vs ]);
     ]
   in
   Sectioned.write format sections

@@ -19,11 +19,15 @@ type t = {
   mutable last_id : int;  (* ... and its index *)
 }
 
-let create () =
+let create ?(size = 32) () =
+  let cap = ref 32 in
+  while !cap < size do
+    cap := 2 * !cap
+  done;
   {
-    slots = Array.make 64 (-1);
-    strings = Array.make 32 "";
-    hashes = Array.make 32 0;
+    slots = Array.make (2 * !cap) (-1);
+    strings = Array.make !cap "";
+    hashes = Array.make !cap 0;
     next = 0;
     last = "";
     last_id = -1;
@@ -95,11 +99,18 @@ let intern_repeated t s =
 let size t = t.next
 let to_array t = Array.sub t.strings 0 t.next
 
-let write w t =
+let write t =
+  (* a length prefix takes one or two bytes below 16 KB *)
+  let size = ref 4 in
+  for id = 0 to t.next - 1 do
+    size := !size + 2 + String.length t.strings.(id)
+  done;
+  let w = Binio.writer ~size:!size () in
   Binio.u32 w t.next;
   for id = 0 to t.next - 1 do
     Binio.bytes_ w t.strings.(id)
-  done
+  done;
+  w
 
 (** Read back as a plain array: readers index it directly. *)
 let read r =

@@ -4,7 +4,9 @@
 
 type t
 
-val create : unit -> t
+(** An empty table with room for [size] (default 32) strings before it
+    first grows. *)
+val create : ?size:int -> unit -> t
 
 (** Intern a string, returning its stable index. *)
 val intern : t -> string -> int
@@ -16,7 +18,10 @@ val intern_repeated : t -> string -> int
 
 val size : t -> int
 val to_array : t -> string array
-val write : Binio.writer -> t -> unit
+
+(** The section bytes: a u32 count, then each string length-prefixed,
+    in id order. *)
+val write : t -> Binio.writer
 
 (** Read back as a plain array for direct indexing. *)
 val read : Binio.reader -> string array

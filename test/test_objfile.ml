@@ -242,6 +242,116 @@ let test_crc_slices () =
     done
   done
 
+(* Bytewise through the classic 256-entry table: a second reference,
+   one step closer to the stub's sliced tables. *)
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc_bytewise s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := crc_table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_table_reference () =
+  let rng = Random.State.make [| 29 |] in
+  let random n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let s = random 4096 in
+  for pos = 0 to 15 do
+    for len = 0 to 300 do
+      let want = crc_bytewise s ~pos ~len in
+      if Crc32.sub s ~pos ~len <> want then
+        Alcotest.failf "sub ~pos:%d ~len:%d: %08x, want %08x" pos len
+          (Crc32.sub s ~pos ~len) want
+    done
+  done;
+  let big = random (1 lsl 20) in
+  Alcotest.(check int) "1 MB" (crc_bytewise big ~pos:0 ~len:(String.length big))
+    (Crc32.string big);
+  Alcotest.check_raises "range past the end" (Invalid_argument "Crc32.sub") (fun () ->
+      ignore (Crc32.sub s ~pos:4000 ~len:97))
+
+(* ---------------- TARGETS order ---------------- *)
+
+(* The order TARGETS had when it was sorted by one comparator: the
+   name's first 7 bytes (big-endian, zero-padded), then the whole name,
+   then the object id. *)
+let reference_targets (vars : Objfile.varinfo array) =
+  let prefix (v : Objfile.varinfo) =
+    let s = v.Objfile.vname in
+    let k = ref 0 in
+    for b = 0 to 6 do
+      k := (!k lsl 8) lor if b < String.length s then Char.code s.[b] else 0
+    done;
+    !k
+  in
+  let prefix = Array.map prefix vars in
+  let targets =
+    List.filter
+      (fun i ->
+        match vars.(i).Objfile.vkind with
+        | Var.Temp | Var.Arg _ | Var.Ret -> false
+        | _ -> true)
+      (List.init (Array.length vars) Fun.id)
+    |> Array.of_list
+  in
+  Array.stable_sort
+    (fun i j ->
+      match Int.compare prefix.(i) prefix.(j) with
+      | 0 -> (
+          match String.compare vars.(i).Objfile.vname vars.(j).Objfile.vname with
+          | 0 -> Int.compare i j
+          | c -> c)
+      | c -> c)
+    targets;
+  targets
+
+(* Names built from pieces that share 7-byte prefixes, run shorter than
+   7 bytes, embed NUL and bytes >= 0x80, and repeat. *)
+let target_names =
+  let piece = QCheck.Gen.oneofl [ "abcdefg"; "abcdefgh"; "a"; "b"; "\000"; "\128"; "\255"; "gimp_" ] in
+  let name = QCheck.Gen.(map (String.concat "") (list_size (int_bound 3) piece)) in
+  QCheck.make
+    ~print:QCheck.Print.(list (fun (n, k) -> Fmt.str "%S/%d" n k))
+    QCheck.Gen.(list_size (int_bound 80) (pair name (int_bound 8)))
+
+let qcheck_targets_order =
+  QCheck.Test.make ~count:200 ~name:"TARGETS order is the comparator's" target_names
+    (fun names ->
+      let kinds =
+        [| Var.Global; Var.Filelocal; Var.Temp; Var.Field; Var.Heap; Var.Func;
+           Var.Arg 1; Var.Ret; Var.Global |]
+      in
+      let vars =
+        Array.of_list
+          (List.map
+             (fun (vname, k) ->
+               {
+                 Objfile.vname; vkind = kinds.(k); vlinkage = Var.Extern; vtyp = "int";
+                 vloc = Loc.none; vowner = ""; vdefined = true;
+               })
+             names)
+      in
+      let db =
+        {
+          Objfile.vars; keys = []; statics = []; blocks = Array.make (Array.length vars) [];
+          fundefs = []; indirects = []; consts = []; openworld = None; tuhash = None;
+          meta =
+            { Objfile.mfiles = []; msource_lines = 0; mpreproc_lines = 0;
+              mcounts = Prim.zero_counts };
+        }
+      in
+      let want = reference_targets vars in
+      let order (v : Objfile.view) = Array.map snd v.Objfile.rtargets in
+      order (Objfile.encode db) = want
+      && order (Objfile.view_of_string (Objfile.write db)) = want)
+
 (* ---------------- qcheck: random database roundtrips ---------------- *)
 
 let qcheck_roundtrip =
@@ -455,11 +565,13 @@ let () =
         [
           Alcotest.test_case "check value" `Quick test_crc_check_value;
           Alcotest.test_case "8-byte path matches bytewise" `Quick test_crc_slices;
+          Alcotest.test_case "matches the 256-entry table" `Quick test_crc_table_reference;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest qcheck_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_double_serialize;
           QCheck_alcotest.to_alcotest qcheck_encode_view;
+          QCheck_alcotest.to_alcotest qcheck_targets_order;
         ] );
     ]

@@ -264,6 +264,27 @@ let test_type_spelling () =
       ("enum e", Tenum "e");
     ]
 
+(* The lexer used to run over the whole text before the parser began,
+   so a lexing error anywhere outranks a parse error before it. *)
+let test_lex_error_outranks_parse_error () =
+  match parse "int x y; @" with
+  | _ -> Alcotest.fail "parsed"
+  | exception Cparser.Parse_error (m, _) -> Alcotest.fail ("parse error won: " ^ m)
+  | exception Clexer.Error (msg, loc) ->
+      Alcotest.(check string) "message" "unexpected character '@'" msg;
+      Alcotest.(check int) "line" 1 loc.Cla_ir.Loc.line;
+      Alcotest.(check int) "column of the character" 10 loc.Cla_ir.Loc.col
+
+let test_parse_error_alone () =
+  match parse "int x y;" with
+  | _ -> Alcotest.fail "parsed"
+  | exception Clexer.Error (msg, _) -> Alcotest.fail ("lex error: " ^ msg)
+  | exception Cparser.Parse_error (msg, loc) ->
+      Alcotest.(check string) "message" {|expected ";" but found "y"|} msg;
+      Alcotest.(check int) "line" 1 loc.Cla_ir.Loc.line;
+      (* a token's location is where its scan began: just after [x] *)
+      Alcotest.(check int) "column" 6 loc.Cla_ir.Loc.col
+
 let () =
   Alcotest.run "parser"
     [
@@ -292,4 +313,10 @@ let () =
       ("expressions", expr_tests);
       ("statements", statement_tests);
       ("types", [ Alcotest.test_case "spelling" `Quick test_type_spelling ]);
+      ( "errors",
+        [
+          Alcotest.test_case "lex error outranks parse error" `Quick
+            test_lex_error_outranks_parse_error;
+          Alcotest.test_case "parse error alone" `Quick test_parse_error_alone;
+        ] );
     ]
