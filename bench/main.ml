@@ -2,7 +2,7 @@
 
    Sections (all run by default; name one or more to run only those):
 
-     table3    field-based analysis results + demand-loading stats (Table 3)
+     pipeline  field-based analysis results + demand-loading stats (Table 3)
      paper     per profile: Table 2's characteristics, Table 4's
                field-based vs field-independent solves, and offline
                variable substitution (a Section 4 transformer)
@@ -20,7 +20,7 @@
    The paper's Figures 1, 3 and 4 are pinned by test_depend,
    test_pipeline/test_solvers and test_objfile.
 
-   table3 and paper print the paper's reported row under each measured
+   pipeline and paper print the paper's reported row under each measured
    one.  Absolute times are not comparable (the paper used an 800MHz
    Pentium III and hand-tuned C; we run synthetic workloads matched to
    Table 2 on an OCaml implementation) — the *shape* is the claim: which
@@ -28,19 +28,19 @@
 
    Every section but openworld writes through one harness (below): a row
    adds its table line and becomes its JSON row, and [finish] prints the
-   table, writes BENCH_<section>.json (table3: BENCH_pipeline.json) and
-   enforces the gates.  Answer gates hold every run; timed gates hold full runs on
-   multi-core hosts and are printed otherwise.  A failed gate exits 1.
+   table, writes BENCH_<section>.json and enforces the gates.  Answer
+   gates hold every run; timed gates hold full runs on multi-core hosts
+   and are printed otherwise.  A failed gate exits 1.
    --inject feeds each gated section its one fault, which must fail it.
 
    Usage:
      dune exec bench/main.exe                 # every section, full scale
      dune exec bench/main.exe -- --quick      # scale the big profiles down
-     dune exec bench/main.exe -- table3       # one section
-     dune exec bench/main.exe -- --budget=N table3
+     dune exec bench/main.exe -- pipeline     # one section
+     dune exec bench/main.exe -- --budget=N pipeline
                 # bound retained assignments in core (LRU block eviction)
      dune exec bench/main.exe -- --scale=0.5 solver
-                # scale the profiles and shapes of table3, paper, solver
+                # scale the profiles and shapes of pipeline, paper, solver
                 # and incremental (solver default 1.0; --quick: 0.25)
      dune exec bench/main.exe -- --check-against=BENCH_serve.json serve
                 # report each *wall_s or *total_s over 25% slower than
@@ -372,7 +372,7 @@ let with_server view (config : Cla_serve.Server.config) body =
 (* One BENCH_pipeline.json row per profile: per-phase span timings, the
    paper's Table 3 metrics, and the pre-transitive graph statistics with
    per-pass convergence.  The paper's row follows each measured one. *)
-let table3 () =
+let pipeline () =
   banner "TABLE 3: field-based points-to analysis, demand loading";
   let r = report ~key:[ "profile"; "scale" ] "pipeline" in
   List.iter
@@ -1293,7 +1293,7 @@ let incremental () =
 (* ------------------------------------------------------------------ *)
 
 let all_sections =
-  [ ("table3", table3); ("paper", paper); ("parallel", parallel); ("solver", solver);
+  [ ("pipeline", pipeline); ("paper", paper); ("parallel", parallel); ("solver", solver);
     ("openworld", openworld); ("serve", serve); ("chaos", chaos);
     ("incremental", incremental) ]
 

@@ -28,7 +28,7 @@ let grow w n =
 
 let[@inline] reserve w n = if w.pos + n > Bytes.length w.buf then grow w n
 
-let u8 w v =
+let[@inline] u8 w v =
   reserve w 1;
   Bytes.unsafe_set w.buf w.pos (Char.unsafe_chr (v land 0xff));
   w.pos <- w.pos + 1
@@ -47,7 +47,7 @@ let rec varint_slow w v =
 
 (* Most varints (ids, lines, columns, counts) take one byte: written in
    place. *)
-let varint w v =
+let[@inline] varint w v =
   if v < 0 then invalid_arg "Binio.varint: negative";
   if v < 0x80 && w.pos < Bytes.length w.buf then begin
     Bytes.unsafe_set w.buf w.pos (Char.unsafe_chr v);

@@ -396,39 +396,31 @@ type unit_entry = {
 
 (** Persistent linker state for delta mode: the unit set with its uid →
     linked-id maps, the canonical-key table, and the current linked
-    database/view.  Only the closed-world [Ignore] policy is supported —
-    open-world havoc synthesis rewrites the whole database and would
-    defeat id stability (callers wanting [--open-world] must re-link
-    fully). *)
+    database, its encoder columns and its view.  Only the closed-world
+    [Ignore] policy is supported — open-world havoc synthesis rewrites
+    the whole database and would defeat id stability (callers wanting
+    [--open-world] must re-link fully). *)
 type state = {
   mutable s_key_ids : int Key_tbl.t;
   mutable s_units : unit_entry list;  (** in link order *)
   mutable s_next : int;  (** next fresh linked id *)
   mutable s_db : Objfile.db;
+  mutable s_cols : Objfile.columns;  (** [s_db] numbered *)
   mutable s_view : Objfile.view;
 }
 
 let state_view st = st.s_view
 
-let empty_db : Objfile.db =
-  {
-    Objfile.vars = [||];
-    keys = [];
-    statics = [];
-    blocks = [||];
-    fundefs = [];
-    indirects = [];
-    consts = [];
-    openworld = None;
-    tuhash = None;
-    meta =
-      {
-        Objfile.mfiles = [];
-        msource_lines = 0;
-        mpreproc_lines = 0;
-        mcounts = Prim.zero_counts;
-      };
-  }
+(* Make [db] the state's database and encode it.  With [patched] the
+   columns of the last relink are kept for the records [db] shares with
+   the last database, and only the rest is numbered. *)
+let set_db st ~patched db =
+  Cla_obs.Span.with_span "link.encode" (fun () ->
+      let old = if patched then Some (st.s_cols, st.s_db) else None in
+      let cols = Objfile.number ?old db in
+      st.s_db <- db;
+      st.s_cols <- cols;
+      st.s_view <- Objfile.emit cols db)
 
 (* Multiset diff of two record lists under a key [key] (location fields
    are excluded from identities — a line-number shift is not a semantic
@@ -666,7 +658,10 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
     let db =
       {
         Objfile.vars;
-        keys = keys_of_table st.s_key_ids;
+        keys =
+          (* no new key: the table and so its fold order are unchanged *)
+          (if Key_tbl.length new_keys = 0 then st.s_db.Objfile.keys
+           else keys_of_table st.s_key_ids);
         statics = st.s_db.Objfile.statics @ List.rev !add_st;
         blocks;
         fundefs = st.s_db.Objfile.fundefs @ added_fundefs;
@@ -677,8 +672,7 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
         meta = meta_of_views (List.map (fun ue -> ue.ue_view) new_entries);
       }
     in
-    st.s_db <- db;
-    st.s_view <- Objfile.encode db;
+    set_db st ~patched:true db;
     st.s_units <- new_entries
   end
   else begin
@@ -696,8 +690,7 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
           { ue_name = name; ue_hash = v.Objfile.rtuhash; ue_view = v; ue_map = map;
             ue_contrib })
         (List.combine units maps) contribs;
-    st.s_db <- db;
-    st.s_view <- Objfile.encode db
+    set_db st ~patched:false db
   end;
   let d =
     {
@@ -727,13 +720,15 @@ let relink (st : state) (units : (string * Objfile.view) list) : delta =
 (** Fresh delta-linker state over an initial unit set: (name, unit view)
     pairs, names unique.  The first delta is everything-added. *)
 let state_create (units : (string * Objfile.view) list) : state * delta =
+  let cols = Objfile.number Objfile.empty in
   let st =
     {
       s_key_ids = Key_tbl.create 1024;
       s_units = [];
       s_next = 0;
-      s_db = empty_db;
-      s_view = Objfile.encode empty_db;
+      s_db = Objfile.empty;
+      s_cols = cols;
+      s_view = Objfile.emit cols Objfile.empty;
     }
   in
   let d = relink st units in

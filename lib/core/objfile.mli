@@ -173,6 +173,36 @@ type view = {
     allocation. *)
 val view_of_string : string -> view
 
+(** {2 The encoder's two steps}
+
+    {!write} and {!encode} run both: {e number} turns the records into
+    one int column per section, every string an id in a string table,
+    and {e emit} writes the columns out as section bytes, giving the
+    strings their file ids in the order the sections first use them.
+    The bytes therefore depend only on the records, not on the order in
+    which the table learnt its strings, so columns can be kept and
+    patched: the delta linker renumbers only what a relink changed. *)
+
+(** The database with no objects, records or files. *)
+val empty : db
+
+(** A database's records as int columns, one per section. *)
+type columns
+
+(** [number db] numbers [db] afresh.  [number ~old:(c, o) db], where [c]
+    is [o] numbered, numbers only the records of [db] that [o] does not
+    hold physically in the same place: a VARS record is kept when
+    [db.vars.(i) == o.vars.(i)], a block, the STATIC, FUNDEFS and
+    INDIRECT lists keep their longest physically shared prefix, and
+    TARGETS merges the new and renamed objects into the kept order.
+    GLOBALS, META, CONSTS, OPENWORLD and TUHASH are numbered whole.
+    Emitting the result gives the bytes of [number db]; [c] stays valid
+    (its string table only grows). *)
+val number : ?old:columns * db -> db -> columns
+
+(** [emit c db], where [c] is [db] numbered, is [encode db]. *)
+val emit : columns -> db -> view
+
 (** [encode db] is [view_of_string (write db)], built from the records
     it has just encoded instead of by decoding the bytes again.  The
     view shares [db]'s records, but the arrays holding them ([rvars],

@@ -99,17 +99,16 @@ let intern_repeated t s =
 let size t = t.next
 let to_array t = Array.sub t.strings 0 t.next
 
-let write t =
+let get t id =
+  if id >= t.next then invalid_arg "Strtab.get";
+  t.strings.(id)
+
+let write strings =
   (* a length prefix takes one or two bytes below 16 KB *)
-  let size = ref 4 in
-  for id = 0 to t.next - 1 do
-    size := !size + 2 + String.length t.strings.(id)
-  done;
-  let w = Binio.writer ~size:!size () in
-  Binio.u32 w t.next;
-  for id = 0 to t.next - 1 do
-    Binio.bytes_ w t.strings.(id)
-  done;
+  let size = Array.fold_left (fun n s -> n + 2 + String.length s) 4 strings in
+  let w = Binio.writer ~size () in
+  Binio.u32 w (Array.length strings);
+  Array.iter (Binio.bytes_ w) strings;
   w
 
 (** Read back as a plain array: readers index it directly. *)

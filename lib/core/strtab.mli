@@ -19,9 +19,12 @@ val intern_repeated : t -> string -> int
 val size : t -> int
 val to_array : t -> string array
 
-(** The section bytes: a u32 count, then each string length-prefixed,
-    in id order. *)
-val write : t -> Binio.writer
+(** The string with id [id]. *)
+val get : t -> int -> string
+
+(** The section bytes of [strings]: a u32 count, then each string
+    length-prefixed, in array order. *)
+val write : string array -> Binio.writer
 
 (** Read back as a plain array for direct indexing. *)
 val read : Binio.reader -> string array

@@ -131,6 +131,130 @@ let test_delta_link_removal_falls_back () =
   check_same_named_pts "post-removal view vs full merge" (Linkp.state_view st)
     oracle
 
+(* ------------------------------------------------------------------ *)
+(* Relinked bytes: the patch path re-emits what a fresh encode writes  *)
+(* ------------------------------------------------------------------ *)
+
+(* The database a view's own records describe. *)
+let db_of_view (v : Objfile.view) : Objfile.db =
+  {
+    Objfile.vars = Array.copy v.Objfile.rvars;
+    keys = v.Objfile.rkeys;
+    statics = Array.to_list v.Objfile.rstatics;
+    blocks = Array.init (Objfile.n_vars v) (Objfile.read_block v);
+    fundefs = Array.to_list v.Objfile.rfundefs;
+    indirects = Array.to_list v.Objfile.rindirects;
+    consts = v.Objfile.rconsts;
+    openworld = v.Objfile.ropenworld;
+    tuhash = v.Objfile.rtuhash;
+    meta = v.Objfile.rmeta;
+  }
+
+(* The relinked bytes are those {!Objfile.write} gives the records they
+   hold. *)
+let check_relinked msg st =
+  let v = Linkp.state_view st in
+  let digest s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) msg (digest (Objfile.write (db_of_view v))) (digest v.Objfile.data)
+
+(* Relink after every step of a seeded edit stream, compiling only the
+   edited unit. *)
+let relink_stream ~profile ~p_remove ~steps ~seed () =
+  let es = W.Editstream.create ~seed ~p_remove profile in
+  let compiled = Hashtbl.create 16 in
+  let units sources =
+    List.map
+      (fun (file, src) ->
+        match Hashtbl.find_opt compiled file with
+        | Some (src', v) when String.equal src src' -> (file, v)
+        | _ ->
+            let v = snd (compile_unit (file, src)) in
+            Hashtbl.replace compiled file (src, v);
+            (file, v))
+      sources
+  in
+  let st, _ = Linkp.state_create (units (W.Editstream.sources es)) in
+  check_relinked "first relink" st;
+  let patched = ref 0 in
+  for _ = 1 to steps do
+    let step = W.Editstream.next es in
+    let d = Linkp.relink st (units step.W.Editstream.ssources) in
+    if not d.Linkp.d_full_relink then incr patched;
+    check_relinked (Fmt.str "step %d (%s)" step.W.Editstream.snum step.W.Editstream.sdesc) st
+  done;
+  Alcotest.(check bool) "some steps patched" true (!patched > 0)
+
+let test_relink_stream_tiny p_remove =
+  relink_stream ~profile:small_profile ~p_remove ~steps:16 ~seed:13L
+
+let test_relink_stream_vortex p_remove =
+  relink_stream ~profile:(W.Profile.scaled 0.1 W.Profile.vortex) ~p_remove ~steps:10 ~seed:17L
+
+(* One relink that must take the patch path, then the byte check. *)
+let relink_pure msg st units =
+  let d = Linkp.relink st (List.map compile_unit units) in
+  Alcotest.(check bool) (msg ^ ": pure add") true (Linkp.delta_is_pure_add d);
+  check_relinked msg st
+
+let find_var st name =
+  let v = Linkp.state_view st in
+  match Objfile.find_targets v name with
+  | [ i ] -> v.Objfile.rvars.(i)
+  | _ -> Alcotest.fail ("no unique variable " ^ name)
+
+(* Edits that move what the kept columns cannot see: an old record
+   rewritten, strings first used late, new files, a grown key table,
+   changed constants. *)
+let test_relink_forced () =
+  let a =
+    ( "a.c",
+      "struct s; struct s *sp; extern int *e; int *p, *q, n;\n\
+       void f(void) { p = q; q = sp->fld; p = e; }\n" )
+  and b = ("b.c", "int x;\nvoid g(void) { x = 1; }\n") in
+  let st, _ = Linkp.state_create (List.map compile_unit [ a; b ]) in
+  check_relinked "first relink" st;
+  Alcotest.(check string) "s.fld starts untyped" "" (find_var st "s.fld").Objfile.vtyp;
+  Alcotest.(check bool) "e starts declared only" false (find_var st "e").Objfile.vdefined;
+  (* b completes struct s and defines e: both old records are replaced *)
+  let b =
+    (fst b, snd b ^ "struct s { int *fld; } sv;\nint *e;\nvoid h(void) { sv.fld = p; }\n")
+  in
+  relink_pure "old externs upgraded" st [ a; b ];
+  Alcotest.(check bool) "s.fld is typed" true ((find_var st "s.fld").Objfile.vtyp <> "");
+  Alcotest.(check bool) "e is defined" true (find_var st "e").Objfile.vdefined;
+  (* a tail on q's old block carries an operation string no section
+     used before *)
+  let strings () = (Linkp.state_view st).Objfile.strings in
+  let a = (fst a, snd a ^ "void k(void) { p = q + 1; }\n") in
+  let before = strings () in
+  relink_pure "new op in an old block's tail" st [ a; b ];
+  let v = Linkp.state_view st in
+  let q = match Objfile.find_targets v "q" with [ q ] -> q | _ -> Alcotest.fail "no q" in
+  Alcotest.(check bool) "q's block has a new operation string" true
+    (List.exists
+       (fun (r : Objfile.prim_rec) ->
+         match r.Objfile.pop with Some (op, _) -> not (Array.mem op before) | None -> false)
+       (Objfile.read_block v q));
+  (* a new unit brings its file name *)
+  let c = ("c.c", "extern int *p; int y;\nvoid m(void) { p = &y; }\n") in
+  relink_pure "new file" st [ a; b; c ];
+  Alcotest.(check bool) "c.c is a string" true (Array.mem "c.c" (strings ()));
+  (* enough externs that the key table grows and GLOBALS reorders *)
+  let many =
+    ( "d.c",
+      String.concat "" (List.init 2100 (fun i -> Fmt.str "int e%d;\n" i))
+      ^ "void r(void) { e0 = 2; }\n" )
+  in
+  relink_pure "key table grown" st [ a; b; c; many ];
+  Alcotest.(check bool) "GLOBALS holds the new keys" true
+    (List.length (Linkp.state_view st).Objfile.rkeys > 2100);
+  (* a new constant *)
+  let b = (fst b, snd b ^ "void s(void) { n = 7; }\n") in
+  let consts = (Linkp.state_view st).Objfile.rconsts in
+  relink_pure "new constant" st [ a; b; c; many ];
+  Alcotest.(check bool) "CONSTS changed" true
+    ((Linkp.state_view st).Objfile.rconsts <> consts)
+
 (* One update defines the same function in two units.  The linked
    database keeps the first definition, as the full merge does; the
    resumed solution must bind calls through that one too.  [params_b]
@@ -622,6 +746,16 @@ let () =
             test_delta_link_pure_add;
           Alcotest.test_case "removal vs full merge" `Quick
             test_delta_link_removal_falls_back;
+          Alcotest.test_case "relinked bytes, tiny stream" `Quick
+            (test_relink_stream_tiny 0.0);
+          Alcotest.test_case "relinked bytes, tiny stream with removals" `Quick
+            (test_relink_stream_tiny 0.25);
+          Alcotest.test_case "relinked bytes, vortex stream" `Quick
+            (test_relink_stream_vortex 0.0);
+          Alcotest.test_case "relinked bytes, vortex stream with removals" `Quick
+            (test_relink_stream_vortex 0.25);
+          Alcotest.test_case "relinked bytes, forced cases" `Quick
+            test_relink_forced;
         ] );
       ( "delta-solve",
         [

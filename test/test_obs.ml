@@ -561,7 +561,12 @@ let test_incremental_update_spans () =
   | Some u ->
       Alcotest.(check (list string))
         "update layer spans" [ "incr.probe"; "incr.relink"; "incr.resume" ]
-        (List.map (fun s -> s.Span.name) u.Span.children)
+        (List.map (fun s -> s.Span.name) u.Span.children);
+      (* the relink's number/emit is its own span, apart from diff/patch *)
+      Alcotest.(check bool) "link.encode inside incr.relink" true
+        (match Span.find "incr.relink" u.Span.children with
+        | Some r -> Span.find "link.encode" r.Span.children <> None
+        | None -> false)
   | None -> Alcotest.fail "incremental.update span missing"
 
 let () =
