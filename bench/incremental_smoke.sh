@@ -5,7 +5,8 @@
 #      cache scores 1 miss / n-1 hits per one-TU edit, additions resume
 #      the solver, and a schema-tagged BENCH_incremental.json lands with
 #      every answer gate true (the tail speedup, a wall-time figure, is
-#      reported but not gated under --quick);
+#      reported but not gated under --quick) and every resumed row's
+#      extraction recomputing fewer answers than the view has variables;
 #   2. --inject compares each step against the previous step's
 #      solution and must blow the gate (exit 1) — proof it can fire;
 #   3. `cla serve --watch DIR` answers across an edit: query, append an
@@ -56,6 +57,28 @@ for gate in solutions_equal cache_discipline additions_resumed; do
 done
 grep -q '"tail_speedup":' BENCH_incremental.json || {
   echo "incremental_smoke.sh: tail speedup not reported" >&2
+  cat BENCH_incremental.json >&2
+  exit 1
+}
+# a resume re-derives only what its edit reached: on every resumed row
+# the extraction sweep recomputes fewer answers than the view has
+# variables (a count, not a wall time)
+awk '
+  /"resumed":/ { resumed = ($0 ~ /true/) }
+  /"vars":/ { gsub(/[^0-9]/, ""); vars = $0 + 0 }
+  /"extract_recomputed":/ {
+    gsub(/[^0-9]/, ""); rows++
+    if (resumed) {
+      checked++
+      if ($0 + 0 >= vars) {
+        printf "row %d: extract_recomputed %d >= vars %d\n", rows, $0, vars > "/dev/stderr"
+        bad++
+      }
+    }
+  }
+  END { exit (bad || !checked) }
+' BENCH_incremental.json || {
+  echo "incremental_smoke.sh: a resume re-extracted every answer" >&2
   cat BENCH_incremental.json >&2
   exit 1
 }

@@ -1226,6 +1226,7 @@ let incremental () =
       scratch step.ssources (Incremental.view t)
     in
     let sc_total = sc_compile +. sc_link +. sc_solve in
+    let res = Incremental.result t in
     (* the gate; --inject deliberately compares against the previous
        step's solution, which each edit invalidates *)
     let oracle = if !inject then !prev_scratch else sol_scratch in
@@ -1249,6 +1250,9 @@ let incremental () =
         ("resumed", J (Json.Bool s.resumed));
         ("cache_hits", I s.cache_hits);
         ("cache_misses", I s.cache_misses);
+        ("vars", I (Objfile.n_vars (Incremental.view t)));
+        ("resume_passes", I (if s.resumed then res.Andersen.passes else 0));
+        ("extract_recomputed", I res.Andersen.extract_recomputed);
         ("inc_compile_s", quiet s.wall_compile_s);
         ("inc_link_s", quiet s.wall_link_s);
         ("inc_solve_s", quiet s.wall_solve_s);

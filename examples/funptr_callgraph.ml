@@ -47,7 +47,7 @@ let () =
     (fun (r : Objfile.indir_rec) ->
       let callees =
         Lvalset.to_list (Solution.points_to sol r.Objfile.iptr)
-        |> List.filter (fun v -> Solution.var_kind sol v = Var.Func)
+        |> List.filter (fun v -> view.Objfile.rvars.(v).Objfile.vkind = Var.Func)
         |> List.map (Solution.var_name sol)
       in
       Fmt.pr "call through %s at %a -> {%a}@."

@@ -66,9 +66,10 @@ type t = {
          elements, lval-set members, [active] indices, [Solution]
          indices) always stay raw var ids — only node positions map. *)
   mutable seed_log : int list ref option;
-      (* when set (during delta application), every structural change —
-         a fresh edge's origin, a base addition's node — is logged as a
-         seed for [Pretrans.invalidate_reaching] *)
+      (* when set (through a whole resume: delta application and every
+         resumed pass), every structural change — a fresh edge's origin,
+         a base addition's node — is logged as a seed for
+         [Pretrans.invalidate_reaching], and [pass] keeps the memos *)
   mutable pass_log : pass_stats list;
       (* per-pass convergence counters, reverse order *)
   mutable pending_evict : int list;
@@ -127,13 +128,12 @@ let node_of st v =
   if Array.length st.var_node = 0 then v else st.var_node.(v)
 
 (* Every structural mutation of the graph goes through these funnels so
-   that, while a constraint delta is being applied ([seed_log] set), the
-   affected positions are collected as invalidation seeds: a fresh edge
-   [a -> b] grows [pts(a)], a new base element grows [pts(x)] — those
-   nodes, and transitively everything that can reach them, must drop
-   their surviving reachability memos before a resumed pass may trust
-   the rest.  Outside delta application ([seed_log = None]) the funnels
-   are free. *)
+   that, while a resume runs ([seed_log] set), the affected positions are
+   collected as invalidation seeds: a fresh edge [a -> b] grows [pts(a)],
+   a new base element grows [pts(x)] — those nodes, and transitively
+   everything that can reach them, must drop their reachability memos
+   before the next resumed pass may trust the rest.  Outside a resume
+   ([seed_log = None]) the funnels are free. *)
 let add_edge st a b =
   let fresh = Pretrans.add_edge st.g a b in
   (match st.seed_log with
@@ -253,13 +253,12 @@ let apply_evictions st =
    sees the complete constraint set — the re-load re-creates the same
    complexes (with a cleared [cseen], so they are re-checked against the
    full current points-to sets) and counts in the loader's re-load and
-   eviction accounting. *)
+   eviction accounting.  Returns [true] iff a block came back. *)
 let reload_evicted st =
-  if Hashtbl.length st.evicted > 0 then begin
-    let vs = Hashtbl.fold (fun v () acc -> v :: acc) st.evicted [] in
-    Hashtbl.reset st.evicted;
-    List.iter (fun v -> load_block st v) vs
-  end
+  let vs = Hashtbl.fold (fun v () acc -> v :: acc) st.evicted [] in
+  Hashtbl.reset st.evicted;
+  List.iter (fun v -> load_block st v) vs;
+  vs <> []
 
 (* A record added to a block that was resident before the delta: the
    block will not be re-read, so the record is translated on its own and
@@ -336,14 +335,13 @@ let init ?(config = Pretrans.default_config) ?(demand = true) ?budget
 (* One pass of Figure 5's iteration algorithm; returns [true] if the graph
    changed.
 
-   [keep_memos] is the resumed first pass of a delta solve: the
-   reachability memos surviving from the previous fixpoint are kept
-   instead of flushed ([Pretrans.new_pass]), relying on
-   [Pretrans.invalidate_reaching] having dropped every memo the delta
-   could touch.  If this pass changes the graph, the following
-   passes run with the normal flush-everything semantics, so the
-   fixpoint test ("a pass with no change") stays exact. *)
-let pass ?(keep_memos = false) st =
+   A batch pass starts by flushing the reachability memos
+   ([Pretrans.new_pass]).  A resumed pass ([seed_log] set) keeps them:
+   [resume] has already dropped, with [Pretrans.invalidate_reaching],
+   every memo the delta or an earlier resumed pass could have made
+   stale, so each surviving memo is exact and the fixpoint test ("a
+   pass with no change") stays exact too. *)
+let pass st =
   check_tokens st;
   let t0 = Cla_resilience.Deadline.now_s () in
   st.passes <- st.passes + 1;
@@ -353,9 +351,9 @@ let pass ?(keep_memos = false) st =
      back first, so every pass checks the complete constraint set — the
      no-change pass that ends the iteration has therefore verified every
      constraint, resident or re-loaded *)
-  reload_evicted st;
+  ignore (reload_evicted st);
   let before = Pretrans.stats st.g in
-  if not keep_memos then Pretrans.new_pass st.g;
+  if st.seed_log = None then Pretrans.new_pass st.g;
   let changed = ref false in
   let discovered = ref 0 in
   List.iter
@@ -433,6 +431,8 @@ type result = {
       (** bytes allocated on the OCaml heap over the whole solve
           ([Gc.allocated_bytes] delta) — the allocation-rate metric the
           solver bench divides by query count *)
+  extract_recomputed : int;
+      (** extraction-sweep queries no memo answered *)
 }
 
 (* Publish a result into the metrics registry: [analyze.passes], the
@@ -446,6 +446,7 @@ let publish_result (r : result) =
     (List.length r.retained);
   Cla_obs.Metrics.set "analyze.indirect.linked_copies"
     (List.length r.linked_copies);
+  Cla_obs.Metrics.set "analyze.extract.recomputed" r.extract_recomputed;
   Pretrans.publish_stats r.graph_stats;
   Loader.publish_stats r.loader_stats;
   let series f name =
@@ -459,7 +460,10 @@ let publish_result (r : result) =
 
 (* Extraction sweep shared by [solve] and [resume]: one [get_lvals] per
    variable of the current view (cheap at the end thanks to cycle
-   elimination and caching — the paper's observation in Section 5). *)
+   elimination and caching — the paper's observation in Section 5).  The
+   final pass changed nothing, so every memo it leaves is exact and the
+   sweep reads them as they stand; only blocks re-loaded here (a
+   budgeted loader's evictions) make it start from flushed memos. *)
 let extract st a0 : result =
   Cla_obs.Span.with_span "analyze.extract" @@ fun () ->
   (* the extraction sweep below issues one [get_lvals] per variable;
@@ -469,15 +473,17 @@ let extract st a0 : result =
      the complete complex-assignment set (the dependence analysis
      consumes it); blocks this displaces stay in [retained_by_block],
      so the flattened list below misses nothing *)
-  reload_evicted st;
-  Pretrans.new_pass st.g;
+  if reload_evicted st then Pretrans.new_pass st.g;
+  let misses (s : Pretrans.stats) = s.Pretrans.queries - s.Pretrans.cache_hits in
+  let before = misses (Pretrans.stats st.g) in
   let nvars = Objfile.n_vars st.view in
   let pts = Array.init nvars (fun v -> Pretrans.get_lvals st.g (node_of st v)) in
+  let graph_stats = Pretrans.stats st.g in
   {
     solution = Solution.create st.view pts;
     passes = st.passes;
     loader_stats = Loader.stats st.loader;
-    graph_stats = Pretrans.stats st.g;
+    graph_stats;
     pass_log = List.rev st.pass_log;
     retained =
       Hashtbl.fold
@@ -485,6 +491,7 @@ let extract st a0 : result =
         st.retained_by_block [];
     linked_copies = st.linked_copies;
     alloc_bytes = Gc.allocated_bytes () -. a0;
+    extract_recomputed = misses graph_stats - before;
   }
 
 (** Run the analysis to fixpoint and extract points-to sets for every
@@ -511,12 +518,15 @@ let solve ?config ?demand ?budget ?deadline ?cancel view : result =
 (* Resume an already-solved state over a pure-add constraint delta —
    the delta-solve path.  The previous fixpoint's graph, complexes,
    [cseen]/[iseen] difference-propagation sets, and (crucially) the
-   reachability memos from the final extraction sweep all survive; only
-   the memos that the delta can actually affect are dropped
-   ([Pretrans.invalidate_reaching]), and the first resumed pass runs
-   without the usual flush.  Anything the resume cannot handle soundly
-   returns [None] — the caller re-solves from scratch — behind the
-   [pretrans.delta.fallbacks] counter:
+   reachability memos from the final extraction sweep all survive, and
+   no resumed pass or extraction flushes them: seed logging stays on for
+   the whole resume, and after the delta application and after every
+   pass that changed the graph, [Pretrans.invalidate_reaching] drops
+   exactly the memos those changes could have made stale.  Only the
+   lval-set sharing pool is flushed, once at the start, so a long-lived
+   state's pool holds one resume's sets.  Anything the resume cannot
+   handle soundly returns [None] — the caller re-solves from scratch —
+   behind the [pretrans.delta.fallbacks] counter:
 
    - a removal or full relink (old memos/edges would over-approximate);
    - a state/view mismatch (the delta was not computed against us);
@@ -580,9 +590,21 @@ let resume st ~(view : Objfile.view) ~(delta : Linkp.delta) :
       Array.blit st.iseen 0 ni 0 (Array.length st.iseen);
       st.iseen <- ni
     end;
-    (* apply the delta with seed logging on: every fresh edge origin and
-       base addition is an invalidation seed *)
-    let seeds = ref [] in
+    (* the result reports this resume's passes only *)
+    st.passes <- 0;
+    st.pass_log <- [];
+    Pretrans.flush_pool st.g;
+    (* seed logging stays on through the delta application and every
+       resumed pass: each fresh edge origin and base addition is an
+       invalidation seed *)
+    let seeds = ref [] and n_seeds = ref 0 and n_inv = ref 0 in
+    let invalidate () =
+      if !seeds <> [] then begin
+        n_seeds := !n_seeds + List.length !seeds;
+        n_inv := !n_inv + Pretrans.invalidate_reaching st.g !seeds;
+        seeds := []
+      end
+    in
     st.seed_log <- Some seeds;
     add_sections st
       ~fundefs:(List.to_seq delta.Linkp.d_added_fundefs)
@@ -602,18 +624,20 @@ let resume st ~(view : Objfile.view) ~(delta : Linkp.delta) :
       (fun (p : Objfile.prim_rec) ->
         if was_active p.Objfile.psrc then inject st p)
       delta.Linkp.d_added_prims;
+    invalidate ();
+    (* every pass keeps the surviving memos; what it changed is
+       invalidated before the next one reads them *)
+    while
+      let changed = pass st in
+      invalidate ();
+      changed
+    do
+      ()
+    done;
     st.seed_log <- None;
-    let n_inv = Pretrans.invalidate_reaching st.g !seeds in
     Cla_obs.Metrics.incr "pretrans.delta.resumes";
-    Cla_obs.Metrics.set "pretrans.delta.seeds" (List.length !seeds);
-    Cla_obs.Metrics.set "pretrans.delta.invalidated" n_inv;
-    (* first pass keeps the surviving memos — the incremental win; if it
-       changes anything, the following passes run with the usual
-       flush-everything semantics *)
-    if pass ~keep_memos:true st then
-      while pass st do
-        ()
-      done;
+    Cla_obs.Metrics.set "pretrans.delta.seeds" !n_seeds;
+    Cla_obs.Metrics.set "pretrans.delta.invalidated" !n_inv;
     let r = extract st a0 in
     publish_result r;
     Some r

@@ -56,14 +56,10 @@ val init :
     analysis-time indirect-call linking).  Returns [true] if the graph
     changed — iterate until it does not.  The pass is single-threaded,
     as in the paper: each [get_lvals] is one reachability walk over the
-    live graph.
-
-    [keep_memos] is the delta-solve resume's first pass: the
-    reachability memos surviving from the previous fixpoint are kept
-    instead of flushed, relying on {!Pretrans.invalidate_reaching}
-    having dropped every memo the delta could affect ({!resume} sets
-    this up; do not pass it by hand). *)
-val pass : ?keep_memos:bool -> t -> bool
+    live graph.  It starts by flushing the reachability memos
+    ({!Pretrans.new_pass}); the passes {!resume} runs keep them
+    instead. *)
+val pass : t -> bool
 
 type result = {
   solution : Solution.t;
@@ -81,13 +77,17 @@ type result = {
       (** bytes allocated on the OCaml heap over the whole solve
           ([Gc.allocated_bytes] delta); published as
           [analyze.alloc_bytes] *)
+  extract_recomputed : int;
+      (** queries of the extraction sweep that no reachability memo
+          answered; published as [analyze.extract.recomputed] *)
 }
 
 (** Run to fixpoint and extract the points-to set of every variable.
     Recorded as an ["analyze"] span (children ["analyze.init"], one
     ["analyze.pass"] per pass, ["analyze.extract"]); the result is
     published into the metrics registry: [analyze.passes],
-    [analyze.alloc_bytes], [analyze.pretrans.*], [analyze.pool.*],
+    [analyze.alloc_bytes], [analyze.extract.recomputed],
+    [analyze.pretrans.*], [analyze.pool.*],
     [load.blocks.*], and the per-pass convergence series
     [analyze.pass.*]. *)
 val solve :
@@ -115,12 +115,19 @@ val solve_state :
     [resume st ~view ~delta] re-solves after a {!Linkp.relink} produced
     [view] and a {b pure-add} [delta] against the view [st] was solved
     on.  The previous fixpoint's graph, complexes, difference-propagation
-    sets and — crucially — the reachability memos of the final
-    extraction sweep all survive; only the memos the delta can actually
-    affect are invalidated (reverse reachability from the added
-    constraints' endpoints), and the first resumed pass runs without the
-    usual flush.  The result's [solution] is indexed by the NEW view's
-    variable ids and equals a from-scratch {!solve} of [view].
+    sets and — crucially — its reachability memos all survive, and
+    nothing in the resume flushes them: after the delta is applied, and
+    again after every resumed pass that changed the graph, exactly the
+    memos those changes can affect are invalidated (reverse
+    reachability from the changed nodes, {!Pretrans.invalidate_reaching}).
+    The final pass changes nothing, so the extraction sweep reads the
+    memos it leaves and recomputes only what was invalidated.  The
+    result's [solution] is indexed by the NEW view's variable ids and
+    equals a from-scratch {!solve} of [view]; its [passes] and
+    [pass_log] count this resume's passes only.  Publishes the result
+    like {!solve}, plus [pretrans.delta.resumes] and the resume's totals
+    over the delta and all its passes, [pretrans.delta.seeds] and
+    [pretrans.delta.invalidated].
 
     Returns [None] — bumping [pretrans.delta.fallbacks], with the
     reason in [pretrans.delta.fallback_reason] — when the resume cannot

@@ -199,11 +199,14 @@ let add_base t x z =
   let x = deskip t x in
   if Edgeset.add t.bases x z then Dynarr.push_at t.base x z
 
+(** Flush the lval-set sharing pool alone; the memos stay valid. *)
+let flush_pool t = Lvalset.flush_pool t.pool
+
 (** Start a new pass over the complex assignments: flush the reachability
     cache and the lval-set sharing pool. *)
 let new_pass t =
   t.stamp <- t.stamp + 1;
-  Lvalset.flush_pool t.pool
+  flush_pool t
 
 (* Merge [m]'s edges and base elements into representative [rep] and
    install the skip pointer. *)

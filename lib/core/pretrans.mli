@@ -50,6 +50,12 @@ val add_base : t -> int -> int -> unit
     a pass are sound because the driver iterates until [nochange]. *)
 val new_pass : t -> unit
 
+(** Flush the lval-set sharing pool alone, keeping every memo: bounds
+    the pool of a graph whose memos live across many solves (a resumed
+    state, which never calls {!new_pass}).  Sets already handed out stay
+    valid; they are just no longer shared with sets built afterwards. *)
+val flush_pool : t -> unit
+
 (** [get_lvals t n] — Figure 5's [getLvals]: the set of locations [&z]
     derivable from node [n], computed by reachability over the
     pre-transitive graph.  With [config.cache] the result is memoized for
@@ -60,10 +66,10 @@ val get_lvals : t -> int -> Lvalset.t
 
     Support for resuming a solve after new edges are added to the graph
     (the delta-solve path).  The per-pass reachability memo normally
-    survives only until {!new_pass}; to resume {e without} flushing it,
-    every memo entry whose node can reach a changed node must be
-    invalidated first — a stale memo there would hide the new lvals and
-    let the driver converge prematurely.  Reverse reachability needs
+    survives only until {!new_pass}; to keep it instead, every memo
+    entry whose node can reach a changed node must be invalidated after
+    each batch of changes — a stale memo there would hide the new lvals
+    and let the driver converge prematurely.  Reverse reachability needs
     predecessor lists, which the graph does not keep by default. *)
 
 (** Start (or keep) maintaining predecessor lists.  Idempotent; on first

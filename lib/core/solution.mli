@@ -31,7 +31,6 @@ val provenance : t -> provenance option
 val points_to : t -> int -> Lvalset.t
 
 val var_name : t -> int -> string
-val var_kind : t -> int -> Cla_ir.Var.kind
 
 (** Normalizer temporaries are excluded from reported counts, as in
     Table 3. *)

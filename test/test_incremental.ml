@@ -409,6 +409,130 @@ let test_resume_each_kind () =
   Alcotest.(check bool) "the call was linked" true
     (inc_r.Andersen.linked_copies <> [])
 
+(* A resumed result reports the passes that resume ran, not every pass
+   since the boot solve: after each of several resumes, [passes] and
+   [pass_log] agree with each other, with the 1-based numbering, and
+   with the [analyze.pass] spans recorded under that resume. *)
+let test_resume_reports_own_passes () =
+  let module Span = Cla_obs.Span in
+  let es = W.Editstream.create ~seed:7L ~p_remove:0.0 small_profile in
+  let t, _ = Incremental.create (W.Editstream.sources es) in
+  for _ = 1 to 4 do
+    let step = W.Editstream.next es in
+    Span.reset ();
+    Span.set_enabled true;
+    let s = Incremental.update t step.W.Editstream.ssources in
+    Span.set_enabled false;
+    let msg = Fmt.str "step %d" step.W.Editstream.snum in
+    Alcotest.(check bool) (msg ^ ": resumed") true s.Incremental.resumed;
+    let r = Incremental.result t in
+    let spans =
+      match Span.find "analyze.resume" (Span.roots ()) with
+      | Some a ->
+          List.length
+            (List.filter (fun c -> c.Span.name = "analyze.pass") a.Span.children)
+      | None -> Alcotest.fail (msg ^ ": no analyze.resume span")
+    in
+    Alcotest.(check int) (msg ^ ": passes = pass_log length")
+      (List.length r.Andersen.pass_log) r.Andersen.passes;
+    Alcotest.(check int) (msg ^ ": passes = this resume's pass spans") spans
+      r.Andersen.passes;
+    Alcotest.(check (list int)) (msg ^ ": passes numbered from 1")
+      (List.init spans succ)
+      (List.map (fun p -> p.Andersen.ps_pass) r.Andersen.pass_log)
+  done;
+  Span.reset ()
+
+(* Resumed passes keep their reachability memos, so every pass that
+   changes the graph must invalidate what it touched before the next
+   pass reads them.  These streams make resumes iterate: each step
+   appends random records to a Genir-shaped unit, plus a cycle-closing
+   pair [q = z; *p = q] with [z] already in [pts(p)] — the store adds
+   [z -> q], which closes [z -> q -> z].  After every step the resumed
+   solution must equal a scratch solve. *)
+let multi_pass_resumes = ref 0
+
+let resume_stream (shape, seed) =
+  let rs = Random.State.make [| seed |] in
+  let base = W.Genir.shaped ~scale:0.2 shape (Int64.of_int seed) in
+  let db = ref (db_of_view base) in
+  let lstate, _ = Linkp.state_create [ ("g.c", base) ] in
+  let linked = Linkp.state_view lstate in
+  (* one unit links onto its own ids, so a record written against the
+     unit reads the same in the linked view *)
+  if
+    Array.map (fun v -> v.Objfile.vname) linked.Objfile.rvars
+    <> Array.map (fun v -> v.Objfile.vname) base.Objfile.rvars
+  then QCheck.Test.fail_report "linked ids differ from the unit's";
+  let st, r0 = Andersen.solve_state linked in
+  let sol = ref r0.Andersen.solution in
+  for step = 1 to 5 do
+    let d = !db in
+    let n = Array.length d.Objfile.vars in
+    let var () = Random.State.int rs n in
+    let prim pkind pdst psrc =
+      { Objfile.pkind; pdst; psrc; pop = None; ploc = Cla_ir.Loc.none }
+    in
+    let blocks = Array.copy d.Objfile.blocks in
+    let add (p : Objfile.prim_rec) =
+      blocks.(p.Objfile.psrc) <- blocks.(p.Objfile.psrc) @ [ p ]
+    in
+    for _ = 0 to Random.State.int rs 4 do
+      let kinds = Objfile.[| Pcopy; Pstore; Pload; Pderef2 |] in
+      add (prim kinds.(Random.State.int rs 4) (var ()) (var ()))
+    done;
+    (match
+       List.filter
+         (fun v -> Lvalset.cardinal (Solution.points_to !sol v) > 0)
+         (List.init n Fun.id)
+     with
+    | [] -> ()
+    | ptrs ->
+        let p = List.nth ptrs (Random.State.int rs (List.length ptrs)) in
+        let z = List.hd (Lvalset.to_list (Solution.points_to !sol p)) in
+        let q = var () in
+        add (prim Objfile.Pcopy q z);
+        add (prim Objfile.Pstore p q));
+    let statics =
+      if Random.State.bool rs then
+        d.Objfile.statics @ [ prim Objfile.Paddr (var ()) (var ()) ]
+      else d.Objfile.statics
+    in
+    db := { d with Objfile.blocks; statics };
+    let delta = Linkp.relink lstate [ ("g.c", Objfile.encode !db) ] in
+    if not (Linkp.delta_is_pure_add delta) then
+      QCheck.Test.fail_reportf "step %d: delta not pure-add" step;
+    let view = Linkp.state_view lstate in
+    match Andersen.resume st ~view ~delta with
+    | None -> QCheck.Test.fail_reportf "step %d: resume declined" step
+    | Some r ->
+        if r.Andersen.passes <> List.length r.Andersen.pass_log then
+          QCheck.Test.fail_reportf "step %d: %d passes, %d logged" step
+            r.Andersen.passes (List.length r.Andersen.pass_log);
+        if r.Andersen.passes >= 2 then incr multi_pass_resumes;
+        if
+          not
+            (Solution.equal r.Andersen.solution
+               (Andersen.solve view).Andersen.solution)
+        then
+          QCheck.Test.fail_reportf "step %d: resumed (%d passes) <> scratch"
+            step r.Andersen.passes;
+        sol := r.Andersen.solution
+  done;
+  true
+
+let test_multi_pass_resumes () =
+  multi_pass_resumes := 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 31 |])
+    (QCheck.Test.make ~count:30 ~name:"resumed == scratch over Genir shapes"
+       QCheck.(
+         pair
+           (make ~print:W.Genir.shape_name (Gen.oneofl W.Genir.all_shapes))
+           (int_bound 1_000_000))
+       resume_stream);
+  Alcotest.(check bool) "some resumes ran two or more passes" true
+    (!multi_pass_resumes > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Direct-mode probe: source digest + include-manifest replay          *)
 (* ------------------------------------------------------------------ *)
@@ -765,6 +889,10 @@ let () =
           Alcotest.test_case "no-op update" `Quick test_update_noop;
           Alcotest.test_case "resume adds each record kind" `Quick
             test_resume_each_kind;
+          Alcotest.test_case "resume reports its own passes" `Quick
+            test_resume_reports_own_passes;
+          Alcotest.test_case "multi-pass resumes, Genir shapes" `Quick
+            test_multi_pass_resumes;
           Alcotest.test_case "duplicate FUNDEF, other arity" `Quick
             test_duplicate_fundef_arity;
           Alcotest.test_case "duplicate FUNDEF, same arity" `Quick

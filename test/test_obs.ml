@@ -569,6 +569,32 @@ let test_incremental_update_spans () =
         | None -> false)
   | None -> Alcotest.fail "incremental.update span missing"
 
+(* A pure-add resume keeps its reachability memos through extraction:
+   the sweep recomputes only what the edit reached, far fewer answers
+   than the view has variables. *)
+let test_resume_extract_metrics () =
+  fresh ();
+  let profile = Cla_workload.Profile.scaled 0.1 Cla_workload.Profile.vortex in
+  let es = Cla_workload.Editstream.create ~seed:5L ~p_remove:0.0 profile in
+  let t, _ = Incremental.create (Cla_workload.Editstream.sources es) in
+  Metrics.reset ();
+  let step = Cla_workload.Editstream.next es in
+  let s = Incremental.update t step.Cla_workload.Editstream.ssources in
+  Alcotest.(check bool) "resumed" true s.Incremental.resumed;
+  let nvars = Objfile.n_vars (Incremental.view t) in
+  let r = Incremental.result t in
+  (match Metrics.get_int "analyze.extract.recomputed" with
+  | Some n ->
+      Alcotest.(check int) "metric mirrors the result" r.Andersen.extract_recomputed n;
+      Alcotest.(check bool)
+        (Fmt.str "recomputed %d < %d variables" n nvars)
+        true (n < nvars)
+  | None -> Alcotest.fail "analyze.extract.recomputed missing");
+  Alcotest.(check (option int)) "analyze.passes counts this resume's passes"
+    (Some r.Andersen.passes) (Metrics.get_int "analyze.passes");
+  Alcotest.(check bool) "pretrans.delta.invalidated published" true
+    (Metrics.get_int "pretrans.delta.invalidated" <> None)
+
 let () =
   Alcotest.run "obs"
     [
@@ -616,5 +642,7 @@ let () =
             test_pipeline_stats_export;
           Alcotest.test_case "incremental update spans" `Quick
             test_incremental_update_spans;
+          Alcotest.test_case "resume extraction metrics" `Quick
+            test_resume_extract_metrics;
         ] );
     ]
